@@ -102,6 +102,13 @@ class TestDims:
         assert (s2.dim_cochains, s2.dim_cocycles,
                 s2.dim_coboundaries, s2.dim_h) == (6, 4, 1, 3)
 
+    def test_coboundaries_inside_cocycles(self, rc2, rc4):
+        for rc in (rc2, rc4):
+            for p in (1, 2):
+                s = ly.rbo_cohomology_dims(rc, p)
+                assert 0 <= s.dim_coboundaries <= s.dim_cocycles <= s.dim_cochains
+                assert s.dim_h == s.dim_cocycles - s.dim_coboundaries
+
     def test_degree_must_be_positive(self, rc2):
         with pytest.raises(ValueError, match=">= 1"):
             ly.rbo_cohomology_dims(rc2, 0)
