@@ -413,6 +413,7 @@ def _module_names(dim_v: int) -> Tuple[str, ...]:
 # -- reports ------------------------------------------------------------------
 
 _EXIT = {"ok": 0, "violated": 1, "error": 2}
+_EXIT_INTERNAL = 3  # an "error" report marked internal: a fault in lyat, not in its input
 
 
 @dataclass
@@ -423,6 +424,8 @@ class Report:
 
     @property
     def exit_code(self) -> int:
+        if self.details.get("internal"):
+            return _EXIT_INTERNAL
         return _EXIT[self.status]
 
 
@@ -747,6 +750,9 @@ def main(argv: Optional[Sequence[str]] = None) -> int:
             UnverifiedOperator, NotOrderN, NotNijenhuisElement,
             NotLinearDeformation, ValueError) as exc:
         report = Report(args.command, "error", {"message": str(exc)})
+    except Exception as exc:
+        report = Report(args.command, "error",
+                        {"message": f"{type(exc).__name__}: {exc}", "internal": True})
     print(_emit(report, args.format))
     return report.exit_code
 

@@ -6,12 +6,23 @@ solves, so all scalars are `fractions.Fraction` and nothing here rounds.
 
 Matrices act on column vectors: ``apply(x)[r] == sum_c entries[r][c] * x[c]``.
 Vectors are plain tuples of Fraction.
+
+`rank_kernel`, `solve_linear` and `inverse` share one elimination, `_rref`:
+rows are held as ``{column: Fraction}`` dicts of their nonzero entries and
+enter one at a time. Each is reduced against the pivot rows found so far,
+which are kept fully reduced, so only the pivot columns the row itself holds
+need work; a row that vanishes is dropped, otherwise its first column
+becomes a new pivot and is cleared from the other pivot rows. Zeros are never
+touched, which matters for the coboundary matrices: tall, sparse, and of low
+rank. The reduced row echelon form of a matrix is unique, so every output
+(the rank, the free-column kernel basis, the solution with free variables
+set to zero, the inverse) does not depend on the order of elimination.
 """
 
 from __future__ import annotations
 
 from fractions import Fraction
-from typing import Iterable, List, Optional, Sequence, Tuple
+from typing import Dict, Iterable, List, Optional, Sequence, Tuple
 
 Rational = Fraction
 Vector = Tuple[Fraction, ...]
@@ -228,33 +239,45 @@ def commutator(a: Matrix, b: Matrix) -> Matrix:
     return (a @ b) - (b @ a)
 
 
-def _rref(rows: List[List[Fraction]], ncols: int) -> List[int]:
-    """Reduce `rows` in place to reduced row echelon form, scanning pivots
-    over the first `ncols` columns only (rows may be longer, e.g. augmented).
-    Returns the pivot column indices in order."""
-    pivots: List[int] = []
-    r = 0
-    nrows = len(rows)
-    for c in range(ncols):
-        pr = None
-        for i in range(r, nrows):
-            if rows[i][c] != 0:
-                pr = i
-                break
-        if pr is None:
+SparseRow = Dict[int, Fraction]
+
+
+def _subtract(target: SparseRow, f: Fraction, row: SparseRow) -> None:
+    """target -= f * row, keeping only nonzero entries."""
+    for c, x in row.items():
+        y = target.get(c, 0) - f * x
+        if y:
+            target[c] = y
+        else:
+            del target[c]
+
+
+def _rref(rows: Iterable[Sequence[Fraction]], ncols: int) -> Dict[int, SparseRow]:
+    """Reduced row echelon form of `rows`, built one row at a time.
+
+    Only columns below `ncols` may hold pivots (rows may be longer, e.g.
+    augmented). Returns {pivot column: reduced row}, where each row keeps
+    only its nonzero entries outside the pivot columns: its pivot entry is
+    an implicit 1 and every other pivot column is 0 in it. Rows that hold no
+    pivot are dropped.
+    """
+    basis: Dict[int, SparseRow] = {}
+    for dense in rows:
+        row = {c: x for c, x in enumerate(dense) if x}
+        # the basis is fully reduced, so one pass over the pivot columns this
+        # row holds clears them all without bringing in any other
+        for pc in [c for c in row if c in basis]:
+            _subtract(row, row.pop(pc), basis[pc])
+        pc = min((c for c in row if c < ncols), default=None)
+        if pc is None:
             continue
-        rows[r], rows[pr] = rows[pr], rows[r]
-        inv = 1 / rows[r][c]
-        rows[r] = [x * inv for x in rows[r]]
-        for i in range(nrows):
-            if i != r and rows[i][c] != 0:
-                f = rows[i][c]
-                rows[i] = [x - f * y for x, y in zip(rows[i], rows[r])]
-        pivots.append(c)
-        r += 1
-        if r == nrows:
-            break
-    return pivots
+        inv = 1 / row.pop(pc)
+        row = {c: x * inv for c, x in row.items()}
+        for other in basis.values():
+            if pc in other:
+                _subtract(other, other.pop(pc), row)
+        basis[pc] = row
+    return basis
 
 
 def rank_kernel(m: Matrix) -> Tuple[int, List[Vector]]:
@@ -264,20 +287,14 @@ def rank_kernel(m: Matrix) -> Tuple[int, List[Vector]]:
     vector per non-pivot column, with a 1 in that column. Deterministic for
     a given matrix.
     """
-    rows = [list(r) for r in m.entries]
-    pivots = _rref(rows, m.cols)
-    rank = len(pivots)
-    pivot_set = set(pivots)
-    kernel: List[Vector] = []
-    for fc in range(m.cols):
-        if fc in pivot_set:
-            continue
-        v = [Fraction(0)] * m.cols
+    basis = _rref(m.entries, m.cols)
+    free = {fc: [Fraction(0)] * m.cols for fc in range(m.cols) if fc not in basis}
+    for pc, row in basis.items():
+        for fc, x in row.items():
+            free[fc][pc] = -x
+    for fc, v in free.items():
         v[fc] = Fraction(1)
-        for r, pc in enumerate(pivots):
-            v[pc] = -rows[r][fc]
-        kernel.append(tuple(v))
-    return rank, kernel
+    return len(basis), [tuple(v) for v in free.values()]
 
 
 def solve_linear(a: Matrix, b: Vector) -> Optional[Vector]:
@@ -287,13 +304,12 @@ def solve_linear(a: Matrix, b: Vector) -> Optional[Vector]:
     """
     if len(b) != a.rows:
         raise ValueError(f"rhs length {len(b)} does not match {a.rows} rows")
-    aug = [list(r) + [rat(x)] for r, x in zip(a.entries, b)]
-    pivots = _rref(aug, a.cols + 1)
-    if a.cols in pivots:
+    basis = _rref((r + (rat(x),) for r, x in zip(a.entries, b)), a.cols + 1)
+    if a.cols in basis:
         return None
     x = [Fraction(0)] * a.cols
-    for r, pc in enumerate(pivots):
-        x[pc] = aug[r][a.cols]
+    for pc, row in basis.items():
+        x[pc] = row.get(a.cols, Fraction(0))
     return tuple(x)
 
 
@@ -302,10 +318,10 @@ def inverse(m: Matrix) -> Matrix:
     if m.rows != m.cols:
         raise ValueError("only square matrices can be inverted")
     n = m.rows
-    aug = [list(r) + [Fraction(1 if i == j else 0) for j in range(n)]
-           for i, r in enumerate(m.entries)]
-    pivots = _rref(aug, n)
-    if len(pivots) < n:
+    aug = (r + tuple(Fraction(int(i == j)) for j in range(n)) for i, r in enumerate(m.entries))
+    basis = _rref(aug, n)
+    if len(basis) < n:
         raise ValueError("matrix is singular")
-    # RREF left half is the identity, so the right half is the inverse.
-    return Matrix([row[n:] for row in aug], cols=n)
+    # the left half reduces to the identity, so the right half is the inverse
+    return Matrix([[basis[i].get(n + j, Fraction(0)) for j in range(n)] for i in range(n)],
+                  cols=n)

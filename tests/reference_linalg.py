@@ -1,0 +1,99 @@
+"""Dense Gauss-Jordan elimination over the rationals.
+
+This is the elimination `lieyamaguti.linalg` used before it switched to a
+sparse incremental reduction, kept verbatim as an independent reference:
+every pivot sweeps all rows and every cell, zeros included. The reduced
+row echelon form is unique, so `rank_kernel`, `solve_linear` and `inverse`
+here must agree exactly with the package's. Slow on the larger coboundary
+matrices, so only the tests use it.
+"""
+
+from __future__ import annotations
+
+from fractions import Fraction
+from typing import List, Optional, Tuple
+
+from lieyamaguti.linalg import Matrix, Vector, rat
+
+
+def _rref(rows: List[List[Fraction]], ncols: int) -> List[int]:
+    """Reduce `rows` in place to reduced row echelon form, scanning pivots
+    over the first `ncols` columns only (rows may be longer, e.g. augmented).
+    Returns the pivot column indices in order."""
+    pivots: List[int] = []
+    r = 0
+    nrows = len(rows)
+    for c in range(ncols):
+        pr = None
+        for i in range(r, nrows):
+            if rows[i][c] != 0:
+                pr = i
+                break
+        if pr is None:
+            continue
+        rows[r], rows[pr] = rows[pr], rows[r]
+        inv = 1 / rows[r][c]
+        rows[r] = [x * inv for x in rows[r]]
+        for i in range(nrows):
+            if i != r and rows[i][c] != 0:
+                f = rows[i][c]
+                rows[i] = [x - f * y for x, y in zip(rows[i], rows[r])]
+        pivots.append(c)
+        r += 1
+        if r == nrows:
+            break
+    return pivots
+
+
+def rank_kernel(m: Matrix) -> Tuple[int, List[Vector]]:
+    """Rank and a kernel basis.
+
+    The kernel basis is the standard free-column basis of the RREF: one
+    vector per non-pivot column, with a 1 in that column. Deterministic for
+    a given matrix.
+    """
+    rows = [list(r) for r in m.entries]
+    pivots = _rref(rows, m.cols)
+    rank = len(pivots)
+    pivot_set = set(pivots)
+    kernel: List[Vector] = []
+    for fc in range(m.cols):
+        if fc in pivot_set:
+            continue
+        v = [Fraction(0)] * m.cols
+        v[fc] = Fraction(1)
+        for r, pc in enumerate(pivots):
+            v[pc] = -rows[r][fc]
+        kernel.append(tuple(v))
+    return rank, kernel
+
+
+def solve_linear(a: Matrix, b: Vector) -> Optional[Vector]:
+    """One exact solution of a x = b, or None when the system is inconsistent.
+
+    Free variables are set to zero, so the answer is deterministic.
+    """
+    if len(b) != a.rows:
+        raise ValueError(f"rhs length {len(b)} does not match {a.rows} rows")
+    aug = [list(r) + [rat(x)] for r, x in zip(a.entries, b)]
+    pivots = _rref(aug, a.cols + 1)
+    if a.cols in pivots:
+        return None
+    x = [Fraction(0)] * a.cols
+    for r, pc in enumerate(pivots):
+        x[pc] = aug[r][a.cols]
+    return tuple(x)
+
+
+def inverse(m: Matrix) -> Matrix:
+    """Exact inverse. Raises ValueError on non-square or singular input."""
+    if m.rows != m.cols:
+        raise ValueError("only square matrices can be inverted")
+    n = m.rows
+    aug = [list(r) + [Fraction(1 if i == j else 0) for j in range(n)]
+           for i, r in enumerate(m.entries)]
+    pivots = _rref(aug, n)
+    if len(pivots) < n:
+        raise ValueError("matrix is singular")
+    # RREF left half is the identity, so the right half is the inverse.
+    return Matrix([row[n:] for row in aug], cols=n)

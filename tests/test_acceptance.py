@@ -4,8 +4,12 @@ defining identities, complexes square to zero, deformation theory is
 consistent with direct sampling, and the CLI output is frozen byte for byte."""
 
 import json
+import os
 import random
+import subprocess
+import sys
 import time
+from pathlib import Path
 
 import lieyamaguti as ly
 from lieyamaguti import cli
@@ -166,6 +170,22 @@ def test_trivial_deformations_are_equivalences(dim2: Model, dim4: Model):
             assert ly.equivalence_check_linear(o, base, d, x).valid
 
 
+def test_degree_three_cohomology(dim4: Model, capsys):
+    start = time.monotonic()
+    ctx = ly.ComplexContext(dim4.algebra, dim4.rep)
+    rc = ly.RboComplex.build(dim4.op)
+    for dims, expected in ((lambda p: ly.cohomology_dims(ctx, p), (720, 241, 69, 172)),
+                           (lambda p: ly.rbo_cohomology_dims(rc, p), (720, 504, 36, 468))):
+        s2, s3 = dims(2), dims(3)
+        assert s3.dim_coboundaries == s2.dim_cochains - s2.dim_cocycles
+        assert 0 <= s3.dim_coboundaries <= s3.dim_cocycles <= s3.dim_cochains
+        assert (s3.dim_cochains, s3.dim_cocycles, s3.dim_coboundaries, s3.dim_h) == expected
+    for extra in ((), ("--rbo",)):
+        assert cli.main(["cohomology", "dim4.lyat", "--degree", "3", *extra]) == 0
+    capsys.readouterr()
+    assert time.monotonic() - start < 60.0
+
+
 def test_obstructions_and_expanded_coboundary(dim2: Model, dim4: Model):
     res = ly.obstruction(dim2.op, ly.trivial_deformation_from(dim2.op, dim2.x))
     assert res.is_cocycle
@@ -245,3 +265,16 @@ def test_cli_json_output_is_frozen(capsys):
         out = capsys.readouterr().out
         assert code == expected_code, argv
         assert out == json.dumps(expected_payload, indent=2) + "\n", argv
+
+
+def test_frozen_output_without_asserts():
+    # `python -O` strips every assert, so no verdict may depend on one
+    src = str(Path(__file__).resolve().parents[1] / "src")
+    env = {**os.environ, "PYTHONPATH": os.pathsep.join(
+        p for p in (src, os.environ.get("PYTHONPATH")) if p)}
+    for argv, expected_code, expected_payload in (FROZEN_CLI[1], FROZEN_CLI[3], FROZEN_CLI[4]):
+        proc = subprocess.run(
+            [sys.executable, "-O", "-m", "lieyamaguti.cli", *argv, "--format", "json"],
+            capture_output=True, text=True, env=env)
+        assert proc.returncode == expected_code, argv
+        assert proc.stdout == json.dumps(expected_payload, indent=2) + "\n", argv

@@ -65,6 +65,18 @@ class TestExitCodes:
         code, _ = run(capsys, "check-algebra", "nosuch.lyat")
         assert code == 2
 
+    def test_internal_errors_exit_three(self, capsys, monkeypatch):
+        def crash(model):
+            raise RuntimeError("boom")
+        monkeypatch.setattr(cli, "_cmd_check_algebra", crash)
+        code, payload = run_json(capsys, "check-algebra", "dim2.lyat")
+        assert code == 3
+        assert payload == {"command": "check-algebra", "status": "error",
+                           "details": {"message": "RuntimeError: boom", "internal": True}}
+        code, out = run(capsys, "check-algebra", "dim2.lyat")
+        assert code == 3
+        assert "internal: true" in out
+
 
 class TestParseErrors:
     @pytest.mark.parametrize("payload,message", [

@@ -5,14 +5,20 @@ from fractions import Fraction
 import pytest
 from hypothesis import given, settings, strategies as st
 
+import reference_linalg as ref
+from conftest import Model
 from lieyamaguti import (
+    ComplexContext,
     Matrix,
+    RboComplex,
+    coboundary_matrix,
     commutator,
     inverse,
     is_zero_vector,
     rank_kernel,
     rat,
     rat_str,
+    rbo_coboundary_matrix,
     solve_linear,
     vadd,
     vneg,
@@ -156,3 +162,78 @@ class TestInverse:
             mi = inverse(m)
             assert m @ mi == Matrix.identity(3)
             assert mi @ m == Matrix.identity(3)
+
+
+sparse_entries = st.one_of(st.just(Fraction(0)), rationals)
+
+
+@st.composite
+def shaped_matrices(draw, max_dim=7):
+    """Tall, wide, square and empty shapes; sparse entries, with some rows
+    and columns forced to zero; or a product of two factors through a
+    smaller inner dimension, so the rank is deficient."""
+    rows = draw(st.integers(0, max_dim))
+    cols = draw(st.integers(0, max_dim))
+    if draw(st.booleans()):
+        inner = draw(st.integers(0, min(rows, cols)))
+        left = draw(st.lists(st.lists(rationals, min_size=inner, max_size=inner),
+                             min_size=rows, max_size=rows))
+        right = draw(st.lists(st.lists(rationals, min_size=cols, max_size=cols),
+                              min_size=inner, max_size=inner))
+        return Matrix(left, cols=inner) @ Matrix(right, cols=cols)
+    cells = draw(st.lists(st.lists(sparse_entries, min_size=cols, max_size=cols),
+                          min_size=rows, max_size=rows))
+    zero_rows = draw(st.sets(st.integers(0, max(rows - 1, 0))))
+    zero_cols = draw(st.sets(st.integers(0, max(cols - 1, 0))))
+    return Matrix([[Fraction(0) if i in zero_rows or j in zero_cols else x
+                    for j, x in enumerate(row)] for i, row in enumerate(cells)], cols=cols)
+
+
+def _inverse_or_error(inv, m):
+    try:
+        return inv(m)
+    except ValueError as exc:
+        return str(exc)
+
+
+def _assert_matches_reference(m, rhs=()):
+    assert rank_kernel(m) == ref.rank_kernel(m)
+    for b in rhs:
+        assert solve_linear(m, b) == ref.solve_linear(m, b)
+    assert _inverse_or_error(inverse, m) == _inverse_or_error(ref.inverse, m)
+
+
+class TestAgainstDenseReference:
+    """The reduced row echelon form is unique, so the sparse elimination must
+    reproduce the dense Gauss-Jordan reference exactly: the rank, the kernel
+    basis in order, the zero-free-variable solution and the inverse."""
+
+    @settings(deadline=None, max_examples=300)
+    @given(shaped_matrices(), st.data())
+    def test_random_shapes(self, m, data):
+        x = data.draw(st.lists(rationals, min_size=m.cols, max_size=m.cols))
+        other = data.draw(st.lists(sparse_entries, min_size=m.rows, max_size=m.rows))
+        consistent = m.apply(tuple(x))
+        assert solve_linear(m, consistent) is not None
+        _assert_matches_reference(m, (consistent, tuple(other)))
+
+    def test_inconsistent_rhs(self):
+        m = Matrix(((fr(1), fr(2), fr(0)), (fr(2), fr(4), fr(0)), (fr(0), fr(0), fr(0))))
+        for b in ((fr(1), fr(3), fr(0)), (fr(0), fr(0), fr(1))):
+            assert solve_linear(m, b) is None
+            _assert_matches_reference(m, (b,))
+
+    def test_degenerate_shapes(self):
+        for m in (Matrix([], cols=0), Matrix([], cols=3), Matrix([[], []], cols=0)):
+            _assert_matches_reference(m, (tuple(fr(0) for _ in range(m.rows)),))
+        assert solve_linear(Matrix([[], []], cols=0), (fr(0), fr(1))) is None
+
+    def test_coboundary_matrices(self, dim4: Model):
+        bare = coboundary_matrix(ComplexContext(dim4.algebra, dim4.rep), 2)
+        rc = RboComplex.build(dim4.op)
+        for m in (bare, rbo_coboundary_matrix(rc, 0), rbo_coboundary_matrix(rc, 1)):
+            # a column of m is a consistent right-hand side; these matrices
+            # have rank below their row count, so some unit vector is not
+            units = [tuple(fr(int(i == r)) for i in range(m.rows)) for r in range(m.rows)]
+            inconsistent = next(u for u in units if ref.solve_linear(m, u) is None)
+            _assert_matches_reference(m, (m.column(m.cols - 1), inconsistent))
