@@ -753,7 +753,14 @@ def main(argv: Optional[Sequence[str]] = None) -> int:
     except Exception as exc:
         report = Report(args.command, "error",
                         {"message": f"{type(exc).__name__}: {exc}", "internal": True})
-    print(_emit(report, args.format))
+    try:
+        print(_emit(report, args.format))
+        sys.stdout.flush()
+    except BrokenPipeError:
+        # the reader left early (`lyat ... | head`); the verdict stands, and
+        # stdout goes to devnull so the flush at exit cannot fail again
+        devnull = os.open(os.devnull, os.O_WRONLY)
+        os.dup2(devnull, sys.stdout.fileno())
     return report.exit_code
 
 

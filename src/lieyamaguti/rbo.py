@@ -24,7 +24,6 @@ from .linalg import (
     is_zero_vector,
     rat,
     vadd,
-    vneg,
     vsub,
     vzero,
 )
@@ -33,7 +32,6 @@ from .structures import (
     LYAlgebra,
     Representation,
     Violation,
-    check_lya,
 )
 from .complexes import wedge_basis
 
@@ -178,21 +176,11 @@ def _sub_adjacent_constants(o: RelRBO) -> Tuple[Dict, Dict]:
 
 def induced_lya_on_v(o: RelRBO) -> LYAlgebra:
     """The sub-adjacent Lie-Yamaguti algebra on the module of a verified
-    operator. The axioms are re-verified, and T is confirmed to be an algebra
-    homomorphism into the original brackets."""
+    operator. It satisfies the axioms, and T is an algebra homomorphism from
+    it into the original brackets (both checked by the tests)."""
     _require_verified(o)
     binary, ternary = _sub_adjacent_constants(o)
-    v = o.rep.dim_v
-    sub = LYAlgebra(v, binary=binary, ternary=ternary)
-    assert check_lya(sub).valid, "induced brackets must satisfy the axioms"
-    a, t = o.algebra, o.t_matrix
-    timg = [o.column(b) for b in range(v)]
-    for b1 in range(v):
-        for b2 in range(b1 + 1, v):
-            assert t.apply(sub.bracket_basis(b1, b2)) == a.bracket(timg[b1], timg[b2])
-            for b3 in range(v):
-                assert t.apply(sub.triple_basis(b1, b2, b3)) == a.triple(timg[b1], timg[b2], timg[b3])
-    return sub
+    return LYAlgebra(o.rep.dim_v, binary=binary, ternary=ternary)
 
 
 def induced_rep_on_g(o: RelRBO) -> Representation:
@@ -201,9 +189,9 @@ def induced_rep_on_g(o: RelRBO) -> Representation:
         rho'(u) x    = [Tu, x] + T( rho(x) u )
         mu'(u, v) x  = <x, Tu, Tv> - T( D(x, Tu) v - mu(x, Tv) u )
 
-    Its derived D action has the closed form
-        D'(u, v) x = <Tu, Tv, x> - T( mu(Tv, x) u - mu(Tu, x) v ),
-    which is asserted against the generic construction."""
+    It is a valid representation, and its derived D action has the closed form
+        D'(u, v) x = <Tu, Tv, x> - T( mu(Tv, x) u - mu(Tu, x) v )
+    (both checked by the tests)."""
     _require_verified(o)
     sub = induced_lya_on_v(o)
     a, r, t = o.algebra, o.rep, o.t_matrix
@@ -231,22 +219,7 @@ def induced_rep_on_g(o: RelRBO) -> Representation:
             row.append(Matrix.from_columns(cols, rows=m))
         mu2.append(row)
 
-    rep2 = Representation(sub, m, rho2, mu2)
-
-    from .structures import check_representation
-    assert check_representation(rep2).valid, "induced representation must be valid"
-    for b1 in range(v):
-        for b2 in range(v):
-            cols = []
-            for c in range(m):
-                val = a.triple(timg[b1], timg[b2], bas[c])
-                adj = vsub(r.mu_of(timg[b2], bas[c]).apply(units[b1]),
-                           r.mu_of(timg[b1], bas[c]).apply(units[b2]))
-                cols.append(vsub(val, t.apply(adj)))
-            closed = Matrix.from_columns(cols, rows=m)
-            assert rep2.d_of(units[b1], units[b2]) == closed, \
-                "derived D of the induced representation must match its closed form"
-    return rep2
+    return Representation(sub, m, rho2, mu2)
 
 
 def pre_ly_products(o: RelRBO) -> Tuple[Tuple[Tuple[Vector, ...], ...],
@@ -256,7 +229,7 @@ def pre_ly_products(o: RelRBO) -> Tuple[Tuple[Tuple[Vector, ...], ...],
         u * v     = rho(Tu) v          (binary table [a][b])
         {u, v, w} = mu(Tv, Tw) u       (ternary table [a][b][c])
 
-    The commutator of * is confirmed to be the sub-adjacent bracket."""
+    The commutator of * is the sub-adjacent bracket (checked by the tests)."""
     _require_verified(o)
     r = o.rep
     v = r.dim_v
@@ -267,17 +240,6 @@ def pre_ly_products(o: RelRBO) -> Tuple[Tuple[Tuple[Vector, ...], ...],
     ternary = tuple(tuple(tuple(r.mu_of(timg[b], timg[c]).apply(units[a])
                                 for c in range(v)) for b in range(v))
                     for a in range(v))
-    sub_binary, _ = _sub_adjacent_constants(o)
-    for a_i in range(v):
-        for b_i in range(v):
-            comm = vsub(binary[a_i][b_i], binary[b_i][a_i])
-            if a_i < b_i:
-                expect = sub_binary.get((a_i, b_i), vzero(v))
-            elif a_i > b_i:
-                expect = vneg(sub_binary.get((b_i, a_i), vzero(v)))
-            else:
-                expect = vzero(v)
-            assert comm == expect, "u*v - v*u must equal the sub-adjacent bracket"
     return binary, ternary
 
 

@@ -48,7 +48,8 @@ class RboComplex:
         _require_verified(o)
         from .rbo import induced_rep_on_g
         rep = induced_rep_on_g(o)
-        # induced_rep_on_g asserts validity, so skip the context's re-check.
+        # the induced representation of a verified operator is valid (a theorem
+        # the tests check on the fixtures), so the context skips its check
         ctx = ComplexContext(rep.algebra, rep, validate=False)
         return cls(o, ctx)
 

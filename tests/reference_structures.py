@@ -1,0 +1,139 @@
+"""Dense, term-by-term evaluation of the Lie-Yamaguti and representation axioms.
+
+These are the `check_lya` and `check_representation` that
+`lieyamaguti.structures` used before it switched to sparse integer-scaled
+evaluation, kept verbatim as an independent reference: every basis tuple runs
+dense `bracket`/`triple` calls in `Fraction` arithmetic, and every term of a
+representation identity builds a new `Matrix`. The reports of both
+implementations must be equal, violation for violation and residual for
+residual. Slow on the 8-dimensional semidirect sums (seconds), so only the
+tests use it.
+"""
+
+from __future__ import annotations
+
+import itertools
+from typing import List, Tuple
+
+from lieyamaguti.linalg import Matrix, commutator, is_zero_vector, vadd, vsub
+from lieyamaguti.structures import AxiomReport, LYAlgebra, Representation, Violation
+
+
+def check_lya(a: LYAlgebra) -> AxiomReport:
+    """Check the four defining identities on every basis tuple.
+
+    Multilinearity extends basis-tuple validity to the whole space, so an
+    empty violation list certifies the algebra. Violations carry the basis
+    index tuple and the nonzero residual (always "LHS sum" in the orientation
+    written below).
+    """
+    viols: List[Violation] = []
+    rng = range(a.dim)
+    bas = [a.basis(i) for i in rng]
+
+    # [[x,y],z] + [[y,z],x] + [[z,x],y] + <x,y,z> + <y,z,x> + <z,x,y> = 0
+    for i, j, k in itertools.product(rng, repeat=3):
+        r = a.bracket(a.bracket_basis(i, j), bas[k])
+        r = vadd(r, a.bracket(a.bracket_basis(j, k), bas[i]))
+        r = vadd(r, a.bracket(a.bracket_basis(k, i), bas[j]))
+        r = vadd(r, a.triple_basis(i, j, k))
+        r = vadd(r, a.triple_basis(j, k, i))
+        r = vadd(r, a.triple_basis(k, i, j))
+        if not is_zero_vector(r):
+            viols.append(Violation("jacobi-defect", (i, j, k), r))
+
+    # <[x,y],z,w> + <[y,z],x,w> + <[z,x],y,w> = 0
+    for i, j, k, l in itertools.product(rng, repeat=4):
+        r = a.triple(a.bracket_basis(i, j), bas[k], bas[l])
+        r = vadd(r, a.triple(a.bracket_basis(j, k), bas[i], bas[l]))
+        r = vadd(r, a.triple(a.bracket_basis(k, i), bas[j], bas[l]))
+        if not is_zero_vector(r):
+            viols.append(Violation("cyclic-ternary", (i, j, k, l), r))
+
+    # <x,y,[z,w]> = [<x,y,z>,w] + [z,<x,y,w>]
+    for i, j, k, l in itertools.product(rng, repeat=4):
+        r = a.triple(bas[i], bas[j], a.bracket_basis(k, l))
+        r = vsub(r, a.bracket(a.triple_basis(i, j, k), bas[l]))
+        r = vsub(r, a.bracket(bas[k], a.triple_basis(i, j, l)))
+        if not is_zero_vector(r):
+            viols.append(Violation("binary-derivation", (i, j, k, l), r))
+
+    # <x,y,<z,w,t>> = <<x,y,z>,w,t> + <z,<x,y,w>,t> + <z,w,<x,y,t>>
+    for i, j, k, l, m in itertools.product(rng, repeat=5):
+        r = a.triple(bas[i], bas[j], a.triple_basis(k, l, m))
+        r = vsub(r, a.triple(a.triple_basis(i, j, k), bas[l], bas[m]))
+        r = vsub(r, a.triple(bas[k], a.triple_basis(i, j, l), bas[m]))
+        r = vsub(r, a.triple(bas[k], bas[l], a.triple_basis(i, j, m)))
+        if not is_zero_vector(r):
+            viols.append(Violation("ternary-derivation", (i, j, k, l, m), r))
+
+    return AxiomReport.from_violations(viols)
+
+
+def _matrix_violations(viols: List[Violation], identity: str,
+                       args: Tuple[int, ...], residual: Matrix) -> None:
+    # one violation per nonzero column, so residuals stay vectors
+    for c in range(residual.cols):
+        col = residual.column(c)
+        if not is_zero_vector(col):
+            viols.append(Violation(identity, args + (c,), col))
+
+
+def check_representation(r: Representation) -> AxiomReport:
+    """Check the five representation conditions plus three derived identities
+    for D that downstream constructions rely on. Identities are evaluated as
+    matrix equations per basis tuple; a violation is recorded per nonzero
+    residual column, with the module index appended to the argument tuple.
+    """
+    a = r.algebra
+    rng = range(a.dim)
+    bas = [a.basis(i) for i in rng]
+    viols: List[Violation] = []
+
+    for i, j, k in itertools.product(rng, repeat=3):
+        # mu([x,y],z) = mu(x,z) rho(y) - mu(y,z) rho(x)
+        res = (r.mu_of(a.bracket_basis(i, j), bas[k])
+               - r.mu(i, k) @ r.rho(j) + r.mu(j, k) @ r.rho(i))
+        _matrix_violations(viols, "mu-bracket-left", (i, j, k), res)
+
+        # mu(x,[y,z]) = rho(y) mu(x,z) - rho(z) mu(x,y)
+        res = (r.mu_of(bas[i], a.bracket_basis(j, k))
+               - r.rho(j) @ r.mu(i, k) + r.rho(k) @ r.mu(i, j))
+        _matrix_violations(viols, "mu-bracket-right", (i, j, k), res)
+
+        # rho(<x,y,z>) = [D(x,y), rho(z)]
+        res = r.rho_of(a.triple_basis(i, j, k)) - commutator(r.d_basis(i, j), r.rho(k))
+        _matrix_violations(viols, "rho-triple-commutator", (i, j, k), res)
+
+        # D([x,y],z) + D([y,z],x) + D([z,x],y) = 0   (derived)
+        res = (r.d_of(a.bracket_basis(i, j), bas[k])
+               + r.d_of(a.bracket_basis(j, k), bas[i])
+               + r.d_of(a.bracket_basis(k, i), bas[j]))
+        _matrix_violations(viols, "d-bracket-cyclic", (i, j, k), res)
+
+    for i, j, k, l in itertools.product(rng, repeat=4):
+        # mu(z,w) mu(x,y) - mu(y,w) mu(x,z) - mu(x,<y,z,w>) + D(y,z) mu(x,w) = 0
+        res = (r.mu(k, l) @ r.mu(i, j) - r.mu(j, l) @ r.mu(i, k)
+               - r.mu_of(bas[i], a.triple_basis(j, k, l))
+               + r.d_basis(j, k) @ r.mu(i, l))
+        _matrix_violations(viols, "mu-composition", (i, j, k, l), res)
+
+        # mu(<x,y,z>,w) + mu(z,<x,y,w>) = [D(x,y), mu(z,w)]
+        res = (r.mu_of(a.triple_basis(i, j, k), bas[l])
+               + r.mu_of(bas[k], a.triple_basis(i, j, l))
+               - commutator(r.d_basis(i, j), r.mu(k, l)))
+        _matrix_violations(viols, "mu-triple-commutator", (i, j, k, l), res)
+
+        # D(<x,y,z>,w) + D(z,<x,y,w>) = [D(x,y), D(z,w)]   (derived)
+        res = (r.d_of(a.triple_basis(i, j, k), bas[l])
+               + r.d_of(bas[k], a.triple_basis(i, j, l))
+               - commutator(r.d_basis(i, j), r.d_basis(k, l)))
+        _matrix_violations(viols, "d-triple-commutator", (i, j, k, l), res)
+
+        # mu(<x,y,z>,w) = mu(x,w) mu(z,y) - mu(y,w) mu(z,x) - mu(z,w) D(x,y)   (derived)
+        res = (r.mu_of(a.triple_basis(i, j, k), bas[l])
+               - r.mu(i, l) @ r.mu(k, j) + r.mu(j, l) @ r.mu(k, i)
+               + r.mu(k, l) @ r.d_basis(i, j))
+        _matrix_violations(viols, "mu-triple-expansion", (i, j, k, l), res)
+
+    return AxiomReport.from_violations(viols)

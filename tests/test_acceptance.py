@@ -127,8 +127,17 @@ def test_operator_induces_valid_structures(dim2: Model, dim4: Model):
                     assert got[m:] == zv
 
 
-def test_semidirect_validity_tracks_representation():
+def test_semidirect_validity_tracks_representation(dim4: Model):
     from conftest import corrupt_rep
+
+    # the 8-dimensional semidirect sum of the big fixture, valid and corrupted
+    rng = random.Random(67)
+    verdicts = []
+    for cand in (dim4.rep, corrupt_rep(rng, dim4.rep), corrupt_rep(rng, dim4.rep)):
+        rep_valid = ly.check_representation(cand).valid
+        assert rep_valid == ly.check_lya(ly.semidirect(dim4.algebra, cand)).valid
+        verdicts.append(rep_valid)
+    assert verdicts == [True, False, False]
 
     rng = random.Random(61)
     valid_seen = invalid_seen = 0
@@ -256,6 +265,46 @@ FROZEN_CLI = [
                        "args": ["u1", "u2"], "residual": "-e1"},
                       {"identity": "rota-baxter-ternary",
                        "args": ["u1", "u2", "u2"], "residual": "-2*e1"}]}}),
+    (("check-algebra", "dim2_bad_algebra.lyat"), 1,
+     {"command": "check-algebra", "status": "violated",
+      "details": {"dim": 2, "basis": ["e1", "e2"],
+                  "violations": [
+                      {"identity": "binary-derivation",
+                       "args": ["e1", "e2", "e1", "e2"], "residual": "-e1"},
+                      {"identity": "binary-derivation",
+                       "args": ["e1", "e2", "e2", "e1"], "residual": "e1"},
+                      {"identity": "binary-derivation",
+                       "args": ["e2", "e1", "e1", "e2"], "residual": "e1"},
+                      {"identity": "binary-derivation",
+                       "args": ["e2", "e1", "e2", "e1"], "residual": "-e1"},
+                      {"identity": "ternary-derivation",
+                       "args": ["e1", "e2", "e1", "e2", "e2"], "residual": "-e2"},
+                      {"identity": "ternary-derivation",
+                       "args": ["e1", "e2", "e2", "e1", "e2"], "residual": "e2"},
+                      {"identity": "ternary-derivation",
+                       "args": ["e2", "e1", "e1", "e2", "e2"], "residual": "e2"},
+                      {"identity": "ternary-derivation",
+                       "args": ["e2", "e1", "e2", "e1", "e2"], "residual": "-e2"}]}}),
+    (("check-rep", "dim2_bad_rep.lyat"), 1,
+     {"command": "check-rep", "status": "violated",
+      "details": {"dim": 2, "dim_v": 2, "kind": "explicit",
+                  "violations": [
+                      {"identity": "mu-bracket-right",
+                       "args": ["e2", "e1", "e2", "u2"], "residual": "-u1"},
+                      {"identity": "mu-bracket-right",
+                       "args": ["e2", "e2", "e1", "u2"], "residual": "u1"},
+                      {"identity": "mu-triple-commutator",
+                       "args": ["e1", "e2", "e2", "e2", "u2"], "residual": "-u1"},
+                      {"identity": "mu-triple-expansion",
+                       "args": ["e1", "e2", "e2", "e2", "u2"], "residual": "u1"},
+                      {"identity": "mu-composition",
+                       "args": ["e2", "e1", "e2", "e2", "u2"], "residual": "2*u1"},
+                      {"identity": "mu-triple-commutator",
+                       "args": ["e2", "e1", "e2", "e2", "u2"], "residual": "u1"},
+                      {"identity": "mu-triple-expansion",
+                       "args": ["e2", "e1", "e2", "e2", "u2"], "residual": "-u1"},
+                      {"identity": "mu-composition",
+                       "args": ["e2", "e2", "e1", "e2", "u2"], "residual": "-2*u1"}]}}),
 ]
 
 

@@ -1,8 +1,10 @@
 """The lyat command line: parsing, dispatch, output formats, exit codes."""
 
 import json
+import os
 import subprocess
 import sys
+from pathlib import Path
 
 import pytest
 
@@ -77,6 +79,24 @@ class TestExitCodes:
         assert code == 3
         assert "internal: true" in out
 
+    @pytest.mark.parametrize("model,expected", [
+        ("dim2.lyat", 0), ("dim2_bad_algebra.lyat", 1)])
+    def test_closed_stdout_keeps_exit_code(self, model, expected):
+        # `lyat ... | head` closes the pipe early: the report's own exit code
+        # stands and nothing is printed to stderr
+        src = str(Path(__file__).resolve().parents[1] / "src")
+        env = {**os.environ, "PYTHONPATH": os.pathsep.join(
+            p for p in (src, os.environ.get("PYTHONPATH")) if p)}
+        read_end, write_end = os.pipe()
+        os.close(read_end)
+        try:
+            proc = subprocess.run(
+                [sys.executable, "-m", "lieyamaguti.cli", "check-algebra", model],
+                stdout=write_end, stderr=subprocess.PIPE, text=True, env=env)
+        finally:
+            os.close(write_end)
+        assert proc.returncode == expected
+        assert proc.stderr == ""
 
 class TestParseErrors:
     @pytest.mark.parametrize("payload,message", [

@@ -102,8 +102,21 @@ class TestInducedStructures:
         binary, _ = ly.pre_ly_products(dim4.op)
         sub = ly.induced_lya_on_v(dim4.op)
         for a in range(4):
-            for b in range(a + 1, 4):
+            for b in range(4):
                 assert ly.vsub(binary[a][b], binary[b][a]) == sub.bracket_basis(a, b)
+
+    def test_operator_is_a_homomorphism_from_sub_adjacent(self, dim2: Model, dim4: Model):
+        for m in (dim2, dim4):
+            o, a = m.op, m.algebra
+            v = m.rep.dim_v
+            sub = ly.induced_lya_on_v(o)
+            timg = [o.column(b) for b in range(v)]
+            for b1 in range(v):
+                for b2 in range(v):
+                    assert o.apply(sub.bracket_basis(b1, b2)) == a.bracket(timg[b1], timg[b2])
+                    for b3 in range(v):
+                        assert (o.apply(sub.triple_basis(b1, b2, b3))
+                                == a.triple(timg[b1], timg[b2], timg[b3]))
 
     def test_nijenhuis_lift(self, dim2: Model):
         lift = ly.lift_to_nijenhuis(dim2.op)

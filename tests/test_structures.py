@@ -1,10 +1,12 @@
 """Algebras, representations, semidirect sums and Nijenhuis operators."""
 
 import random
+from fractions import Fraction
 
 import pytest
 
 import lieyamaguti as ly
+import reference_structures as ref
 from conftest import (
     LIE_FAMILIES,
     Model,
@@ -194,6 +196,22 @@ class TestNijenhuisOperators:
         with pytest.raises(ValueError):
             ly.nijenhuis_operator_check(dim2.algebra, ly.Matrix.identity(3))
 
+    def test_deformed_brackets_are_valid_and_n_is_a_homomorphism(
+            self, dim2: Model, dim4: Model):
+        cases = [(dim2.algebra, ly.Matrix(((fr(0), fr(0)), (fr(0), fr(1)))))]
+        cases += [(ly.semidirect(m.algebra, m.rep), ly.lift_to_nijenhuis(m.op))
+                  for m in (dim2, dim4)]
+        for a, n in cases:
+            deformed = ly.deformed_brackets(a, n)
+            assert ly.check_lya(deformed).valid
+            nb = [n.column(i) for i in range(a.dim)]
+            for i in range(a.dim):
+                for j in range(a.dim):
+                    assert n.apply(deformed.bracket_basis(i, j)) == a.bracket(nb[i], nb[j])
+                    for k in range(a.dim):
+                        assert (n.apply(deformed.triple_basis(i, j, k))
+                                == a.triple(nb[i], nb[j], nb[k]))
+
 
 class TestReports:
     def test_report_helpers(self, broken_algebra):
@@ -201,3 +219,100 @@ class TestReports:
         assert ok.valid and ok.first() is None and ok.violations == ()
         bad = ly.check_lya(broken_algebra)
         assert bad.first() == bad.violations[0]
+
+
+def _transport(a: ly.LYAlgebra, r: ly.Representation, p: ly.Matrix, q: ly.Matrix):
+    """The same algebra and representation in the bases given by the columns
+    of p (on the algebra) and q (on the module)."""
+    n, v = a.dim, r.dim_v
+    pinv, qinv = ly.inverse(p), ly.inverse(q)
+    pc = [p.column(i) for i in range(n)]
+    binary = {(i, j): pinv.apply(a.bracket(pc[i], pc[j]))
+              for i in range(n) for j in range(i + 1, n)}
+    ternary = {(i, j, k): pinv.apply(a.triple(pc[i], pc[j], pc[k]))
+               for i in range(n) for j in range(i + 1, n) for k in range(n)}
+    b = ly.LYAlgebra(n, binary=binary, ternary=ternary)
+    rho = [qinv @ r.rho_of(pc[i]) @ q for i in range(n)]
+    mu = [[qinv @ r.mu_of(pc[i], pc[j]) @ q for j in range(n)] for i in range(n)]
+    return b, ly.Representation(b, v, rho, mu)
+
+
+def _assert_matches_reference(a=None, r=None):
+    reports = []
+    if a is not None:
+        reports.append((ly.check_lya(a), ref.check_lya(a)))
+    if r is not None:
+        reports.append((ly.check_representation(r), ref.check_representation(r)))
+    for got, want in reports:
+        assert got == want
+        for v in got.violations:
+            assert all(type(x) is Fraction for x in v.residual)
+    return [got for got, _ in reports]
+
+
+class TestAgainstDenseReference:
+    """The sparse integer evaluation must reproduce the dense Fraction
+    evaluation of `reference_structures` exactly: the same violations in the
+    same order, with the same args and the same Fraction residuals."""
+
+    def test_fixtures_and_semidirect_sums(self, dim2: Model, dim4: Model):
+        for m in (dim2, dim4):
+            _assert_matches_reference(m.algebra, m.rep)
+            _assert_matches_reference(ly.semidirect(m.algebra, m.rep))
+            _assert_matches_reference(None, ly.zero_rep(m.algebra, 0))
+            _assert_matches_reference(None, ly.zero_rep(m.algebra, 2))
+
+    def test_broken_inputs(self, dim2: Model, dim4: Model, broken_algebra, bad_rep):
+        lya_report, = _assert_matches_reference(broken_algebra)
+        assert len(lya_report.violations) == 8
+        rep_report, = _assert_matches_reference(None, bad_rep)
+        assert len(rep_report.violations) == 8
+        _assert_matches_reference(ly.semidirect(dim2.algebra, bad_rep))
+        rng = random.Random(17)
+        for m in (dim2, dim4):
+            for _ in range(3):
+                bad = corrupt_rep(rng, m.rep)
+                _assert_matches_reference(None, bad)
+
+    def test_random_pairs(self):
+        rng = random.Random(29)
+        for _ in range(12):
+            a, r = random_valid_pair(rng)
+            _assert_matches_reference(a, r)
+            bad = corrupt_rep(rng, r)
+            _assert_matches_reference(None, bad)
+            _assert_matches_reference(ly.semidirect(a, bad))
+
+    def test_rational_basis_change(self, dim4: Model):
+        # non-unimodular rational bases put denominators into every table, so
+        # the integer scale is above 1 (the bundled models all have scale 1)
+        p = ly.Matrix(((fr(2), fr(1, 3), fr(0), fr(1)),
+                       (fr(0), fr(1, 2), fr(1), fr(0)),
+                       (fr(1), fr(0), fr(3), fr(-1, 2)),
+                       (fr(0), fr(1), fr(0), fr(5, 4))))
+        q = ly.Matrix(((fr(1, 2), fr(0), fr(1), fr(0)),
+                       (fr(0), fr(3), fr(0), fr(1)),
+                       (fr(1), fr(0), fr(2, 3), fr(0)),
+                       (fr(0), fr(1), fr(-1), fr(1, 5))))
+        a, r = _transport(dim4.algebra, dim4.rep, p, q)
+        assert any(x.denominator > 1 for vec in a.ternary_constants().values() for x in vec)
+        assert any(x.denominator > 1 for i in range(4) for j in range(4)
+                   for row in r.mu(i, j).entries for x in row)
+        lya_report, rep_report = _assert_matches_reference(a, r)
+        assert lya_report.valid and rep_report.valid
+
+        (i, j, k), vec = next(iter(a.ternary_constants().items()))
+        ternary = dict(a.ternary_constants())
+        ternary[(i, j, k)] = tuple(x + fr(1, 3) for x in vec)
+        broken = ly.LYAlgebra(4, binary=a.binary_constants(), ternary=ternary)
+        lya_report, = _assert_matches_reference(broken)
+        assert not lya_report.valid
+        assert any(x.denominator > 1 for v in lya_report.violations for x in v.residual)
+
+        rho = [r.rho(i) for i in range(4)]
+        rho[1] = rho[1] + ly.Matrix.identity(4).scale(fr(1, 7))
+        bad = ly.Representation(a, 4, rho, [[r.mu(i, j) for j in range(4)] for i in range(4)])
+        rep_report, = _assert_matches_reference(None, bad)
+        assert not rep_report.valid
+        sd_report, = _assert_matches_reference(ly.semidirect(a, bad))
+        assert not sd_report.valid
