@@ -76,6 +76,11 @@ class InvariantError(Exception):
     """The model file is well-formed but breaks a storage invariant."""
 
 
+# The algebra stores dense dim^2 and dim^3 tables of structure constants, so
+# the dimension is checked before anything is allocated. The bundled models
+# have dim at most 4.
+MAX_DIM = 64
+
 _RAT_RE = re.compile(r"-?\d+(?:/\d+)?")
 
 _TOP_KEYS = {"scalar", "dim", "basis", "binary", "ternary", "representation",
@@ -175,6 +180,8 @@ def parse_model(text: str, path: str = "<input>") -> ModelFile:
     dim = data.get("dim")
     if isinstance(dim, bool) or not isinstance(dim, int) or dim < 1:
         raise ParseError(f'{path}: "dim" must be a positive integer')
+    if dim > MAX_DIM:
+        raise ParseError(f'{path}: "dim" is {dim}; at most {MAX_DIM} is supported')
 
     if "basis" in data:
         basis = data["basis"]
@@ -738,8 +745,9 @@ def _dispatch(args) -> Report:
         return _cmd_cohomology(model, args)
     if args.command == "nijenhuis":
         return _cmd_nijenhuis(model, args)
-    assert args.command == "deform"
-    return _cmd_deform(model, args)
+    if args.command == "deform":
+        return _cmd_deform(model, args)
+    raise RuntimeError(f"unknown command {args.command!r}")
 
 
 def main(argv: Optional[Sequence[str]] = None) -> int:

@@ -7,21 +7,41 @@ solves, so all scalars are `fractions.Fraction` and nothing here rounds.
 Matrices act on column vectors: ``apply(x)[r] == sum_c entries[r][c] * x[c]``.
 Vectors are plain tuples of Fraction.
 
-`rank_kernel`, `solve_linear` and `inverse` share one elimination, `_rref`:
-rows are held as ``{column: Fraction}`` dicts of their nonzero entries and
+`rank_kernel`, `solve_linear` and `inverse` share one elimination, `_rref`.
+Rows are held as ``{column: value}`` dicts of their nonzero entries and
 enter one at a time. Each is reduced against the pivot rows found so far,
 which are kept fully reduced, so only the pivot columns the row itself holds
 need work; a row that vanishes is dropped, otherwise its first column
 becomes a new pivot and is cleared from the other pivot rows. Zeros are never
 touched, which matters for the coboundary matrices: tall, sparse, and of low
-rank. The reduced row echelon form of a matrix is unique, so every output
-(the rank, the free-column kernel basis, the solution with free variables
-set to zero, the inverse) does not depend on the order of elimination.
+rank.
+
+The elimination runs modulo the prime P = 2**61 - 1 on the rows scaled to
+integers (each by the LCM of its denominators), so no entry grows beyond
+61 bits. Every entry of the result is then lifted to the rational n/d with
+|n|, d <= isqrt(P // 2) that it represents (rational reconstruction), and
+the lift is certified over Q: every integer input row must have a zero
+integer dot product with every free-column kernel vector of the lifted form,
+scaled to integers. If a lift fails or a product is nonzero, the same
+elimination runs again in exact `Fraction` arithmetic (`_rref_exact`); that
+is also the only path for inputs whose reduced entries exceed the bound.
+
+Why a certified result is exact: the rank modulo P of an integer matrix is
+at most its rank over Q, and the certificate exhibits as many independent
+rational kernel vectors as the modular form has free columns, so the two
+ranks agree. A lift keeps zeros and nonzeros where they are, so the lifted
+rows are in reduced row echelon form; they annihilate the whole kernel, so
+they span the row space, and the reduced row echelon form of a matrix is
+unique. Every output (the rank, the free-column
+kernel basis, the solution with free variables set to zero, the inverse) is
+therefore exactly the rational one, whichever path computed it and in
+whatever order the rows were eliminated.
 """
 
 from __future__ import annotations
 
 from fractions import Fraction
+from math import gcd, isqrt, lcm
 from typing import Dict, Iterable, List, Optional, Sequence, Tuple
 
 Rational = Fraction
@@ -241,6 +261,12 @@ def commutator(a: Matrix, b: Matrix) -> Matrix:
 
 SparseRow = Dict[int, Fraction]
 
+# The elimination runs modulo this Mersenne prime. A lift recovers n/d only
+# when |n| and d are at most _BOUND, so that 2 * _BOUND**2 < P makes it
+# unique (and larger entries go to the exact elimination).
+P = 2**61 - 1
+_BOUND = isqrt(P // 2)
+
 
 def _subtract(target: SparseRow, f: Fraction, row: SparseRow) -> None:
     """target -= f * row, keeping only nonzero entries."""
@@ -252,32 +278,133 @@ def _subtract(target: SparseRow, f: Fraction, row: SparseRow) -> None:
             del target[c]
 
 
-def _rref(rows: Iterable[Sequence[Fraction]], ncols: int) -> Dict[int, SparseRow]:
-    """Reduced row echelon form of `rows`, built one row at a time.
+def _rref_exact(rows: Iterable[Dict[int, int]]) -> Dict[int, SparseRow]:
+    """Reduced row echelon form of sparse integer `rows` in `Fraction`
+    arithmetic, built one row at a time.
 
-    Only columns below `ncols` may hold pivots (rows may be longer, e.g.
-    augmented). Returns {pivot column: reduced row}, where each row keeps
-    only its nonzero entries outside the pivot columns: its pivot entry is
-    an implicit 1 and every other pivot column is 0 in it. Rows that hold no
+    Returns {pivot column: reduced row}, where each row keeps only its
+    nonzero entries outside the pivot columns: its pivot entry is an
+    implicit 1 and every other pivot column is 0 in it. Rows that hold no
     pivot are dropped.
     """
     basis: Dict[int, SparseRow] = {}
-    for dense in rows:
-        row = {c: x for c, x in enumerate(dense) if x}
+    for row in rows:
+        row = dict(row)
         # the basis is fully reduced, so one pass over the pivot columns this
         # row holds clears them all without bringing in any other
         for pc in [c for c in row if c in basis]:
             _subtract(row, row.pop(pc), basis[pc])
-        pc = min((c for c in row if c < ncols), default=None)
-        if pc is None:
+        if not row:
             continue
-        inv = 1 / row.pop(pc)
+        pc = min(row)
+        inv = 1 / Fraction(row.pop(pc))
         row = {c: x * inv for c, x in row.items()}
         for other in basis.values():
             if pc in other:
                 _subtract(other, other.pop(pc), row)
         basis[pc] = row
     return basis
+
+
+def _rref_mod(rows: Iterable[Dict[int, int]]) -> Dict[int, Dict[int, int]]:
+    """`_rref_exact` over the integers modulo P: the same incremental, fully
+    reduced elimination, with entries in range(1, P)."""
+    basis: Dict[int, Dict[int, int]] = {}
+    for row in rows:
+        row = dict(row)
+        for pc in [c for c in row if c in basis]:
+            f = row.pop(pc) % P
+            if f:
+                for c, x in basis[pc].items():
+                    row[c] = row.get(c, 0) - f * x
+        # entries are reduced modulo P once, after all subtractions
+        row = {c: y for c, x in row.items() if (y := x % P)}
+        if not row:
+            continue
+        pc = min(row)
+        inv = pow(row.pop(pc), -1, P)
+        row = {c: x * inv % P for c, x in row.items()}
+        for other in basis.values():
+            f = other.pop(pc, 0)
+            if f:
+                for c, x in row.items():
+                    y = (other.get(c, 0) - f * x) % P
+                    if y:
+                        other[c] = y
+                    else:
+                        del other[c]
+        basis[pc] = row
+    return basis
+
+
+def _lift(u: int) -> Optional[Fraction]:
+    """The n/d with |n|, d <= _BOUND and n = u d mod P, or None when there is
+    none: the extended Euclidean algorithm on (P, u), stopped at the first
+    remainder within the bound (Wang's rational reconstruction)."""
+    r0, r1, t0, t1 = P, u, 0, 1
+    while r1 > _BOUND:
+        q = r0 // r1
+        r0, r1 = r1, r0 - q * r1
+        t0, t1 = t1, t0 - q * t1
+    if abs(t1) > _BOUND or gcd(r1, t1) != 1:
+        return None
+    return Fraction(r1, t1)
+
+
+def _certified(rows: Iterable[Dict[int, int]], basis: Dict[int, SparseRow]) -> bool:
+    """Whether every integer row is orthogonal to every free-column kernel
+    vector of `basis`, each scaled to integers.
+
+    Kernel vector f is 1 at free column f and -basis[pc][f] at each pivot
+    column pc. Its products with a row are summed column by column, so a
+    row touches only the kernel entries in its own support.
+    """
+    scale: Dict[int, int] = {}
+    for row in basis.values():
+        for f, x in row.items():
+            scale[f] = lcm(scale.get(f, 1), x.denominator)
+    # the (free column, integer kernel entry) pairs at each pivot column
+    at_pivot = {pc: [(f, -x.numerator * (scale[f] // x.denominator)) for f, x in row.items()]
+                for pc, row in basis.items()}
+    for row in rows:
+        acc: Dict[int, int] = {}
+        for c, a in row.items():
+            terms = at_pivot.get(c)
+            if terms is None:   # free column c: only kernel vector c is nonzero there
+                acc[c] = acc.get(c, 0) + a * scale.get(c, 1)
+            else:
+                for f, w in terms:
+                    acc[f] = acc.get(f, 0) + a * w
+        if any(acc.values()):
+            return False
+    return True
+
+
+def _rref(rows: Iterable[Sequence[Fraction]]) -> Dict[int, SparseRow]:
+    """Reduced row echelon form of `rows`, in the format of `_rref_exact`.
+
+    Each row is scaled to integers by the LCM of its denominators and
+    reduced modulo P; every entry of the result is lifted to a rational and
+    the lifted form is accepted only when `_certified` proves it exact.
+    Otherwise `_rref_exact` computes it from the integer rows, which have
+    the same reduced row echelon form.
+    """
+    ints = []
+    for dense in rows:
+        row = {c: x for c, x in enumerate(dense) if x}
+        q = lcm(*(x.denominator for x in row.values()))
+        ints.append({c: x.numerator * (q // x.denominator) for c, x in row.items()})
+    lifted: Dict[int, SparseRow] = {}
+    for pc, row in _rref_mod(ints).items():
+        lifted[pc] = out = {}
+        for c, u in row.items():
+            x = _lift(u)
+            if x is None:
+                return _rref_exact(ints)
+            out[c] = x
+    if not _certified(ints, lifted):
+        return _rref_exact(ints)
+    return lifted
 
 
 def rank_kernel(m: Matrix) -> Tuple[int, List[Vector]]:
@@ -287,7 +414,7 @@ def rank_kernel(m: Matrix) -> Tuple[int, List[Vector]]:
     vector per non-pivot column, with a 1 in that column. Deterministic for
     a given matrix.
     """
-    basis = _rref(m.entries, m.cols)
+    basis = _rref(m.entries)
     free = {fc: [Fraction(0)] * m.cols for fc in range(m.cols) if fc not in basis}
     for pc, row in basis.items():
         for fc, x in row.items():
@@ -304,7 +431,7 @@ def solve_linear(a: Matrix, b: Vector) -> Optional[Vector]:
     """
     if len(b) != a.rows:
         raise ValueError(f"rhs length {len(b)} does not match {a.rows} rows")
-    basis = _rref((r + (rat(x),) for r, x in zip(a.entries, b)), a.cols + 1)
+    basis = _rref(r + (rat(x),) for r, x in zip(a.entries, b))
     if a.cols in basis:
         return None
     x = [Fraction(0)] * a.cols
@@ -319,9 +446,11 @@ def inverse(m: Matrix) -> Matrix:
         raise ValueError("only square matrices can be inverted")
     n = m.rows
     aug = (r + tuple(Fraction(int(i == j)) for j in range(n)) for i, r in enumerate(m.entries))
-    basis = _rref(aug, n)
-    if len(basis) < n:
+    basis = _rref(aug)
+    # [m | I] has rank n; its pivots are exactly 0..n-1 iff m is invertible,
+    # and then the left half reduces to the identity and the right half to
+    # the inverse
+    if any(i not in basis for i in range(n)):
         raise ValueError("matrix is singular")
-    # the left half reduces to the identity, so the right half is the inverse
     return Matrix([[basis[i].get(n + j, Fraction(0)) for j in range(n)] for i in range(n)],
                   cols=n)

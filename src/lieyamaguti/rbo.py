@@ -115,27 +115,22 @@ def check_rbo(a: LYAlgebra, r: Representation, t: Matrix) -> AxiomReport:
     if (t.rows, t.cols) != (a.dim, r.dim_v):
         raise ValueError(f"operator must be {a.dim}x{r.dim_v}, got {t.rows}x{t.cols}")
     v = r.dim_v
-    units = [_unit(v, b) for b in range(v)]
     timg = [t.column(b) for b in range(v)]
+    binary, ternary = _sub_adjacent_constants(r, t)
+    zero = vzero(v)
     viols: List[Violation] = []
 
     for b1 in range(v):
         for b2 in range(b1 + 1, v):
-            lhs = a.bracket(timg[b1], timg[b2])
-            inner = vsub(r.rho_of(timg[b1]).apply(units[b2]),
-                         r.rho_of(timg[b2]).apply(units[b1]))
-            res = vsub(lhs, t.apply(inner))
+            res = vsub(a.bracket(timg[b1], timg[b2]), t.apply(binary.get((b1, b2), zero)))
             if not is_zero_vector(res):
                 viols.append(Violation("rota-baxter-binary", (b1, b2), res))
 
     for b1 in range(v):
         for b2 in range(b1 + 1, v):
             for b3 in range(v):
-                lhs = a.triple(timg[b1], timg[b2], timg[b3])
-                inner = r.d_of(timg[b1], timg[b2]).apply(units[b3])
-                inner = vadd(inner, r.mu_of(timg[b2], timg[b3]).apply(units[b1]))
-                inner = vsub(inner, r.mu_of(timg[b1], timg[b3]).apply(units[b2]))
-                res = vsub(lhs, t.apply(inner))
+                res = vsub(a.triple(timg[b1], timg[b2], timg[b3]),
+                           t.apply(ternary.get((b1, b2, b3), zero)))
                 if not is_zero_vector(res):
                     viols.append(Violation("rota-baxter-ternary", (b1, b2, b3), res))
 
@@ -147,28 +142,30 @@ def _require_verified(o: RelRBO) -> None:
         raise UnverifiedOperator("operator has not passed check_rbo")
 
 
-def _sub_adjacent_constants(o: RelRBO) -> Tuple[Dict, Dict]:
-    """Structure constants of the bracket/triple induced on the module:
+def _sub_adjacent_constants(r: Representation, t: Matrix) -> Tuple[Dict, Dict]:
+    """Structure constants of the bracket/triple induced on the module by the
+    operator matrix t:
 
         [u,v]_T   = rho(Tu)v - rho(Tv)u
         <u,v,w>_T = D(Tu,Tv)w + mu(Tv,Tw)u - mu(Tu,Tw)v
+
+    Each rho, mu and D matrix is built once, and a matrix applied to a basis
+    vector is read as its column.
     """
-    r = o.rep
     v = r.dim_v
-    units = [_unit(v, b) for b in range(v)]
-    timg = [o.column(b) for b in range(v)]
+    timg = [t.column(b) for b in range(v)]
+    rho = [r.rho_of(x) for x in timg]
+    mu = [[r.mu_of(x, y) for y in timg] for x in timg]
     binary: Dict[Tuple[int, int], Vector] = {}
     ternary: Dict[Tuple[int, int, int], Vector] = {}
     for b1 in range(v):
         for b2 in range(b1 + 1, v):
-            val = vsub(r.rho_of(timg[b1]).apply(units[b2]),
-                       r.rho_of(timg[b2]).apply(units[b1]))
+            val = vsub(rho[b1].column(b2), rho[b2].column(b1))
             if not is_zero_vector(val):
                 binary[(b1, b2)] = val
+            d = r.d_of(timg[b1], timg[b2])
             for b3 in range(v):
-                tval = r.d_of(timg[b1], timg[b2]).apply(units[b3])
-                tval = vadd(tval, r.mu_of(timg[b2], timg[b3]).apply(units[b1]))
-                tval = vsub(tval, r.mu_of(timg[b1], timg[b3]).apply(units[b2]))
+                tval = vsub(vadd(d.column(b3), mu[b2][b3].column(b1)), mu[b1][b3].column(b2))
                 if not is_zero_vector(tval):
                     ternary[(b1, b2, b3)] = tval
     return binary, ternary
@@ -179,7 +176,7 @@ def induced_lya_on_v(o: RelRBO) -> LYAlgebra:
     operator. It satisfies the axioms, and T is an algebra homomorphism from
     it into the original brackets (both checked by the tests)."""
     _require_verified(o)
-    binary, ternary = _sub_adjacent_constants(o)
+    binary, ternary = _sub_adjacent_constants(o.rep, o.t_matrix)
     return LYAlgebra(o.rep.dim_v, binary=binary, ternary=ternary)
 
 
@@ -196,13 +193,15 @@ def induced_rep_on_g(o: RelRBO) -> Representation:
     sub = induced_lya_on_v(o)
     a, r, t = o.algebra, o.rep, o.t_matrix
     m, v = a.dim, r.dim_v
-    units = [_unit(v, b) for b in range(v)]
     timg = [o.column(b) for b in range(v)]
     bas = [a.basis(i) for i in range(m)]
+    # D(e_c, Tu) and mu(e_c, Tu), built once for each basis vector and image
+    d_xt = [[r.d_of(x, y) for y in timg] for x in bas]
+    mu_xt = [[r.mu_of(x, y) for y in timg] for x in bas]
 
     rho2 = []
     for b in range(v):
-        cols = [vadd(a.bracket(timg[b], bas[c]), t.apply(r.rho(c).apply(units[b])))
+        cols = [vadd(a.bracket(timg[b], bas[c]), t.apply(r.rho(c).column(b)))
                 for c in range(m)]
         rho2.append(Matrix.from_columns(cols, rows=m))
 
@@ -213,8 +212,7 @@ def induced_rep_on_g(o: RelRBO) -> Representation:
             cols = []
             for c in range(m):
                 val = a.triple(bas[c], timg[b1], timg[b2])
-                adj = vsub(r.d_of(bas[c], timg[b1]).apply(units[b2]),
-                           r.mu_of(bas[c], timg[b2]).apply(units[b1]))
+                adj = vsub(d_xt[c][b1].column(b2), mu_xt[c][b2].column(b1))
                 cols.append(vsub(val, t.apply(adj)))
             row.append(Matrix.from_columns(cols, rows=m))
         mu2.append(row)
@@ -233,12 +231,11 @@ def pre_ly_products(o: RelRBO) -> Tuple[Tuple[Tuple[Vector, ...], ...],
     _require_verified(o)
     r = o.rep
     v = r.dim_v
-    units = [_unit(v, b) for b in range(v)]
     timg = [o.column(b) for b in range(v)]
-    binary = tuple(tuple(r.rho_of(timg[a]).apply(units[b]) for b in range(v))
-                   for a in range(v))
-    ternary = tuple(tuple(tuple(r.mu_of(timg[b], timg[c]).apply(units[a])
-                                for c in range(v)) for b in range(v))
+    rho = [r.rho_of(x) for x in timg]
+    mu = [[r.mu_of(x, y) for y in timg] for x in timg]
+    binary = tuple(tuple(rho[a].column(b) for b in range(v)) for a in range(v))
+    ternary = tuple(tuple(tuple(mu[b][c].column(a) for c in range(v)) for b in range(v))
                     for a in range(v))
     return binary, ternary
 

@@ -157,6 +157,22 @@ def corrupt_rep(rng, r: ly.Representation) -> ly.Representation:
     return ly.Representation(a, v, rho, mu)
 
 
+def transport(a: ly.LYAlgebra, r: ly.Representation, p: ly.Matrix, q: ly.Matrix):
+    """The same algebra and representation in the bases given by the columns
+    of p (on the algebra) and q (on the module)."""
+    n, v = a.dim, r.dim_v
+    pinv, qinv = ly.inverse(p), ly.inverse(q)
+    pc = [p.column(i) for i in range(n)]
+    binary = {(i, j): pinv.apply(a.bracket(pc[i], pc[j]))
+              for i in range(n) for j in range(i + 1, n)}
+    ternary = {(i, j, k): pinv.apply(a.triple(pc[i], pc[j], pc[k]))
+               for i in range(n) for j in range(i + 1, n) for k in range(n)}
+    b = ly.LYAlgebra(n, binary=binary, ternary=ternary)
+    rho = [qinv @ r.rho_of(pc[i]) @ q for i in range(n)]
+    mu = [[qinv @ r.mu_of(pc[i], pc[j]) @ q for j in range(n)] for i in range(n)]
+    return b, ly.Representation(b, v, rho, mu)
+
+
 def random_fraction(rng, span: int = 6, den: int = 4) -> Fraction:
     return Fraction(rng.randint(-span, span), rng.randint(1, den))
 

@@ -3,6 +3,7 @@ admit the advertised operator families, induced structures satisfy their
 defining identities, complexes square to zero, deformation theory is
 consistent with direct sampling, and the CLI output is frozen byte for byte."""
 
+import ast
 import json
 import os
 import random
@@ -327,3 +328,13 @@ def test_frozen_output_without_asserts():
             capture_output=True, text=True, env=env)
         assert proc.returncode == expected_code, argv
         assert proc.stdout == json.dumps(expected_payload, indent=2) + "\n", argv
+
+
+def test_no_asserts_in_src():
+    # invariants raise explicitly; an `assert` would vanish under `python -O`
+    package = Path(__file__).resolve().parents[1] / "src" / "lieyamaguti"
+    found = [f"{path.name}:{node.lineno}"
+             for path in sorted(package.glob("*.py"))
+             for node in ast.walk(ast.parse(path.read_text(encoding="utf-8")))
+             if isinstance(node, ast.Assert)]
+    assert found == []

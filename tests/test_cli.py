@@ -1,5 +1,6 @@
 """The lyat command line: parsing, dispatch, output formats, exit codes."""
 
+import argparse
 import json
 import os
 import subprocess
@@ -79,6 +80,10 @@ class TestExitCodes:
         assert code == 3
         assert "internal: true" in out
 
+    def test_unknown_command_is_internal(self):
+        with pytest.raises(RuntimeError, match="unknown command 'bogus'"):
+            cli._dispatch(argparse.Namespace(command="bogus", file="dim2.lyat"))
+
     @pytest.mark.parametrize("model,expected", [
         ("dim2.lyat", 0), ("dim2_bad_algebra.lyat", 1)])
     def test_closed_stdout_keeps_exit_code(self, model, expected):
@@ -130,6 +135,8 @@ class TestParseErrors:
          "operator requires a representation"),
         (dict(MINIMAL, deformation={"terms": [[["1", "0"], ["0", "1"]]]}),
          "deformation term 0 must equal the operator"),
+        # the first rejected size: harmless to allocate even without the guard
+        ({"scalar": "rational", "dim": cli.MAX_DIM + 1}, f"at most {cli.MAX_DIM} is supported"),
     ])
     def test_bad_files(self, capsys, tmp_path, payload, message):
         path = write_model(tmp_path, "model.lyat", payload)

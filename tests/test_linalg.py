@@ -6,11 +6,12 @@ import pytest
 from hypothesis import given, settings, strategies as st
 
 import reference_linalg as ref
-from conftest import Model
+from conftest import Model, transport
 from lieyamaguti import (
     ComplexContext,
     Matrix,
     RboComplex,
+    adjoint_rep,
     coboundary_matrix,
     commutator,
     inverse,
@@ -26,6 +27,8 @@ from lieyamaguti import (
     vsub,
     vzero,
 )
+from lieyamaguti import linalg
+from lieyamaguti.linalg import P
 
 
 def fr(*args):
@@ -237,3 +240,74 @@ class TestAgainstDenseReference:
             units = [tuple(fr(int(i == r)) for i in range(m.rows)) for r in range(m.rows)]
             inconsistent = next(u for u in units if ref.solve_linear(m, u) is None)
             _assert_matches_reference(m, (m.column(m.cols - 1), inconsistent))
+
+    def test_unlucky_prime(self):
+        # rows that vanish or coincide modulo P: the modular rank is 1, the
+        # rational rank 2, and only the rows the modular pass drops show it
+        for m in (Matrix(((fr(P), fr(0)), (fr(0), fr(1)))),
+                  Matrix(((fr(1), fr(2), fr(3)), (fr(1), fr(2 + P), fr(3))))):
+            assert rank_kernel(m)[0] == 2
+            _assert_matches_reference(m, (m.column(0), tuple(fr(1) for _ in range(m.rows))))
+
+    def test_entries_beyond_the_lift_bound(self):
+        # the RREF entry -(2**40 + 1)/3 lifts to a wrong small fraction,
+        # which only the certificate rejects
+        big = fr(2**40 + 1, 3)
+        m = Matrix(((fr(3), fr(-(2**40 + 1))), (fr(6), fr(-(2**41 + 2)))))
+        assert rank_kernel(m) == (1, [(big, fr(1))])
+        _assert_matches_reference(m, ((fr(1), fr(2)), (fr(1), fr(1))))
+        n = Matrix(((fr(2**40 + 1), fr(1), fr(0)), (fr(0), fr(3), fr(1, 7)), (fr(1), fr(0), fr(1))))
+        _assert_matches_reference(n, ((fr(1), fr(1), fr(1)),))
+
+
+class TestCertifiedModularElimination:
+    """`_rref` falls back to the exact `Fraction` elimination exactly when
+    the modular result is not certified."""
+
+    @pytest.fixture
+    def fallbacks(self, monkeypatch):
+        calls = []
+        exact = linalg._rref_exact
+
+        def spy(rows):
+            calls.append(rows)
+            return exact(rows)
+
+        monkeypatch.setattr(linalg, "_rref_exact", spy)
+        return calls
+
+    def test_unlucky_prime_and_large_entries_fall_back(self, fallbacks):
+        for m in (Matrix(((fr(P), fr(0)), (fr(0), fr(1)))),
+                  Matrix(((fr(3), fr(-(2**40 + 1))),))):
+            before = len(fallbacks)
+            rank_kernel(m)
+            assert len(fallbacks) == before + 1
+
+    def test_lift_bound(self, fallbacks):
+        # numerators and denominators up to isqrt(P // 2) lift; one more does not
+        bound = linalg._BOUND
+        assert 2 * bound * bound < P <= 2 * (bound + 1) ** 2
+        for x in (fr(bound), fr(-1, bound), fr(-bound, bound - 2)):
+            assert rank_kernel(Matrix(((fr(1), -x),))) == (1, [(x, fr(1))])
+        assert not fallbacks
+        for x in (fr(bound + 1), fr(1, bound + 1)):
+            assert rank_kernel(Matrix(((fr(1), -x),))) == (1, [(x, fr(1))])
+        assert len(fallbacks) == 2
+
+    def test_dense_coboundary_matrix_is_certified(self, dim4: Model, fallbacks):
+        # a dense unimodular change of basis fills the degree-2 matrix with
+        # entries of several bits; its RREF stays within the lift bound
+        lower = Matrix(((1, 0, 0, 0), (2, 1, 0, 0), (-1, 1, 1, 0), (1, -2, 1, 1)))
+        upper = Matrix(((1, 1, -1, 2), (0, 1, 2, -1), (0, 0, 1, 1), (0, 0, 0, 1)))
+        p = lower @ upper
+        a, _ = transport(dim4.algebra, dim4.rep, p, p)
+        m = coboundary_matrix(ComplexContext(a, adjoint_rep(a)), 2)
+        native = coboundary_matrix(ComplexContext(dim4.algebra, dim4.rep), 2)
+        assert sum(1 for row in m.entries for x in row if x) > 10 * sum(
+            1 for row in native.entries for x in row if x)
+        rank, kernel = rank_kernel(m)
+        assert not fallbacks
+        assert rank == rank_kernel(native)[0]
+        assert rank + len(kernel) == m.cols
+        for k in kernel:
+            assert is_zero_vector(m.apply(k))

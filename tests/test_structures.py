@@ -14,6 +14,7 @@ from conftest import (
     corrupt_rep,
     fr,
     random_valid_pair,
+    transport,
 )
 
 
@@ -221,22 +222,6 @@ class TestReports:
         assert bad.first() == bad.violations[0]
 
 
-def _transport(a: ly.LYAlgebra, r: ly.Representation, p: ly.Matrix, q: ly.Matrix):
-    """The same algebra and representation in the bases given by the columns
-    of p (on the algebra) and q (on the module)."""
-    n, v = a.dim, r.dim_v
-    pinv, qinv = ly.inverse(p), ly.inverse(q)
-    pc = [p.column(i) for i in range(n)]
-    binary = {(i, j): pinv.apply(a.bracket(pc[i], pc[j]))
-              for i in range(n) for j in range(i + 1, n)}
-    ternary = {(i, j, k): pinv.apply(a.triple(pc[i], pc[j], pc[k]))
-               for i in range(n) for j in range(i + 1, n) for k in range(n)}
-    b = ly.LYAlgebra(n, binary=binary, ternary=ternary)
-    rho = [qinv @ r.rho_of(pc[i]) @ q for i in range(n)]
-    mu = [[qinv @ r.mu_of(pc[i], pc[j]) @ q for j in range(n)] for i in range(n)]
-    return b, ly.Representation(b, v, rho, mu)
-
-
 def _assert_matches_reference(a=None, r=None):
     reports = []
     if a is not None:
@@ -294,7 +279,7 @@ class TestAgainstDenseReference:
                        (fr(0), fr(3), fr(0), fr(1)),
                        (fr(1), fr(0), fr(2, 3), fr(0)),
                        (fr(0), fr(1), fr(-1), fr(1, 5))))
-        a, r = _transport(dim4.algebra, dim4.rep, p, q)
+        a, r = transport(dim4.algebra, dim4.rep, p, q)
         assert any(x.denominator > 1 for vec in a.ternary_constants().values() for x in vec)
         assert any(x.denominator > 1 for i in range(4) for j in range(4)
                    for row in r.mu(i, j).entries for x in row)
