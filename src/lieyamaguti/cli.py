@@ -24,7 +24,12 @@ columns are module basis vectors. An explicit representation is
 {"dim": v, "rho": [M...], "mu": [[M...]...]} with v x v matrices.
 
 Exit codes: 0 when the checked property holds, 1 when a check ran and found
-violations, 2 for unusable input or any other error.
+violations, 2 when the input could not be used (parse error, missing
+structure, invalid algebra where a valid one is required), 3 for an internal
+error in lyat itself.
+
+Each command imports the library modules it runs inside its `_cmd_*`
+function; at module level only `linalg` and `structures` are loaded.
 """
 
 from __future__ import annotations
@@ -34,10 +39,9 @@ import json
 import os
 import re
 import sys
-from dataclasses import dataclass
 from fractions import Fraction
 from importlib import resources
-from typing import Any, Dict, List, Optional, Sequence, Tuple
+from typing import Any, Dict, List, NamedTuple, Optional, Sequence, Tuple
 
 from .linalg import Matrix, Vector, rank_kernel, rat_str
 from .structures import (
@@ -49,19 +53,7 @@ from .structures import (
     adjoint_rep,
     check_lya,
     check_representation,
-)
-from .complexes import ComplexContext, coboundary_matrix, cohomology_dims, wedge_basis
-from .rbo import RelRBO, UnverifiedOperator, Wedge2, check_rbo
-from .rbo_cohomology import RboComplex, rbo_coboundary_matrix, rbo_cohomology_dims
-from .deformation import (
-    NotLinearDeformation,
-    NotNijenhuisElement,
-    NotOrderN,
-    TruncatedDeformation,
-    extend_deformation,
-    nijenhuis_element_check,
-    obstruction,
-    order_n_check,
+    wedge_basis,
 )
 
 __all__ = ["ParseError", "InvariantError", "ModelFile", "Report",
@@ -140,9 +132,9 @@ def _parse_matrix(obj: Any, rows: int, cols: int, where: str) -> Matrix:
     return Matrix(entries, cols=cols)
 
 
-@dataclass
-class ModelFile:
-    """Parsed contents of a .lyat file."""
+class ModelFile(NamedTuple):
+    """Parsed contents of a .lyat file. `elements` keeps each named wedge
+    element as its validated {(i, j): coefficient} map, i < j."""
 
     path: str
     algebra: LYAlgebra
@@ -150,7 +142,7 @@ class ModelFile:
     explicit_rep: Optional[Representation]
     operator: Optional[Matrix]
     deformation: Optional[Tuple[Matrix, ...]]
-    elements: Dict[str, Wedge2]
+    elements: Dict[str, Dict[Tuple[int, int], Fraction]]
 
     def rep(self) -> Representation:
         if self.rep_kind is None:
@@ -277,7 +269,7 @@ def parse_model(text: str, path: str = "<input>") -> ModelFile:
             raise InvariantError(f"{path}: deformation term 0 must equal the operator")
         deformation = terms
 
-    elements: Dict[str, Wedge2] = {}
+    elements: Dict[str, Dict[Tuple[int, int], Fraction]] = {}
     if "elements" in data:
         spec = data["elements"]
         if not isinstance(spec, dict):
@@ -301,7 +293,7 @@ def parse_model(text: str, path: str = "<input>") -> ModelFile:
                 if (i, j) in coeffs:
                     raise ParseError(f"{twhere}: duplicate args [{i + 1}, {j + 1}]")
                 coeffs[(i, j)] = _parse_rat(term["coeff"], twhere)
-            elements[name] = Wedge2.from_dict(dim, coeffs)
+            elements[name] = coeffs
 
     return ModelFile(path=path, algebra=algebra, rep_kind=rep_kind,
                      explicit_rep=explicit_rep, operator=operator,
@@ -423,8 +415,7 @@ _EXIT = {"ok": 0, "violated": 1, "error": 2}
 _EXIT_INTERNAL = 3  # an "error" report marked internal: a fault in lyat, not in its input
 
 
-@dataclass
-class Report:
+class Report(NamedTuple):
     command: str
     status: str
     details: Dict[str, Any]
@@ -526,6 +517,8 @@ def _cmd_check_rep(model: ModelFile) -> Report:
 
 
 def _cmd_check_rbo(model: ModelFile) -> Report:
+    from .rbo import check_rbo
+
     r = _validated_rep(model)
     t = model.require_operator()
     report = check_rbo(model.algebra, r, t)
@@ -550,12 +543,17 @@ def _cmd_cohomology(model: ModelFile, args) -> Report:
     details: Dict[str, Any] = {"degree": degree}
     r = _validated_rep(model)
     if args.rbo:
+        from .rbo import RelRBO
+        from .rbo_cohomology import RboComplex, rbo_coboundary_matrix, rbo_cohomology_dims
+
         o = RelRBO.build(model.algebra, r, model.require_operator())
         rc = RboComplex.build(o)
         summary = rbo_cohomology_dims(rc, degree)
         details["complex"] = "operator"
         kernel_matrix = rbo_coboundary_matrix(rc, degree) if args.kernel_dump else None
     else:
+        from .complexes import ComplexContext, coboundary_matrix, cohomology_dims
+
         ctx = ComplexContext(model.algebra, r, validate=False)
         summary = cohomology_dims(ctx, degree)
         details["complex"] = "bare"
@@ -571,6 +569,9 @@ def _cmd_cohomology(model: ModelFile, args) -> Report:
 
 
 def _cmd_nijenhuis(model: ModelFile, args) -> Report:
+    from .rbo import RelRBO, Wedge2
+    from .deformation import nijenhuis_element_check
+
     r = _validated_rep(model)
     o = RelRBO.build(model.algebra, r, model.require_operator())
     gn = model.algebra.basis_names
@@ -578,7 +579,8 @@ def _cmd_nijenhuis(model: ModelFile, args) -> Report:
     if args.element is not None:
         if args.element not in model.elements:
             raise ParseError(f"{model.path}: no element named {args.element!r}")
-        chosen = [(args.element, model.elements[args.element])]
+        chosen = [(args.element,
+                   Wedge2.from_dict(model.algebra.dim, model.elements[args.element]))]
     else:
         chosen = [(f"{gn[i]}^{gn[j]}", Wedge2.basis(model.algebra.dim, i, j))
                   for (i, j) in wedge_basis(model.algebra.dim)]
@@ -609,6 +611,9 @@ def _cmd_nijenhuis(model: ModelFile, args) -> Report:
 
 
 def _cmd_deform(model: ModelFile, args) -> Report:
+    from .rbo import RelRBO
+    from .deformation import TruncatedDeformation, extend_deformation, obstruction, order_n_check
+
     r = _validated_rep(model)
     o = RelRBO.build(model.algebra, r, model.require_operator())
     if model.deformation is None:
@@ -750,13 +755,23 @@ def _dispatch(args) -> Report:
     raise RuntimeError(f"unknown command {args.command!r}")
 
 
+def _input_errors() -> Tuple[type, ...]:
+    """Exceptions that mean the input is unusable (exit 2). An `except`
+    clause evaluates this only while matching a raised exception, so a
+    command that succeeds never imports `rbo` or `deformation` for it."""
+    from .rbo import UnverifiedOperator
+    from .deformation import NotLinearDeformation, NotNijenhuisElement, NotOrderN
+
+    return (ParseError, InvariantError, InvalidAlgebra, InvalidRepresentation,
+            UnverifiedOperator, NotOrderN, NotNijenhuisElement,
+            NotLinearDeformation, ValueError)
+
+
 def main(argv: Optional[Sequence[str]] = None) -> int:
     args = _build_parser().parse_args(argv)
     try:
         report = _dispatch(args)
-    except (ParseError, InvariantError, InvalidAlgebra, InvalidRepresentation,
-            UnverifiedOperator, NotOrderN, NotNijenhuisElement,
-            NotLinearDeformation, ValueError) as exc:
+    except _input_errors() as exc:
         report = Report(args.command, "error", {"message": str(exc)})
     except Exception as exc:
         report = Report(args.command, "error",

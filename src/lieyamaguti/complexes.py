@@ -20,9 +20,8 @@ on cochains and check that consecutive differentials compose to zero.
 from __future__ import annotations
 
 import itertools
-from dataclasses import dataclass
 from fractions import Fraction
-from typing import Dict, List, Optional, Sequence, Tuple
+from typing import Dict, List, NamedTuple, Optional, Sequence, Tuple
 
 from .linalg import Matrix, Vector, is_zero_vector, rank_kernel, rat, vzero
 from .structures import (
@@ -30,6 +29,7 @@ from .structures import (
     LYAlgebra,
     Representation,
     check_representation,
+    wedge_basis,
 )
 
 __all__ = [
@@ -46,13 +46,7 @@ __all__ = [
 Sparse = List[Tuple[int, Fraction]]  # (index, coefficient) pairs, coefficient != 0
 
 
-def wedge_basis(m: int) -> Tuple[Tuple[int, int], ...]:
-    """Lexicographic basis (i, j), i < j, of the second exterior power."""
-    return tuple((i, j) for i in range(m) for j in range(i + 1, m))
-
-
-@dataclass(frozen=True)
-class CohomologySummary:
+class CohomologySummary(NamedTuple):
     degree: int
     dim_cochains: int
     dim_cocycles: int
@@ -111,8 +105,7 @@ def cochain_dim(ctx: ComplexContext, p: int) -> int:
     return (ctx.w ** n) * ctx.v + (ctx.w ** n) * ctx.m * ctx.v
 
 
-@dataclass(frozen=True)
-class Cochain:
+class Cochain(NamedTuple):
     """Flat storage for one cochain.
 
     degree 1: f_part has one value vector per algebra basis element, g_part

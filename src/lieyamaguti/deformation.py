@@ -17,8 +17,7 @@ residual at t^{n+1} is the obstruction to extending one more order.
 
 from __future__ import annotations
 
-from dataclasses import dataclass
-from typing import List, Optional, Tuple
+from typing import List, NamedTuple, Optional, Tuple
 
 from .linalg import (
     Matrix,
@@ -31,8 +30,8 @@ from .linalg import (
     vsub,
     vzero,
 )
-from .structures import AxiomReport, Violation
-from .complexes import Cochain, coboundary, wedge_basis
+from .structures import AxiomReport, Violation, wedge_basis
+from .complexes import Cochain, coboundary
 from .rbo import RelRBO, Wedge2, _require_verified, _unit
 from .rbo_cohomology import RboComplex, rbo_coboundary_matrix, rbo_delta0
 
@@ -81,30 +80,32 @@ class NotOrderN(Exception):
         super().__init__(f"fails {violation.identity} at {violation.args}")
 
 
-@dataclass(frozen=True)
-class TruncatedDeformation:
+class _TruncatedDeformationFields(NamedTuple):
+    terms: Tuple[Matrix, ...]
+
+
+class TruncatedDeformation(_TruncatedDeformationFields):
     """Coefficient matrices (T_0, T_1, ..., T_n) of a polynomial deformation;
     the order is n."""
 
-    terms: Tuple[Matrix, ...]
+    __slots__ = ()
 
-    def __post_init__(self):
-        terms = tuple(self.terms)
-        object.__setattr__(self, "terms", terms)
+    def __new__(cls, terms) -> "TruncatedDeformation":
+        terms = tuple(terms)
         if not terms:
             raise ValueError("a deformation needs at least its constant term")
         shape = (terms[0].rows, terms[0].cols)
         for k, term in enumerate(terms):
             if (term.rows, term.cols) != shape:
                 raise ValueError(f"term {k} has shape {term.rows}x{term.cols}, expected {shape[0]}x{shape[1]}")
+        return super().__new__(cls, terms)
 
     @property
     def order(self) -> int:
         return len(self.terms) - 1
 
 
-@dataclass(frozen=True)
-class ObstructionResult:
+class ObstructionResult(NamedTuple):
     """The residual 2-cochain at order n+1, whether it is a cocycle, and a
     degree-1 preimage of its negative under the operator coboundary when one
     exists (then the deformation extends by that term)."""
@@ -115,8 +116,7 @@ class ObstructionResult:
     witness: Optional[Cochain]
 
 
-@dataclass(frozen=True)
-class NijenhuisReport:
+class NijenhuisReport(NamedTuple):
     """Per-condition reports for a wedge element. `plain_conditions` carries
     the reduced condition set that applies when the representation is the
     adjoint one (operator on the algebra itself); otherwise None."""
@@ -130,8 +130,7 @@ class NijenhuisReport:
         return all(report.valid for _, report in self.conditions)
 
 
-@dataclass(frozen=True)
-class RigidityProbe:
+class RigidityProbe(NamedTuple):
     """Dimensions feeding the rigidity discussion: the space of 1-cocycles,
     the image of wedge elements under delta, and whether every 1-cocycle lies
     in that image. A True flag does not by itself prove rigidity (the wedge
@@ -528,8 +527,8 @@ def rigidity_probe(o: RelRBO) -> RigidityProbe:
     elements under delta, plus whether the image exhausts the cocycles."""
     rc = RboComplex.build(o)
     _, kernel = rank_kernel(rbo_coboundary_matrix(rc, 1))
-    mat0 = rbo_coboundary_matrix(rc, 0)
-    image_rank, _ = rank_kernel(mat0)
-    contained = all(solve_linear(mat0, k) is not None for k in kernel)
+    image_rank, _ = rank_kernel(rbo_coboundary_matrix(rc, 0))
+    # delta^1 o delta^0 = 0 puts the image inside the cocycles, so it
+    # exhausts them exactly when the dimensions agree
     return RigidityProbe(dim_z1=len(kernel), dim_delta_image=image_rank,
-                         nijenhuis_image_contained=contained)
+                         nijenhuis_image_contained=len(kernel) == image_rank)

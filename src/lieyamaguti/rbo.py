@@ -13,9 +13,8 @@ semidirect sum; all of that lives here.
 
 from __future__ import annotations
 
-from dataclasses import dataclass, field
 from fractions import Fraction
-from typing import Dict, Iterable, List, Optional, Tuple
+from typing import Dict, Iterable, List, NamedTuple, Optional, Tuple
 
 from .linalg import (
     Matrix,
@@ -32,8 +31,8 @@ from .structures import (
     LYAlgebra,
     Representation,
     Violation,
+    wedge_basis,
 )
-from .complexes import wedge_basis
 
 __all__ = [
     "UnverifiedOperator",
@@ -68,8 +67,14 @@ class NotAutomorphism(Exception):
     """The algebra-side map is not an algebra automorphism."""
 
 
-@dataclass(frozen=True)
-class RelRBO:
+class _RelRBOFields(NamedTuple):
+    algebra: LYAlgebra
+    rep: Representation
+    t_matrix: Matrix
+    verified: bool = False
+
+
+class RelRBO(_RelRBOFields):
     """An operator matrix (columns = images of module basis vectors in g)
     bundled with its algebra and representation.
 
@@ -77,16 +82,15 @@ class RelRBO:
     the defining identities gate on it. Use `build` to verify-and-wrap.
     """
 
-    algebra: LYAlgebra
-    rep: Representation
-    t_matrix: Matrix
-    verified: bool = False
+    __slots__ = ()
 
-    def __post_init__(self):
-        t = self.t_matrix
-        if (t.rows, t.cols) != (self.algebra.dim, self.rep.dim_v):
+    def __new__(cls, algebra: LYAlgebra, rep: Representation, t_matrix: Matrix,
+                verified: bool = False) -> "RelRBO":
+        t = t_matrix
+        if (t.rows, t.cols) != (algebra.dim, rep.dim_v):
             raise ValueError(
-                f"operator must be {self.algebra.dim}x{self.rep.dim_v}, got {t.rows}x{t.cols}")
+                f"operator must be {algebra.dim}x{rep.dim_v}, got {t.rows}x{t.cols}")
+        return super().__new__(cls, algebra, rep, t_matrix, verified)
 
     @classmethod
     def build(cls, algebra: LYAlgebra, rep: Representation, t_matrix: Matrix) -> "RelRBO":
@@ -370,8 +374,7 @@ def conjugate_rbo(o: RelRBO, phi_g: Matrix, phi_v: Matrix) -> RelRBO:
     return RelRBO.build(a, r, phi_g_inv @ o.t_matrix @ phi_v)
 
 
-@dataclass(frozen=True)
-class Wedge2:
+class Wedge2(NamedTuple):
     """An element of the second exterior power of the algebra, stored as
     nonzero coefficients over the lexicographic wedge basis."""
 

@@ -12,8 +12,7 @@ degree 1 included.
 
 from __future__ import annotations
 
-from dataclasses import dataclass
-from typing import List
+from typing import List, NamedTuple
 
 from .linalg import Matrix, Vector, rank_kernel, vadd, vsub, vzero
 from .complexes import (
@@ -24,7 +23,7 @@ from .complexes import (
     coboundary_matrix,
     wedge_basis,
 )
-from .rbo import RelRBO, Wedge2, _require_verified, _unit
+from .rbo import RelRBO, Wedge2, _require_verified, _unit, induced_rep_on_g
 
 __all__ = [
     "RboComplex",
@@ -35,8 +34,7 @@ __all__ = [
 ]
 
 
-@dataclass(frozen=True)
-class RboComplex:
+class RboComplex(NamedTuple):
     """A verified operator together with the cochain context of its
     sub-adjacent algebra and induced representation."""
 
@@ -46,7 +44,6 @@ class RboComplex:
     @classmethod
     def build(cls, o: RelRBO) -> "RboComplex":
         _require_verified(o)
-        from .rbo import induced_rep_on_g
         rep = induced_rep_on_g(o)
         # the induced representation of a verified operator is valid (a theorem
         # the tests check on the fixtures), so the context skips its check

@@ -23,7 +23,6 @@ from __future__ import annotations
 
 import itertools
 import math
-from dataclasses import dataclass
 from fractions import Fraction
 from typing import Dict, Iterable, List, NamedTuple, Optional, Sequence, Tuple
 
@@ -57,6 +56,7 @@ __all__ = [
     "semidirect",
     "nijenhuis_operator_check",
     "deformed_brackets",
+    "wedge_basis",
 ]
 
 
@@ -68,8 +68,7 @@ class Violation(NamedTuple):
     residual: Vector
 
 
-@dataclass(frozen=True)
-class AxiomReport:
+class AxiomReport(NamedTuple):
     valid: bool
     violations: Tuple[Violation, ...]
 
@@ -83,6 +82,11 @@ class AxiomReport:
             if identity is None or v.identity == identity:
                 return v
         return None
+
+
+def wedge_basis(m: int) -> Tuple[Tuple[int, int], ...]:
+    """Lexicographic basis (i, j), i < j, of the second exterior power."""
+    return tuple((i, j) for i in range(m) for j in range(i + 1, m))
 
 
 class JacobiViolation(Exception):

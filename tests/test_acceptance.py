@@ -330,11 +330,29 @@ def test_frozen_output_without_asserts():
         assert proc.stdout == json.dumps(expected_payload, indent=2) + "\n", argv
 
 
+def _src_nodes():
+    package = Path(__file__).resolve().parents[1] / "src" / "lieyamaguti"
+    for path in sorted(package.glob("*.py")):
+        for node in ast.walk(ast.parse(path.read_text(encoding="utf-8"))):
+            yield path, node
+
+
 def test_no_asserts_in_src():
     # invariants raise explicitly; an `assert` would vanish under `python -O`
-    package = Path(__file__).resolve().parents[1] / "src" / "lieyamaguti"
-    found = [f"{path.name}:{node.lineno}"
-             for path in sorted(package.glob("*.py"))
-             for node in ast.walk(ast.parse(path.read_text(encoding="utf-8")))
+    found = [f"{path.name}:{node.lineno}" for path, node in _src_nodes()
              if isinstance(node, ast.Assert)]
+    assert found == []
+
+
+def test_no_dataclasses_in_src():
+    # records are NamedTuples: importing `dataclasses` loads inspect, ast and
+    # dis, a cost every `lyat` command would pay at start-up
+    def imported(node):
+        if isinstance(node, ast.Import):
+            return [alias.name for alias in node.names]
+        if isinstance(node, ast.ImportFrom) and node.module:
+            return [node.module]
+        return []
+    found = [f"{path.name}:{node.lineno}" for path, node in _src_nodes()
+             if any(name.split(".")[0] == "dataclasses" for name in imported(node))]
     assert found == []

@@ -233,3 +233,15 @@ class TestRigidity:
         assert probe.dim_z1 == 3
         assert probe.dim_delta_image == 1
         assert not probe.nijenhuis_image_contained
+
+    def test_containment_matches_per_cocycle_solves(self, dim2: Model, dim4: Model):
+        # the former definition: solve delta0 X = z for every 1-cocycle z
+        for model in (dim2, dim4):
+            rc = ly.RboComplex.build(model.op)
+            _, kernel = ly.rank_kernel(ly.rbo_coboundary_matrix(rc, 1))
+            mat0 = ly.rbo_coboundary_matrix(rc, 0)
+            contained = all(ly.solve_linear(mat0, z) is not None for z in kernel)
+            probe = ly.rigidity_probe(model.op)
+            assert probe == ly.RigidityProbe(
+                dim_z1=len(kernel), dim_delta_image=ly.rank_kernel(mat0)[0],
+                nijenhuis_image_contained=contained)

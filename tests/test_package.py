@@ -1,0 +1,71 @@
+"""The package's public surface resolves lazily, and a `lyat` command loads
+only the library modules it runs."""
+
+import importlib
+import json
+import os
+import subprocess
+import sys
+from pathlib import Path
+
+import pytest
+
+import lieyamaguti as ly
+
+HOMES = ("linalg", "structures", "complexes", "rbo", "rbo_cohomology", "deformation")
+
+
+def test_every_public_name_is_its_home_modules_attribute():
+    for name in ly.__all__:
+        home = importlib.import_module(f"lieyamaguti.{ly._EXPORTS[name]}")
+        assert name in home.__all__, name
+        assert getattr(ly, name) is getattr(home, name), name
+
+
+def test_public_names_cover_every_module_surface():
+    listed = set()
+    for home in HOMES:
+        listed.update(importlib.import_module(f"lieyamaguti.{home}").__all__)
+    assert listed == set(ly.__all__)
+    assert len(ly.__all__) == len(set(ly.__all__))
+
+
+def test_dir_and_star_import_follow_all():
+    assert set(ly.__all__) <= set(dir(ly))
+    namespace = {}
+    exec("from lieyamaguti import *", namespace)
+    del namespace["__builtins__"]
+    assert sorted(namespace) == sorted(ly.__all__)
+
+
+def test_unknown_attribute_raises():
+    with pytest.raises(AttributeError, match="no_such_name"):
+        ly.no_such_name
+    assert not hasattr(ly, "no_such_name")
+
+
+_PROBE = """\
+import json, sys
+from lieyamaguti import cli
+code = cli.main(sys.argv[1:])
+loaded = sorted(m for m in sys.modules if m.startswith("lieyamaguti") or m == "dataclasses")
+print(json.dumps({"code": code, "loaded": loaded}), file=sys.stderr)
+"""
+
+
+@pytest.mark.parametrize("argv", [
+    ("check-algebra", "dim2.lyat"),
+    ("check-algebra", "dim2_bad_algebra.lyat"),
+    ("check-rep", "dim4.lyat"),
+    ("examples", "list"),
+])
+def test_light_commands_load_only_linalg_and_structures(argv):
+    src = str(Path(__file__).resolve().parents[1] / "src")
+    env = {**os.environ, "PYTHONPATH": os.pathsep.join(
+        p for p in (src, os.environ.get("PYTHONPATH")) if p)}
+    proc = subprocess.run([sys.executable, "-c", _PROBE, *argv],
+                          capture_output=True, text=True, env=env)
+    probe = json.loads(proc.stderr)
+    assert probe["code"] in (0, 1)
+    assert probe["loaded"] == ["lieyamaguti", "lieyamaguti.cli",
+                               "lieyamaguti.linalg", "lieyamaguti.structures"]
