@@ -10,9 +10,11 @@ collecting powers of t gives, for each s, a pair of coefficient residuals
                         - T_i( D(T_j u, T_k v) w + mu(T_j v, T_k w) u
                                - mu(T_j u, T_k w) v )
 
-(indices running over the available terms). Linear deformations need the full
-expansion to vanish; order-n deformations only need it mod t^{n+1}; the
-residual at t^{n+1} is the obstruction to extending one more order.
+(indices running over the available terms). `check_rbo` is order 0 of (T,),
+and one engine in `rbo` computes every order in one pass. Linear deformations
+need the full expansion to vanish; order-n deformations only need it mod
+t^{n+1}; the residual at t^{n+1} is the obstruction to extending one more
+order, and the one at t^1 is the coboundary of T_1 (`rbo_delta1_expanded`).
 """
 
 from __future__ import annotations
@@ -21,18 +23,16 @@ from typing import List, NamedTuple, Optional, Tuple
 
 from .linalg import (
     Matrix,
-    Vector,
     is_zero_vector,
     rank_kernel,
     solve_linear,
     vadd,
     vneg,
     vsub,
-    vzero,
 )
-from .structures import AxiomReport, Violation, wedge_basis
+from .structures import AxiomReport, Violation
 from .complexes import Cochain, coboundary
-from .rbo import RelRBO, Wedge2, _require_verified, _unit
+from .rbo import RelRBO, Wedge2, _expansion, _require_verified, _violations
 from .rbo_cohomology import RboComplex, rbo_coboundary_matrix, rbo_delta0
 
 __all__ = [
@@ -141,66 +141,7 @@ class RigidityProbe(NamedTuple):
     nijenhuis_image_contained: bool
 
 
-def _binary_sum_residual(o: RelRBO, terms: Tuple[Matrix, ...], s: int,
-                         a_i: int, b_i: int) -> Vector:
-    """S_bin(s) evaluated on module basis elements u_a, u_b."""
-    a, r = o.algebra, o.rep
-    v = r.dim_v
-    ua, ub = _unit(v, a_i), _unit(v, b_i)
-    out = vzero(a.dim)
-    top = len(terms) - 1
-    for i in range(max(0, s - top), min(s, top) + 1):
-        j = s - i
-        ti, tj = terms[i], terms[j]
-        out = vadd(out, a.bracket(ti.apply(ua), tj.apply(ub)))
-        inner = vsub(r.rho_of(tj.apply(ua)).apply(ub),
-                     r.rho_of(tj.apply(ub)).apply(ua))
-        out = vsub(out, ti.apply(inner))
-    return out
-
-
-def _ternary_sum_residual(o: RelRBO, terms: Tuple[Matrix, ...], s: int,
-                          a_i: int, b_i: int, c_i: int) -> Vector:
-    """S_ter(s) evaluated on module basis elements u_a, u_b, u_c."""
-    a, r = o.algebra, o.rep
-    v = r.dim_v
-    ua, ub, uc = _unit(v, a_i), _unit(v, b_i), _unit(v, c_i)
-    out = vzero(a.dim)
-    top = len(terms) - 1
-    for i in range(0, min(s, top) + 1):
-        for j in range(0, min(s - i, top) + 1):
-            k = s - i - j
-            if k > top:
-                continue
-            ti, tj, tk = terms[i], terms[j], terms[k]
-            out = vadd(out, a.triple(ti.apply(ua), tj.apply(ub), tk.apply(uc)))
-            inner = r.d_of(tj.apply(ua), tk.apply(ub)).apply(uc)
-            inner = vadd(inner, r.mu_of(tj.apply(ub), tk.apply(uc)).apply(ua))
-            inner = vsub(inner, r.mu_of(tj.apply(ua), tk.apply(uc)).apply(ub))
-            out = vsub(out, ti.apply(inner))
-    return out
-
-
-def _coefficient_violations(o: RelRBO, terms: Tuple[Matrix, ...],
-                            binary_orders, ternary_orders) -> List[Violation]:
-    """Collect nonzero coefficient residuals. Both sums are skew in the first
-    two module slots (relabel i <-> j in the sum), so pairs run over a < b."""
-    v = o.rep.dim_v
-    viols: List[Violation] = []
-    for s in binary_orders:
-        for a_i in range(v):
-            for b_i in range(a_i + 1, v):
-                res = _binary_sum_residual(o, terms, s, a_i, b_i)
-                if not is_zero_vector(res):
-                    viols.append(Violation(f"binary@t^{s}", (a_i, b_i), res))
-    for s in ternary_orders:
-        for a_i in range(v):
-            for b_i in range(a_i + 1, v):
-                for c_i in range(v):
-                    res = _ternary_sum_residual(o, terms, s, a_i, b_i, c_i)
-                    if not is_zero_vector(res):
-                        viols.append(Violation(f"ternary@t^{s}", (a_i, b_i, c_i), res))
-    return viols
+_LABELS = ("binary@t^{s}", "ternary@t^{s}")
 
 
 def linear_deformation_check(o: RelRBO, frak_t: Matrix) -> AxiomReport:
@@ -211,9 +152,10 @@ def linear_deformation_check(o: RelRBO, frak_t: Matrix) -> AxiomReport:
     if (frak_t.rows, frak_t.cols) != (o.t_matrix.rows, o.t_matrix.cols):
         raise ValueError(
             f"deformation direction must be {o.t_matrix.rows}x{o.t_matrix.cols}, got {frak_t.rows}x{frak_t.cols}")
-    terms = (o.t_matrix, frak_t)
-    return AxiomReport.from_violations(
-        _coefficient_violations(o, terms, binary_orders=(1, 2), ternary_orders=(1, 2, 3)))
+    # the binary coefficient at t^3 has no terms
+    orders = (1, 2, 3)
+    residuals, _ = _expansion(o.algebra, o.rep, (o.t_matrix, frak_t), orders)
+    return AxiomReport.from_violations(_violations(residuals, orders, *_LABELS))
 
 
 def _is_adjoint(o: RelRBO) -> bool:
@@ -444,15 +386,21 @@ def equivalence_check_linear(o: RelRBO, d1: TruncatedDeformation,
     return AxiomReport.from_violations(viols)
 
 
-def order_n_check(o: RelRBO, d: TruncatedDeformation) -> AxiomReport:
-    """The defining identities for T_t mod t^{n+1}: every coefficient
-    residual at t^0..t^n must vanish."""
+def _order_violations(o: RelRBO, d: TruncatedDeformation, orders: range):
+    """Residuals of d at the orders, and the violations among them up to
+    order n."""
     _require_verified(o)
     if d.terms[0] != o.t_matrix:
         raise ValueError("deformation must start at the operator")
-    orders = tuple(range(d.order + 1))
-    return AxiomReport.from_violations(
-        _coefficient_violations(o, d.terms, binary_orders=orders, ternary_orders=orders))
+    residuals, _ = _expansion(o.algebra, o.rep, d.terms, orders)
+    return residuals, _violations(residuals, range(d.order + 1), *_LABELS)
+
+
+def order_n_check(o: RelRBO, d: TruncatedDeformation) -> AxiomReport:
+    """The defining identities for T_t mod t^{n+1}: every coefficient
+    residual at t^0..t^n must vanish."""
+    _, viols = _order_violations(o, d, range(d.order + 1))
+    return AxiomReport.from_violations(viols)
 
 
 def obstruction(o: RelRBO, d: TruncatedDeformation) -> ObstructionResult:
@@ -461,18 +409,13 @@ def obstruction(o: RelRBO, d: TruncatedDeformation) -> ObstructionResult:
     iff delta(frak_t) = -Ob; the witness is such a preimage when it exists.
 
     Raises NotOrderN when d itself fails its order-n conditions."""
-    report = order_n_check(o, d)
-    if not report.valid:
-        raise NotOrderN(report.violations[0])
     n = d.order
-    v = o.rep.dim_v
+    residuals, viols = _order_violations(o, d, range(n + 2))
+    if viols:
+        raise NotOrderN(viols[0])
     rc = RboComplex.build(o)
-    pairs = wedge_basis(v)
-    f_part = tuple(_binary_sum_residual(o, d.terms, n + 1, a_i, b_i)
-                   for (a_i, b_i) in pairs)
-    g_part = tuple(_ternary_sum_residual(o, d.terms, n + 1, a_i, b_i, c_i)
-                   for (a_i, b_i) in pairs for c_i in range(v))
-    ob = Cochain(2, f_part, g_part)
+    binary, ternary = residuals[n + 1]
+    ob = Cochain(2, tuple(binary.values()), tuple(ternary.values()))
     is_cocycle = coboundary(rc.ctx, ob).is_zero()
     sol = solve_linear(rbo_coboundary_matrix(rc, 1), vneg(ob.flatten()))
     witness = None
@@ -507,17 +450,16 @@ def pre_ly_deformation_terms(o: RelRBO, frak_t: Matrix) -> Tuple[tuple, tuple, t
         raise NotLinearDeformation(report.violations[0])
     r = o.rep
     v = r.dim_v
-    units = [_unit(v, b) for b in range(v)]
     timg = [o.column(b) for b in range(v)]
     simg = [frak_t.column(b) for b in range(v)]
-    phi = tuple(tuple(r.rho_of(simg[a]).apply(units[b]) for b in range(v))
-                for a in range(v))
-    omega1 = tuple(tuple(tuple(vadd(r.mu_of(timg[b], simg[c]).apply(units[a]),
-                                    r.mu_of(simg[b], timg[c]).apply(units[a]))
-                               for c in range(v)) for b in range(v))
+    rho = [r.rho_of(x) for x in simg]
+    mu1 = [[r.mu_of(timg[b], simg[c]) + r.mu_of(simg[b], timg[c]) for c in range(v)]
+           for b in range(v)]
+    mu2 = [[r.mu_of(x, y) for y in simg] for x in simg]
+    phi = tuple(tuple(rho[a].column(b) for b in range(v)) for a in range(v))
+    omega1 = tuple(tuple(tuple(mu1[b][c].column(a) for c in range(v)) for b in range(v))
                    for a in range(v))
-    omega2 = tuple(tuple(tuple(r.mu_of(simg[b], simg[c]).apply(units[a])
-                               for c in range(v)) for b in range(v))
+    omega2 = tuple(tuple(tuple(mu2[b][c].column(a) for c in range(v)) for b in range(v))
                    for a in range(v))
     return phi, omega1, omega2
 

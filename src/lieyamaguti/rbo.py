@@ -9,12 +9,24 @@ An operator T: V -> g is relative Rota-Baxter for a representation
 Verified operators induce a Lie-Yamaguti structure on V, a representation of
 it back on g, pre-Lie-Yamaguti products, and a Nijenhuis operator on the
 semidirect sum; all of that lives here.
+
+Both identities, and every coefficient of their expansion under a polynomial
+T_t = sum_s t^s T_s (see `deformation`), are evaluated by one engine,
+`_expansion`, in Python integers as `structures` explains for the axioms. q
+is the least common multiple of every denominator among the constants of
+[.,.], <.,.,.>, rho, mu and every term T_s. Give T, [.,.] and rho weight 1
+and <.,.,.>, mu and D weight 2; then the binary identity and each of its
+coefficients are homogeneous of weight 3, and the ternary ones of weight 5.
+Evaluated on the tables scaled by q to the power of their weight, a residual
+R is therefore q^3 or q^5 times the true one, which Fraction(R, q^3) or
+Fraction(R, q^5) gives back exactly. The sub-adjacent brackets [u,v]_T and
+<u,v,w>_T are the engine's inner tables, of weight 2 and 4.
 """
 
 from __future__ import annotations
 
 from fractions import Fraction
-from typing import Dict, Iterable, List, NamedTuple, Optional, Tuple
+from typing import Dict, Iterable, List, NamedTuple, Sequence, Tuple
 
 from .linalg import (
     Matrix,
@@ -31,6 +43,10 @@ from .structures import (
     LYAlgebra,
     Representation,
     Violation,
+    _algebra_tables,
+    _comb,
+    _scaled,
+    _structure_lcm,
     wedge_basis,
 )
 
@@ -108,37 +124,120 @@ class RelRBO(_RelRBOFields):
         return self.t_matrix.apply(u)
 
 
-def _unit(n: int, i: int) -> Vector:
-    return tuple(Fraction(1 if c == i else 0) for c in range(n))
-
-
 def check_rbo(a: LYAlgebra, r: Representation, t: Matrix) -> AxiomReport:
     """Check the two defining identities on module basis tuples. Both sides
     are skew in (u, v), so pairs are checked for u < v only; witnesses carry
     module basis indices and the residual LHS - RHS in g."""
     if (t.rows, t.cols) != (a.dim, r.dim_v):
         raise ValueError(f"operator must be {a.dim}x{r.dim_v}, got {t.rows}x{t.cols}")
-    v = r.dim_v
-    timg = [t.column(b) for b in range(v)]
-    binary, ternary = _sub_adjacent_constants(r, t)
-    zero = vzero(v)
+    residuals, _ = _expansion(a, r, (t,), (0,))
+    return AxiomReport.from_violations(
+        _violations(residuals, (0,), "rota-baxter-binary", "rota-baxter-ternary"))
+
+
+Residuals = Dict[int, Tuple[Dict[Tuple[int, int], Vector], Dict[Tuple[int, int, int], Vector]]]
+
+
+def _expansion(a: LYAlgebra, r: Representation, terms: Sequence[Matrix],
+               orders: Iterable[int]) -> Tuple[Residuals, Tuple[Dict, Dict]]:
+    """The t^s coefficients of both identities for T_t = sum_s t^s terms[s],
+    in integers as the module docstring explains:
+
+        S_bin(s)(u, v)    = sum_{i+j=s}   [T_i u, T_j v] - T_i [u, v]_{T_j}
+        S_ter(s)(u, v, w) = sum_{i+j+k=s} <T_i u, T_j v, T_k w>
+                            - T_i( D(T_j u, T_k v) w + mu(T_j v, T_k w) u
+                                   - mu(T_j u, T_k w) v )
+
+    over the available terms. Returns {s: (S_bin(s), S_ter(s))} for each s in
+    orders, each a dict from the module basis tuples (u < v, then w) in
+    lexicographic order to the residual in g, and the nonzero constants of
+    [u,v]_T and <u,v,w>_T for T = terms[0]. Both sums are skew in (u, v)
+    (relabel j <-> k), so u < v suffices.
+    """
+    m, v = a.dim, r.dim_v
+    grng, vrng = range(m), range(v)
+    top = len(terms) - 1
+    orders = tuple(orders)
+    q = _structure_lcm(r, *terms)
+    q2 = q * q
+    b, t = _algebra_tables(a, q)
+    tc = [[_scaled(term.column(c), q) for c in vrng] for term in terms]  # T_s u_c
+    # column c of rho(e_p), mu(e_p, e_p2) and D(e_p, e_p2), indexed [c][p](p2)
+    rho = [[_scaled(r.rho(p).column(c), q) for p in grng] for c in vrng]
+    mu = [[[_scaled(r.mu(p, p2).column(c), q2) for p2 in grng] for p in grng] for c in vrng]
+    d = [[[_scaled(r.d_basis(p, p2).column(c), q2) for p2 in grng] for p in grng] for c in vrng]
+    pairs = wedge_basis(v)
+    triples = [(b1, b2, b3) for b1, b2 in pairs for b3 in vrng]
+
+    def nonzero(acc: List[int]) -> List[Tuple[int, int]]:
+        return [(l, x) for l, x in enumerate(acc) if x]
+
+    # [u,v]_{T_j}, and sum_{j+k=s} of the inner ternary sum, scaled by q^2 and q^4
+    inner2 = []
+    for j in range(top + 1):
+        table = {}
+        for b1, b2 in pairs:
+            acc = [0] * v
+            _comb(acc, 1, tc[j][b1], rho[b2])
+            _comb(acc, -1, tc[j][b2], rho[b1])
+            table[(b1, b2)] = acc
+        inner2.append(table)
+    inner4 = {}
+    for s in {0} | {s - i for s in orders for i in range(min(s, top) + 1)}:
+        table = {}
+        for b1, b2, b3 in triples:
+            acc = [0] * v
+            for j in range(max(0, s - top), min(s, top) + 1):
+                tk = tc[s - j]
+                for p, x in tc[j][b1]:
+                    _comb(acc, x, tk[b2], d[b3][p])
+                    _comb(acc, -x, tk[b3], mu[b2][p])
+                for p, x in tc[j][b2]:
+                    _comb(acc, x, tk[b3], mu[b1][p])
+            table[(b1, b2, b3)] = acc
+        inner4[s] = table
+
+    def unscale(acc: List[int], den: int) -> Vector:
+        return tuple(Fraction(x, den) for x in acc)
+
+    den3, den5 = q2 * q, q2 * q2 * q
+    residuals: Residuals = {}
+    for s in orders:
+        binary = {}
+        for b1, b2 in pairs:
+            acc = [0] * m
+            for i in range(max(0, s - top), min(s, top) + 1):
+                for p, x in tc[i][b1]:
+                    _comb(acc, x, tc[s - i][b2], b[p])
+                _comb(acc, -1, nonzero(inner2[s - i][(b1, b2)]), tc[i])
+            binary[(b1, b2)] = unscale(acc, den3)
+        ternary = {}
+        for b1, b2, b3 in triples:
+            acc = [0] * m
+            for i in range(min(s, top) + 1):
+                for j in range(max(0, s - i - top), min(s - i, top) + 1):
+                    tk = tc[s - i - j][b3]
+                    for p, x in tc[i][b1]:
+                        for p2, y in tc[j][b2]:
+                            _comb(acc, x * y, tk, t[p][p2])
+                _comb(acc, -1, nonzero(inner4[s - i][(b1, b2, b3)]), tc[i])
+            ternary[(b1, b2, b3)] = unscale(acc, den5)
+        residuals[s] = (binary, ternary)
+    return residuals, ({k: unscale(acc, q2) for k, acc in inner2[0].items() if any(acc)},
+                       {k: unscale(acc, q2 * q2) for k, acc in inner4[0].items() if any(acc)})
+
+
+def _violations(residuals: Residuals, orders: Iterable[int],
+                binary_label: str, ternary_label: str) -> List[Violation]:
+    """The nonzero residuals at the given orders as violations: the binary
+    ones order by order, then the ternary ones; a label names its order as
+    `{s}`."""
     viols: List[Violation] = []
-
-    for b1 in range(v):
-        for b2 in range(b1 + 1, v):
-            res = vsub(a.bracket(timg[b1], timg[b2]), t.apply(binary.get((b1, b2), zero)))
-            if not is_zero_vector(res):
-                viols.append(Violation("rota-baxter-binary", (b1, b2), res))
-
-    for b1 in range(v):
-        for b2 in range(b1 + 1, v):
-            for b3 in range(v):
-                res = vsub(a.triple(timg[b1], timg[b2], timg[b3]),
-                           t.apply(ternary.get((b1, b2, b3), zero)))
-                if not is_zero_vector(res):
-                    viols.append(Violation("rota-baxter-ternary", (b1, b2, b3), res))
-
-    return AxiomReport.from_violations(viols)
+    for kind, label in enumerate((binary_label, ternary_label)):
+        for s in orders:
+            viols.extend(Violation(label.format(s=s), args, res)
+                         for args, res in residuals[s][kind].items() if any(res))
+    return viols
 
 
 def _require_verified(o: RelRBO) -> None:
@@ -146,41 +245,12 @@ def _require_verified(o: RelRBO) -> None:
         raise UnverifiedOperator("operator has not passed check_rbo")
 
 
-def _sub_adjacent_constants(r: Representation, t: Matrix) -> Tuple[Dict, Dict]:
-    """Structure constants of the bracket/triple induced on the module by the
-    operator matrix t:
-
-        [u,v]_T   = rho(Tu)v - rho(Tv)u
-        <u,v,w>_T = D(Tu,Tv)w + mu(Tv,Tw)u - mu(Tu,Tw)v
-
-    Each rho, mu and D matrix is built once, and a matrix applied to a basis
-    vector is read as its column.
-    """
-    v = r.dim_v
-    timg = [t.column(b) for b in range(v)]
-    rho = [r.rho_of(x) for x in timg]
-    mu = [[r.mu_of(x, y) for y in timg] for x in timg]
-    binary: Dict[Tuple[int, int], Vector] = {}
-    ternary: Dict[Tuple[int, int, int], Vector] = {}
-    for b1 in range(v):
-        for b2 in range(b1 + 1, v):
-            val = vsub(rho[b1].column(b2), rho[b2].column(b1))
-            if not is_zero_vector(val):
-                binary[(b1, b2)] = val
-            d = r.d_of(timg[b1], timg[b2])
-            for b3 in range(v):
-                tval = vsub(vadd(d.column(b3), mu[b2][b3].column(b1)), mu[b1][b3].column(b2))
-                if not is_zero_vector(tval):
-                    ternary[(b1, b2, b3)] = tval
-    return binary, ternary
-
-
 def induced_lya_on_v(o: RelRBO) -> LYAlgebra:
     """The sub-adjacent Lie-Yamaguti algebra on the module of a verified
     operator. It satisfies the axioms, and T is an algebra homomorphism from
     it into the original brackets (both checked by the tests)."""
     _require_verified(o)
-    binary, ternary = _sub_adjacent_constants(o.rep, o.t_matrix)
+    _, (binary, ternary) = _expansion(o.algebra, o.rep, (o.t_matrix,), ())
     return LYAlgebra(o.rep.dim_v, binary=binary, ternary=ternary)
 
 

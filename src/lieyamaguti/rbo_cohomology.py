@@ -14,7 +14,7 @@ from __future__ import annotations
 
 from typing import List, NamedTuple
 
-from .linalg import Matrix, Vector, rank_kernel, vadd, vsub, vzero
+from .linalg import Matrix, Vector, rank_kernel, vsub
 from .complexes import (
     Cochain,
     CohomologySummary,
@@ -23,7 +23,7 @@ from .complexes import (
     coboundary_matrix,
     wedge_basis,
 )
-from .rbo import RelRBO, Wedge2, _require_verified, _unit, induced_rep_on_g
+from .rbo import RelRBO, Wedge2, _expansion, _require_verified, induced_rep_on_g
 
 __all__ = [
     "RboComplex",
@@ -60,8 +60,7 @@ def rbo_delta0(o: RelRBO, x: Wedge2) -> Cochain:
     dx = x.d_matrix(r)
     images: List[Vector] = []
     for b in range(r.dim_v):
-        u = _unit(r.dim_v, b)
-        images.append(vsub(t.apply(dx.apply(u)), x.bracket_with(a, t.apply(u))))
+        images.append(vsub(t.apply(dx.column(b)), x.bracket_with(a, t.column(b))))
     return Cochain(1, tuple(images), None)
 
 
@@ -100,8 +99,9 @@ def rbo_cohomology_dims(rc: RboComplex, p: int) -> CohomologySummary:
 
 
 def rbo_delta1_expanded(o: RelRBO, c1: Cochain) -> Cochain:
-    """Degree-1 coboundary written out directly in terms of T, the brackets
-    on g, and the representation maps:
+    """Degree-1 coboundary written out in terms of T, the brackets on g, and
+    the representation maps: the t^1 coefficient of both Rota-Baxter
+    identities for T + t f, which reads (D being skew)
 
         (dI f)(u, v)     = [Tu, f(v)] - [Tv, f(u)]
                            + T( rho(f(v)) u - rho(f(u)) v ) - f([u, v]_T)
@@ -114,52 +114,12 @@ def rbo_delta1_expanded(o: RelRBO, c1: Cochain) -> Cochain:
     This is an independent route to the same map as the generic Yamaguti
     coboundary on the operator complex; the two are compared in tests."""
     _require_verified(o)
-    a, r, t = o.algebra, o.rep, o.t_matrix
+    a, r = o.algebra, o.rep
     m, v = a.dim, r.dim_v
     if c1.degree != 1 or c1.g_part is not None or len(c1.f_part) != v \
             or any(len(img) != m for img in c1.f_part):
         raise ValueError("expected a degree-1 cochain of the operator complex")
-
-    units = [_unit(v, b) for b in range(v)]
-    timg = [o.column(b) for b in range(v)]
-    fimg = list(c1.f_part)
-
-    def f_of(uvec: Vector) -> Vector:
-        total = vzero(m)
-        for b, coeff in enumerate(uvec):
-            if coeff:
-                total = vadd(total, tuple(coeff * x for x in fimg[b]))
-        return total
-
-    def sub_bracket(b1: int, b2: int) -> Vector:
-        return vsub(r.rho_of(timg[b1]).apply(units[b2]),
-                    r.rho_of(timg[b2]).apply(units[b1]))
-
-    def sub_triple(b1: int, b2: int, b3: int) -> Vector:
-        out = r.d_of(timg[b1], timg[b2]).apply(units[b3])
-        out = vadd(out, r.mu_of(timg[b2], timg[b3]).apply(units[b1]))
-        return vsub(out, r.mu_of(timg[b1], timg[b3]).apply(units[b2]))
-
-    pairs = wedge_basis(v)
-    f_out: List[Vector] = []
-    g_out: List[Vector] = []
-    for (b1, b2) in pairs:
-        val = vsub(a.bracket(timg[b1], fimg[b2]), a.bracket(timg[b2], fimg[b1]))
-        inner = vsub(r.rho_of(fimg[b2]).apply(units[b1]),
-                     r.rho_of(fimg[b1]).apply(units[b2]))
-        val = vadd(val, t.apply(inner))
-        f_out.append(vsub(val, f_of(sub_bracket(b1, b2))))
-    for (b1, b2) in pairs:
-        for b3 in range(v):
-            val = a.triple(timg[b1], timg[b2], fimg[b3])
-            val = vadd(val, a.triple(fimg[b1], timg[b2], timg[b3]))
-            val = vsub(val, a.triple(fimg[b2], timg[b1], timg[b3]))
-            val = vsub(val, f_of(sub_triple(b1, b2, b3)))
-            inner = vsub(r.d_of(fimg[b1], timg[b2]).apply(units[b3]),
-                         r.d_of(fimg[b2], timg[b1]).apply(units[b3]))
-            inner = vadd(inner, r.mu_of(timg[b2], fimg[b3]).apply(units[b1]))
-            inner = vsub(inner, r.mu_of(timg[b1], fimg[b3]).apply(units[b2]))
-            inner = vsub(inner, r.mu_of(fimg[b1], timg[b3]).apply(units[b2]))
-            inner = vadd(inner, r.mu_of(fimg[b2], timg[b3]).apply(units[b1]))
-            g_out.append(vsub(val, t.apply(inner)))
-    return Cochain(2, tuple(f_out), tuple(g_out))
+    f = Matrix.from_columns(c1.f_part, rows=m)
+    residuals, _ = _expansion(a, r, (o.t_matrix, f), (1,))
+    binary, ternary = residuals[1]
+    return Cochain(2, tuple(binary.values()), tuple(ternary.values()))

@@ -284,6 +284,18 @@ def _algebra_tables(a: LYAlgebra, q: int) -> Tuple[List[List[Scaled]], List[List
     return b, t
 
 
+def _structure_lcm(r: "Representation", *matrices: Matrix) -> int:
+    """q for the constants of r's algebra, rho and mu, also clearing every
+    denominator of the given matrices."""
+    a = r.algebra
+    rng = range(a.dim)
+    return _denominator_lcm([a.bracket_basis(i, j) for i in rng for j in rng]
+                            + [a.triple_basis(i, j, k) for i in rng for j in rng for k in rng]
+                            + [row for i in rng for row in r.rho(i).entries]
+                            + [row for i in rng for j in rng for row in r.mu(i, j).entries]
+                            + [row for m in matrices for row in m.entries])
+
+
 def _vector_violation(viols: List[Violation], identity: str, args: Tuple[int, ...],
                       acc: List[int], den: int) -> None:
     if any(acc):
@@ -520,10 +532,7 @@ def check_representation(r: Representation) -> AxiomReport:
     n, v = a.dim, r.dim_v
     rng = range(n)
     vv = v * v
-    q = _denominator_lcm([a.bracket_basis(i, j) for i in rng for j in rng]
-                         + [a.triple_basis(i, j, k) for i in rng for j in rng for k in rng]
-                         + [row for i in rng for row in r.rho(i).entries]
-                         + [row for i in rng for j in rng for row in r.mu(i, j).entries])
+    q = _structure_lcm(r)
     b, t = _algebra_tables(a, q)
     rho = [_scaled_matrix(r.rho(i), q) for i in rng]
     mu = [[_scaled_matrix(r.mu(i, j), q * q) for j in rng] for i in rng]

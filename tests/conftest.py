@@ -65,6 +65,39 @@ def dim4() -> Model:
 
 
 @pytest.fixture(scope="session")
+def dim4_rational(dim4: Model) -> Model:
+    """The big fixture in non-unimodular rational bases of g and V, so every
+    table has denominators and the integer scale of the checks is above 1."""
+    p = ly.Matrix(((fr(2), fr(1, 3), fr(0), fr(1)),
+                   (fr(0), fr(1, 2), fr(1), fr(0)),
+                   (fr(1), fr(0), fr(3), fr(-1, 2)),
+                   (fr(0), fr(1), fr(0), fr(5, 4))))
+    q = ly.Matrix(((fr(1, 2), fr(0), fr(1), fr(0)),
+                   (fr(0), fr(3), fr(0), fr(1)),
+                   (fr(1), fr(0), fr(2, 3), fr(0)),
+                   (fr(0), fr(1), fr(-1), fr(1, 5))))
+    a, r = transport(dim4.algebra, dim4.rep, p, q)
+    o = ly.RelRBO.build(a, r, ly.inverse(p) @ dim4.op.t_matrix @ q)
+    return Model(a, r, o, ly.Wedge2.from_dict(4, {(0, 1): fr(1, 2), (2, 3): fr(3)}))
+
+
+@pytest.fixture(scope="session")
+def sl2_standard() -> Model:
+    """sl2 lifted by <x,y,z> = [[x,y],z], acting on k^2 by its defining
+    representation rho, with mu(x,y) = rho(y) rho(x), written out (not the
+    adjoint), and an operator of rank 2 into it."""
+    a = ly.lya_from_lie(3, {k: tuple(fr(c) for c in v)
+                            for k, v in LIE_FAMILIES["sl2"][1].items()})
+    rho = [ly.Matrix(((fr(1), fr(0)), (fr(0), fr(-1)))),
+           ly.Matrix(((fr(0), fr(1)), (fr(0), fr(0)))),
+           ly.Matrix(((fr(0), fr(0)), (fr(1), fr(0))))]
+    mu = [[rho[j] @ rho[i] for j in range(3)] for i in range(3)]
+    r = ly.Representation(a, 2, rho, mu)
+    o = ly.RelRBO.build(a, r, ly.Matrix(((fr(-1), fr(0)), (fr(0), fr(0)), (fr(1), fr(-1)))))
+    return Model(a, r, o, ly.Wedge2.basis(3, 1, 2))
+
+
+@pytest.fixture(scope="session")
 def broken_algebra() -> ly.LYAlgebra:
     # <e1,e2,e2> = e2 breaks the derivation identities
     return ly.LYAlgebra(2,

@@ -2,11 +2,15 @@
 Nijenhuis elements and obstructions."""
 
 import random
+from fractions import Fraction
+from importlib import resources
 
 import pytest
 
 import lieyamaguti as ly
+import reference_deformation as ref
 from conftest import Model, fr, random_matrix
+from lieyamaguti import cli, rbo
 
 
 @pytest.fixture(scope="module")
@@ -245,3 +249,124 @@ class TestRigidity:
             assert probe == ly.RigidityProbe(
                 dim_z1=len(kernel), dim_delta_image=ly.rank_kernel(mat0)[0],
                 nijenhuis_image_contained=contained)
+
+
+def _bad_rbo_model():
+    text = resources.files("lieyamaguti").joinpath("data", "dim2_bad_rbo.lyat").read_text()
+    model = cli.parse_model(text)
+    return model.algebra, model.rep(), model.require_operator()
+
+
+def _assert_same_report(got: ly.AxiomReport, want: ly.AxiomReport) -> None:
+    assert got == want
+    for v in got.violations:
+        assert all(type(x) is Fraction for x in v.residual)
+
+
+class TestAgainstReference:
+    """The residual engine must reproduce the dense term-by-term evaluation of
+    `reference_deformation` exactly: the same violations in the same order,
+    with the same args and the same Fraction residuals, and the same
+    cochains."""
+
+    @pytest.fixture(scope="class")
+    def models(self, dim2: Model, dim4: Model, dim4_rational: Model, sl2_standard: Model):
+        """(algebra, representation, operator) triples; the operators of the
+        bundled bad model and of the trivial actions are not Rota-Baxter."""
+        rng = random.Random(23)
+        out = [(m.algebra, m.rep, m.op.t_matrix) for m in (dim2, dim4, dim4_rational, sl2_standard)]
+        out.append(_bad_rbo_model())
+        out.append((dim2.algebra, ly.zero_rep(dim2.algebra, 0), ly.Matrix.zero(2, 0)))
+        out.append((dim4.algebra, ly.zero_rep(dim4.algebra, 2), random_matrix(rng, 4, 2, 3, 3)))
+        return out
+
+    def test_check_rbo_and_sub_adjacent_constants(self, models):
+        rng = random.Random(31)
+        invalid = 0
+        for a, r, t in models:
+            ops = [t] + [random_matrix(rng, a.dim, r.dim_v, 3, 3) for _ in range(4)]
+            for op in ops:
+                report = ly.check_rbo(a, r, op)
+                _assert_same_report(report, ref.check_rbo(a, r, op))
+                invalid += not report.valid
+                _, sub = rbo._expansion(a, r, (op,), ())
+                assert sub == ref._sub_adjacent_constants(r, op)
+        assert invalid > 20
+
+    def test_induced_algebra(self, dim2: Model, dim4_rational: Model, sl2_standard: Model):
+        for m in (dim2, dim4_rational, sl2_standard):
+            binary, ternary = ref._sub_adjacent_constants(m.rep, m.op.t_matrix)
+            sub = ly.induced_lya_on_v(m.op)
+            assert sub.binary_constants() == binary
+            assert sub.ternary_constants() == ternary
+
+    def test_orders_of_random_terms(self, models):
+        # the expansion does not need T_0 to be an operator; `verified` only
+        # opens the gate of the public checks
+        rng = random.Random(37)
+        for a, r, t in models:
+            o = ly.RelRBO(a, r, t, verified=True)
+            for n in (1, 2, 4):
+                terms = (t,) + tuple(random_matrix(rng, a.dim, r.dim_v, 2, 3)
+                                     for _ in range(n))
+                d = ly.TruncatedDeformation(terms)
+                _assert_same_report(ly.order_n_check(o, d), ref.order_n_check(o, terms))
+                residuals, _ = rbo._expansion(a, r, terms, (n + 1,))
+                binary, ternary = residuals[n + 1]
+                assert (ly.Cochain(2, tuple(binary.values()), tuple(ternary.values()))
+                        == ref.obstruction_cochain(o, terms))
+            _assert_same_report(ly.linear_deformation_check(o, terms[1]),
+                                ref.linear_deformation_check(o, terms[1]))
+            want = ref.order_n_check(o, terms)
+            if not want.valid:
+                with pytest.raises(ly.NotOrderN) as info:
+                    ly.obstruction(o, d)
+                assert info.value.violation == want.violations[0]
+
+    def test_delta1_and_obstruction_of_valid_deformations(
+            self, dim2: Model, dim4: Model, dim4_rational: Model, sl2_standard: Model):
+        rng = random.Random(41)
+        for m in (dim2, dim4, dim4_rational, sl2_standard):
+            o = m.op
+            for _ in range(3):
+                f = random_matrix(rng, m.algebra.dim, m.rep.dim_v, 4, 3)
+                c = ly.Cochain(1, tuple(f.column(b) for b in range(f.cols)), None)
+                assert ly.rbo_delta1_expanded(o, c) == ref.rbo_delta1_expanded(o, c)
+            d = ly.trivial_deformation_from(o, ly.Wedge2.zero(m.algebra.dim))
+            for _ in range(3):
+                assert ly.obstruction(o, d).ob == ref.obstruction_cochain(o, d.terms)
+                d = ly.extend_deformation(o, d)
+            rc = ly.RboComplex.build(o)
+            _, kernel = ly.rank_kernel(ly.rbo_coboundary_matrix(rc, 1))
+            for z in kernel:
+                d = ly.TruncatedDeformation((o.t_matrix, ly.Cochain.from_flat(rc.ctx, 1, z).as_matrix()))
+                assert ly.obstruction(o, d).ob == ref.obstruction_cochain(o, d.terms)
+
+
+class TestObstructionClasses:
+    def test_infinitesimal_cocycles_have_cocycle_obstructions(self, dim2: Model, dim4: Model):
+        # T_1 in Z^1 makes T + t T_1 an order-1 deformation; its obstruction
+        # at t^2 is a 2-cocycle, and a class in H^2 that may be nontrivial
+        rng = random.Random(11)
+        nontrivial = 0
+        for m in (dim2, dim4):
+            rc = ly.RboComplex.build(m.op)
+            m1 = ly.rbo_coboundary_matrix(rc, 1)
+            m2 = ly.rbo_coboundary_matrix(rc, 2)
+            _, kernel = ly.rank_kernel(m1)
+            for _ in range(6):
+                z = [fr(0)] * m1.cols
+                for k in kernel:
+                    z = ly.vadd(z, ly.vscale(fr(rng.randint(-3, 3)), k))
+                t1 = ly.Cochain.from_flat(rc.ctx, 1, z).as_matrix()
+                d = ly.TruncatedDeformation((m.op.t_matrix, t1))
+                assert ly.order_n_check(m.op, d).valid
+                res = ly.obstruction(m.op, d)
+                assert res.is_cocycle
+                assert ly.is_zero_vector(m2.apply(res.ob.flatten()))
+                sol = ly.solve_linear(m1, ly.vneg(res.ob.flatten()))
+                assert res.trivial == (sol is not None)
+                nontrivial += not res.trivial
+                if res.trivial:
+                    assert ly.order_n_check(m.op, ly.extend_deformation(m.op, d)).valid
+        assert nontrivial > 0

@@ -53,13 +53,7 @@ print(json.dumps({"code": code, "loaded": loaded}), file=sys.stderr)
 """
 
 
-@pytest.mark.parametrize("argv", [
-    ("check-algebra", "dim2.lyat"),
-    ("check-algebra", "dim2_bad_algebra.lyat"),
-    ("check-rep", "dim4.lyat"),
-    ("examples", "list"),
-])
-def test_light_commands_load_only_linalg_and_structures(argv):
+def _probe(argv):
     src = str(Path(__file__).resolve().parents[1] / "src")
     env = {**os.environ, "PYTHONPATH": os.pathsep.join(
         p for p in (src, os.environ.get("PYTHONPATH")) if p)}
@@ -67,5 +61,25 @@ def test_light_commands_load_only_linalg_and_structures(argv):
                           capture_output=True, text=True, env=env)
     probe = json.loads(proc.stderr)
     assert probe["code"] in (0, 1)
-    assert probe["loaded"] == ["lieyamaguti", "lieyamaguti.cli",
-                               "lieyamaguti.linalg", "lieyamaguti.structures"]
+    return probe["loaded"]
+
+
+@pytest.mark.parametrize("argv", [
+    ("check-algebra", "dim2.lyat"),
+    ("check-algebra", "dim2_bad_algebra.lyat"),
+    ("check-rep", "dim4.lyat"),
+    ("examples", "list"),
+])
+def test_light_commands_load_only_linalg_and_structures(argv):
+    assert _probe(argv) == ["lieyamaguti", "lieyamaguti.cli",
+                            "lieyamaguti.linalg", "lieyamaguti.structures"]
+
+
+@pytest.mark.parametrize("argv", [
+    ("check-rbo", "dim2.lyat"),
+    ("check-rbo", "dim2_bad_rbo.lyat"),
+])
+def test_check_rbo_loads_no_complex_or_deformation(argv):
+    # the residual engine lives in `rbo`
+    assert _probe(argv) == ["lieyamaguti", "lieyamaguti.cli", "lieyamaguti.linalg",
+                            "lieyamaguti.rbo", "lieyamaguti.structures"]

@@ -76,9 +76,15 @@ class TestDegreeOne:
             (fr(0), fr(0), fr(0), fr(1)),
         ]
 
-    def test_expanded_formula_matches_generic(self, rc2, rc4, dim2: Model, dim4: Model):
+    def test_expanded_formula_matches_generic(self, rc2, rc4, dim2: Model, dim4: Model,
+                                              dim4_rational: Model, sl2_standard: Model):
+        # the t^1 coefficient of the identities for T + t f is delta^1 f, with
+        # a + sign, also for a written-out non-adjoint representation and with
+        # denominators in every table
         rng = random.Random(13)
-        for rc, model in ((rc2, dim2), (rc4, dim4)):
+        cases = [(rc2, dim2), (rc4, dim4)]
+        cases += [(ly.RboComplex.build(m.op), m) for m in (dim4_rational, sl2_standard)]
+        for rc, model in cases:
             n = ly.cochain_dim(rc.ctx, 1)
             for _ in range(10):
                 flat = tuple(fr(rng.randint(-4, 4), rng.randint(1, 3))
