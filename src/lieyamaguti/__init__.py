@@ -18,7 +18,7 @@ _EXPORTS = {
     **dict.fromkeys((
         "AxiomReport", "InvalidAlgebra", "InvalidRepresentation", "JacobiViolation",
         "LYAlgebra", "NotNijenhuis", "Representation", "Violation", "adjoint_rep",
-        "check_lya", "check_representation", "d_map", "deformed_brackets",
+        "check_lya", "check_representation", "deformed_brackets",
         "lya_from_lie", "nijenhuis_operator_check", "semidirect", "zero_rep",
         "wedge_basis"), "structures"),
     **dict.fromkeys((

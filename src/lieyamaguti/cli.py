@@ -322,52 +322,6 @@ def _bundled_names() -> List[str]:
 
 # -- violation rendering ------------------------------------------------------
 
-# argument domains per identity: 'g' = algebra basis index, 'v' = module
-# basis index. Labels with an @t^s suffix match on the part before '@'.
-_ARG_TABLE = {
-    "jacobi-defect": "ggg",
-    "cyclic-ternary": "gggg",
-    "binary-derivation": "gggg",
-    "ternary-derivation": "ggggg",
-    "mu-bracket-left": "gggv",
-    "mu-bracket-right": "gggv",
-    "rho-triple-commutator": "gggv",
-    "d-bracket-cyclic": "gggv",
-    "mu-composition": "ggggv",
-    "mu-triple-commutator": "ggggv",
-    "d-triple-commutator": "ggggv",
-    "mu-triple-expansion": "ggggv",
-    "nijenhuis-binary": "gg",
-    "nijenhuis-ternary": "ggg",
-    "rota-baxter-binary": "vv",
-    "rota-baxter-ternary": "vvv",
-    "phi-binary-hom": "gg",
-    "phi-ternary-hom": "ggg",
-    "t-intertwine": "v",
-    "rho-intertwine": "gv",
-    "mu-intertwine": "ggv",
-    "d-intertwine": "ggv",
-    "bracket-binary": "gg",
-    "bracket-ternary-quadratic": "ggg",
-    "bracket-ternary-cubic": "ggg",
-    "mu-quadratic": "ggv",
-    "mu-cubic": "ggv",
-    "closing": "v",
-    "binary": "vv",
-    "ternary": "vvv",
-    "binary-hom": "gg",
-    "ternary-hom": "ggg",
-}
-
-# identities whose residual lives in the module; all others land in g
-_V_RESIDUAL = frozenset({
-    "mu-bracket-left", "mu-bracket-right", "rho-triple-commutator",
-    "d-bracket-cyclic", "mu-composition", "mu-triple-commutator",
-    "d-triple-commutator", "mu-triple-expansion", "rho-intertwine",
-    "mu-intertwine", "d-intertwine", "mu-quadratic", "mu-cubic",
-})
-
-
 def _combo(vec: Vector, names: Sequence[str]) -> str:
     parts = []
     for c, n in zip(vec, names):
@@ -384,17 +338,12 @@ def _combo(vec: Vector, names: Sequence[str]) -> str:
 
 def _render_violation(v: Violation, g_names: Sequence[str],
                       v_names: Sequence[str], plain: bool = False) -> Dict[str, Any]:
-    base = v.identity.split("@", 1)[0]
-    domains = _ARG_TABLE.get(base, "")
-    if plain and base == "closing":
-        domains = "g"
-    if len(domains) != len(v.args):
-        domains = "g" * len(v.args)
-    args = [g_names[a] if d == "g" else v_names[a]
-            for d, a in zip(domains, v.args)]
-    res_names = v_names if base in _V_RESIDUAL else g_names
-    return {"identity": v.identity, "args": args,
-            "residual": _combo(v.residual, res_names)}
+    names = {"g": g_names, "v": v_names}
+    # the plain closing condition of the adjoint case takes its argument in g
+    spaces = "g" if plain and v.identity == "closing" else v.arg_spaces
+    return {"identity": v.identity,
+            "args": [names[space][i] for space, i in zip(spaces, v.args)],
+            "residual": _combo(v.residual, names[v.residual_space])}
 
 
 def _render_violations(viols, g_names, v_names, plain=False) -> List[Dict[str, Any]]:
@@ -638,7 +587,7 @@ def _cmd_deform(model: ModelFile, args) -> Report:
             "obstruction_is_zero": result.ob.is_zero(),
             "is_cocycle": result.is_cocycle,
             "trivial": result.trivial,
-            "witness": _render_matrix(result.witness.as_matrix())
+            "witness": _render_matrix(result.witness.as_matrix(model.algebra.dim))
                        if result.witness is not None else None,
         })
 

@@ -149,14 +149,13 @@ class Cochain(NamedTuple):
                 parts.extend(val)
         return tuple(parts)
 
-    def as_matrix(self) -> Matrix:
+    def as_matrix(self, rows: Optional[int] = None) -> Matrix:
         """Degree-1 cochains as value-space x algebra-space matrices
-        (column b is the image of the b-th basis element)."""
+        (column b is the image of the b-th basis element). `rows`, the
+        dimension of the value space, is needed when there are no columns."""
         if self.degree != 1:
             raise ValueError("as_matrix applies to degree-1 cochains only")
-        if self.f_part:
-            return Matrix.from_columns(list(self.f_part))
-        return Matrix.from_columns([], rows=0)
+        return Matrix.from_columns(list(self.f_part), rows=rows)
 
     def is_zero(self) -> bool:
         if any(not is_zero_vector(v) for v in self.f_part):
@@ -322,18 +321,17 @@ def coboundary_matrix(ctx: ComplexContext, p: int) -> Matrix:
     return Matrix(entries, cols=dim_in)
 
 
-def cohomology_dims(ctx: ComplexContext, p: int,
-                    include_coboundaries: bool = True) -> CohomologySummary:
+def cohomology_dims(ctx: ComplexContext, p: int) -> CohomologySummary:
     """Cocycle/coboundary/quotient dimensions at degree p.
 
     dim_coboundaries counts the rank of the degree-(p-1) differential only
-    for p >= 2 (and only when requested): the complex here starts at degree
-    1, so first cohomology is plain cocycles.
+    for p >= 2: the complex here starts at degree 1, so first cohomology is
+    plain cocycles.
     """
     dim_c = cochain_dim(ctx, p)
     rank_p, _ = rank_kernel(coboundary_matrix(ctx, p))
     dim_z = dim_c - rank_p
-    if p >= 2 and include_coboundaries:
+    if p >= 2:
         dim_b, _ = rank_kernel(coboundary_matrix(ctx, p - 1))
     else:
         dim_b = 0

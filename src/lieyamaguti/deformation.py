@@ -19,18 +19,11 @@ order, and the one at t^1 is the coboundary of T_1 (`rbo_delta1_expanded`).
 
 from __future__ import annotations
 
-from typing import List, NamedTuple, Optional, Tuple
+import itertools
+from typing import Iterator, NamedTuple, Optional, Tuple
 
-from .linalg import (
-    Matrix,
-    is_zero_vector,
-    rank_kernel,
-    solve_linear,
-    vadd,
-    vneg,
-    vsub,
-)
-from .structures import AxiomReport, Violation
+from .linalg import Matrix, rank_kernel, solve_linear, vadd, vneg, vsub
+from .structures import AxiomReport, Term, Violation, _adjoint_tables, wedge_basis
 from .complexes import Cochain, coboundary
 from .rbo import RelRBO, Wedge2, _expansion, _require_verified, _violations
 from .rbo_cohomology import RboComplex, rbo_coboundary_matrix, rbo_delta0
@@ -158,23 +151,6 @@ def linear_deformation_check(o: RelRBO, frak_t: Matrix) -> AxiomReport:
     return AxiomReport.from_violations(_violations(residuals, orders, *_LABELS))
 
 
-def _is_adjoint(o: RelRBO) -> bool:
-    a, r = o.algebra, o.rep
-    m = a.dim
-    if r.dim_v != m:
-        return False
-    for i in range(m):
-        ad = Matrix.from_columns([a.bracket_basis(i, k) for k in range(m)], rows=m)
-        if r.rho(i) != ad:
-            return False
-    for i in range(m):
-        for j in range(m):
-            mu = Matrix.from_columns([a.triple_basis(k, i, j) for k in range(m)], rows=m)
-            if r.mu(i, j) != mu:
-                return False
-    return True
-
-
 def nijenhuis_element_check(o: RelRBO, x: Wedge2) -> NijenhuisReport:
     """Check the six conditions that make a wedge element X generate a
     trivial linear deformation T + t*delta(X):
@@ -195,91 +171,44 @@ def nijenhuis_element_check(o: RelRBO, x: Wedge2) -> NijenhuisReport:
     a, r, t = o.algebra, o.rep, o.t_matrix
     if x.dim != a.dim:
         raise ValueError("wedge element and algebra dimensions differ")
-    m, v = a.dim, r.dim_v
-    bas = [a.basis(i) for i in range(m)]
+    m = a.dim
+    rng = range(m)
+    bas = [a.basis(i) for i in rng]
     xb = [x.bracket_with(a, e) for e in bas]
     dx = x.d_matrix(r)
+    pairs = list(itertools.product(rng, repeat=2))
+    triples = list(itertools.product(rng, repeat=3))
 
-    viols: List[Violation] = []
-    for i in range(m):
-        for j in range(i + 1, m):
-            res = a.bracket(xb[i], xb[j])
-            if not is_zero_vector(res):
-                viols.append(Violation("bracket-binary", (i, j), res))
-    binary_rep = AxiomReport.from_violations(viols)
+    def condition(label: str, terms) -> Tuple[str, AxiomReport]:
+        return label, AxiomReport.from_residuals((label, args, res) for args, res in terms)
 
-    viols = []
-    for i in range(m):
-        for j in range(m):
-            for k in range(m):
-                res = vadd(vadd(a.triple(xb[i], xb[j], bas[k]),
-                                a.triple(xb[i], bas[j], xb[k])),
-                           a.triple(bas[i], xb[j], xb[k]))
-                if not is_zero_vector(res):
-                    viols.append(Violation("bracket-ternary-quadratic", (i, j, k), res))
-    quad_rep = AxiomReport.from_violations(viols)
-
-    viols = []
-    for i in range(m):
-        for j in range(m):
-            for k in range(m):
-                res = a.triple(xb[i], xb[j], xb[k])
-                if not is_zero_vector(res):
-                    viols.append(Violation("bracket-ternary-cubic", (i, j, k), res))
-    cubic_rep = AxiomReport.from_violations(viols)
-
-    viols = []
-    for z in range(m):
-        for w in range(m):
-            mat = (r.mu_of(bas[z], xb[w]) + r.mu_of(xb[z], bas[w])) @ dx \
-                + r.mu_of(xb[z], xb[w])
-            for col in range(v):
-                res = mat.column(col)
-                if not is_zero_vector(res):
-                    viols.append(Violation("mu-quadratic", (z, w, col), res))
-    mu_quad_rep = AxiomReport.from_violations(viols)
-
-    viols = []
-    for z in range(m):
-        for w in range(m):
-            mat = r.mu_of(xb[z], xb[w]) @ dx
-            for col in range(v):
-                res = mat.column(col)
-                if not is_zero_vector(res):
-                    viols.append(Violation("mu-cubic", (z, w, col), res))
-    mu_cubic_rep = AxiomReport.from_violations(viols)
-
-    viols = []
-    delta_x = rbo_delta0(o, x)
-    for b in range(v):
-        res = x.bracket_with(a, delta_x.f_part[b])
-        if not is_zero_vector(res):
-            viols.append(Violation("closing", (b,), res))
-    closing_rep = AxiomReport.from_violations(viols)
-
-    conditions = (
-        ("bracket-binary", binary_rep),
-        ("bracket-ternary-quadratic", quad_rep),
-        ("bracket-ternary-cubic", cubic_rep),
-        ("mu-quadratic", mu_quad_rep),
-        ("mu-cubic", mu_cubic_rep),
-        ("closing", closing_rep),
+    brackets = (
+        condition("bracket-binary", (((i, j), a.bracket(xb[i], xb[j]))
+                                     for i, j in wedge_basis(m))),
+        condition("bracket-ternary-quadratic", (
+            ((i, j, k), vadd(vadd(a.triple(xb[i], xb[j], bas[k]),
+                                  a.triple(xb[i], bas[j], xb[k])),
+                             a.triple(bas[i], xb[j], xb[k])))
+            for i, j, k in triples)),
+        condition("bracket-ternary-cubic", (((i, j, k), a.triple(xb[i], xb[j], xb[k]))
+                                            for i, j, k in triples)),
+    )
+    conditions = brackets + (
+        condition("mu-quadratic", (
+            ((z, w), (r.mu_of(bas[z], xb[w]) + r.mu_of(xb[z], bas[w])) @ dx
+             + r.mu_of(xb[z], xb[w]))
+            for z, w in pairs)),
+        condition("mu-cubic", (((z, w), r.mu_of(xb[z], xb[w]) @ dx) for z, w in pairs)),
+        condition("closing", (((b,), x.bracket_with(a, image))
+                              for b, image in enumerate(rbo_delta0(o, x).f_part))),
     )
 
     plain = None
-    if _is_adjoint(o):
-        viols = []
-        for y in range(m):
-            inner = vsub(t.apply(xb[y]), x.bracket_with(a, t.apply(bas[y])))
-            res = x.bracket_with(a, inner)
-            if not is_zero_vector(res):
-                viols.append(Violation("closing", (y,), res))
-        plain = (
-            ("bracket-binary", binary_rep),
-            ("bracket-ternary-quadratic", quad_rep),
-            ("bracket-ternary-cubic", cubic_rep),
-            ("closing", AxiomReport.from_violations(viols)),
-        )
+    if r.dim_v == m and _adjoint_tables(a) == ([r.rho(i) for i in rng],
+                                               [[r.mu(i, j) for j in rng] for i in rng]):
+        plain = brackets + (condition("closing", (
+            ((y,), x.bracket_with(a, vsub(t.apply(xb[y]), x.bracket_with(a, t.apply(bas[y])))))
+            for y in rng)),)
 
     return NijenhuisReport(element=x, conditions=conditions, plain_conditions=plain)
 
@@ -291,7 +220,7 @@ def trivial_deformation_from(o: RelRBO, x: Wedge2) -> TruncatedDeformation:
     for label, rep in report.conditions:
         if not rep.valid:
             raise NotNijenhuisElement(label, rep.violations[0])
-    direction = rbo_delta0(o, x).as_matrix()
+    direction = rbo_delta0(o, x).as_matrix(o.algebra.dim)
     return TruncatedDeformation((o.t_matrix, direction))
 
 
@@ -308,7 +237,7 @@ def equivalence_check_linear(o: RelRBO, d1: TruncatedDeformation,
     the algebra and representation axioms and are included for completeness."""
     _require_verified(o)
     a, r = o.algebra, o.rep
-    m, v = a.dim, r.dim_v
+    m = a.dim
     for d in (d1, d2):
         if d.order != 1:
             raise ValueError("equivalence check applies to linear deformations")
@@ -318,72 +247,38 @@ def equivalence_check_linear(o: RelRBO, d1: TruncatedDeformation,
         raise ValueError("wedge element and algebra dimensions differ")
     lx = x.action_matrix(a)
     dx = x.d_matrix(r)
-    t1, t2 = d1.terms[1], d2.terms[1]
+    t0, t1, t2 = o.t_matrix, d1.terms[1], d2.terms[1]
     bas = [a.basis(i) for i in range(m)]
     lxb = [lx.apply(e) for e in bas]
-    viols: List[Violation] = []
 
-    for i in range(m):
-        for j in range(i + 1, m):
-            res = vsub(vadd(a.bracket(lxb[i], bas[j]), a.bracket(bas[i], lxb[j])),
-                       lx.apply(a.bracket_basis(i, j)))
-            if not is_zero_vector(res):
-                viols.append(Violation("binary-hom@t^1", (i, j), res))
-            res = a.bracket(lxb[i], lxb[j])
-            if not is_zero_vector(res):
-                viols.append(Violation("binary-hom@t^2", (i, j), res))
+    def terms() -> Iterator[Term]:
+        for i, j in wedge_basis(m):
+            yield ("binary-hom@t^1", (i, j),
+                   vsub(vadd(a.bracket(lxb[i], bas[j]), a.bracket(bas[i], lxb[j])),
+                        lx.apply(a.bracket_basis(i, j))))
+            yield "binary-hom@t^2", (i, j), a.bracket(lxb[i], lxb[j])
+        for i, j, k in itertools.product(range(m), repeat=3):
+            yield ("ternary-hom@t^1", (i, j, k),
+                   vsub(vadd(vadd(a.triple(lxb[i], bas[j], bas[k]),
+                                  a.triple(bas[i], lxb[j], bas[k])),
+                             a.triple(bas[i], bas[j], lxb[k])),
+                        lx.apply(a.triple_basis(i, j, k))))
+            yield ("ternary-hom@t^2", (i, j, k),
+                   vadd(vadd(a.triple(lxb[i], lxb[j], bas[k]), a.triple(lxb[i], bas[j], lxb[k])),
+                        a.triple(bas[i], lxb[j], lxb[k])))
+            yield "ternary-hom@t^3", (i, j, k), a.triple(lxb[i], lxb[j], lxb[k])
+        for i in range(m):
+            yield "rho-intertwine@t^1", (i,), dx @ r.rho(i) - r.rho_of(lxb[i]) - r.rho(i) @ dx
+            yield "rho-intertwine@t^2", (i,), -(r.rho_of(lxb[i]) @ dx)
+        for i, j in itertools.product(range(m), repeat=2):
+            mixed = r.mu_of(lxb[i], bas[j]) + r.mu_of(bas[i], lxb[j])
+            yield "mu-intertwine@t^1", (i, j), dx @ r.mu(i, j) - mixed - r.mu(i, j) @ dx
+            yield "mu-intertwine@t^2", (i, j), -(r.mu_of(lxb[i], lxb[j]) + mixed @ dx)
+            yield "mu-intertwine@t^3", (i, j), -(r.mu_of(lxb[i], lxb[j]) @ dx)
+        yield "t-intertwine@t^1", (), t1 + t0 @ dx - t2 - lx @ t0
+        yield "t-intertwine@t^2", (), t1 @ dx - lx @ t2
 
-    for i in range(m):
-        for j in range(m):
-            for k in range(m):
-                res = vadd(vadd(a.triple(lxb[i], bas[j], bas[k]),
-                                a.triple(bas[i], lxb[j], bas[k])),
-                           a.triple(bas[i], bas[j], lxb[k]))
-                res = vsub(res, lx.apply(a.triple_basis(i, j, k)))
-                if not is_zero_vector(res):
-                    viols.append(Violation("ternary-hom@t^1", (i, j, k), res))
-                res = vadd(vadd(a.triple(lxb[i], lxb[j], bas[k]),
-                                a.triple(lxb[i], bas[j], lxb[k])),
-                           a.triple(bas[i], lxb[j], lxb[k]))
-                if not is_zero_vector(res):
-                    viols.append(Violation("ternary-hom@t^2", (i, j, k), res))
-                res = a.triple(lxb[i], lxb[j], lxb[k])
-                if not is_zero_vector(res):
-                    viols.append(Violation("ternary-hom@t^3", (i, j, k), res))
-
-    for i in range(m):
-        mat1 = dx @ r.rho(i) - r.rho_of(lxb[i]) - r.rho(i) @ dx
-        mat2 = (r.rho_of(lxb[i]) @ dx).scale(-1)
-        for label, mat in (("rho-intertwine@t^1", mat1), ("rho-intertwine@t^2", mat2)):
-            for col in range(v):
-                res = mat.column(col)
-                if not is_zero_vector(res):
-                    viols.append(Violation(label, (i, col), res))
-
-    for i in range(m):
-        for j in range(m):
-            mat1 = dx @ r.mu(i, j) - r.mu_of(lxb[i], bas[j]) \
-                - r.mu_of(bas[i], lxb[j]) - r.mu(i, j) @ dx
-            mat2 = (r.mu_of(lxb[i], lxb[j])
-                    + (r.mu_of(lxb[i], bas[j]) + r.mu_of(bas[i], lxb[j])) @ dx).scale(-1)
-            mat3 = (r.mu_of(lxb[i], lxb[j]) @ dx).scale(-1)
-            for label, mat in (("mu-intertwine@t^1", mat1),
-                               ("mu-intertwine@t^2", mat2),
-                               ("mu-intertwine@t^3", mat3)):
-                for col in range(v):
-                    res = mat.column(col)
-                    if not is_zero_vector(res):
-                        viols.append(Violation(label, (i, j, col), res))
-
-    mat1 = t1 + o.t_matrix @ dx - t2 - lx @ o.t_matrix
-    mat2 = t1 @ dx - lx @ t2
-    for label, mat in (("t-intertwine@t^1", mat1), ("t-intertwine@t^2", mat2)):
-        for col in range(v):
-            res = mat.column(col)
-            if not is_zero_vector(res):
-                viols.append(Violation(label, (col,), res))
-
-    return AxiomReport.from_violations(viols)
+    return AxiomReport.from_residuals(terms())
 
 
 def _order_violations(o: RelRBO, d: TruncatedDeformation, orders: range):
@@ -431,7 +326,7 @@ def extend_deformation(o: RelRBO, d: TruncatedDeformation) -> Optional[Truncated
     result = obstruction(o, d)
     if not result.trivial:
         return None
-    return TruncatedDeformation(d.terms + (result.witness.as_matrix(),))
+    return TruncatedDeformation(d.terms + (result.witness.as_matrix(o.algebra.dim),))
 
 
 def pre_ly_deformation_terms(o: RelRBO, frak_t: Matrix) -> Tuple[tuple, tuple, tuple]:

@@ -25,14 +25,14 @@ Fraction(R, q^5) gives back exactly. The sub-adjacent brackets [u,v]_T and
 
 from __future__ import annotations
 
+import itertools
 from fractions import Fraction
-from typing import Dict, Iterable, List, NamedTuple, Sequence, Tuple
+from typing import Dict, Iterable, Iterator, List, NamedTuple, Optional, Sequence, Tuple
 
 from .linalg import (
     Matrix,
     Vector,
     inverse,
-    is_zero_vector,
     rat,
     vadd,
     vsub,
@@ -42,6 +42,7 @@ from .structures import (
     AxiomReport,
     LYAlgebra,
     Representation,
+    Term,
     Violation,
     _algebra_tables,
     _comb,
@@ -331,6 +332,31 @@ def lift_to_nijenhuis(o: RelRBO) -> Matrix:
     return Matrix(rows, cols=n)
 
 
+def _homomorphism_terms(a: LYAlgebra, r: Representation, phi_g: Matrix, phi_v: Matrix,
+                        t_condition: Optional[Matrix] = None) -> Iterator[Term]:
+    """The residuals of (phi_g, phi_v) as a homomorphism of operators, in the
+    order `rbo_homomorphism_check` reports them: phi_g on each pair and then
+    each triple of basis vectors, the operator condition when given, and the
+    rho, mu and D intertwining conditions (matrix residuals)."""
+    rng = range(a.dim)
+    pg = [phi_g.apply(a.basis(i)) for i in rng]
+    for i, j in wedge_basis(a.dim):
+        yield ("phi-binary-hom", (i, j),
+               vsub(phi_g.apply(a.bracket_basis(i, j)), a.bracket(pg[i], pg[j])))
+        for k in rng:
+            yield ("phi-ternary-hom", (i, j, k),
+                   vsub(phi_g.apply(a.triple_basis(i, j, k)), a.triple(pg[i], pg[j], pg[k])))
+    if t_condition is not None:
+        yield "t-intertwine", (), t_condition
+    for i in rng:
+        yield "rho-intertwine", (i,), phi_v @ r.rho(i) - r.rho_of(pg[i]) @ phi_v
+    pairs = list(itertools.product(rng, repeat=2))
+    for i, j in pairs:
+        yield "mu-intertwine", (i, j), phi_v @ r.mu(i, j) - r.mu_of(pg[i], pg[j]) @ phi_v
+    for i, j in pairs:
+        yield "d-intertwine", (i, j), phi_v @ r.d_basis(i, j) - r.d_of(pg[i], pg[j]) @ phi_v
+
+
 def rbo_homomorphism_check(o1: RelRBO, o2: RelRBO,
                            phi_g: Matrix, phi_v: Matrix) -> AxiomReport:
     """Check (phi_g, phi_v) as a homomorphism of operators from o1 to o2
@@ -346,56 +372,17 @@ def rbo_homomorphism_check(o1: RelRBO, o2: RelRBO,
     if o1.algebra != o2.algebra or o1.rep != o2.rep:
         raise ValueError("homomorphisms are defined between operators on the same data")
     a, r = o1.algebra, o1.rep
+    _check_pair_shapes(a, r, phi_g, phi_v)
+    return AxiomReport.from_residuals(_homomorphism_terms(
+        a, r, phi_g, phi_v, o2.t_matrix @ phi_v - phi_g @ o1.t_matrix))
+
+
+def _check_pair_shapes(a: LYAlgebra, r: Representation, phi_g: Matrix, phi_v: Matrix) -> None:
     m, v = a.dim, r.dim_v
     if (phi_g.rows, phi_g.cols) != (m, m):
         raise ValueError(f"phi_g must be {m}x{m}")
     if (phi_v.rows, phi_v.cols) != (v, v):
         raise ValueError(f"phi_v must be {v}x{v}")
-    viols: List[Violation] = []
-    bas = [a.basis(i) for i in range(m)]
-    pg = [phi_g.apply(b) for b in bas]
-
-    for i in range(m):
-        for j in range(i + 1, m):
-            res = vsub(phi_g.apply(a.bracket_basis(i, j)), a.bracket(pg[i], pg[j]))
-            if not is_zero_vector(res):
-                viols.append(Violation("phi-binary-hom", (i, j), res))
-            for k in range(m):
-                res = vsub(phi_g.apply(a.triple_basis(i, j, k)),
-                           a.triple(pg[i], pg[j], pg[k]))
-                if not is_zero_vector(res):
-                    viols.append(Violation("phi-ternary-hom", (i, j, k), res))
-
-    tcond = o2.t_matrix @ phi_v - phi_g @ o1.t_matrix
-    for b in range(v):
-        col = tcond.column(b)
-        if not is_zero_vector(col):
-            viols.append(Violation("t-intertwine", (b,), col))
-
-    for i in range(m):
-        res = phi_v @ r.rho(i) - r.rho_of(pg[i]) @ phi_v
-        for b in range(v):
-            col = res.column(b)
-            if not is_zero_vector(col):
-                viols.append(Violation("rho-intertwine", (i, b), col))
-
-    for i in range(m):
-        for j in range(m):
-            res = phi_v @ r.mu(i, j) - r.mu_of(pg[i], pg[j]) @ phi_v
-            for b in range(v):
-                col = res.column(b)
-                if not is_zero_vector(col):
-                    viols.append(Violation("mu-intertwine", (i, j, b), col))
-
-    for i in range(m):
-        for j in range(m):
-            res = phi_v @ r.d_basis(i, j) - r.d_of(pg[i], pg[j]) @ phi_v
-            for b in range(v):
-                col = res.column(b)
-                if not is_zero_vector(col):
-                    viols.append(Violation("d-intertwine", (i, j, b), col))
-
-    return AxiomReport.from_violations(viols)
 
 
 def conjugate_rbo(o: RelRBO, phi_g: Matrix, phi_v: Matrix) -> RelRBO:
@@ -405,11 +392,7 @@ def conjugate_rbo(o: RelRBO, phi_g: Matrix, phi_v: Matrix) -> RelRBO:
     fail; the result is rebuilt through `check_rbo`."""
     _require_verified(o)
     a, r = o.algebra, o.rep
-    m, v = a.dim, r.dim_v
-    if (phi_g.rows, phi_g.cols) != (m, m):
-        raise ValueError(f"phi_g must be {m}x{m}")
-    if (phi_v.rows, phi_v.cols) != (v, v):
-        raise ValueError(f"phi_v must be {v}x{v}")
+    _check_pair_shapes(a, r, phi_g, phi_v)
     try:
         phi_g_inv = inverse(phi_g)
     except ValueError as exc:
@@ -419,27 +402,15 @@ def conjugate_rbo(o: RelRBO, phi_g: Matrix, phi_v: Matrix) -> RelRBO:
     except ValueError as exc:
         raise ValueError(f"phi_v must be invertible: {exc}") from exc
 
-    bas = [a.basis(i) for i in range(m)]
-    pg = [phi_g.apply(b) for b in bas]
-    for i in range(m):
-        for j in range(i + 1, m):
-            if phi_g.apply(a.bracket_basis(i, j)) != a.bracket(pg[i], pg[j]):
-                raise NotAutomorphism(f"phi_g fails the binary bracket at ({i}, {j})")
-            for k in range(m):
-                if phi_g.apply(a.triple_basis(i, j, k)) != a.triple(pg[i], pg[j], pg[k]):
-                    raise NotAutomorphism(f"phi_g fails the ternary bracket at ({i}, {j}, {k})")
-
-    for i in range(m):
-        res = phi_v @ r.rho(i) - r.rho_of(pg[i]) @ phi_v
-        if not res.is_zero():
-            b = next(b for b in range(v) if not is_zero_vector(res.column(b)))
-            raise NotIntertwining(Violation("rho-intertwine", (i, b), res.column(b)))
-    for i in range(m):
-        for j in range(m):
-            res = phi_v @ r.mu(i, j) - r.mu_of(pg[i], pg[j]) @ phi_v
-            if not res.is_zero():
-                b = next(b for b in range(v) if not is_zero_vector(res.column(b)))
-                raise NotIntertwining(Violation("mu-intertwine", (i, j, b), res.column(b)))
+    for identity, args, res in _homomorphism_terms(a, r, phi_g, phi_v):
+        if identity == "d-intertwine":
+            break  # implied by the conditions before it
+        failure = AxiomReport.from_residuals([(identity, args, res)]).first()
+        if failure is None:
+            continue
+        if identity.startswith("phi-"):
+            raise NotAutomorphism(f"phi_g fails the {identity.split('-')[1]} bracket at {args}")
+        raise NotIntertwining(failure)
 
     return RelRBO.build(a, r, phi_g_inv @ o.t_matrix @ phi_v)
 

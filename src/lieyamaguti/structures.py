@@ -17,6 +17,12 @@ and the ternary-derivation and four-index identities weight 4. An identity of
 weight w evaluated on the scaled tables is therefore exactly q^w times its
 true residual, so it vanishes exactly when the true residual does, and
 Fraction(R, q^w) gives the true residual back. Nothing is rounded or sampled.
+
+The checks that evaluate in `Fraction` arithmetic instead (the Nijenhuis
+conditions, homomorphisms of operators, Nijenhuis elements, equivalences)
+yield (identity, args, residual) terms to `AxiomReport.from_residuals`, the
+`Fraction`-path counterpart of `_matrix_violations`. `Violation` reads the
+spaces of its arguments and residual from `_SPACES`, one entry per identity.
 """
 
 from __future__ import annotations
@@ -24,7 +30,7 @@ from __future__ import annotations
 import itertools
 import math
 from fractions import Fraction
-from typing import Dict, Iterable, List, NamedTuple, Optional, Sequence, Tuple
+from typing import Dict, Iterable, List, NamedTuple, Optional, Sequence, Tuple, Union
 
 from .linalg import (
     Matrix,
@@ -49,7 +55,6 @@ __all__ = [
     "check_lya",
     "lya_from_lie",
     "Representation",
-    "d_map",
     "check_representation",
     "adjoint_rep",
     "zero_rep",
@@ -60,12 +65,65 @@ __all__ = [
 ]
 
 
+# For each identity a check reports, keyed by its label before any "@t^s"
+# order suffix: the space of each basis index in `args` ('g' the algebra, 'v'
+# the module) and the space the residual lives in.
+_SPACES = {
+    "jacobi-defect": ("ggg", "g"),
+    "cyclic-ternary": ("gggg", "g"),
+    "binary-derivation": ("gggg", "g"),
+    "ternary-derivation": ("ggggg", "g"),
+    "mu-bracket-left": ("gggv", "v"),
+    "mu-bracket-right": ("gggv", "v"),
+    "rho-triple-commutator": ("gggv", "v"),
+    "d-bracket-cyclic": ("gggv", "v"),
+    "mu-composition": ("ggggv", "v"),
+    "mu-triple-commutator": ("ggggv", "v"),
+    "d-triple-commutator": ("ggggv", "v"),
+    "mu-triple-expansion": ("ggggv", "v"),
+    "nijenhuis-binary": ("gg", "g"),
+    "nijenhuis-ternary": ("ggg", "g"),
+    "rota-baxter-binary": ("vv", "g"),
+    "rota-baxter-ternary": ("vvv", "g"),
+    "phi-binary-hom": ("gg", "g"),
+    "phi-ternary-hom": ("ggg", "g"),
+    "t-intertwine": ("v", "g"),
+    "rho-intertwine": ("gv", "v"),
+    "mu-intertwine": ("ggv", "v"),
+    "d-intertwine": ("ggv", "v"),
+    "bracket-binary": ("gg", "g"),
+    "bracket-ternary-quadratic": ("ggg", "g"),
+    "bracket-ternary-cubic": ("ggg", "g"),
+    "mu-quadratic": ("ggv", "v"),
+    "mu-cubic": ("ggv", "v"),
+    "closing": ("v", "g"),
+    "binary": ("vv", "g"),
+    "ternary": ("vvv", "g"),
+    "binary-hom": ("gg", "g"),
+    "ternary-hom": ("ggg", "g"),
+}
+
+
 class Violation(NamedTuple):
     """One failed instance of a named identity on a basis tuple."""
 
     identity: str
     args: Tuple[int, ...]
     residual: Vector
+
+    @property
+    def arg_spaces(self) -> str:
+        """The space of each index in `args`: 'g' (algebra) or 'v' (module)."""
+        return _SPACES[self.identity.split("@", 1)[0]][0]
+
+    @property
+    def residual_space(self) -> str:
+        """The space the residual lives in: 'g' (algebra) or 'v' (module)."""
+        return _SPACES[self.identity.split("@", 1)[0]][1]
+
+
+# (identity, args, residual): a residual of any identity check, zero or not
+Term = Tuple[str, Tuple[int, ...], Union[Vector, Matrix]]
 
 
 class AxiomReport(NamedTuple):
@@ -76,6 +134,20 @@ class AxiomReport(NamedTuple):
     def from_violations(cls, violations: Iterable[Violation]) -> "AxiomReport":
         vs = tuple(violations)
         return cls(valid=not vs, violations=vs)
+
+    @classmethod
+    def from_residuals(cls, terms: Iterable[Term]) -> "AxiomReport":
+        """The report of (identity, args, residual) terms, in order, dropping
+        zero residuals. A `Matrix` residual gives one violation per nonzero
+        column, with the column index appended to args."""
+        viols: List[Violation] = []
+        for identity, args, res in terms:
+            if isinstance(res, Matrix):
+                viols.extend(Violation(identity, args + (c,), col)
+                             for c, col in enumerate(res.columns()) if not is_zero_vector(col))
+            elif not is_zero_vector(res):
+                viols.append(Violation(identity, args, res))
+        return cls.from_violations(viols)
 
     def first(self, identity: Optional[str] = None) -> Optional[Violation]:
         for v in self.violations:
@@ -135,8 +207,8 @@ class LYAlgebra:
                  binary: Optional[Dict[Tuple[int, int], Iterable]] = None,
                  ternary: Optional[Dict[Tuple[int, int, int], Iterable]] = None,
                  basis_names: Optional[Sequence[str]] = None):
-        if dim < 1:
-            raise ValueError("algebra dimension must be at least 1")
+        if dim < 0:
+            raise ValueError("algebra dimension must be nonnegative")
         names = tuple(basis_names) if basis_names is not None else _names("e", dim)
         if len(names) != dim:
             raise ValueError(f"expected {dim} basis names, got {len(names)}")
@@ -473,11 +545,6 @@ class Representation:
         return f"Representation(dim_v={self.dim_v} over dim={self.algebra.dim})"
 
 
-def d_map(r: Representation, i: int, j: int) -> Matrix:
-    """D(e_i, e_j) = mu(e_j, e_i) - mu(e_i, e_j) + [rho(e_i), rho(e_j)] - rho([e_i, e_j])."""
-    return r.d_basis(i, j)
-
-
 def _scaled_matrix(m: Matrix, s: int) -> List[Scaled]:
     """The rows of s * m by their nonzero entries."""
     return [_scaled(row, s) for row in m.entries]
@@ -617,13 +684,18 @@ def adjoint_rep(a: LYAlgebra) -> Representation:
         first = report.violations[0]
         raise InvalidAlgebra(
             f"algebra fails {first.identity} at basis tuple {first.args}")
-    n = a.dim
-    rho = [Matrix.from_columns([a.bracket(a.basis(i), a.basis(k)) for k in range(n)], rows=n)
-           for i in range(n)]
-    mu = [[Matrix.from_columns([a.triple(a.basis(k), a.basis(i), a.basis(j))
-                                for k in range(n)], rows=n)
-           for j in range(n)] for i in range(n)]
-    return Representation(a, n, rho, mu)
+    rho, mu = _adjoint_tables(a)
+    return Representation(a, a.dim, rho, mu)
+
+
+def _adjoint_tables(a: LYAlgebra) -> Tuple[List[Matrix], List[List[Matrix]]]:
+    """The matrices of rho(e_i) = [e_i, .] and mu(e_i, e_j) = <., e_i, e_j>,
+    for any algebra, valid or not."""
+    rng = range(a.dim)
+    rho = [Matrix.from_columns([a.bracket_basis(i, k) for k in rng], rows=a.dim) for i in rng]
+    mu = [[Matrix.from_columns([a.triple_basis(k, i, j) for k in rng], rows=a.dim)
+           for j in rng] for i in rng]
+    return rho, mu
 
 
 def zero_rep(a: LYAlgebra, dim_v: int) -> Representation:
@@ -688,45 +760,43 @@ def semidirect(a: LYAlgebra, r: Representation) -> LYAlgebra:
     return LYAlgebra(n, binary=binary, ternary=ternary, basis_names=names)
 
 
-def nijenhuis_operator_check(a: LYAlgebra, n: Matrix) -> AxiomReport:
-    """Check the Nijenhuis conditions for a linear operator N on the algebra:
-
-        [Nx,Ny] = N([Nx,y] + [x,Ny] - N[x,y])
-        <Nx,Ny,Nz> = N(<Nx,Ny,z> + <Nx,y,Nz> + <x,Ny,Nz>
-                       - N<Nx,y,z> - N<x,Ny,z> - N<x,y,Nz> + N^2 <x,y,z>)
-    """
+def _nijenhuis(a: LYAlgebra, n: Matrix) -> Tuple[AxiomReport, Dict, Dict]:
+    """The report of `nijenhuis_operator_check` and the constants of the
+    deformed brackets [e_i,e_j]_N and <e_i,e_j,e_k>_N (i < j)."""
     if (n.rows, n.cols) != (a.dim, a.dim):
         raise ValueError(f"operator must be {a.dim}x{a.dim}")
     rng = range(a.dim)
     bas = [a.basis(i) for i in rng]
     nb = [n.apply(b) for b in bas]
-    viols: List[Violation] = []
+    binary: Dict[Tuple[int, int], Vector] = {}
+    ternary: Dict[Tuple[int, int, int], Vector] = {}
+    for i, j in wedge_basis(a.dim):
+        binary[(i, j)] = vsub(vadd(a.bracket(nb[i], bas[j]), a.bracket(bas[i], nb[j])),
+                              n.apply(a.bracket_basis(i, j)))
+        for k in rng:
+            t = a.triple(nb[i], nb[j], bas[k])
+            t = vadd(t, a.triple(nb[i], bas[j], nb[k]))
+            t = vadd(t, a.triple(bas[i], nb[j], nb[k]))
+            t = vsub(t, n.apply(a.triple(nb[i], bas[j], bas[k])))
+            t = vsub(t, n.apply(a.triple(bas[i], nb[j], bas[k])))
+            t = vsub(t, n.apply(a.triple(bas[i], bas[j], nb[k])))
+            ternary[(i, j, k)] = vadd(t, n.apply(n.apply(a.triple_basis(i, j, k))))
+    report = AxiomReport.from_residuals(itertools.chain(
+        (("nijenhuis-binary", (i, j), vsub(a.bracket(nb[i], nb[j]), n.apply(val)))
+         for (i, j), val in binary.items()),
+        (("nijenhuis-ternary", (i, j, k), vsub(a.triple(nb[i], nb[j], nb[k]), n.apply(val)))
+         for (i, j, k), val in ternary.items())))
+    return report, binary, ternary
 
-    for i in rng:
-        for j in range(i + 1, a.dim):
-            lhs = a.bracket(nb[i], nb[j])
-            inner = vadd(a.bracket(nb[i], bas[j]), a.bracket(bas[i], nb[j]))
-            inner = vsub(inner, n.apply(a.bracket_basis(i, j)))
-            res = vsub(lhs, n.apply(inner))
-            if not is_zero_vector(res):
-                viols.append(Violation("nijenhuis-binary", (i, j), res))
 
-    for i in rng:
-        for j in range(i + 1, a.dim):
-            for k in rng:
-                lhs = a.triple(nb[i], nb[j], nb[k])
-                inner = a.triple(nb[i], nb[j], bas[k])
-                inner = vadd(inner, a.triple(nb[i], bas[j], nb[k]))
-                inner = vadd(inner, a.triple(bas[i], nb[j], nb[k]))
-                inner = vsub(inner, n.apply(a.triple(nb[i], bas[j], bas[k])))
-                inner = vsub(inner, n.apply(a.triple(bas[i], nb[j], bas[k])))
-                inner = vsub(inner, n.apply(a.triple(bas[i], bas[j], nb[k])))
-                inner = vadd(inner, n.apply(n.apply(a.triple_basis(i, j, k))))
-                res = vsub(lhs, n.apply(inner))
-                if not is_zero_vector(res):
-                    viols.append(Violation("nijenhuis-ternary", (i, j, k), res))
+def nijenhuis_operator_check(a: LYAlgebra, n: Matrix) -> AxiomReport:
+    """Check the Nijenhuis conditions for a linear operator N on the algebra:
 
-    return AxiomReport.from_violations(viols)
+        [Nx,Ny] = N [x,y]_N        <Nx,Ny,Nz> = N <x,y,z>_N
+
+    with the deformed brackets of `deformed_brackets`.
+    """
+    return _nijenhuis(a, n)[0]
 
 
 def deformed_brackets(a: LYAlgebra, n: Matrix) -> LYAlgebra:
@@ -740,30 +810,7 @@ def deformed_brackets(a: LYAlgebra, n: Matrix) -> LYAlgebra:
     The result is again a Lie-Yamaguti algebra, and N is a homomorphism from
     it to the original (both checked by the tests).
     """
-    report = nijenhuis_operator_check(a, n)
+    report, binary, ternary = _nijenhuis(a, n)
     if not report.valid:
         raise NotNijenhuis(report.violations[0])
-    rng = range(a.dim)
-    bas = [a.basis(i) for i in rng]
-    nb = [n.apply(b) for b in bas]
-
-    binary: Dict[Tuple[int, int], Vector] = {}
-    ternary: Dict[Tuple[int, int, int], Vector] = {}
-    for i in rng:
-        for j in range(i + 1, a.dim):
-            val = vadd(a.bracket(nb[i], bas[j]), a.bracket(bas[i], nb[j]))
-            val = vsub(val, n.apply(a.bracket_basis(i, j)))
-            if not is_zero_vector(val):
-                binary[(i, j)] = val
-            for k in rng:
-                t = a.triple(nb[i], nb[j], bas[k])
-                t = vadd(t, a.triple(nb[i], bas[j], nb[k]))
-                t = vadd(t, a.triple(bas[i], nb[j], nb[k]))
-                t = vsub(t, n.apply(a.triple(nb[i], bas[j], bas[k])))
-                t = vsub(t, n.apply(a.triple(bas[i], nb[j], bas[k])))
-                t = vsub(t, n.apply(a.triple(bas[i], bas[j], nb[k])))
-                t = vadd(t, n.apply(n.apply(a.triple_basis(i, j, k))))
-                if not is_zero_vector(t):
-                    ternary[(i, j, k)] = t
-
     return LYAlgebra(a.dim, binary=binary, ternary=ternary, basis_names=a.basis_names)

@@ -277,6 +277,84 @@ class TestOutputShapes:
         assert d["obstruction_is_zero"] and d["is_cocycle"] and d["trivial"]
         assert d["witness"] == [["0", "0"], ["0", "0"]]
 
+    def test_zero_dimensional_module(self, capsys, tmp_path):
+        payload = dict(MINIMAL, representation={"dim": 0, "rho": [[], []],
+                                                "mu": [[[], []], [[], []]]},
+                       operator=[[], []], deformation={"terms": [[[], []]]})
+        path = write_model(tmp_path, "zero.lyat", payload)
+        for degree in ("1", "2"):
+            code, out = run_json(capsys, "cohomology", path, "--degree", degree, "--rbo")
+            assert code == 0
+            d = out["details"]
+            assert [d["dim_cochains"], d["dim_cocycles"],
+                    d["dim_coboundaries"], d["dim_h"]] == [0] * 4
+        code, out = run_json(capsys, "deform", "obstruction", path)
+        assert code == 0
+        assert out["details"]["trivial"] and out["details"]["witness"] == [[], []]
+        code, out = run_json(capsys, "deform", "extend", path, "--max-order", "3")
+        assert code == 0
+        assert out["details"]["achieved_order"] == 3
+        assert out["details"]["terms"] == [[[], []]] * 4
+
+
+# sl2 lifted by <x,y,z> = [[x,y],z], its adjoint representation and the
+# operator diag(-1, 0, 0): e1^e2 fails every Nijenhuis condition
+SL2_LIFT = {
+    "scalar": "rational", "dim": 3,
+    "binary": [{"args": [1, 2], "value": {"e2": "2"}},
+               {"args": [1, 3], "value": {"e3": "-2"}},
+               {"args": [2, 3], "value": {"e1": "1"}}],
+    "ternary": [{"args": [1, 2, 1], "value": {"e2": "-4"}},
+                {"args": [1, 2, 3], "value": {"e1": "2"}},
+                {"args": [1, 3, 1], "value": {"e3": "-4"}},
+                {"args": [1, 3, 2], "value": {"e1": "2"}},
+                {"args": [2, 3, 2], "value": {"e2": "2"}},
+                {"args": [2, 3, 3], "value": {"e3": "-2"}}],
+    "representation": "adjoint",
+    "operator": [["-1", "0", "0"], ["0", "0", "0"], ["0", "0", "0"]],
+    "elements": {"X": [{"args": [1, 2], "coeff": "1"}]}}
+
+
+def _condition(identity, *violations):
+    return {"identity": identity, "valid": not violations,
+            "violations": [{"identity": identity, "args": list(args), "residual": res}
+                           for args, res in violations]}
+
+
+_BRACKET_CONDITIONS = [
+    _condition("bracket-binary", (("e1", "e3"), "16*e2")),
+    _condition("bracket-ternary-quadratic",
+               (("e1", "e3", "e3"), "16*e1"), (("e2", "e3", "e3"), "16*e2"),
+               (("e3", "e1", "e3"), "-16*e1"), (("e3", "e2", "e3"), "-16*e2")),
+    _condition("bracket-ternary-cubic",
+               (("e1", "e3", "e3"), "-64*e2"), (("e3", "e1", "e3"), "64*e2")),
+]
+
+FROZEN_NIJENHUIS = {
+    "command": "nijenhuis", "status": "violated",
+    "details": {"elements": [{
+        "name": "X", "is_nijenhuis": False,
+        "conditions": _BRACKET_CONDITIONS + [
+            _condition("mu-quadratic",
+                       (("e1", "e3", "u3"), "-16*u1"), (("e2", "e3", "u3"), "-16*u2"),
+                       (("e3", "e3", "u1"), "16*u1"), (("e3", "e3", "u2"), "16*u2")),
+            _condition("mu-cubic",
+                       (("e1", "e3", "u3"), "64*u2"), (("e3", "e3", "u1"), "-64*u2")),
+            _condition("closing", (("u3",), "8*e2")),
+        ],
+        # the plain closing condition takes its argument in g
+        "plain_conditions": _BRACKET_CONDITIONS + [
+            _condition("closing", (("e3",), "8*e2")),
+        ],
+    }]}}
+
+
+def test_failing_nijenhuis_report_is_frozen(capsys, tmp_path):
+    path = write_model(tmp_path, "sl2.lyat", SL2_LIFT)
+    code = cli.main(["nijenhuis", path, "--element", "X", "--format", "json"])
+    assert code == 1
+    assert capsys.readouterr().out == json.dumps(FROZEN_NIJENHUIS, indent=2) + "\n"
+
 
 class TestInstalledScript:
     def test_console_entry_point(self):

@@ -1,0 +1,213 @@
+"""The Fraction-path identity checks against their hand-unrolled reference
+(`reference_identities`), and the space of every argument and residual each
+check reports."""
+
+import random
+from fractions import Fraction
+
+import pytest
+
+import lieyamaguti as ly
+import reference_identities as ref
+from lieyamaguti import structures
+from conftest import LIE_FAMILIES, Model, fr, random_fraction, random_matrix
+
+
+def _sl2_lift(t: ly.Matrix) -> Model:
+    """sl2 lifted by <x,y,z> = [[x,y],z], with its adjoint representation."""
+    a = ly.lya_from_lie(3, {k: tuple(fr(c) for c in v)
+                            for k, v in LIE_FAMILIES["sl2"][1].items()})
+    r = ly.adjoint_rep(a)
+    return Model(a, r, ly.RelRBO.build(a, r, t), ly.Wedge2.basis(3, 0, 1))
+
+
+@pytest.fixture(scope="module")
+def models(dim2: Model, dim4: Model, dim4_rational: Model, sl2_standard: Model):
+    diag = ly.Matrix(((fr(-1), fr(0), fr(0)), (fr(0), fr(0), fr(0)), (fr(0), fr(0), fr(0))))
+    return [dim2, dim4, dim4_rational, sl2_standard,
+            _sl2_lift(ly.Matrix.zero(3, 3)), _sl2_lift(diag)]
+
+
+def _random_wedge(rng, dim: int) -> ly.Wedge2:
+    return ly.Wedge2.from_flat(dim, [random_fraction(rng, 3, 2) if rng.random() < 0.6 else 0
+                                     for _ in ly.wedge_basis(dim)])
+
+
+def _random_invertible(rng, n: int) -> ly.Matrix:
+    while True:
+        m = random_matrix(rng, n, n, 2, 2)
+        try:
+            ly.inverse(m)
+            return m
+        except ValueError:
+            continue
+
+
+def _outcome(fn, *args):
+    """The result of a call, or the type and message of what it raised."""
+    try:
+        return fn(*args)
+    except Exception as exc:  # compared, not swallowed
+        return type(exc), str(exc), getattr(exc, "violation", None)
+
+
+def _assert_fractions(report: ly.AxiomReport) -> None:
+    for v in report.violations:
+        assert all(type(x) is Fraction for x in v.residual)
+
+
+class TestAgainstReference:
+    """Every check must report exactly what its reference reports: the same
+    violations in the same order, with the same args and residuals."""
+
+    def test_nijenhuis_operators(self, models, dim2: Model, sl2_standard: Model):
+        rng = random.Random(53)
+        cases = []
+        for m in models:
+            a = m.algebra
+            n = a.dim
+            cases += [(a, ly.Matrix.zero(n, n)), (a, ly.Matrix.identity(n).scale(fr(-3, 2)))]
+            cases += [(a, random_matrix(rng, n, n, 2, 2)) for _ in range(3)]
+        for m in (dim2, sl2_standard):
+            sd = ly.semidirect(m.algebra, m.rep)
+            lift = ly.lift_to_nijenhuis(m.op)
+            cases += [(sd, lift), (sd, lift + random_matrix(rng, sd.dim, sd.dim, 1, 1))]
+        invalid = 0
+        for a, n in cases:
+            report = ly.nijenhuis_operator_check(a, n)
+            assert report == ref.nijenhuis_operator_check(a, n)
+            _assert_fractions(report)
+            invalid += not report.valid
+            got, want = _outcome(ly.deformed_brackets, a, n), _outcome(ref.deformed_brackets, a, n)
+            assert got == want
+            if isinstance(got, ly.LYAlgebra):
+                assert got.basis_names == want.basis_names
+        assert 10 < invalid < len(cases)
+        with pytest.raises(ValueError, match="operator must be 2x2"):
+            ly.nijenhuis_operator_check(dim2.algebra, ly.Matrix.zero(3, 3))
+
+    def test_homomorphisms_and_conjugation(self, models, dim2: Model, dim4: Model):
+        rng = random.Random(59)
+        # rho vanishes, so a map of the module can fail mu before rho
+        z = ly.Matrix.zero(2, 2)
+        mu_only = ly.Representation(dim2.algebra, 2, [z, z],
+                                    [[dim2.rep.mu(i, j) for j in range(2)] for i in range(2)])
+        ops = [m.op for m in models] + [ly.RelRBO(dim2.algebra, mu_only, z, verified=True)]
+        # an automorphism of the binary bracket of dim4 that fails the ternary one
+        cases = [(dim4.op, ly.Matrix(((fr(2), 0, 0, 0), (0, fr(1), 0, 0),
+                                        (0, 0, fr(1), 0), (0, 0, 0, fr(2)))),
+                    ly.Matrix.identity(4))]
+        phi = ly.Matrix(((fr(3), fr(1)), (fr(0), fr(1))))
+        cases.append((dim2.op, phi, phi))
+        for o in ops:
+            m, v = o.algebra.dim, o.rep.dim_v
+            cases.append((o, ly.Matrix.identity(m), ly.Matrix.identity(v)))
+            cases.append((o, ly.Matrix.identity(m), _random_invertible(rng, v)))
+            cases.append((o, _random_invertible(rng, m), _random_invertible(rng, v)))
+            cases.append((o, ly.Matrix.identity(m), ly.Matrix.zero(v, v)))
+        invalid = 0
+        kinds = set()
+        for o, pg, pv in cases:
+            moved = _outcome(ly.conjugate_rbo, o, pg, pv)
+            assert moved == _outcome(ref.conjugate_rbo, o, pg, pv)
+            kinds.add(type(moved) if isinstance(moved, ly.RelRBO) else moved[0])
+            targets = [o] + ([moved] if isinstance(moved, ly.RelRBO) else [])
+            for o2 in targets:
+                report = ly.rbo_homomorphism_check(o, o2, pg, pv)
+                assert report == ref.rbo_homomorphism_check(o, o2, pg, pv)
+                _assert_fractions(report)
+                invalid += not report.valid
+        assert kinds == {ly.RelRBO, ly.NotAutomorphism, ly.NotIntertwining, ValueError}
+        assert invalid > len(cases) // 2
+
+    def test_nijenhuis_elements(self, models, dim2: Model):
+        rng = random.Random(61)
+        a, r = dim2.algebra, dim2.rep
+        # the adjoint action written out, and one that differs from it in mu only
+        written = ly.Representation(a, 2, [r.rho(i) for i in range(2)],
+                                    [[r.mu(i, j) for j in range(2)] for i in range(2)])
+        other = ly.Representation(a, 2, [r.rho(i) for i in range(2)],
+                                  [[r.mu(i, j).scale(fr(2)) for j in range(2)] for i in range(2)])
+        ops = [m.op for m in models] + [
+            ly.RelRBO(a, rep, dim2.op.t_matrix, verified=True) for rep in (written, other)]
+        failing = plain = total = 0
+        for o in ops:
+            dim = o.algebra.dim
+            elements = [ly.Wedge2.zero(dim), ly.Wedge2.basis(dim, 0, 1)]
+            elements += [_random_wedge(rng, dim) for _ in range(4)]
+            for x in elements:
+                total += 1
+                report = ly.nijenhuis_element_check(o, x)
+                assert report == ref.nijenhuis_element_check(o, x)
+                for _, rep in report.conditions + (report.plain_conditions or ()):
+                    _assert_fractions(rep)
+                failing += not report.is_nijenhuis
+                plain += report.plain_conditions is not None
+        # on the dim2 and dim4 examples every wedge element passes
+        assert failing > 12
+        assert 0 < plain < total
+
+    def test_equivalences(self, models):
+        rng = random.Random(67)
+        failing = 0
+        for m in models:
+            o = m.op
+            dim, shape = o.algebra.dim, (o.t_matrix.rows, o.t_matrix.cols)
+            zero = ly.TruncatedDeformation((o.t_matrix, ly.Matrix.zero(*shape)))
+            for _ in range(3):
+                x = _random_wedge(rng, dim)
+                d1 = ly.TruncatedDeformation((o.t_matrix, random_matrix(rng, *shape, 2, 2)))
+                for first, second in ((zero, d1), (d1, zero), (zero, zero)):
+                    report = ly.equivalence_check_linear(o, first, second, x)
+                    assert report == ref.equivalence_check_linear(o, first, second, x)
+                    _assert_fractions(report)
+                    failing += not report.valid
+            x = m.x
+            delta = ly.TruncatedDeformation((o.t_matrix, ly.rbo_delta0(o, x).as_matrix()))
+            report = ly.equivalence_check_linear(o, zero, delta, x)
+            assert report == ref.equivalence_check_linear(o, zero, delta, x)
+        assert failing > 20
+
+
+def test_every_reported_identity_names_its_spaces(models):
+    """Each label a check reports on failing input has an entry in the
+    identity table, whose spaces fit the violation's args and residual; and
+    every entry is reported by some check."""
+    rng = random.Random(71)
+    seen = set()
+
+    def record(report: ly.AxiomReport, dim_g: int, dim_v: int = 0) -> None:
+        dims = {"g": dim_g, "v": dim_v}
+        for v in report.violations:
+            assert len(v.arg_spaces) == len(v.args), v.identity
+            assert all(i < dims[space] for space, i in zip(v.arg_spaces, v.args)), v.identity
+            assert len(v.residual) == dims[v.residual_space], v.identity
+            seen.add(v.identity.split("@")[0])
+
+    def vec(n):
+        return [random_fraction(rng, 2, 1) for _ in range(n)]
+
+    for _ in range(3):
+        a = ly.LYAlgebra(3, binary={(i, j): vec(3) for i, j in ly.wedge_basis(3)},
+                         ternary={(0, 1, k): vec(3) for k in range(3)})
+        record(ly.check_lya(a), 3)
+    r = ly.Representation(a, 2, [random_matrix(rng, 2, 2, 2, 1) for _ in range(3)],
+                          [[random_matrix(rng, 2, 2, 2, 1) for _ in range(3)] for _ in range(3)])
+    record(ly.check_representation(r), 3, 2)
+    for m in models:
+        o, a, r = m.op, m.algebra, m.rep
+        n, v = a.dim, r.dim_v
+        record(ly.nijenhuis_operator_check(a, random_matrix(rng, n, n, 2, 2)), n)
+        record(ly.check_rbo(a, r, random_matrix(rng, n, v, 2, 2)), n, v)
+        other = ly.RelRBO(a, r, random_matrix(rng, n, v, 2, 2), verified=True)
+        record(ly.rbo_homomorphism_check(o, other, random_matrix(rng, n, n, 2, 2),
+                                         random_matrix(rng, v, v, 2, 2)), n, v)
+        direction = random_matrix(rng, n, v, 2, 2)
+        record(ly.linear_deformation_check(o, direction), n, v)
+        zero = ly.TruncatedDeformation((o.t_matrix, ly.Matrix.zero(n, v)))
+        linear = ly.TruncatedDeformation((o.t_matrix, direction))
+        record(ly.equivalence_check_linear(o, zero, linear, _random_wedge(rng, n)), n, v)
+        nrep = ly.nijenhuis_element_check(o, ly.Wedge2.basis(n, 0, 1))
+        for _, report in nrep.conditions:
+            record(report, n, v)
+    assert seen == set(structures._SPACES)
