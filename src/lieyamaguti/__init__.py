@@ -25,7 +25,7 @@ _EXPORTS = {
         "Cochain", "CohomologySummary", "ComplexContext", "cochain_dim",
         "coboundary", "coboundary_matrix", "cohomology_dims"), "complexes"),
     **dict.fromkeys((
-        "NotAutomorphism", "NotIntertwining", "RelRBO", "UnverifiedOperator",
+        "NotAutomorphism", "NotIntertwining", "NotRotaBaxter", "RelRBO", "UnverifiedOperator",
         "Wedge2", "check_rbo", "conjugate_rbo", "induced_lya_on_v",
         "induced_rep_on_g", "lift_to_nijenhuis", "pre_ly_products",
         "rbo_homomorphism_check"), "rbo"),

@@ -50,6 +50,7 @@ from .structures import (
     LYAlgebra,
     Representation,
     Violation,
+    _adjoint_tables,
     adjoint_rep,
     check_lya,
     check_representation,
@@ -66,6 +67,10 @@ class ParseError(Exception):
 
 class InvariantError(Exception):
     """The model file is well-formed but breaks a storage invariant."""
+
+
+class UsageError(Exception):
+    """A command-line value is outside what the command accepts."""
 
 
 # The algebra stores dense dim^2 and dim^3 tables of structure constants, so
@@ -94,6 +99,8 @@ def _parse_rat(x: Any, where: str) -> Fraction:
             return Fraction(x)
         except ZeroDivisionError:
             raise ParseError(f"{where}: zero denominator in {x!r}") from None
+        except ValueError as exc:  # more digits than int() converts
+            raise ParseError(f"{where}: {exc}") from None
     raise ParseError(f"{where}: expected a rational, got {type(x).__name__}")
 
 
@@ -147,9 +154,7 @@ class ModelFile(NamedTuple):
     def rep(self) -> Representation:
         if self.rep_kind is None:
             raise ParseError(f"{self.path}: file declares no representation")
-        if self.rep_kind == "adjoint":
-            return adjoint_rep(self.algebra)
-        return self.explicit_rep
+        return adjoint_rep(self.algebra) if self.rep_kind == "adjoint" else self.explicit_rep
 
     def require_operator(self) -> Matrix:
         if self.operator is None:
@@ -160,7 +165,7 @@ class ModelFile(NamedTuple):
 def parse_model(text: str, path: str = "<input>") -> ModelFile:
     try:
         data = json.loads(text)
-    except json.JSONDecodeError as exc:
+    except ValueError as exc:  # JSONDecodeError, or an integer with too many digits
         raise ParseError(f"{path}: invalid JSON: {exc}") from None
     if not isinstance(data, dict):
         raise ParseError(f"{path}: top level must be an object")
@@ -305,7 +310,7 @@ def _load_model(path: str) -> ModelFile:
         try:
             with open(path, "r", encoding="utf-8") as fh:
                 return parse_model(fh.read(), path)
-        except OSError as exc:
+        except (OSError, UnicodeDecodeError) as exc:
             raise ParseError(f"{path}: {exc}") from None
     if os.path.basename(path) == path:
         res = resources.files("lieyamaguti").joinpath("data", path)
@@ -325,14 +330,9 @@ def _bundled_names() -> List[str]:
 def _combo(vec: Vector, names: Sequence[str]) -> str:
     parts = []
     for c, n in zip(vec, names):
-        if not c:
-            continue
-        if not parts:
-            sign = "-" if c < 0 else ""
-        else:
-            sign = " - " if c < 0 else " + "
-        c = abs(c)
-        parts.append(f"{sign}{n}" if c == 1 else f"{sign}{rat_str(c)}*{n}")
+        if c:
+            sign = (" - " if c < 0 else " + ") if parts else ("-" if c < 0 else "")
+            parts.append(f"{sign}{n}" if abs(c) == 1 else f"{sign}{rat_str(abs(c))}*{n}")
     return "".join(parts) if parts else "0"
 
 
@@ -429,11 +429,13 @@ def _text_lines(value: Any, indent: int = 0) -> List[str]:
 # -- commands -----------------------------------------------------------------
 
 def _validated_rep(model: ModelFile) -> Representation:
-    """Representation of a validated algebra, itself validated."""
+    """Representation of a validated algebra, validated too unless adjoint."""
     alg_report = check_lya(model.algebra)
     if not alg_report.valid:
         first = alg_report.violations[0]
         raise InvalidAlgebra(f"algebra fails {first.identity} at basis tuple {first.args}")
+    if model.rep_kind == "adjoint":
+        return Representation(model.algebra, model.algebra.dim, *_adjoint_tables(model.algebra))
     r = model.rep()
     rep_report = check_representation(r)
     if not rep_report.valid:
@@ -484,11 +486,10 @@ def _cmd_check_rbo(model: ModelFile) -> Report:
 def _cmd_cohomology(model: ModelFile, args) -> Report:
     degree = args.degree
     if degree < 1:
-        raise ValueError(f"cohomology degree must be >= 1, got {degree}")
+        raise UsageError(f"cohomology degree must be >= 1, got {degree}")
     if degree > 3 and not args.force:
-        raise ValueError(
-            f"degree {degree} cochain spaces grow exponentially; "
-            f"pass --force to compute anyway")
+        raise UsageError(f"degree {degree} cochain spaces grow exponentially; "
+                         f"pass --force to compute anyway")
     details: Dict[str, Any] = {"degree": degree}
     r = _validated_rep(model)
     if args.rbo:
@@ -507,10 +508,8 @@ def _cmd_cohomology(model: ModelFile, args) -> Report:
         summary = cohomology_dims(ctx, degree)
         details["complex"] = "bare"
         kernel_matrix = coboundary_matrix(ctx, degree) if args.kernel_dump else None
-    details["dim_cochains"] = summary.dim_cochains
-    details["dim_cocycles"] = summary.dim_cocycles
-    details["dim_coboundaries"] = summary.dim_coboundaries
-    details["dim_h"] = summary.dim_h
+    for key in ("dim_cochains", "dim_cocycles", "dim_coboundaries", "dim_h"):
+        details[key] = getattr(summary, key)
     if kernel_matrix is not None:
         _, kernel = rank_kernel(kernel_matrix)
         details["kernel_basis"] = [[rat_str(x) for x in vec] for vec in kernel]
@@ -594,7 +593,7 @@ def _cmd_deform(model: ModelFile, args) -> Report:
     # extend
     target = args.max_order if args.max_order is not None else d.order + 1
     if target <= d.order:
-        raise ValueError(f"--max-order must exceed the current order {d.order}")
+        raise UsageError(f"--max-order must exceed the current order {d.order}")
     start = d.order
     stuck: Optional[int] = None
     while d.order < target:
@@ -705,15 +704,15 @@ def _dispatch(args) -> Report:
 
 
 def _input_errors() -> Tuple[type, ...]:
-    """Exceptions that mean the input is unusable (exit 2). An `except`
-    clause evaluates this only while matching a raised exception, so a
-    command that succeeds never imports `rbo` or `deformation` for it."""
-    from .rbo import UnverifiedOperator
+    """Exceptions that mean the input is unusable (exit 2); any other, a
+    `ValueError` included, is a fault in lyat (exit 3). Evaluated only while
+    an `except` clause matches, so a command that succeeds never imports
+    `rbo` or `deformation` for it."""
+    from .rbo import NotRotaBaxter, UnverifiedOperator
     from .deformation import NotLinearDeformation, NotNijenhuisElement, NotOrderN
 
-    return (ParseError, InvariantError, InvalidAlgebra, InvalidRepresentation,
-            UnverifiedOperator, NotOrderN, NotNijenhuisElement,
-            NotLinearDeformation, ValueError)
+    return (ParseError, InvariantError, UsageError, InvalidAlgebra, InvalidRepresentation,
+            NotRotaBaxter, UnverifiedOperator, NotOrderN, NotNijenhuisElement, NotLinearDeformation)
 
 
 def main(argv: Optional[Sequence[str]] = None) -> int:

@@ -11,10 +11,15 @@ The two differentials (delta_I into the f-slot, delta_II into the g-slot)
 follow a fixed sign convention; the D-type sum of delta_I stops at slot n
 while that of delta_II runs to slot n+1. Both are written once, in
 `_coboundary_rows`, which walks the output coordinates of the flat layout and
-emits the sparse (input index, coefficient) pairs of each. `coboundary`
-applies those rows to a flattened cochain and `coboundary_matrix` densifies
-them. The tests compare both against an independent term-by-term evaluation
-on cochains and check that consecutive differentials compose to zero.
+emits the nonzero {input index: coefficient} entries of each in integers, Q =
+q^2 times the exact ones: every term reads one table scaled as `structures`
+explains, [.,.] and rho (weight 1, scaled by q) with one more factor q, or
+<.,.,.>, mu and D (weight 2, scaled by q^2). `coboundary` applies the rows to
+a flattened cochain and `coboundary_matrix` densifies them, both dividing by
+Q; `cohomology_dims` takes the ranks of the integer rows as they are, with no
+dense matrix. The tests compare the rows against an independent term-by-term
+evaluation on cochains and check that consecutive differentials compose to
+zero.
 """
 
 from __future__ import annotations
@@ -23,11 +28,15 @@ import itertools
 from fractions import Fraction
 from typing import Dict, List, NamedTuple, Optional, Sequence, Tuple
 
-from .linalg import Matrix, Vector, is_zero_vector, rank_kernel, rat, vzero
+from .linalg import IntRow, Matrix, Vector, _rank, is_zero_vector, rat, vzero
 from .structures import (
     InvalidRepresentation,
     LYAlgebra,
     Representation,
+    Scaled,
+    _algebra_tables,
+    _scaled_matrix,
+    _structure_lcm,
     check_representation,
     wedge_basis,
 )
@@ -42,9 +51,6 @@ __all__ = [
     "cohomology_dims",
     "CohomologySummary",
 ]
-
-Sparse = List[Tuple[int, Fraction]]  # (index, coefficient) pairs, coefficient != 0
-
 
 class CohomologySummary(NamedTuple):
     degree: int
@@ -163,34 +169,26 @@ class Cochain(NamedTuple):
         return self.g_part is None or all(is_zero_vector(v) for v in self.g_part)
 
 
-def _wedge_decompose(ctx: ComplexContext, u: Vector, v: Vector) -> Dict[int, Fraction]:
-    """Coefficients of u ^ v over the wedge basis: coeff(i,j) = u_i v_j - u_j v_i."""
-    out: Dict[int, Fraction] = {}
-    for idx, (i, j) in enumerate(ctx.wedge):
-        c = u[i] * v[j] - u[j] * v[i]
-        if c:
-            out[idx] = c
-    return out
-
-
-def _compose_wedges(ctx: ComplexContext, wk: int, wl: int) -> Sparse:
-    """The composed wedge argument <x_k,y_k,x_l> ^ y_l + x_l ^ <x_k,y_k,y_l>,
-    expanded over the wedge basis."""
-    a = ctx.algebra
+def _compose_wedges(ctx: ComplexContext, t: List[List[List[Scaled]]], wk: int, wl: int) -> Scaled:
+    """The composed wedge argument <x_k,y_k,x_l> ^ y_l + x_l ^ <x_k,y_k,y_l>
+    over the wedge basis, from the ternary table t scaled by q^2."""
     xk, yk = ctx.wedge[wk]
     xl, yl = ctx.wedge[wl]
-    acc: Dict[int, Fraction] = {}
-    for idx, c in _wedge_decompose(ctx, a.triple_basis(xk, yk, xl), a.basis(yl)).items():
-        acc[idx] = acc.get(idx, Fraction(0)) + c
-    for idx, c in _wedge_decompose(ctx, a.basis(xl), a.triple_basis(xk, yk, yl)).items():
-        acc[idx] = acc.get(idx, Fraction(0)) + c
+    acc: Dict[int, int] = {}
+    # u ^ e_y is u_s at e_s ^ e_y for s < y and -u_s at e_y ^ e_s for s > y;
+    # x_l ^ u is -(u ^ e_xl)
+    for u, y, sign in ((t[xk][yk][xl], yl, 1), (t[xk][yk][yl], xl, -1)):
+        for s, x in u:
+            if s != y:
+                idx = ctx.wedge_index(min(s, y), max(s, y))
+                acc[idx] = acc.get(idx, 0) + (sign * x if s < y else -sign * x)
     return [(idx, c) for idx, c in sorted(acc.items()) if c]
 
 
-def _coboundary_rows(ctx: ComplexContext, p: int) -> List[Sparse]:
-    """The differential leaving degree p, row by row: for each coordinate of
-    a degree-(p+1) cochain, its nonzero (input index, coefficient) pairs in
-    increasing index order.
+def _coboundary_rows(ctx: ComplexContext, p: int) -> Tuple[int, List[IntRow]]:
+    """The differential leaving degree p, row by row, in integers: Q and, for
+    each coordinate of a degree-(p+1) cochain, its nonzero {input index:
+    coefficient} entries, each Q times the exact one.
 
     Every term of delta reads one value vector of the input, at a block
     position ("slot") of the flat layout, and maps it into the output value
@@ -198,22 +196,21 @@ def _coboundary_rows(ctx: ComplexContext, p: int) -> List[Sparse]:
     (structure constants, composed wedges)."""
     a, r = ctx.algebra, ctx.rep
     m, v, w = ctx.m, ctx.v, ctx.w
+    q = _structure_lcm(r)
+    b, t = _algebra_tables(a, q)
 
-    def nonzeros(mat: Matrix) -> List[Tuple[int, int, Fraction]]:
-        return [(i, j, x) for i, row in enumerate(mat.entries) for j, x in enumerate(row) if x]
+    def nonzeros(mat: Matrix, s: int) -> List[Tuple[int, int, int]]:
+        return [(i, j, x) for i, row in enumerate(_scaled_matrix(mat, s)) for j, x in row]
 
-    def scalars(vec: Vector) -> Sparse:
-        return [(k, x) for k, x in enumerate(vec) if x]
-
-    rho = [nonzeros(r.rho(i)) for i in range(m)]
-    mu = [[nonzeros(r.mu(i, z)) for z in range(m)] for i in range(m)]
-    d = [nonzeros(r.d_basis(i, j)) for (i, j) in ctx.wedge]
-    rows: List[Sparse] = []
+    rho = [nonzeros(r.rho(i), q) for i in range(m)]
+    mu = [[nonzeros(r.mu(i, z), q * q) for z in range(m)] for i in range(m)]
+    d = [nonzeros(r.d_basis(i, j), q * q) for (i, j) in ctx.wedge]
+    rows: List[IntRow] = []
 
     def emit(ops, scals) -> None:
         """One output value vector: ops are (sign, matrix nonzeros, slot),
         scals are (coefficient, slot)."""
-        acc: List[Dict[int, Fraction]] = [{} for _ in range(v)]
+        acc: List[IntRow] = [{} for _ in range(v)]
         for sign, entries, slot in ops:
             base = slot * v
             for i, j, x in entries:
@@ -222,31 +219,30 @@ def _coboundary_rows(ctx: ComplexContext, p: int) -> List[Sparse]:
             base = slot * v
             for i in range(v):
                 acc[i][base + i] = acc[i].get(base + i, 0) + co
-        rows.extend([(k, c) for k, c in sorted(row.items()) if c] for row in acc)
+        rows.extend({k: c for k, c in row.items() if c} for row in acc)
 
     if p == 1:
         # dI f(x, y) = rho(x) f(y) - rho(y) f(x) - f([x, y])
         for (i, j) in ctx.wedge:
-            emit([(1, rho[i], j), (-1, rho[j], i)],
-                 [(-co, k) for k, co in scalars(a.bracket_basis(i, j))])
+            emit([(q, rho[i], j), (-q, rho[j], i)], [(-q * co, k) for k, co in b[i][j]])
         # dII f(x, y, z) = D(x, y) f(z) + mu(y, z) f(x) - mu(x, z) f(y) - f(<x, y, z>)
         for widx, (i, j) in enumerate(ctx.wedge):
             for z in range(m):
                 emit([(1, d[widx], z), (1, mu[j][z], i), (-1, mu[i][z], j)],
-                     [(-co, k) for k, co in scalars(a.triple_basis(i, j, z))])
-        return rows
+                     [(-co, k) for k, co in t[i][j][z]])
+        return q * q, rows
 
     n = p - 1  # number of wedge slots of the input
     nf = w ** n
     sign_n = (-1) ** n
-    comp = [[_compose_wedges(ctx, wk, wl) for wl in range(w)] for wk in range(w)]
-    bracket = [scalars(a.bracket_basis(i, j)) for (i, j) in ctx.wedge]
-    triple = [[scalars(a.triple_basis(i, j, z)) for z in range(m)] for (i, j) in ctx.wedge]
+    comp = [[_compose_wedges(ctx, t, wk, wl) for wl in range(w)] for wk in range(w)]
+    bracket = [b[i][j] for (i, j) in ctx.wedge]
+    triple = [[t[i][j][z] for z in range(m)] for (i, j) in ctx.wedge]
 
     def f_slot(ws: Sequence[int]) -> int:
         out = 0
-        for t in ws:
-            out = out * w + t
+        for wt in ws:
+            out = out * w + wt
         return out
 
     def g_slot(ws: Sequence[int], z: int) -> int:
@@ -257,8 +253,8 @@ def _coboundary_rows(ctx: ComplexContext, p: int) -> List[Sparse]:
         and wedge tuple of every term."""
         for k0 in range(n + 1):
             for l0 in range(k0 + 1, n + 1):
-                for t, co in comp[ws[k0]][ws[l0]]:
-                    yield (-1) ** (k0 + 1) * co, ws[:k0] + ws[k0 + 1:l0] + (t,) + ws[l0 + 1:]
+                for wt, co in comp[ws[k0]][ws[l0]]:
+                    yield (-1) ** (k0 + 1) * co, ws[:k0] + ws[k0 + 1:l0] + (wt,) + ws[l0 + 1:]
 
     tuples = list(itertools.product(range(w), repeat=n + 1))
     for ws in tuples:
@@ -266,8 +262,8 @@ def _coboundary_rows(ctx: ComplexContext, p: int) -> List[Sparse]:
         head = ws[:n]
         # (-1)^n ( rho(x_{n+1}) g(..., y_{n+1}) - rho(y_{n+1}) g(..., x_{n+1})
         #          - g(..., [x_{n+1}, y_{n+1}]) )
-        ops = [(sign_n, rho[xe], g_slot(head, ye)), (-sign_n, rho[ye], g_slot(head, xe))]
-        scals = [(-sign_n * co, g_slot(head, zc)) for zc, co in bracket[ws[-1]]]
+        ops = [(sign_n * q, rho[xe], g_slot(head, ye)), (-sign_n * q, rho[ye], g_slot(head, xe))]
+        scals = [(-sign_n * q * co, g_slot(head, zc)) for zc, co in bracket[ws[-1]]]
         # sum_{k=1}^{n} (-1)^{k+1} D(x_k,y_k) f(... hat k ...)
         ops += [((-1) ** k0, d[ws[k0]], f_slot(ws[:k0] + ws[k0 + 1:])) for k0 in range(n)]
         scals += [(co, f_slot(ts)) for co, ts in composed(ws)]
@@ -288,7 +284,7 @@ def _coboundary_rows(ctx: ComplexContext, p: int) -> List[Sparse]:
             scals += [((-1) ** (k0 + 1) * co, g_slot(rest, zz))
                       for k0, rest in enumerate(rests) for zz, co in triple[ws[k0]][z]]
             emit(ops, scals)
-    return rows
+    return q * q, rows
 
 
 def coboundary(ctx: ComplexContext, c: Cochain) -> Cochain:
@@ -302,8 +298,9 @@ def coboundary(ctx: ComplexContext, c: Cochain) -> Cochain:
             or any(len(val) != ctx.v for val in c.f_part + (c.g_part or ())):
         raise ValueError(f"malformed degree-{p} cochain")
     flat = c.flatten()
+    qq, rows = _coboundary_rows(ctx, p)
     zero = Fraction(0)
-    image = [sum((co * flat[k] for k, co in row), zero) for row in _coboundary_rows(ctx, p)]
+    image = [sum((co * flat[k] for k, co in row.items()), zero) / qq for row in rows]
     return Cochain.from_flat(ctx, p + 1, image)
 
 
@@ -311,14 +308,20 @@ def coboundary_matrix(ctx: ComplexContext, p: int) -> Matrix:
     """Matrix of the degree-p differential over the flat cochain bases:
     cochain_dim(p) columns, cochain_dim(p+1) rows."""
     dim_in = cochain_dim(ctx, p)
+    qq, rows = _coboundary_rows(ctx, p)
     zero = Fraction(0)  # one shared zero: the matrix is mostly empty
     entries = []
-    for row in _coboundary_rows(ctx, p):
+    for row in rows:
         dense = [zero] * dim_in
-        for k, co in row:
-            dense[k] = co
+        for k, co in row.items():
+            dense[k] = Fraction(co, qq)
         entries.append(dense)
     return Matrix(entries, cols=dim_in)
+
+
+def _delta_rank(ctx: ComplexContext, p: int) -> int:
+    """Rank of the degree-p differential, from its integer rows."""
+    return _rank(_coboundary_rows(ctx, p)[1])
 
 
 def cohomology_dims(ctx: ComplexContext, p: int) -> CohomologySummary:
@@ -329,11 +332,7 @@ def cohomology_dims(ctx: ComplexContext, p: int) -> CohomologySummary:
     plain cocycles.
     """
     dim_c = cochain_dim(ctx, p)
-    rank_p, _ = rank_kernel(coboundary_matrix(ctx, p))
-    dim_z = dim_c - rank_p
-    if p >= 2:
-        dim_b, _ = rank_kernel(coboundary_matrix(ctx, p - 1))
-    else:
-        dim_b = 0
+    dim_z = dim_c - _delta_rank(ctx, p)
+    dim_b = _delta_rank(ctx, p - 1) if p >= 2 else 0
     return CohomologySummary(degree=p, dim_cochains=dim_c, dim_cocycles=dim_z,
                              dim_coboundaries=dim_b, dim_h=dim_z - dim_b)

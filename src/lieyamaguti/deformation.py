@@ -22,11 +22,11 @@ from __future__ import annotations
 import itertools
 from typing import Iterator, NamedTuple, Optional, Tuple
 
-from .linalg import Matrix, rank_kernel, solve_linear, vadd, vneg, vsub
+from .linalg import Matrix, solve_linear, vadd, vneg, vsub
 from .structures import AxiomReport, Term, Violation, _adjoint_tables, wedge_basis
 from .complexes import Cochain, coboundary
 from .rbo import RelRBO, Wedge2, _expansion, _require_verified, _violations
-from .rbo_cohomology import RboComplex, rbo_coboundary_matrix, rbo_delta0
+from .rbo_cohomology import RboComplex, rbo_coboundary_matrix, rbo_cohomology_dims, rbo_delta0
 
 __all__ = [
     "NotNijenhuisElement",
@@ -362,10 +362,8 @@ def pre_ly_deformation_terms(o: RelRBO, frak_t: Matrix) -> Tuple[tuple, tuple, t
 def rigidity_probe(o: RelRBO) -> RigidityProbe:
     """Dimensions of the degree-1 cocycle space and of the image of wedge
     elements under delta, plus whether the image exhausts the cocycles."""
-    rc = RboComplex.build(o)
-    _, kernel = rank_kernel(rbo_coboundary_matrix(rc, 1))
-    image_rank, _ = rank_kernel(rbo_coboundary_matrix(rc, 0))
+    h1 = rbo_cohomology_dims(RboComplex.build(o), 1)
     # delta^1 o delta^0 = 0 puts the image inside the cocycles, so it
     # exhausts them exactly when the dimensions agree
-    return RigidityProbe(dim_z1=len(kernel), dim_delta_image=image_rank,
-                         nijenhuis_image_contained=len(kernel) == image_rank)
+    return RigidityProbe(dim_z1=h1.dim_cocycles, dim_delta_image=h1.dim_coboundaries,
+                         nijenhuis_image_contained=h1.dim_h == 0)

@@ -7,24 +7,25 @@ solves, so all scalars are `fractions.Fraction` and nothing here rounds.
 Matrices act on column vectors: ``apply(x)[r] == sum_c entries[r][c] * x[c]``.
 Vectors are plain tuples of Fraction.
 
-`rank_kernel`, `solve_linear` and `inverse` share one elimination, `_rref`.
-Rows are held as ``{column: value}`` dicts of their nonzero entries and
-enter one at a time. Each is reduced against the pivot rows found so far,
-which are kept fully reduced, so only the pivot columns the row itself holds
-need work; a row that vanishes is dropped, otherwise its first column
-becomes a new pivot and is cleared from the other pivot rows. Zeros are never
-touched, which matters for the coboundary matrices: tall, sparse, and of low
-rank.
+`rank_kernel`, `solve_linear` and `inverse` scale each row of their matrix
+to integers by the LCM of its denominators (`_int_rows`), which keeps its
+reduced row echelon form, and share one elimination, `_rref`, of sparse
+integer rows ``{column: nonzero value}``; callers that need only a rank hand
+their own integer rows to `_rank`, and no dense matrix is built. Rows enter
+one at a time, each reduced against the pivot rows found so far, which are
+kept fully reduced; a row that vanishes is dropped, otherwise its first
+column becomes a new pivot and is cleared from the other pivot rows. Zeros
+are never touched, which matters for the tall, sparse, low-rank coboundary
+matrices.
 
-The elimination runs modulo the prime P = 2**61 - 1 on the rows scaled to
-integers (each by the LCM of its denominators), so no entry grows beyond
-61 bits. Every entry of the result is then lifted to the rational n/d with
-|n|, d <= isqrt(P // 2) that it represents (rational reconstruction), and
-the lift is certified over Q: every integer input row must have a zero
-integer dot product with every free-column kernel vector of the lifted form,
-scaled to integers. If a lift fails or a product is nonzero, the same
-elimination runs again in exact `Fraction` arithmetic (`_rref_exact`); that
-is also the only path for inputs whose reduced entries exceed the bound.
+The elimination runs modulo the prime P = 2**61 - 1, so no entry grows
+beyond 61 bits. Every entry of the result is lifted to the rational n/d with
+|n|, d <= isqrt(P // 2) that it represents (rational reconstruction), and the
+lift is certified over Q: every input row must have a zero integer dot
+product with every free-column kernel vector of the lifted form, scaled to
+integers. If a lift fails or a product is nonzero, the same elimination runs
+in exact `Fraction` arithmetic (`_rref_exact`); that is also the only path
+for inputs whose reduced entries exceed the bound.
 
 Why a certified result is exact: the rank modulo P of an integer matrix is
 at most its rank over Q, and the certificate exhibits as many independent
@@ -32,10 +33,10 @@ rational kernel vectors as the modular form has free columns, so the two
 ranks agree. A lift keeps zeros and nonzeros where they are, so the lifted
 rows are in reduced row echelon form; they annihilate the whole kernel, so
 they span the row space, and the reduced row echelon form of a matrix is
-unique. Every output (the rank, the free-column
-kernel basis, the solution with free variables set to zero, the inverse) is
-therefore exactly the rational one, whichever path computed it and in
-whatever order the rows were eliminated.
+unique. Every output (the rank, the free-column kernel basis, the solution
+with free variables set to zero, the inverse) is therefore exactly the
+rational one, whichever path computed it and in whatever order the rows
+were eliminated.
 """
 
 from __future__ import annotations
@@ -168,10 +169,6 @@ class Matrix:
         return cls([[rat(columns[j][i]) for j in range(len(columns))] for i in range(nrows)],
                    cols=len(columns))
 
-    @classmethod
-    def from_function(cls, rows: int, cols: int, entry) -> "Matrix":
-        return cls([[entry(i, j) for j in range(cols)] for i in range(rows)], cols=cols)
-
     def row(self, i: int) -> Vector:
         return self.entries[i]
 
@@ -235,10 +232,6 @@ class Matrix:
         c = rat(c)
         return Matrix([[c * a for a in r] for r in self.entries], cols=self.cols)
 
-    def transpose(self) -> "Matrix":
-        return Matrix([[self.entries[i][j] for i in range(self.rows)]
-                       for j in range(self.cols)], cols=self.rows)
-
     def is_zero(self) -> bool:
         return all(a == 0 for r in self.entries for a in r)
 
@@ -260,6 +253,7 @@ def commutator(a: Matrix, b: Matrix) -> Matrix:
 
 
 SparseRow = Dict[int, Fraction]
+IntRow = Dict[int, int]  # nonzero entries only
 
 # The elimination runs modulo this Mersenne prime. A lift recovers n/d only
 # when |n| and d are at most _BOUND, so that 2 * _BOUND**2 < P makes it
@@ -278,7 +272,7 @@ def _subtract(target: SparseRow, f: Fraction, row: SparseRow) -> None:
             del target[c]
 
 
-def _rref_exact(rows: Iterable[Dict[int, int]]) -> Dict[int, SparseRow]:
+def _rref_exact(rows: Iterable[IntRow]) -> Dict[int, SparseRow]:
     """Reduced row echelon form of sparse integer `rows` in `Fraction`
     arithmetic, built one row at a time.
 
@@ -306,7 +300,7 @@ def _rref_exact(rows: Iterable[Dict[int, int]]) -> Dict[int, SparseRow]:
     return basis
 
 
-def _rref_mod(rows: Iterable[Dict[int, int]]) -> Dict[int, Dict[int, int]]:
+def _rref_mod(rows: Iterable[IntRow]) -> Dict[int, Dict[int, int]]:
     """`_rref_exact` over the integers modulo P: the same incremental, fully
     reduced elimination, with entries in range(1, P)."""
     basis: Dict[int, Dict[int, int]] = {}
@@ -351,7 +345,7 @@ def _lift(u: int) -> Optional[Fraction]:
     return Fraction(r1, t1)
 
 
-def _certified(rows: Iterable[Dict[int, int]], basis: Dict[int, SparseRow]) -> bool:
+def _certified(rows: Iterable[IntRow], basis: Dict[int, SparseRow]) -> bool:
     """Whether every integer row is orthogonal to every free-column kernel
     vector of `basis`, each scaled to integers.
 
@@ -380,20 +374,21 @@ def _certified(rows: Iterable[Dict[int, int]], basis: Dict[int, SparseRow]) -> b
     return True
 
 
-def _rref(rows: Iterable[Sequence[Fraction]]) -> Dict[int, SparseRow]:
-    """Reduced row echelon form of `rows`, in the format of `_rref_exact`.
-
-    Each row is scaled to integers by the LCM of its denominators and
-    reduced modulo P; every entry of the result is lifted to a rational and
-    the lifted form is accepted only when `_certified` proves it exact.
-    Otherwise `_rref_exact` computes it from the integer rows, which have
-    the same reduced row echelon form.
-    """
+def _int_rows(rows: Iterable[Sequence[Fraction]]) -> List[IntRow]:
+    """The nonzero entries of each rational row, scaled to integers by the
+    LCM of their denominators."""
     ints = []
     for dense in rows:
         row = {c: x for c, x in enumerate(dense) if x}
         q = lcm(*(x.denominator for x in row.values()))
         ints.append({c: x.numerator * (q // x.denominator) for c, x in row.items()})
+    return ints
+
+
+def _rref(ints: Sequence[IntRow]) -> Dict[int, SparseRow]:
+    """Reduced row echelon form of the integer rows `ints`, in the format of
+    `_rref_exact`: reduced modulo P and lifted, or, when `_certified` cannot
+    prove the lift exact, computed by `_rref_exact`."""
     lifted: Dict[int, SparseRow] = {}
     for pc, row in _rref_mod(ints).items():
         lifted[pc] = out = {}
@@ -407,6 +402,11 @@ def _rref(rows: Iterable[Sequence[Fraction]]) -> Dict[int, SparseRow]:
     return lifted
 
 
+def _rank(ints: Sequence[IntRow]) -> int:
+    """Rank of the integer rows `ints`, with no dense matrix or kernel."""
+    return len(_rref(ints))
+
+
 def rank_kernel(m: Matrix) -> Tuple[int, List[Vector]]:
     """Rank and a kernel basis.
 
@@ -414,7 +414,7 @@ def rank_kernel(m: Matrix) -> Tuple[int, List[Vector]]:
     vector per non-pivot column, with a 1 in that column. Deterministic for
     a given matrix.
     """
-    basis = _rref(m.entries)
+    basis = _rref(_int_rows(m.entries))
     free = {fc: [Fraction(0)] * m.cols for fc in range(m.cols) if fc not in basis}
     for pc, row in basis.items():
         for fc, x in row.items():
@@ -431,7 +431,7 @@ def solve_linear(a: Matrix, b: Vector) -> Optional[Vector]:
     """
     if len(b) != a.rows:
         raise ValueError(f"rhs length {len(b)} does not match {a.rows} rows")
-    basis = _rref(r + (rat(x),) for r, x in zip(a.entries, b))
+    basis = _rref(_int_rows(r + (rat(x),) for r, x in zip(a.entries, b)))
     if a.cols in basis:
         return None
     x = [Fraction(0)] * a.cols
@@ -446,7 +446,7 @@ def inverse(m: Matrix) -> Matrix:
         raise ValueError("only square matrices can be inverted")
     n = m.rows
     aug = (r + tuple(Fraction(int(i == j)) for j in range(n)) for i, r in enumerate(m.entries))
-    basis = _rref(aug)
+    basis = _rref(_int_rows(aug))
     # [m | I] has rank n; its pivots are exactly 0..n-1 iff m is invertible,
     # and then the left half reduces to the identity and the right half to
     # the inverse

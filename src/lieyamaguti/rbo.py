@@ -52,6 +52,7 @@ from .structures import (
 )
 
 __all__ = [
+    "NotRotaBaxter",
     "UnverifiedOperator",
     "NotIntertwining",
     "NotAutomorphism",
@@ -65,6 +66,10 @@ __all__ = [
     "rbo_homomorphism_check",
     "conjugate_rbo",
 ]
+
+
+class NotRotaBaxter(ValueError):
+    """`RelRBO.build` was given an operator that fails `check_rbo`."""
 
 
 class UnverifiedOperator(Exception):
@@ -114,7 +119,7 @@ class RelRBO(_RelRBOFields):
         report = check_rbo(algebra, rep, t_matrix)
         if not report.valid:
             first = report.violations[0]
-            raise ValueError(
+            raise NotRotaBaxter(
                 f"not a relative Rota-Baxter operator: fails {first.identity} at {first.args}")
         return cls(algebra, rep, t_matrix, verified=True)
 
@@ -139,6 +144,20 @@ def check_rbo(a: LYAlgebra, r: Representation, t: Matrix) -> AxiomReport:
 Residuals = Dict[int, Tuple[Dict[Tuple[int, int], Vector], Dict[Tuple[int, int, int], Vector]]]
 
 
+def _tables(a: LYAlgebra, r: Representation, terms: Sequence[Matrix]):
+    """q and the engine's scaled tables: those of `_algebra_tables`, T_s u_c
+    as [s][c], and column c of rho(e_p), mu(e_p, e_p2), D(e_p, e_p2) as [c][p](p2)."""
+    grng, vrng = range(a.dim), range(r.dim_v)
+    q = _structure_lcm(r, *terms)
+    q2 = q * q
+    b, t = _algebra_tables(a, q)
+    tc = [[_scaled(term.column(c), q) for c in vrng] for term in terms]
+    rho = [[_scaled(r.rho(p).column(c), q) for p in grng] for c in vrng]
+    mu = [[[_scaled(r.mu(p, p2).column(c), q2) for p2 in grng] for p in grng] for c in vrng]
+    d = [[[_scaled(r.d_basis(p, p2).column(c), q2) for p2 in grng] for p in grng] for c in vrng]
+    return q, b, t, tc, rho, mu, d
+
+
 def _expansion(a: LYAlgebra, r: Representation, terms: Sequence[Matrix],
                orders: Iterable[int]) -> Tuple[Residuals, Tuple[Dict, Dict]]:
     """The t^s coefficients of both identities for T_t = sum_s t^s terms[s],
@@ -156,17 +175,11 @@ def _expansion(a: LYAlgebra, r: Representation, terms: Sequence[Matrix],
     (relabel j <-> k), so u < v suffices.
     """
     m, v = a.dim, r.dim_v
-    grng, vrng = range(m), range(v)
+    vrng = range(v)
     top = len(terms) - 1
     orders = tuple(orders)
-    q = _structure_lcm(r, *terms)
+    q, b, t, tc, rho, mu, d = _tables(a, r, terms)
     q2 = q * q
-    b, t = _algebra_tables(a, q)
-    tc = [[_scaled(term.column(c), q) for c in vrng] for term in terms]  # T_s u_c
-    # column c of rho(e_p), mu(e_p, e_p2) and D(e_p, e_p2), indexed [c][p](p2)
-    rho = [[_scaled(r.rho(p).column(c), q) for p in grng] for c in vrng]
-    mu = [[[_scaled(r.mu(p, p2).column(c), q2) for p2 in grng] for p in grng] for c in vrng]
-    d = [[[_scaled(r.d_basis(p, p2).column(c), q2) for p2 in grng] for p in grng] for c in vrng]
     pairs = wedge_basis(v)
     triples = [(b1, b2, b3) for b1, b2 in pairs for b3 in vrng]
 
@@ -263,36 +276,36 @@ def induced_rep_on_g(o: RelRBO) -> Representation:
 
     It is a valid representation, and its derived D action has the closed form
         D'(u, v) x = <Tu, Tv, x> - T( mu(Tv, x) u - mu(Tu, x) v )
-    (both checked by the tests)."""
+    (both checked by the tests). Evaluated on the engine's integer tables:
+    rho' has weight 2 and mu' weight 4."""
     _require_verified(o)
     sub = induced_lya_on_v(o)
-    a, r, t = o.algebra, o.rep, o.t_matrix
+    a, r = o.algebra, o.rep
     m, v = a.dim, r.dim_v
-    timg = [o.column(b) for b in range(v)]
-    bas = [a.basis(i) for i in range(m)]
-    # D(e_c, Tu) and mu(e_c, Tu), built once for each basis vector and image
-    d_xt = [[r.d_of(x, y) for y in timg] for x in bas]
-    mu_xt = [[r.mu_of(x, y) for y in timg] for x in bas]
+    q, b, t, (tc,), rho, mu, d = _tables(a, r, (o.t_matrix,))
 
-    rho2 = []
-    for b in range(v):
-        cols = [vadd(a.bracket(timg[b], bas[c]), t.apply(r.rho(c).column(b)))
-                for c in range(m)]
-        rho2.append(Matrix.from_columns(cols, rows=m))
+    def rho2(u: int, c: int) -> List[int]:
+        acc = [0] * m
+        _comb(acc, -1, tc[u], b[c])              # [Tu, e_c] = -[e_c, Tu]
+        _comb(acc, 1, rho[u][c], tc)             # T( rho(e_c) u )
+        return acc
 
-    mu2 = []
-    for b1 in range(v):
-        row = []
-        for b2 in range(v):
-            cols = []
-            for c in range(m):
-                val = a.triple(bas[c], timg[b1], timg[b2])
-                adj = vsub(d_xt[c][b1].column(b2), mu_xt[c][b2].column(b1))
-                cols.append(vsub(val, t.apply(adj)))
-            row.append(Matrix.from_columns(cols, rows=m))
-        mu2.append(row)
+    def mu2(u1: int, u2: int, c: int) -> List[int]:
+        acc = [0] * m
+        for p, x in tc[u1]:
+            _comb(acc, x, tc[u2], t[c][p])       # <e_c, Tu1, Tu2>
+            _comb(acc, -x, d[u2][c][p], tc)      # - T( D(e_c, Tu1) u2 )
+        for p, x in tc[u2]:
+            _comb(acc, x, mu[u1][c][p], tc)      # + T( mu(e_c, Tu2) u1 )
+        return acc
 
-    return Representation(sub, m, rho2, mu2)
+    def matrix(column, den: int) -> Matrix:
+        return Matrix.from_columns([tuple(Fraction(x, den) for x in column(c)) for c in range(m)],
+                                   rows=m)
+
+    return Representation(sub, m, [matrix(lambda c: rho2(u, c), q ** 2) for u in range(v)],
+                          [[matrix(lambda c: mu2(u1, u2, c), q ** 4) for u2 in range(v)]
+                           for u1 in range(v)])
 
 
 def pre_ly_products(o: RelRBO) -> Tuple[Tuple[Tuple[Vector, ...], ...],
@@ -323,13 +336,8 @@ def lift_to_nijenhuis(o: RelRBO) -> Matrix:
     induced representation data on g (verified by the test battery)."""
     _require_verified(o)
     m, v = o.algebra.dim, o.rep.dim_v
-    n = m + v
-    rows = []
-    for i in range(m):
-        rows.append([Fraction(0)] * m + list(o.t_matrix.row(i)))
-    for _ in range(v):
-        rows.append([Fraction(0)] * n)
-    return Matrix(rows, cols=n)
+    return Matrix([[0] * m + list(o.t_matrix.row(i)) for i in range(m)]
+                  + [[0] * (m + v) for _ in range(v)], cols=m + v)
 
 
 def _homomorphism_terms(a: LYAlgebra, r: Representation, phi_g: Matrix, phi_v: Matrix,

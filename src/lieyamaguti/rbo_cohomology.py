@@ -14,11 +14,12 @@ from __future__ import annotations
 
 from typing import List, NamedTuple
 
-from .linalg import Matrix, Vector, rank_kernel, vsub
+from .linalg import Matrix, Vector, _int_rows, _rank, vsub
 from .complexes import (
     Cochain,
     CohomologySummary,
     ComplexContext,
+    _delta_rank,
     cochain_dim,
     coboundary_matrix,
     wedge_basis,
@@ -54,14 +55,16 @@ class RboComplex(NamedTuple):
 def rbo_delta0(o: RelRBO, x: Wedge2) -> Cochain:
     """The degree-0 coboundary of a wedge element, as a 1-cochain V -> g."""
     _require_verified(o)
-    a, r, t = o.algebra, o.rep, o.t_matrix
-    if x.dim != a.dim:
+    if x.dim != o.algebra.dim:
         raise ValueError("wedge element and algebra dimensions differ")
-    dx = x.d_matrix(r)
-    images: List[Vector] = []
-    for b in range(r.dim_v):
-        images.append(vsub(t.apply(dx.column(b)), x.bracket_with(a, t.column(b))))
-    return Cochain(1, tuple(images), None)
+    return _delta0(o, x, x.d_matrix(o.rep))
+
+
+def _delta0(o: RelRBO, x: Wedge2, dx: Matrix) -> Cochain:
+    """(delta X)(v) = T( D(X) v ) - <X, Tv>, given dx = D(X)."""
+    a, t = o.algebra, o.t_matrix
+    return Cochain(1, tuple(vsub(t.apply(dx.column(b)), x.bracket_with(a, t.column(b)))
+                            for b in range(o.rep.dim_v)), None)
 
 
 def rbo_coboundary_matrix(rc: RboComplex, p: int) -> Matrix:
@@ -71,12 +74,16 @@ def rbo_coboundary_matrix(rc: RboComplex, p: int) -> Matrix:
     if p < 0:
         raise ValueError(f"degree must be >= 0, got {p}")
     if p == 0:
-        o = rc.operator
-        m = o.algebra.dim
-        cols = [rbo_delta0(o, Wedge2.basis(m, i, j)).flatten()
-                for (i, j) in wedge_basis(m)]
-        return Matrix.from_columns(cols, rows=cochain_dim(rc.ctx, 1))
+        return Matrix.from_columns(_delta0_columns(rc.operator), rows=cochain_dim(rc.ctx, 1))
     return coboundary_matrix(rc.ctx, p)
+
+
+def _delta0_columns(o: RelRBO) -> List[Vector]:
+    """delta of each basis wedge e_i ^ e_j, flattened: the columns of the
+    degree-0 coboundary matrix. D(e_i ^ e_j) is the representation's D(e_i, e_j)."""
+    m = o.algebra.dim
+    return [_delta0(o, Wedge2.basis(m, i, j), o.rep.d_basis(i, j)).flatten()
+            for (i, j) in wedge_basis(m)]
 
 
 def rbo_cohomology_dims(rc: RboComplex, p: int) -> CohomologySummary:
@@ -85,17 +92,13 @@ def rbo_cohomology_dims(rc: RboComplex, p: int) -> CohomologySummary:
     wedge elements under delta."""
     if p < 1:
         raise ValueError(f"cohomology degree must be >= 1, got {p}")
-    mat = rbo_coboundary_matrix(rc, p)
-    rank, kernel = rank_kernel(mat)
-    dim_z = len(kernel)
-    prev_rank, _ = rank_kernel(rbo_coboundary_matrix(rc, p - 1))
-    return CohomologySummary(
-        degree=p,
-        dim_cochains=cochain_dim(rc.ctx, p),
-        dim_cocycles=dim_z,
-        dim_coboundaries=prev_rank,
-        dim_h=dim_z - prev_rank,
-    )
+    dim_c = cochain_dim(rc.ctx, p)
+    dim_z = dim_c - _delta_rank(rc.ctx, p)
+    # a matrix and its transpose have one rank, so the columns of the
+    # degree-0 coboundary serve as rows
+    dim_b = _delta_rank(rc.ctx, p - 1) if p >= 2 else _rank(_int_rows(_delta0_columns(rc.operator)))
+    return CohomologySummary(degree=p, dim_cochains=dim_c, dim_cocycles=dim_z,
+                             dim_coboundaries=dim_b, dim_h=dim_z - dim_b)
 
 
 def rbo_delta1_expanded(o: RelRBO, c1: Cochain) -> Cochain:

@@ -444,15 +444,8 @@ def lya_from_lie(dim: int,
     failure = check_lya(lie).first("jacobi-defect")
     if failure is not None:
         raise JacobiViolation(failure.args, failure.residual)
-    rng = range(dim)
-    bas = [lie.basis(i) for i in rng]
-    ternary = {}
-    for i in rng:
-        for j in range(i + 1, dim):
-            for k in rng:
-                v = lie.bracket(lie.bracket_basis(i, j), bas[k])
-                if not is_zero_vector(v):
-                    ternary[(i, j, k)] = v
+    ternary = {(i, j, k): lie.bracket(lie.bracket_basis(i, j), lie.basis(k))
+               for i, j in wedge_basis(dim) for k in range(dim)}
     return LYAlgebra(dim, binary=binary, ternary=ternary, basis_names=basis_names)
 
 

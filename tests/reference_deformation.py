@@ -4,11 +4,13 @@ coefficients of their expansion under T_t = sum_s t^s T_s.
 These are `check_rbo`, `_sub_adjacent_constants`, the coefficient residuals
 of `order_n_check`, `linear_deformation_check` and `obstruction`, and
 `rbo_delta1_expanded` as the library wrote them before one integer-scaled
-residual engine in `lieyamaguti.rbo` replaced all of them, kept verbatim as
-an independent reference: every residual builds dense `rho_of`, `mu_of` and
-`d_of` matrices in `Fraction` arithmetic and applies them to unit vectors.
-The library's results must be equal to these, violation for violation and
-residual for residual. Slow, so only the tests use it.
+residual engine in `lieyamaguti.rbo` replaced all of them, and
+`induced_rep_on_g` as it was before it moved onto the engine's integer
+tables, kept verbatim as an independent reference: every residual builds
+dense `rho_of`, `mu_of` and `d_of` matrices in `Fraction` arithmetic and
+applies them to unit vectors. The library's results must be equal to these,
+violation for violation and residual for residual. Slow, so only the tests
+use it.
 """
 
 from __future__ import annotations
@@ -18,7 +20,7 @@ from typing import Dict, List, Tuple
 
 from lieyamaguti.complexes import Cochain
 from lieyamaguti.linalg import Matrix, Vector, is_zero_vector, vadd, vsub, vzero
-from lieyamaguti.rbo import RelRBO
+from lieyamaguti.rbo import RelRBO, _require_verified, induced_lya_on_v
 from lieyamaguti.structures import (
     AxiomReport,
     LYAlgebra,
@@ -239,3 +241,43 @@ def rbo_delta1_expanded(o: RelRBO, c1: Cochain) -> Cochain:
             inner = vadd(inner, r.mu_of(fimg[b2], timg[b3]).apply(units[b1]))
             g_out.append(vsub(val, t.apply(inner)))
     return Cochain(2, tuple(f_out), tuple(g_out))
+
+
+def induced_rep_on_g(o: RelRBO) -> Representation:
+    """The induced representation of the sub-adjacent algebra back on g:
+
+        rho'(u) x    = [Tu, x] + T( rho(x) u )
+        mu'(u, v) x  = <x, Tu, Tv> - T( D(x, Tu) v - mu(x, Tv) u )
+
+    It is a valid representation, and its derived D action has the closed form
+        D'(u, v) x = <Tu, Tv, x> - T( mu(Tv, x) u - mu(Tu, x) v )
+    (both checked by the tests)."""
+    _require_verified(o)
+    sub = induced_lya_on_v(o)
+    a, r, t = o.algebra, o.rep, o.t_matrix
+    m, v = a.dim, r.dim_v
+    timg = [o.column(b) for b in range(v)]
+    bas = [a.basis(i) for i in range(m)]
+    # D(e_c, Tu) and mu(e_c, Tu), built once for each basis vector and image
+    d_xt = [[r.d_of(x, y) for y in timg] for x in bas]
+    mu_xt = [[r.mu_of(x, y) for y in timg] for x in bas]
+
+    rho2 = []
+    for b in range(v):
+        cols = [vadd(a.bracket(timg[b], bas[c]), t.apply(r.rho(c).column(b)))
+                for c in range(m)]
+        rho2.append(Matrix.from_columns(cols, rows=m))
+
+    mu2 = []
+    for b1 in range(v):
+        row = []
+        for b2 in range(v):
+            cols = []
+            for c in range(m):
+                val = a.triple(bas[c], timg[b1], timg[b2])
+                adj = vsub(d_xt[c][b1].column(b2), mu_xt[c][b2].column(b1))
+                cols.append(vsub(val, t.apply(adj)))
+            row.append(Matrix.from_columns(cols, rows=m))
+        mu2.append(row)
+
+    return Representation(sub, m, rho2, mu2)

@@ -9,7 +9,7 @@ from pathlib import Path
 
 import pytest
 
-from lieyamaguti import cli
+from lieyamaguti import cli, structures
 
 
 def run(capsys, *argv):
@@ -166,6 +166,49 @@ class TestParseErrors:
                       "--force")
         assert code == 0
 
+    def test_max_order_must_exceed_the_order(self, capsys):
+        code, out = run(capsys, "deform", "extend", "dim2.lyat", "--max-order", "1")
+        assert code == 2
+        assert "--max-order must exceed the current order 1" in out
+
+    def test_operator_failing_the_identities(self, capsys):
+        for argv in (("cohomology", "dim2_bad_rbo.lyat", "--degree", "1", "--rbo"),
+                     ("deform", "check", "dim2_bad_rbo.lyat")):
+            code, payload = run_json(capsys, *argv)
+            assert code == 2
+            assert payload["details"] == {"message": "not a relative Rota-Baxter operator: "
+                                                     "fails rota-baxter-binary at (0, 1)"}
+
+    @pytest.mark.parametrize("content,message", [
+        (b'{"scalar": "rational", "dim": 2\xff}', "codec can't decode"),
+        (b'{"scalar": "rational", "dim": 1' + b"0" * 5000 + b"}", "invalid JSON"),
+        (b'{"scalar": "rational", "dim": 2, "binary": [{"args": [1, 2], "value": {"e1": "'
+         + b"1" * 5000 + b'"}}]}', "binary entry 1, entry 'e1'"),
+    ])
+    def test_input_the_parser_cannot_convert(self, capsys, tmp_path, content, message):
+        # undecodable bytes and numbers with more digits than int() converts
+        # raise ValueError subclasses inside the parser; they are bad input
+        p = tmp_path / "model.lyat"
+        p.write_bytes(content)
+        code, payload = run_json(capsys, "check-algebra", str(p))
+        assert code == 2
+        assert "internal" not in payload["details"]
+        assert message in payload["details"]["message"]
+
+    def test_library_value_errors_are_internal(self, capsys, monkeypatch):
+        # a ValueError from the library is a fault in lyat, not bad input
+        from lieyamaguti import complexes
+
+        def broken(rows):
+            raise ValueError("rows out of range")
+
+        monkeypatch.setattr(complexes, "_rank", broken)
+        for extra in ((), ("--rbo",)):
+            code, payload = run_json(capsys, "cohomology", "dim2.lyat", "--degree", "1", *extra)
+            assert code == 3
+            assert payload["details"] == {"message": "ValueError: rows out of range",
+                                          "internal": True}
+
     def test_deform_needs_block(self, capsys):
         code, out = run(capsys, "deform", "check", "dim4.lyat")
         assert code == 2
@@ -295,6 +338,61 @@ class TestOutputShapes:
         assert code == 0
         assert out["details"]["achieved_order"] == 3
         assert out["details"]["terms"] == [[[], []]] * 4
+
+
+# dim2.lyat with its adjoint representation written out
+EXPLICIT = dict(MINIMAL, representation={
+    "dim": 2,
+    "rho": [[["0", "1"], ["0", "0"]], [["-1", "0"], ["0", "0"]]],
+    "mu": [[[["0", "0"], ["0", "0"]], [["0", "-1"], ["0", "0"]]],
+           [[["0", "0"], ["0", "0"]], [["1", "0"], ["0", "0"]]]]})
+
+
+class TestStructureChecks:
+    """`cohomology` checks the algebra once, and the representation only when
+    the file writes it out: an adjoint one is valid by theorem."""
+
+    @pytest.fixture
+    def calls(self, monkeypatch):
+        counts = {"check_lya": 0, "check_representation": 0}
+        for name in counts:
+            orig = getattr(structures, name)
+
+            def spy(*args, _orig=orig, _name=name):
+                counts[_name] += 1
+                return _orig(*args)
+
+            for mod in list(sys.modules.values()):
+                if mod.__name__.startswith("lieyamaguti") and getattr(mod, name, None) is orig:
+                    monkeypatch.setattr(mod, name, spy)
+        return counts
+
+    @pytest.mark.parametrize("extra", [(), ("--rbo",)])
+    def test_adjoint_model(self, capsys, calls, extra):
+        code, _ = run(capsys, "cohomology", "dim4.lyat", "--degree", "1", *extra)
+        assert code == 0
+        assert calls == {"check_lya": 1, "check_representation": 0}
+
+    @pytest.mark.parametrize("extra", [(), ("--rbo",)])
+    def test_explicit_model(self, capsys, calls, tmp_path, extra):
+        written = write_model(tmp_path, "explicit.lyat", EXPLICIT)
+        code, payload = run_json(capsys, "cohomology", written, "--degree", "2", *extra)
+        assert code == 0
+        assert calls == {"check_lya": 1, "check_representation": 1}
+        _, adjoint = run_json(capsys, "cohomology", "dim2.lyat", "--degree", "2", *extra)
+        assert payload == adjoint
+
+    def test_invalid_structures_still_rejected(self, capsys, calls):
+        code, payload = run_json(capsys, "cohomology", "dim2_bad_algebra.lyat", "--degree", "1")
+        assert code == 2
+        assert payload["details"] == {
+            "message": "algebra fails binary-derivation at basis tuple (0, 1, 0, 1)"}
+        assert calls == {"check_lya": 1, "check_representation": 0}
+        code, payload = run_json(capsys, "cohomology", "dim2_bad_rep.lyat", "--degree", "1")
+        assert code == 2
+        assert payload["details"] == {
+            "message": "representation fails mu-bracket-right at (1, 0, 1, 1)"}
+        assert calls == {"check_lya": 2, "check_representation": 1}
 
 
 # sl2 lifted by <x,y,z> = [[x,y],z], its adjoint representation and the

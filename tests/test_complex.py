@@ -2,12 +2,15 @@
 
 import random
 import time
+from fractions import Fraction
 
 import pytest
 from hypothesis import given, settings, strategies as st
 
 import lieyamaguti as ly
-from conftest import Model, fr, random_valid_pair
+from conftest import Model, conjugated_lie_lya, fr, random_valid_pair
+from lieyamaguti.complexes import _coboundary_rows, _delta_rank
+from lieyamaguti.structures import _structure_lcm
 from reference_coboundary import reference_coboundary, reference_coboundary_matrix
 
 rationals = st.builds(fr, st.integers(-6, 6), st.integers(1, 4))
@@ -181,3 +184,75 @@ class TestCohomologyDims:
             s = ly.cohomology_dims(ctx2, p)
             assert s.dim_h == s.dim_cocycles - s.dim_coboundaries
             assert 0 <= s.dim_coboundaries <= s.dim_cocycles <= s.dim_cochains
+
+
+def _integer_row_contexts(dim2: Model, dim4_rational: Model, sl2_standard: Model):
+    """(context, degrees): the fixtures, the operator complex of sl2, and sl2
+    and Heisenberg conjugated by integer matrices whose inverses have
+    denominators, so that q > 1 on three of them. The degrees keep the
+    term-by-term reference to a few seconds."""
+    rng = random.Random(61)
+    out = [(ly.ComplexContext(dim2.algebra, dim2.rep), (1, 2, 3)),
+           (ly.ComplexContext(sl2_standard.algebra, sl2_standard.rep), (1, 2)),
+           (ly.RboComplex.build(sl2_standard.op).ctx, (1, 2)),
+           (ly.ComplexContext(dim4_rational.algebra, dim4_rational.rep), (1,))]
+    for family, degrees in (("sl2", (1, 2)), ("heisenberg", (1, 2, 3))):
+        while True:
+            a = conjugated_lie_lya(rng, family)
+            if _structure_lcm(ly.adjoint_rep(a)) > 1:
+                out.append((ly.ComplexContext(a, ly.adjoint_rep(a)), degrees))
+                break
+    return out
+
+
+class TestIntegerRows:
+    """`_coboundary_rows` emits integer rows, Q = q^2 times the exact ones,
+    and the dimensions come from their ranks alone."""
+
+    def test_rows_over_q_equal_the_reference(self, dim2, dim4_rational, sl2_standard):
+        start = time.monotonic()
+        scales = []
+        for ctx, degrees in _integer_row_contexts(dim2, dim4_rational, sl2_standard):
+            q = _structure_lcm(ctx.rep)
+            scales.append(q)
+            for p in degrees:
+                qq, rows = _coboundary_rows(ctx, p)
+                assert qq == q * q
+                assert all(type(x) is int and x for row in rows for x in row.values())
+                ref = reference_coboundary_matrix(ctx, p)
+                assert len(rows) == ref.rows
+                dense = tuple(tuple(Fraction(row.get(k, 0), qq) for k in range(ref.cols))
+                              for row in rows)
+                assert dense == ref.entries
+        assert sum(1 for q in scales if q > 1) >= 3
+        assert time.monotonic() - start < 60.0
+
+    def test_rank_only_path_agrees_with_rank_kernel(self, dim2, dim4, dim4_rational,
+                                                    sl2_standard):
+        contexts = [ctx for ctx, _ in _integer_row_contexts(dim2, dim4_rational, sl2_standard)]
+        for ctx in contexts + [ly.ComplexContext(dim4.algebra, dim4.rep)]:
+            top = 2 if ctx.m > 3 else 3
+            ranks = {p: ly.rank_kernel(ly.coboundary_matrix(ctx, p))[0]
+                     for p in range(1, top + 1)}
+            for p in range(1, top + 1):
+                assert _delta_rank(ctx, p) == ranks[p]
+                dim_c = ly.cochain_dim(ctx, p)
+                dim_b = ranks[p - 1] if p >= 2 else 0
+                assert ly.cohomology_dims(ctx, p) == ly.CohomologySummary(
+                    p, dim_c, dim_c - ranks[p], dim_b, dim_c - ranks[p] - dim_b)
+
+    def test_cohomology_dims_builds_no_matrix(self, dim4: Model, monkeypatch):
+        ctx = ly.ComplexContext(dim4.algebra, dim4.rep)
+        expected = [ly.cohomology_dims(ctx, p) for p in (1, 2)]
+        for i, j in ctx.wedge:
+            ctx.rep.d_basis(i, j)   # D is the representation's own, cached data
+        built = []
+        init = ly.Matrix.__init__
+
+        def spy(self, *args, **kwargs):
+            built.append(args)
+            init(self, *args, **kwargs)
+
+        monkeypatch.setattr(ly.Matrix, "__init__", spy)
+        assert [ly.cohomology_dims(ctx, p) for p in (1, 2)] == expected
+        assert not built

@@ -283,6 +283,18 @@ class TestCertifiedModularElimination:
             rank_kernel(m)
             assert len(fallbacks) == before + 1
 
+    def test_integer_rows_reach_the_fallback(self, fallbacks):
+        # the rank-only entry takes integer rows as they come (coboundary rows
+        # are Q times the exact ones): a row that vanishes or repeats modulo P
+        # hides rank there, and only the certificate shows it
+        assert linalg._rank([{0: P}, {1: 1}]) == 2
+        assert len(fallbacks) == 1
+        assert linalg._rank([{0: 1, 1: 2, 2: 3}, {0: 1, 1: 2 + P, 2: 3}]) == 2
+        assert len(fallbacks) == 2
+        assert linalg._rank([{0: 2, 1: -4}, {0: -3, 1: 6}, {1: 5}]) == 2
+        assert linalg._rank([]) == 0
+        assert len(fallbacks) == 2
+
     def test_lift_bound(self, fallbacks):
         # numerators and denominators up to isqrt(P // 2) lift; one more does not
         bound = linalg._BOUND

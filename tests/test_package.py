@@ -83,3 +83,24 @@ def test_check_rbo_loads_no_complex_or_deformation(argv):
     # the residual engine lives in `rbo`
     assert _probe(argv) == ["lieyamaguti", "lieyamaguti.cli", "lieyamaguti.linalg",
                             "lieyamaguti.rbo", "lieyamaguti.structures"]
+
+
+# With bytecode caching off every command compiles the source of each module
+# it loads, so a module loaded needlessly costs start-up time.
+@pytest.mark.parametrize("argv", [
+    ("cohomology", "dim2.lyat", "--degree", "1"),
+    ("cohomology", "dim4.lyat", "--degree", "2", "--kernel-dump"),
+])
+def test_bare_cohomology_loads_only_complexes(argv):
+    assert _probe(argv) == ["lieyamaguti", "lieyamaguti.cli", "lieyamaguti.complexes",
+                            "lieyamaguti.linalg", "lieyamaguti.structures"]
+
+
+@pytest.mark.parametrize("argv", [
+    ("cohomology", "dim2.lyat", "--degree", "1", "--rbo"),
+    ("cohomology", "dim4.lyat", "--degree", "2", "--rbo", "--kernel-dump"),
+])
+def test_operator_cohomology_adds_only_the_operator_modules(argv):
+    assert _probe(argv) == ["lieyamaguti", "lieyamaguti.cli", "lieyamaguti.complexes",
+                            "lieyamaguti.linalg", "lieyamaguti.rbo",
+                            "lieyamaguti.rbo_cohomology", "lieyamaguti.structures"]

@@ -5,6 +5,7 @@ import random
 import pytest
 
 import lieyamaguti as ly
+import reference_deformation as ref
 from conftest import Model, dim4_operator, fr, random_fraction
 
 
@@ -90,6 +91,13 @@ class TestInducedStructures:
 
     def test_induced_rep_valid_on_big_fixture(self, dim4: Model):
         assert ly.check_representation(ly.induced_rep_on_g(dim4.op)).valid
+
+    def test_induced_rep_equals_the_reference(self, dim2: Model, dim4: Model,
+                                             dim4_rational: Model, sl2_standard: Model):
+        # the integer-table construction against the dense Fraction one it
+        # replaced; dim4_rational has denominators in every table
+        for m in (dim2, dim4, dim4_rational, sl2_standard):
+            assert ly.induced_rep_on_g(m.op) == ref.induced_rep_on_g(m.op)
 
     def test_pre_ly_products(self, dim2: Model):
         binary, ternary = ly.pre_ly_products(dim2.op)

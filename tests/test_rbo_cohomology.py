@@ -120,3 +120,32 @@ class TestDims:
             ly.rbo_cohomology_dims(rc2, 0)
         with pytest.raises(ValueError, match=">= 0"):
             ly.rbo_coboundary_matrix(rc2, -1)
+
+    def test_rank_only_path_agrees_with_rank_kernel(self, rc2, rc4, dim4_rational: Model,
+                                                    sl2_standard: Model):
+        rcs = [rc2, rc4] + [ly.RboComplex.build(m.op) for m in (dim4_rational, sl2_standard)]
+        for rc in rcs:
+            ranks = [ly.rank_kernel(ly.rbo_coboundary_matrix(rc, p))[0] for p in range(3)]
+            for p in (1, 2):
+                dim_c = ly.cochain_dim(rc.ctx, p)
+                dim_z = dim_c - ranks[p]
+                assert ly.rbo_cohomology_dims(rc, p) == ly.CohomologySummary(
+                    p, dim_c, dim_z, ranks[p - 1], dim_z - ranks[p - 1])
+
+    def test_builds_no_matrix(self, dim4: Model, monkeypatch):
+        rc = ly.RboComplex.build(dim4.op)
+        expected = [ly.rbo_cohomology_dims(rc, p) for p in (1, 2)]
+        # D is each representation's own, cached data
+        for r, m in ((dim4.rep, dim4.algebra.dim), (rc.ctx.rep, rc.ctx.m)):
+            for i, j in ly.wedge_basis(m):
+                r.d_basis(i, j)
+        built = []
+        init = ly.Matrix.__init__
+
+        def spy(self, *args, **kwargs):
+            built.append(args)
+            init(self, *args, **kwargs)
+
+        monkeypatch.setattr(ly.Matrix, "__init__", spy)
+        assert [ly.rbo_cohomology_dims(rc, p) for p in (1, 2)] == expected
+        assert not built

@@ -13,7 +13,9 @@ from conftest import (
     conjugated_lie_lya,
     corrupt_rep,
     fr,
+    random_invertible,
     random_valid_pair,
+    transport,
 )
 
 
@@ -112,6 +114,24 @@ class TestAdjointRep:
     def test_rejects_invalid_algebra(self, broken_algebra):
         with pytest.raises(ly.InvalidAlgebra, match="binary-derivation"):
             ly.adjoint_rep(broken_algebra)
+
+    def test_adjoint_of_a_valid_algebra_is_valid(self, dim2: Model, dim4: Model,
+                                                 dim4_rational: Model, sl2_standard: Model):
+        # the theorem behind `lyat` building an adjoint representation
+        # without `check_representation`: a seeded sweep of valid algebras
+        rng = random.Random(47)
+        algebras = [m.algebra for m in (dim2, dim4, dim4_rational, sl2_standard)]
+        algebras += [ly.lya_from_lie(dim, {k: tuple(fr(c) for c in v) for k, v in consts.items()})
+                     for dim, consts in LIE_FAMILIES.values()]
+        for family in ("sl2", "heisenberg", "affine2"):
+            algebras += [conjugated_lie_lya(rng, family) for _ in range(4)]
+        for a in list(algebras):   # the same algebras in seeded integer bases
+            p = random_invertible(rng, a.dim)
+            algebras.append(transport(a, ly.zero_rep(a, 0), p, ly.Matrix([], cols=0))[0])
+        assert len(algebras) == 42
+        for a in algebras:
+            assert ly.check_lya(a).valid
+            assert ly.check_representation(ly.adjoint_rep(a)).valid
 
     def test_linearity_of_rho_and_mu(self, dim2: Model):
         r = dim2.rep
