@@ -40,10 +40,9 @@ import os
 import re
 import sys
 from fractions import Fraction
-from importlib import resources
 from typing import Any, Dict, List, NamedTuple, Optional, Sequence, Tuple
 
-from .linalg import Matrix, Vector, rank_kernel, rat_str
+from .linalg import Matrix, Vector, _kernel, _rref, rat_str
 from .structures import (
     InvalidAlgebra,
     InvalidRepresentation,
@@ -313,6 +312,7 @@ def _load_model(path: str) -> ModelFile:
         except (OSError, UnicodeDecodeError) as exc:
             raise ParseError(f"{path}: {exc}") from None
     if os.path.basename(path) == path:
+        from importlib import resources  # slow to import, and a file on disk needs none
         res = resources.files("lieyamaguti").joinpath("data", path)
         if res.is_file():
             return parse_model(res.read_text(encoding="utf-8"), path)
@@ -321,6 +321,7 @@ def _load_model(path: str) -> ModelFile:
 
 
 def _bundled_names() -> List[str]:
+    from importlib import resources
     data = resources.files("lieyamaguti").joinpath("data")
     return sorted(p.name for p in data.iterdir() if p.name.endswith(".lyat"))
 
@@ -492,26 +493,25 @@ def _cmd_cohomology(model: ModelFile, args) -> Report:
                          f"pass --force to compute anyway")
     details: Dict[str, Any] = {"degree": degree}
     r = _validated_rep(model)
+    from .complexes import ComplexContext, _coboundary_rows, cochain_dim, cohomology_dims
+
+    details["complex"] = "operator" if args.rbo else "bare"
     if args.rbo:
         from .rbo import RelRBO
-        from .rbo_cohomology import RboComplex, rbo_coboundary_matrix, rbo_cohomology_dims
+        from .rbo_cohomology import RboComplex, rbo_cohomology_dims
 
-        o = RelRBO.build(model.algebra, r, model.require_operator())
-        rc = RboComplex.build(o)
-        summary = rbo_cohomology_dims(rc, degree)
-        details["complex"] = "operator"
-        kernel_matrix = rbo_coboundary_matrix(rc, degree) if args.kernel_dump else None
+        cplx = RboComplex.build(RelRBO.build(model.algebra, r, model.require_operator()))
+        ctx, dims = cplx.ctx, rbo_cohomology_dims
     else:
-        from .complexes import ComplexContext, coboundary_matrix, cohomology_dims
-
-        ctx = ComplexContext(model.algebra, r, validate=False)
-        summary = cohomology_dims(ctx, degree)
-        details["complex"] = "bare"
-        kernel_matrix = coboundary_matrix(ctx, degree) if args.kernel_dump else None
+        cplx = ctx = ComplexContext(model.algebra, r, validate=False)
+        dims = cohomology_dims
+    # the kernel basis comes from the elimination that gives dim_cocycles
+    top = _rref(_coboundary_rows(ctx, degree)[1]) if args.kernel_dump else None
+    summary = dims(cplx, degree, top)
     for key in ("dim_cochains", "dim_cocycles", "dim_coboundaries", "dim_h"):
         details[key] = getattr(summary, key)
-    if kernel_matrix is not None:
-        _, kernel = rank_kernel(kernel_matrix)
+    if top is not None:
+        kernel = _kernel(top, cochain_dim(ctx, degree))
         details["kernel_basis"] = [[rat_str(x) for x in vec] for vec in kernel]
     return Report("cohomology", "ok", details)
 
@@ -617,6 +617,7 @@ def _cmd_examples(args) -> Report:
         return Report("examples", "ok", {"examples": _bundled_names()})
     if not args.name:
         raise ParseError("examples show requires a name (see `lyat examples list`)")
+    from importlib import resources
     res = resources.files("lieyamaguti").joinpath("data", args.name)
     if os.path.basename(args.name) != args.name or not res.is_file():
         raise ParseError(f"no bundled example named {args.name!r}")

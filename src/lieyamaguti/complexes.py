@@ -28,7 +28,7 @@ import itertools
 from fractions import Fraction
 from typing import Dict, List, NamedTuple, Optional, Sequence, Tuple
 
-from .linalg import IntRow, Matrix, Vector, _rank, is_zero_vector, rat, vzero
+from .linalg import IntRow, Matrix, Rref, Vector, _rank, is_zero_vector, rat, vzero
 from .structures import (
     InvalidRepresentation,
     LYAlgebra,
@@ -324,15 +324,15 @@ def _delta_rank(ctx: ComplexContext, p: int) -> int:
     return _rank(_coboundary_rows(ctx, p)[1])
 
 
-def cohomology_dims(ctx: ComplexContext, p: int) -> CohomologySummary:
+def cohomology_dims(ctx: ComplexContext, p: int, top: Optional[Rref] = None) -> CohomologySummary:
     """Cocycle/coboundary/quotient dimensions at degree p.
 
     dim_coboundaries counts the rank of the degree-(p-1) differential only
     for p >= 2: the complex here starts at degree 1, so first cohomology is
-    plain cocycles.
+    plain cocycles. `top`, when given, is the `_rref` of the degree-p rows.
     """
     dim_c = cochain_dim(ctx, p)
-    dim_z = dim_c - _delta_rank(ctx, p)
+    dim_z = dim_c - (_delta_rank(ctx, p) if top is None else len(top))
     dim_b = _delta_rank(ctx, p - 1) if p >= 2 else 0
     return CohomologySummary(degree=p, dim_cochains=dim_c, dim_cocycles=dim_z,
                              dim_coboundaries=dim_b, dim_h=dim_z - dim_b)

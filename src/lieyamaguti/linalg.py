@@ -18,31 +18,40 @@ column becomes a new pivot and is cleared from the other pivot rows. Zeros
 are never touched, which matters for the tall, sparse, low-rank coboundary
 matrices.
 
-The elimination runs modulo the prime P = 2**61 - 1, so no entry grows
-beyond 61 bits. Every entry of the result is lifted to the rational n/d with
-|n|, d <= isqrt(P // 2) that it represents (rational reconstruction), and the
-lift is certified over Q: every input row must have a zero integer dot
-product with every free-column kernel vector of the lifted form, scaled to
-integers. If a lift fails or a product is nonzero, the same elimination runs
-in exact `Fraction` arithmetic (`_rref_exact`); that is also the only path
-for inputs whose reduced entries exceed the bound.
+The elimination runs modulo the prime P = 2**61 - 1 (`_rref_mod`), so no
+entry grows beyond 61 bits. A row is first tested with one weighted sum: a
+free column weighs a fixed pseudo-random residue, and a pivot column pc
+weighs -sum_f weight[f] * basis[pc][f] over the free columns f, so the
+weights form a combination of the free-column kernel vectors. A row in the
+span sums to 0 and is skipped unreduced; an independent row sums to 0 with
+probability about 1/P, and is then skipped too. Every entry of the result is
+lifted to the rational n/d with |n|, d <= isqrt(P // 2) that it represents
+(rational reconstruction), and the lift is certified over Q: every input
+row, skipped or not, must have a zero integer dot product with every
+free-column kernel vector of the lifted form, scaled to integers. Packed
+into one integer per column, in slots too wide to carry into each other,
+those products are one integer sum per row (`_certified`). If a lift fails
+or a product is nonzero, the same elimination runs in exact `Fraction`
+arithmetic (`_rref_exact`); that is also the only path for inputs whose
+reduced entries exceed the bound.
 
-Why a certified result is exact: the rank modulo P of an integer matrix is
-at most its rank over Q, and the certificate exhibits as many independent
-rational kernel vectors as the modular form has free columns, so the two
-ranks agree. A lift keeps zeros and nonzeros where they are, so the lifted
-rows are in reduced row echelon form; they annihilate the whole kernel, so
-they span the row space, and the reduced row echelon form of a matrix is
-unique. Every output (the rank, the free-column kernel basis, the solution
-with free variables set to zero, the inverse) is therefore exactly the
-rational one, whichever path computed it and in whatever order the rows
-were eliminated.
+Why a certified result is exact, whatever rows were skipped: the rank
+modulo P of any subset of the rows of an integer matrix is at most its rank
+over Q, and the certificate exhibits as many independent rational kernel
+vectors as the modular form has free columns, so the ranks agree. A lift
+keeps zeros and nonzeros where they are, so the lifted rows are in reduced
+row echelon form; they annihilate the whole kernel, so they span the row
+space, and the reduced row echelon form of a matrix is unique. Every output
+(the rank, the free-column kernel basis, the solution with free variables
+set to zero, the inverse) is therefore exactly the rational one, whichever
+path computed it and in whatever order the rows were eliminated.
 """
 
 from __future__ import annotations
 
 from fractions import Fraction
 from math import gcd, isqrt, lcm
+from operator import mul
 from typing import Dict, Iterable, List, Optional, Sequence, Tuple
 
 Rational = Fraction
@@ -253,6 +262,7 @@ def commutator(a: Matrix, b: Matrix) -> Matrix:
 
 
 SparseRow = Dict[int, Fraction]
+Rref = Dict[int, SparseRow]  # {pivot column: the rest of its reduced row}
 IntRow = Dict[int, int]  # nonzero entries only
 
 # The elimination runs modulo this Mersenne prime. A lift recovers n/d only
@@ -272,7 +282,7 @@ def _subtract(target: SparseRow, f: Fraction, row: SparseRow) -> None:
             del target[c]
 
 
-def _rref_exact(rows: Iterable[IntRow]) -> Dict[int, SparseRow]:
+def _rref_exact(rows: Iterable[IntRow]) -> Rref:
     """Reduced row echelon form of sparse integer `rows` in `Fraction`
     arithmetic, built one row at a time.
 
@@ -281,7 +291,7 @@ def _rref_exact(rows: Iterable[IntRow]) -> Dict[int, SparseRow]:
     implicit 1 and every other pivot column is 0 in it. Rows that hold no
     pivot are dropped.
     """
-    basis: Dict[int, SparseRow] = {}
+    basis: Rref = {}
     for row in rows:
         row = dict(row)
         # the basis is fully reduced, so one pass over the pivot columns this
@@ -300,33 +310,48 @@ def _rref_exact(rows: Iterable[IntRow]) -> Dict[int, SparseRow]:
     return basis
 
 
+class _Weights(dict):
+    """`_rref_mod`'s column weights; a column starts free, at splitmix64 of c."""
+
+    def __missing__(self, c: int) -> int:
+        z = (c + 1) * 0x9E3779B97F4A7C15 & 0xFFFFFFFFFFFFFFFF
+        z = (z ^ z >> 30) * 0xBF58476D1CE4E5B9 & 0xFFFFFFFFFFFFFFFF
+        self[c] = w = (z ^ z >> 27) * 0x94D049BB133111EB % P
+        return w
+
+
 def _rref_mod(rows: Iterable[IntRow]) -> Dict[int, Dict[int, int]]:
-    """`_rref_exact` over the integers modulo P: the same incremental, fully
-    reduced elimination, with entries in range(1, P)."""
+    """`_rref_exact` over the integers modulo P, with entries in range(1, P),
+    skipping each row whose weighted sum is 0 (see the module docstring)."""
     basis: Dict[int, Dict[int, int]] = {}
-    for row in rows:
+    weight = _Weights()
+    for row in sorted(rows, key=len):  # short rows first keep pivot rows sparse
+        if not sum(map(mul, row.values(), map(weight.__getitem__, row))) % P:
+            continue
         row = dict(row)
         for pc in [c for c in row if c in basis]:
             f = row.pop(pc) % P
             if f:
                 for c, x in basis[pc].items():
                     row[c] = row.get(c, 0) - f * x
-        # entries are reduced modulo P once, after all subtractions
+        # reduced mod P once, after all subtractions; a nonzero weighted sum leaves some
         row = {c: y for c, x in row.items() if (y := x % P)}
-        if not row:
-            continue
         pc = min(row)
         inv = pow(row.pop(pc), -1, P)
         row = {c: x * inv % P for c, x in row.items()}
-        for other in basis.values():
+        kappa = -sum(map(mul, row.values(), map(weight.__getitem__, row))) % P
+        shift = weight[pc] - kappa  # a row losing b at pc gains b * shift in weight
+        for opc, other in basis.items():
             f = other.pop(pc, 0)
             if f:
+                weight[opc] = (weight[opc] + f * shift) % P
                 for c, x in row.items():
                     y = (other.get(c, 0) - f * x) % P
                     if y:
                         other[c] = y
                     else:
                         del other[c]
+        weight[pc] = kappa
         basis[pc] = row
     return basis
 
@@ -345,32 +370,30 @@ def _lift(u: int) -> Optional[Fraction]:
     return Fraction(r1, t1)
 
 
-def _certified(rows: Iterable[IntRow], basis: Dict[int, SparseRow]) -> bool:
+def _certified(rows: Sequence[IntRow], basis: Rref) -> bool:
     """Whether every integer row is orthogonal to every free-column kernel
-    vector of `basis`, each scaled to integers.
-
-    Kernel vector f is 1 at free column f and -basis[pc][f] at each pivot
-    column pc. Its products with a row are summed column by column, so a
-    row touches only the kernel entries in its own support.
-    """
+    vector of `basis` (1 at free column f, -basis[pc][f] at each pivot column
+    pc), each scaled to integers. A column packs its kernel entries into
+    signed w-bit slots, one per f; 2**(w-1) exceeds a row's L1 norm times a
+    bound on every entry, so a row's slot sums vanish iff its one sum does."""
     scale: Dict[int, int] = {}
     for row in basis.values():
         for f, x in row.items():
             scale[f] = lcm(scale.get(f, 1), x.denominator)
-    # the (free column, integer kernel entry) pairs at each pivot column
-    at_pivot = {pc: [(f, -x.numerator * (scale[f] // x.denominator)) for f, x in row.items()]
-                for pc, row in basis.items()}
-    for row in rows:
-        acc: Dict[int, int] = {}
-        for c, a in row.items():
-            terms = at_pivot.get(c)
-            if terms is None:   # free column c: only kernel vector c is nonzero there
-                acc[c] = acc.get(c, 0) + a * scale.get(c, 1)
-            else:
-                for f, w in terms:
-                    acc[f] = acc.get(f, 0) + a * w
-        if any(acc.values()):
-            return False
+    rows = [row for row in rows if row]
+    top = max(scale.values(), default=0) * max(
+        (abs(x.numerator) for row in basis.values() for x in row.values()), default=0)
+    w = (top * max((sum(map(abs, row.values())) for row in rows), default=0)).bit_length() + 1
+    slot = {f: w * i for i, f in enumerate(scale)}
+    packed = {f: s << slot[f] for f, s in scale.items()}
+    packed.update((pc, sum(-x.numerator * (scale[f] // x.denominator) << slot[f]
+                           for f, x in row.items())) for pc, row in basis.items())
+    try:
+        for row in rows:
+            if sum(map(mul, row.values(), map(packed.__getitem__, row))):
+                return False
+    except KeyError:  # a free column that no pivot row holds: its kernel vector fails
+        return False
     return True
 
 
@@ -385,11 +408,11 @@ def _int_rows(rows: Iterable[Sequence[Fraction]]) -> List[IntRow]:
     return ints
 
 
-def _rref(ints: Sequence[IntRow]) -> Dict[int, SparseRow]:
+def _rref(ints: Sequence[IntRow]) -> Rref:
     """Reduced row echelon form of the integer rows `ints`, in the format of
     `_rref_exact`: reduced modulo P and lifted, or, when `_certified` cannot
     prove the lift exact, computed by `_rref_exact`."""
-    lifted: Dict[int, SparseRow] = {}
+    lifted: Rref = {}
     for pc, row in _rref_mod(ints).items():
         lifted[pc] = out = {}
         for c, u in row.items():
@@ -415,13 +438,18 @@ def rank_kernel(m: Matrix) -> Tuple[int, List[Vector]]:
     a given matrix.
     """
     basis = _rref(_int_rows(m.entries))
-    free = {fc: [Fraction(0)] * m.cols for fc in range(m.cols) if fc not in basis}
+    return len(basis), _kernel(basis, m.cols)
+
+
+def _kernel(basis: Rref, ncols: int) -> List[Vector]:
+    """The free-column kernel basis of the RREF `basis` over `ncols` columns."""
+    free = {fc: [Fraction(0)] * ncols for fc in range(ncols) if fc not in basis}
     for pc, row in basis.items():
         for fc, x in row.items():
             free[fc][pc] = -x
     for fc, v in free.items():
         v[fc] = Fraction(1)
-    return len(basis), [tuple(v) for v in free.values()]
+    return [tuple(v) for v in free.values()]
 
 
 def solve_linear(a: Matrix, b: Vector) -> Optional[Vector]:

@@ -12,9 +12,9 @@ degree 1 included.
 
 from __future__ import annotations
 
-from typing import List, NamedTuple
+from typing import List, NamedTuple, Optional
 
-from .linalg import Matrix, Vector, _int_rows, _rank, vsub
+from .linalg import Matrix, Rref, Vector, _int_rows, _rank, vsub
 from .complexes import (
     Cochain,
     CohomologySummary,
@@ -86,14 +86,14 @@ def _delta0_columns(o: RelRBO) -> List[Vector]:
             for (i, j) in wedge_basis(m)]
 
 
-def rbo_cohomology_dims(rc: RboComplex, p: int) -> CohomologySummary:
+def rbo_cohomology_dims(rc: RboComplex, p: int, top: Optional[Rref] = None) -> CohomologySummary:
     """Cocycle / coboundary / quotient dimensions in degree p >= 1. Unlike
     the bare Yamaguti complex, degree 1 already quotients by the image of the
-    wedge elements under delta."""
+    wedge elements under delta; `top` is as in `cohomology_dims`."""
     if p < 1:
         raise ValueError(f"cohomology degree must be >= 1, got {p}")
     dim_c = cochain_dim(rc.ctx, p)
-    dim_z = dim_c - _delta_rank(rc.ctx, p)
+    dim_z = dim_c - (_delta_rank(rc.ctx, p) if top is None else len(top))
     # a matrix and its transpose have one rank, so the columns of the
     # degree-0 coboundary serve as rows
     dim_b = _delta_rank(rc.ctx, p - 1) if p >= 2 else _rank(_int_rows(_delta0_columns(rc.operator)))

@@ -510,14 +510,14 @@ class Representation:
                              for j, cj in enumerate(y) if cj)
 
     def d_basis(self, i: int, j: int) -> Matrix:
-        key = (i, j)
-        cached = self._d.get(key)
-        if cached is None:
-            a = self.algebra
-            cached = (self._mu[j][i] - self._mu[i][j]
-                      + commutator(self._rho[i], self._rho[j])
-                      - self.rho_of(a.bracket_basis(i, j)))
-            self._d[key] = cached
+        cached = self._d.get((i, j))
+        if cached is None:  # D is skew by construction: build each unordered pair once
+            if i >= j:
+                cached = -self.d_basis(j, i) if i > j else Matrix.zero(self.dim_v, self.dim_v)
+            else:
+                cached = (self._mu[j][i] - self._mu[i][j] + commutator(self._rho[i], self._rho[j])
+                          - self.rho_of(self.algebra.bracket_basis(i, j)))
+            self._d[(i, j)] = cached
         return cached
 
     def d_of(self, x: Vector, y: Vector) -> Matrix:

@@ -1,4 +1,5 @@
-"""Dense Gauss-Jordan elimination over the rationals.
+"""Dense Gauss-Jordan elimination over the rationals, and the modular pass
+and certificate `lieyamaguti.linalg` used before it skipped rows.
 
 This is the elimination `lieyamaguti.linalg` used before it switched to a
 sparse incremental reduction, kept verbatim as an independent reference:
@@ -11,9 +12,10 @@ matrices, so only the tests use it.
 from __future__ import annotations
 
 from fractions import Fraction
-from typing import List, Optional, Tuple
+from math import lcm
+from typing import Dict, Iterable, List, Optional, Tuple
 
-from lieyamaguti.linalg import Matrix, Vector, rat
+from lieyamaguti.linalg import IntRow, Matrix, P, SparseRow, Vector, rat
 
 
 def _rref(rows: List[List[Fraction]], ncols: int) -> List[int]:
@@ -97,3 +99,68 @@ def inverse(m: Matrix) -> Matrix:
         raise ValueError("matrix is singular")
     # RREF left half is the identity, so the right half is the inverse.
     return Matrix([row[n:] for row in aug], cols=n)
+
+
+# The modular pass and the certificate of `lieyamaguti.linalg` before it
+# skipped rows already in the span and packed the certificate into one
+# integer per column, kept verbatim: the package must return the same RREF
+# and the same verdicts.
+
+def _rref_mod(rows: Iterable[IntRow]) -> Dict[int, Dict[int, int]]:
+    """`_rref_exact` over the integers modulo P: the same incremental, fully
+    reduced elimination, with entries in range(1, P)."""
+    basis: Dict[int, Dict[int, int]] = {}
+    for row in rows:
+        row = dict(row)
+        for pc in [c for c in row if c in basis]:
+            f = row.pop(pc) % P
+            if f:
+                for c, x in basis[pc].items():
+                    row[c] = row.get(c, 0) - f * x
+        # entries are reduced modulo P once, after all subtractions
+        row = {c: y for c, x in row.items() if (y := x % P)}
+        if not row:
+            continue
+        pc = min(row)
+        inv = pow(row.pop(pc), -1, P)
+        row = {c: x * inv % P for c, x in row.items()}
+        for other in basis.values():
+            f = other.pop(pc, 0)
+            if f:
+                for c, x in row.items():
+                    y = (other.get(c, 0) - f * x) % P
+                    if y:
+                        other[c] = y
+                    else:
+                        del other[c]
+        basis[pc] = row
+    return basis
+
+
+def _certified(rows: Iterable[IntRow], basis: Dict[int, SparseRow]) -> bool:
+    """Whether every integer row is orthogonal to every free-column kernel
+    vector of `basis`, each scaled to integers.
+
+    Kernel vector f is 1 at free column f and -basis[pc][f] at each pivot
+    column pc. Its products with a row are summed column by column, so a
+    row touches only the kernel entries in its own support.
+    """
+    scale: Dict[int, int] = {}
+    for row in basis.values():
+        for f, x in row.items():
+            scale[f] = lcm(scale.get(f, 1), x.denominator)
+    # the (free column, integer kernel entry) pairs at each pivot column
+    at_pivot = {pc: [(f, -x.numerator * (scale[f] // x.denominator)) for f, x in row.items()]
+                for pc, row in basis.items()}
+    for row in rows:
+        acc: Dict[int, int] = {}
+        for c, a in row.items():
+            terms = at_pivot.get(c)
+            if terms is None:   # free column c: only kernel vector c is nonzero there
+                acc[c] = acc.get(c, 0) + a * scale.get(c, 1)
+            else:
+                for f, w in terms:
+                    acc[f] = acc.get(f, 0) + a * w
+        if any(acc.values()):
+            return False
+    return True

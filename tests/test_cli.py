@@ -395,6 +395,49 @@ class TestStructureChecks:
         assert calls == {"check_lya": 2, "check_representation": 1}
 
 
+class TestKernelDump:
+    """`cohomology --kernel-dump` reads the kernel basis off the elimination
+    that gives the dimensions: each degree is assembled and eliminated once."""
+
+    @pytest.fixture
+    def calls(self, monkeypatch):
+        from lieyamaguti import complexes, linalg
+
+        counts = {"rows": [], "rref": 0}
+        rows, rref = complexes._coboundary_rows, linalg._rref
+
+        def rows_spy(ctx, p):
+            counts["rows"].append(p)
+            return rows(ctx, p)
+
+        def rref_spy(ints):
+            counts["rref"] += 1
+            return rref(ints)
+
+        monkeypatch.setattr(complexes, "_coboundary_rows", rows_spy)
+        for mod in list(sys.modules.values()):
+            if mod.__name__.startswith("lieyamaguti") and getattr(mod, "_rref", None) is rref:
+                monkeypatch.setattr(mod, "_rref", rref_spy)
+        return counts
+
+    @pytest.mark.parametrize("extra", [(), ("--rbo",)])
+    def test_one_assembly_and_one_elimination_per_degree(self, capsys, calls, extra):
+        code, payload = run_json(capsys, "cohomology", "dim4.lyat", "--degree", "2",
+                                 "--kernel-dump", *extra)
+        assert code == 0
+        assert sorted(calls["rows"]) == [1, 2]
+        assert calls["rref"] == 2
+        details = payload["details"]
+        assert len(details["kernel_basis"]) == details["dim_cocycles"]
+
+    def test_operator_degree_one(self, capsys, calls):
+        # degree 0 of the operator complex is eliminated from its own columns
+        code, _ = run(capsys, "cohomology", "dim4.lyat", "--degree", "1", "--rbo",
+                      "--kernel-dump")
+        assert code == 0
+        assert calls == {"rows": [1], "rref": 2}
+
+
 # sl2 lifted by <x,y,z> = [[x,y],z], its adjoint representation and the
 # operator diag(-1, 0, 0): e1^e2 fails every Nijenhuis condition
 SL2_LIFT = {

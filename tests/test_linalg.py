@@ -1,5 +1,6 @@
 """Exact linear algebra: frozen examples plus algebraic properties."""
 
+import random
 from fractions import Fraction
 
 import pytest
@@ -323,3 +324,121 @@ class TestCertifiedModularElimination:
         assert rank + len(kernel) == m.cols
         for k in kernel:
             assert is_zero_vector(m.apply(k))
+
+
+def _low_rank_rows(rng, ncols, rank, nrows, big=False):
+    """Seeded tall integer rows of rank at most `rank`: combinations of
+    `rank` sparse generators, with duplicates, rows that vanish modulo P,
+    and rows equal modulo P to a combination but not over Q."""
+    span = 2**40 if big else 9
+    gens = [{c: rng.choice((-1, 1)) * rng.randint(1, span)
+             for c in rng.sample(range(ncols), rng.randint(1, ncols))} for _ in range(rank)]
+    rows = []
+    for _ in range(nrows):
+        row = {}
+        for g in rng.sample(gens, rng.randint(1, rank)):
+            k = rng.randint(-3, 3)
+            for c, x in g.items():
+                row[c] = row.get(c, 0) + k * x
+        rows.append({c: x for c, x in row.items() if x})
+    rows += [dict(rng.choice(rows)) for _ in range(nrows // 4)]
+    rows.append({c: P * rng.randint(1, 3) for c in rng.sample(range(ncols), min(2, ncols))})
+    if rng.random() < 0.3:
+        c, row = rng.randrange(ncols), dict(rng.choice(gens))
+        row[c] = row.get(c, 0) + P
+        rows.append(row)
+    rng.shuffle(rows)
+    return rows
+
+
+class TestSkippedRowsAndPackedCertificate:
+    """`_rref_mod` skips a row whose weighted sum vanishes, and `_certified`
+    checks every row in one packed integer sum; `_rref` stays exact."""
+
+    @pytest.fixture
+    def fallbacks(self, monkeypatch):
+        calls = []
+        exact = linalg._rref_exact
+
+        def spy(rows):
+            calls.append(rows)
+            return exact(rows)
+
+        monkeypatch.setattr(linalg, "_rref_exact", spy)
+        return calls
+
+    def test_tall_low_rank_rows(self):
+        rng = random.Random(71)
+        for case in range(60):
+            ncols = rng.randint(1, 12)
+            rows = _low_rank_rows(rng, ncols, rng.randint(1, min(ncols, 5)),
+                                  rng.randint(4, 40), big=case % 5 == 4)
+            assert linalg._rref(rows) == linalg._rref_exact(rows)
+            # skipping rows of the span leaves the modular form as it was
+            assert linalg._rref_mod(rows) == ref._rref_mod(rows)
+
+    def test_no_skipped_rows_fall_back_on_coboundary_rows(self, dim4: Model, fallbacks):
+        ctx = ComplexContext(dim4.algebra, dim4.rep)
+        for p in (1, 2):
+            rows = linalg._int_rows(coboundary_matrix(ctx, p).entries)
+            basis = linalg._rref(rows)
+            assert not fallbacks
+            assert basis == linalg._rref_exact(rows)
+            fallbacks.clear()
+
+    @pytest.mark.parametrize("rows,pivots", [
+        # weights all 1: {1: 1, 2: -1} sums to 0, yet it is independent, and
+        # its free column 2 is held by no pivot row
+        ([{0: 1}, {1: 1, 2: -1}], {0: {}, 1: {2: fr(-1)}}),
+        # the weights become (-2, -2, 1, 1): the last row sums to 0, and holds
+        # only pivot columns and free columns the pivot rows hold, so its
+        # packed sum is what rejects it
+        ([{0: 1, 2: 1, 3: 1}, {1: 1, 2: 1, 3: 1}, {0: 1, 1: -1, 2: 1, 3: -1}],
+         {0: {3: fr(2)}, 1: {3: fr(2)}, 2: {3: fr(-1)}}),
+    ])
+    def test_a_false_skip_is_caught(self, monkeypatch, fallbacks, rows, pivots):
+        monkeypatch.setattr(linalg._Weights, "__missing__", lambda w, c: w.setdefault(c, 1))
+        skipped = linalg._rref_mod(rows)
+        assert len(skipped) == len(pivots) - 1
+        lifted = {pc: {c: fr(u) if u <= P // 2 else fr(u - P) for c, u in row.items()}
+                  for pc, row in skipped.items()}
+        assert not linalg._certified(rows, lifted)
+        assert not ref._certified(rows, lifted)
+        assert linalg._rref(rows) == pivots
+        assert len(fallbacks) == 1
+
+    def test_packed_certificate_agrees_with_the_reference(self):
+        rng = random.Random(72)
+        checked = rejected = 0
+        for _ in range(40):
+            ncols = rng.randint(2, 10)
+            rows = _low_rank_rows(rng, ncols, rng.randint(1, min(ncols, 4)), rng.randint(3, 25))
+            basis = linalg._rref_exact(rows)
+            assert linalg._certified(rows, basis) and ref._certified(rows, basis)
+            entries = [(pc, c) for pc, row in basis.items() for c in row]
+            if not entries:
+                continue
+            pc, c = rng.choice(entries)
+            for bump in (fr(1), fr(1, 7), -basis[pc][c]):
+                bad = {p: dict(row) for p, row in basis.items()}
+                bad[pc][c] += bump
+                if not bad[pc][c]:
+                    del bad[pc][c]
+                verdict = linalg._certified(rows, bad)
+                assert verdict == ref._certified(rows, bad)
+                checked += 1
+                rejected += not verdict
+        assert checked > 60 and rejected > checked // 2
+
+    @pytest.mark.parametrize("k", [1, 7, 40, 64])
+    def test_slot_sums_at_the_width_bound(self, k):
+        # the kernel entry 2**k - 1 and a row of L1 norm 1 make the slot
+        # width w = k + 1, and the row's products 2**(w-1) - 1 and its
+        # negative, next to a slot holding -1 or +1
+        top = 2**k - 1
+        basis = {0: {1: fr(-top), 2: fr(1)}}
+        for rows in ([{0: 1}], [{0: -1}], [{0: 1}, {0: -1}]):
+            assert linalg._certified(rows, basis) is False
+            assert ref._certified(rows, basis) is False
+        exact = [{0: 1, 1: -top, 2: 1}, {0: -2, 1: 2 * top, 2: -2}]
+        assert linalg._certified(exact, basis) and ref._certified(exact, basis)

@@ -104,3 +104,26 @@ def test_operator_cohomology_adds_only_the_operator_modules(argv):
     assert _probe(argv) == ["lieyamaguti", "lieyamaguti.cli", "lieyamaguti.complexes",
                             "lieyamaguti.linalg", "lieyamaguti.rbo",
                             "lieyamaguti.rbo_cohomology", "lieyamaguti.structures"]
+
+
+_RESOURCES_PROBE = """\
+import sys
+from lieyamaguti import cli
+code = cli.main(sys.argv[1:])
+print(code, "importlib.resources" in sys.modules, file=sys.stderr)
+"""
+
+
+@pytest.mark.parametrize("argv,loads", [
+    (("check-algebra", str(Path(ly.__file__).parent / "data" / "dim2.lyat")), False),
+    (("check-algebra", "dim2.lyat"), True),
+    (("examples", "list"), True),
+])
+def test_importlib_resources_only_for_bundled_examples(argv, loads):
+    # `python -S`: without `site`, no third-party start-up hook has loaded
+    # importlib.resources before lyat runs, so the probe sees lyat's own imports
+    src = str(Path(__file__).resolve().parents[1] / "src")
+    env = {**os.environ, "PYTHONPATH": src}
+    proc = subprocess.run([sys.executable, "-S", "-c", _RESOURCES_PROBE, *argv],
+                          capture_output=True, text=True, env=env)
+    assert proc.stderr.split() == ["0", str(loads)]

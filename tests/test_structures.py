@@ -14,6 +14,7 @@ from conftest import (
     corrupt_rep,
     fr,
     random_invertible,
+    random_matrix,
     random_valid_pair,
     transport,
 )
@@ -106,6 +107,22 @@ class TestAdjointRep:
         e1, e2 = dim2.algebra.basis(0), dim2.algebra.basis(1)
         assert r.d_of(e1, e2) == r.d_basis(0, 1)
         assert r.d_of(e2, e1) == r.d_basis(0, 1).scale(fr(-1))
+
+    def test_d_basis_is_its_formula_at_every_ordered_pair(self, sl2_standard: Model):
+        # D(x,y) = mu(y,x) - mu(x,y) + [rho(x),rho(y)] - rho([x,y]) on a
+        # written-out, non-adjoint representation and on the same rho with
+        # seeded mu (valid or not, D is defined), asked in both pair orders
+        rng = random.Random(29)
+        r = sl2_standard.rep
+        a, n = r.algebra, r.algebra.dim
+        rho = [r.rho(i) for i in range(n)]
+        mu = [[random_matrix(rng, 2, 2) for _ in range(n)] for _ in range(n)]
+        pairs = [(i, j) for i in range(n) for j in range(n)]
+        for rep, order in ((r, pairs), (ly.Representation(a, 2, rho, mu), pairs[::-1])):
+            for i, j in order:
+                expected = (rep.mu(j, i) - rep.mu(i, j) + ly.commutator(rep.rho(i), rep.rho(j))
+                            - rep.rho_of(a.bracket_basis(i, j)))
+                assert rep.d_basis(i, j) == expected
 
     def test_valid_on_fixtures(self, dim2: Model, dim4: Model):
         assert ly.check_representation(dim2.rep).valid
