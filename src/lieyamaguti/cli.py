@@ -532,30 +532,19 @@ def _cmd_nijenhuis(model: ModelFile, args) -> Report:
     else:
         chosen = [(f"{gn[i]}^{gn[j]}", Wedge2.basis(model.algebra.dim, i, j))
                   for (i, j) in wedge_basis(model.algebra.dim)]
-    entries = []
-    all_ok = True
-    for name, x in chosen:
-        nrep = nijenhuis_element_check(o, x)
-        all_ok = all_ok and nrep.is_nijenhuis
-        entry: Dict[str, Any] = {
-            "name": name,
-            "is_nijenhuis": nrep.is_nijenhuis,
-            "conditions": [
-                {"identity": label, "valid": rep.valid,
-                 "violations": _render_violations(rep.violations, gn, vn)}
-                for label, rep in nrep.conditions
-            ],
-        }
-        if nrep.plain_conditions is not None:
-            entry["plain_conditions"] = [
-                {"identity": label, "valid": rep.valid,
-                 "violations": _render_violations(rep.violations, gn, vn, plain=True)}
-                for label, rep in nrep.plain_conditions
-            ]
-        else:
-            entry["plain_conditions"] = None
-        entries.append(entry)
-    return Report("nijenhuis", "ok" if all_ok else "violated", {"elements": entries})
+
+    def render(conditions, plain: bool = False) -> List[Dict[str, Any]]:
+        return [{"identity": label, "valid": rep.valid,
+                 "violations": _render_violations(rep.violations, gn, vn, plain=plain)}
+                for label, rep in conditions]
+
+    reports = [(name, nijenhuis_element_check(o, x)) for name, x in chosen]
+    entries = [{"name": name, "is_nijenhuis": nrep.is_nijenhuis,
+                "conditions": render(nrep.conditions),
+                "plain_conditions": None if nrep.plain_conditions is None
+                else render(nrep.plain_conditions, plain=True)} for name, nrep in reports]
+    status = "ok" if all(nrep.is_nijenhuis for _, nrep in reports) else "violated"
+    return Report("nijenhuis", status, {"elements": entries})
 
 
 def _cmd_deform(model: ModelFile, args) -> Report:

@@ -15,18 +15,34 @@ and one engine in `rbo` computes every order in one pass. Linear deformations
 need the full expansion to vanish; order-n deformations only need it mod
 t^{n+1}; the residual at t^{n+1} is the obstruction to extending one more
 order, and the one at t^1 is the coboundary of T_1 (`rbo_delta1_expanded`).
+T_t likewise deforms the pre-Lie-Yamaguti products u * v = rho(T_t u) v and
+{u, v, w} = mu(T_t v, T_t w) u, expanded by the same Cauchy product.
+
+A wedge element X gives phi_t = Id + t<X, .> on g and psi_t = Id + tD(X) on
+V, and `_phi_terms` expands them as a homomorphism in powers of t, into the
+t^s coefficients of
+
+    binary-hom      [phi_t x, phi_t y] - phi_t [x, y]                  s <= 2
+    ternary-hom     <phi_t x, phi_t y, phi_t z> - phi_t <x, y, z>      s <= 3
+    rho-intertwine  rho(phi_t x) psi_t - psi_t rho(x)                  s <= 2
+    mu-intertwine   mu(phi_t x, phi_t y) psi_t - psi_t mu(x, y)        s <= 3
+
+Between linear deformations T + tT_1' and T + tT_1 the t^1 term of the
+operator condition is T_1 - T_1' + delta(X), so equivalent deformations have
+cohomologous infinitesimals; a Nijenhuis element zeroes the t^2 and t^3
+bracket and mu terms.
 """
 
 from __future__ import annotations
 
 import itertools
-from typing import Iterator, NamedTuple, Optional, Tuple
+from typing import Container, Iterator, NamedTuple, Optional, Tuple
 
 from .linalg import Matrix, solve_linear, vadd, vneg, vsub
 from .structures import AxiomReport, Term, Violation, _adjoint_tables, wedge_basis
 from .complexes import Cochain, coboundary
-from .rbo import RelRBO, Wedge2, _expansion, _require_verified, _violations
-from .rbo_cohomology import RboComplex, rbo_coboundary_matrix, rbo_cohomology_dims, rbo_delta0
+from .rbo import RelRBO, Wedge2, _expansion, _pre_ly_expansion, _require_verified, _violations
+from .rbo_cohomology import RboComplex, _delta0, rbo_coboundary_matrix, rbo_cohomology_dims, rbo_delta0
 
 __all__ = [
     "NotNijenhuisElement",
@@ -151,6 +167,47 @@ def linear_deformation_check(o: RelRBO, frak_t: Matrix) -> AxiomReport:
     return AxiomReport.from_violations(_violations(residuals, orders, *_LABELS))
 
 
+def _phi_terms(o: RelRBO, lx: Matrix, dx: Matrix,
+               labels: Optional[Container[str]] = None) -> Iterator[Term]:
+    """The coefficients of the module docstring for lx = <X, .> and dx = D(X),
+    labelled "<name>@t^<s>", on the pairs i < j, the triples, i and (i, j) in
+    turn, with each tuple's orders in turn; only those in labels, if given."""
+    a, r = o.algebra, o.rep
+    rng = range(a.dim)
+    e, le = [a.basis(i) for i in rng], lx.columns()
+    br, tr, rho, mu = a.bracket, a.triple, r.rho_of, r.mu_of
+    families = (
+        ("binary-hom", wedge_basis(a.dim), {
+            1: lambda i, j: vsub(vadd(br(le[i], e[j]), br(e[i], le[j])), lx.apply(br(e[i], e[j]))),
+            2: lambda i, j: br(le[i], le[j])}),
+        ("ternary-hom", itertools.product(rng, repeat=3), {
+            1: lambda i, j, k: vsub(vadd(vadd(tr(le[i], e[j], e[k]), tr(e[i], le[j], e[k])),
+                                         tr(e[i], e[j], le[k])), lx.apply(tr(e[i], e[j], e[k]))),
+            2: lambda i, j, k: vadd(vadd(tr(le[i], le[j], e[k]), tr(le[i], e[j], le[k])),
+                                    tr(e[i], le[j], le[k])),
+            3: lambda i, j, k: tr(le[i], le[j], le[k])}),
+        ("rho-intertwine", [(i,) for i in rng], {
+            1: lambda i: rho(le[i]) + r.rho(i) @ dx - dx @ r.rho(i),
+            2: lambda i: rho(le[i]) @ dx}),
+        ("mu-intertwine", itertools.product(rng, repeat=2), {
+            1: lambda i, j: mu(le[i], e[j]) + mu(e[i], le[j]) + r.mu(i, j) @ dx - dx @ r.mu(i, j),
+            2: lambda i, j: mu(le[i], le[j]) + (mu(le[i], e[j]) + mu(e[i], le[j])) @ dx,
+            3: lambda i, j: mu(le[i], le[j]) @ dx}),
+    )
+    for name, tuples, coefficients in families:
+        wanted = [(f"{name}@t^{s}", c) for s, c in coefficients.items()
+                  if labels is None or f"{name}@t^{s}" in labels]
+        for idx in tuples:
+            for label, coefficient in wanted:
+                yield label, idx, coefficient(*idx)
+
+
+# the coefficients of `_phi_terms` that make up the Nijenhuis conditions
+_NIJENHUIS = {"binary-hom@t^2": "bracket-binary", "ternary-hom@t^2": "bracket-ternary-quadratic",
+              "ternary-hom@t^3": "bracket-ternary-cubic", "mu-intertwine@t^2": "mu-quadratic",
+              "mu-intertwine@t^3": "mu-cubic"}
+
+
 def nijenhuis_element_check(o: RelRBO, x: Wedge2) -> NijenhuisReport:
     """Check the six conditions that make a wedge element X generate a
     trivial linear deformation T + t*delta(X):
@@ -169,45 +226,27 @@ def nijenhuis_element_check(o: RelRBO, x: Wedge2) -> NijenhuisReport:
     condition phrased through the operator on g)."""
     _require_verified(o)
     a, r, t = o.algebra, o.rep, o.t_matrix
-    if x.dim != a.dim:
-        raise ValueError("wedge element and algebra dimensions differ")
     m = a.dim
     rng = range(m)
-    bas = [a.basis(i) for i in rng]
-    xb = [x.bracket_with(a, e) for e in bas]
+    lx = x.action_matrix(a)
     dx = x.d_matrix(r)
-    pairs = list(itertools.product(rng, repeat=2))
-    triples = list(itertools.product(rng, repeat=3))
 
     def condition(label: str, terms) -> Tuple[str, AxiomReport]:
         return label, AxiomReport.from_residuals((label, args, res) for args, res in terms)
 
-    brackets = (
-        condition("bracket-binary", (((i, j), a.bracket(xb[i], xb[j]))
-                                     for i, j in wedge_basis(m))),
-        condition("bracket-ternary-quadratic", (
-            ((i, j, k), vadd(vadd(a.triple(xb[i], xb[j], bas[k]),
-                                  a.triple(xb[i], bas[j], xb[k])),
-                             a.triple(bas[i], xb[j], xb[k])))
-            for i, j, k in triples)),
-        condition("bracket-ternary-cubic", (((i, j, k), a.triple(xb[i], xb[j], xb[k]))
-                                            for i, j, k in triples)),
-    )
-    conditions = brackets + (
-        condition("mu-quadratic", (
-            ((z, w), (r.mu_of(bas[z], xb[w]) + r.mu_of(xb[z], bas[w])) @ dx
-             + r.mu_of(xb[z], xb[w]))
-            for z, w in pairs)),
-        condition("mu-cubic", (((z, w), r.mu_of(xb[z], xb[w]) @ dx) for z, w in pairs)),
-        condition("closing", (((b,), x.bracket_with(a, image))
-                              for b, image in enumerate(rbo_delta0(o, x).f_part))),
-    )
+    found = {label: [] for label in _NIJENHUIS.values()}
+    for identity, args, res in _phi_terms(o, lx, dx, _NIJENHUIS):
+        found[_NIJENHUIS[identity]].append((args, res))
+    found["closing"] = [((b,), x.bracket_with(a, image))
+                        for b, image in enumerate(_delta0(o, x, dx).f_part)]
+    conditions = tuple(condition(label, terms) for label, terms in found.items())
+    brackets = conditions[:3]
 
     plain = None
     if r.dim_v == m and _adjoint_tables(a) == ([r.rho(i) for i in rng],
                                                [[r.mu(i, j) for j in rng] for i in rng]):
         plain = brackets + (condition("closing", (
-            ((y,), x.bracket_with(a, vsub(t.apply(xb[y]), x.bracket_with(a, t.apply(bas[y])))))
+            ((y,), x.bracket_with(a, vsub(t.apply(lx.column(y)), x.bracket_with(a, t.column(y)))))
             for y in rng)),)
 
     return NijenhuisReport(element=x, conditions=conditions, plain_conditions=plain)
@@ -237,45 +276,20 @@ def equivalence_check_linear(o: RelRBO, d1: TruncatedDeformation,
     the algebra and representation axioms and are included for completeness."""
     _require_verified(o)
     a, r = o.algebra, o.rep
-    m = a.dim
     for d in (d1, d2):
         if d.order != 1:
             raise ValueError("equivalence check applies to linear deformations")
         if d.terms[0] != o.t_matrix:
             raise ValueError("deformation must start at the operator")
-    if x.dim != m:
-        raise ValueError("wedge element and algebra dimensions differ")
     lx = x.action_matrix(a)
     dx = x.d_matrix(r)
-    t0, t1, t2 = o.t_matrix, d1.terms[1], d2.terms[1]
-    bas = [a.basis(i) for i in range(m)]
-    lxb = [lx.apply(e) for e in bas]
+    t1, t2 = d1.terms[1], d2.terms[1]
 
     def terms() -> Iterator[Term]:
-        for i, j in wedge_basis(m):
-            yield ("binary-hom@t^1", (i, j),
-                   vsub(vadd(a.bracket(lxb[i], bas[j]), a.bracket(bas[i], lxb[j])),
-                        lx.apply(a.bracket_basis(i, j))))
-            yield "binary-hom@t^2", (i, j), a.bracket(lxb[i], lxb[j])
-        for i, j, k in itertools.product(range(m), repeat=3):
-            yield ("ternary-hom@t^1", (i, j, k),
-                   vsub(vadd(vadd(a.triple(lxb[i], bas[j], bas[k]),
-                                  a.triple(bas[i], lxb[j], bas[k])),
-                             a.triple(bas[i], bas[j], lxb[k])),
-                        lx.apply(a.triple_basis(i, j, k))))
-            yield ("ternary-hom@t^2", (i, j, k),
-                   vadd(vadd(a.triple(lxb[i], lxb[j], bas[k]), a.triple(lxb[i], bas[j], lxb[k])),
-                        a.triple(bas[i], lxb[j], lxb[k])))
-            yield "ternary-hom@t^3", (i, j, k), a.triple(lxb[i], lxb[j], lxb[k])
-        for i in range(m):
-            yield "rho-intertwine@t^1", (i,), dx @ r.rho(i) - r.rho_of(lxb[i]) - r.rho(i) @ dx
-            yield "rho-intertwine@t^2", (i,), -(r.rho_of(lxb[i]) @ dx)
-        for i, j in itertools.product(range(m), repeat=2):
-            mixed = r.mu_of(lxb[i], bas[j]) + r.mu_of(bas[i], lxb[j])
-            yield "mu-intertwine@t^1", (i, j), dx @ r.mu(i, j) - mixed - r.mu(i, j) @ dx
-            yield "mu-intertwine@t^2", (i, j), -(r.mu_of(lxb[i], lxb[j]) + mixed @ dx)
-            yield "mu-intertwine@t^3", (i, j), -(r.mu_of(lxb[i], lxb[j]) @ dx)
-        yield "t-intertwine@t^1", (), t1 + t0 @ dx - t2 - lx @ t0
+        for identity, args, res in _phi_terms(o, lx, dx):
+            # reported as psi_t mu(x, y) - mu(phi_t x, phi_t y) psi_t, and so for rho
+            yield identity, args, (-res if isinstance(res, Matrix) else res)
+        yield "t-intertwine@t^1", (), t1 - t2 + rbo_delta0(o, x).as_matrix(a.dim)
         yield "t-intertwine@t^2", (), t1 @ dx - lx @ t2
 
     return AxiomReport.from_residuals(terms())
@@ -311,13 +325,11 @@ def obstruction(o: RelRBO, d: TruncatedDeformation) -> ObstructionResult:
     rc = RboComplex.build(o)
     binary, ternary = residuals[n + 1]
     ob = Cochain(2, tuple(binary.values()), tuple(ternary.values()))
-    is_cocycle = coboundary(rc.ctx, ob).is_zero()
     sol = solve_linear(rbo_coboundary_matrix(rc, 1), vneg(ob.flatten()))
-    witness = None
-    if sol is not None:
-        witness = Cochain.from_flat(rc.ctx, 1, sol)
-    return ObstructionResult(ob=ob, is_cocycle=is_cocycle,
-                             trivial=sol is not None, witness=witness)
+    witness = None if sol is None else Cochain.from_flat(rc.ctx, 1, sol)
+    # a witness makes Ob = -delta(witness) a cocycle, as delta o delta = 0
+    is_cocycle = witness is not None or coboundary(rc.ctx, ob).is_zero()
+    return ObstructionResult(ob, is_cocycle, witness is not None, witness)
 
 
 def extend_deformation(o: RelRBO, d: TruncatedDeformation) -> Optional[TruncatedDeformation]:
@@ -343,19 +355,7 @@ def pre_ly_deformation_terms(o: RelRBO, frak_t: Matrix) -> Tuple[tuple, tuple, t
     report = linear_deformation_check(o, frak_t)
     if not report.valid:
         raise NotLinearDeformation(report.violations[0])
-    r = o.rep
-    v = r.dim_v
-    timg = [o.column(b) for b in range(v)]
-    simg = [frak_t.column(b) for b in range(v)]
-    rho = [r.rho_of(x) for x in simg]
-    mu1 = [[r.mu_of(timg[b], simg[c]) + r.mu_of(simg[b], timg[c]) for c in range(v)]
-           for b in range(v)]
-    mu2 = [[r.mu_of(x, y) for y in simg] for x in simg]
-    phi = tuple(tuple(rho[a].column(b) for b in range(v)) for a in range(v))
-    omega1 = tuple(tuple(tuple(mu1[b][c].column(a) for c in range(v)) for b in range(v))
-                   for a in range(v))
-    omega2 = tuple(tuple(tuple(mu2[b][c].column(a) for c in range(v)) for b in range(v))
-                   for a in range(v))
+    (phi, omega1), (_, omega2) = _pre_ly_expansion(o.rep, (o.t_matrix, frak_t), (1, 2)).values()
     return phi, omega1, omega2
 
 

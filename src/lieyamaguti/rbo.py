@@ -317,15 +317,27 @@ def pre_ly_products(o: RelRBO) -> Tuple[Tuple[Tuple[Vector, ...], ...],
 
     The commutator of * is the sub-adjacent bracket (checked by the tests)."""
     _require_verified(o)
-    r = o.rep
-    v = r.dim_v
-    timg = [o.column(b) for b in range(v)]
-    rho = [r.rho_of(x) for x in timg]
-    mu = [[r.mu_of(x, y) for y in timg] for x in timg]
-    binary = tuple(tuple(rho[a].column(b) for b in range(v)) for a in range(v))
-    ternary = tuple(tuple(tuple(mu[b][c].column(a) for c in range(v)) for b in range(v))
-                    for a in range(v))
-    return binary, ternary
+    return _pre_ly_expansion(o.rep, (o.t_matrix,), (0,))[0]
+
+
+def _pre_ly_expansion(r: Representation, terms: Sequence[Matrix],
+                      orders: Iterable[int]) -> Dict[int, Tuple[tuple, tuple]]:
+    """The t^s coefficients, s in orders, of the `pre_ly_products` tables of
+    T_t = sum_s t^s terms[s] as {s: (binary, ternary)}: rho(T_s u) v and the
+    sum of mu(T_j v, T_k w) u over j + k = s."""
+    vrng, top = range(r.dim_v), len(terms) - 1
+    images = [[term.column(b) for b in vrng] for term in terms]
+    zero = Matrix.zero(r.dim_v, r.dim_v)
+    tables = {}
+    for s in orders:
+        rho = [r.rho_of(images[s][u]) if s <= top else zero for u in vrng]
+        mu = [[sum((r.mu_of(images[j][b], images[s - j][c])
+                    for j in range(max(0, s - top), min(s, top) + 1)), zero) for c in vrng]
+              for b in vrng]
+        tables[s] = (tuple(tuple(rho[u].column(w) for w in vrng) for u in vrng),
+                     tuple(tuple(tuple(mu[b][c].column(u) for c in vrng) for b in vrng)
+                           for u in vrng))
+    return tables
 
 
 def lift_to_nijenhuis(o: RelRBO) -> Matrix:

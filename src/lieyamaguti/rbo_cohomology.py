@@ -19,9 +19,9 @@ from .complexes import (
     Cochain,
     CohomologySummary,
     ComplexContext,
-    _delta_rank,
     cochain_dim,
     coboundary_matrix,
+    cohomology_dims,
     wedge_basis,
 )
 from .rbo import RelRBO, Wedge2, _expansion, _require_verified, induced_rep_on_g
@@ -92,13 +92,12 @@ def rbo_cohomology_dims(rc: RboComplex, p: int, top: Optional[Rref] = None) -> C
     wedge elements under delta; `top` is as in `cohomology_dims`."""
     if p < 1:
         raise ValueError(f"cohomology degree must be >= 1, got {p}")
-    dim_c = cochain_dim(rc.ctx, p)
-    dim_z = dim_c - (_delta_rank(rc.ctx, p) if top is None else len(top))
-    # a matrix and its transpose have one rank, so the columns of the
-    # degree-0 coboundary serve as rows
-    dim_b = _delta_rank(rc.ctx, p - 1) if p >= 2 else _rank(_int_rows(_delta0_columns(rc.operator)))
-    return CohomologySummary(degree=p, dim_cochains=dim_c, dim_cocycles=dim_z,
-                             dim_coboundaries=dim_b, dim_h=dim_z - dim_b)
+    summary = cohomology_dims(rc.ctx, p, top)
+    if p > 1:
+        return summary
+    # the columns of delta^0 serve as rows: a matrix and its transpose have one rank
+    dim_b = _rank(_int_rows(_delta0_columns(rc.operator)))
+    return summary._replace(dim_coboundaries=dim_b, dim_h=summary.dim_h - dim_b)
 
 
 def rbo_delta1_expanded(o: RelRBO, c1: Cochain) -> Cochain:

@@ -11,6 +11,10 @@ dense `rho_of`, `mu_of` and `d_of` matrices in `Fraction` arithmetic and
 applies them to unit vectors. The library's results must be equal to these,
 violation for violation and residual for residual. Slow, so only the tests
 use it.
+
+`pre_ly_products` and `pre_ly_deformation_terms` are kept verbatim as the
+library wrote them before both read one expansion of the products in powers
+of t; the second gates on this module's `linear_deformation_check`.
 """
 
 from __future__ import annotations
@@ -19,6 +23,7 @@ from fractions import Fraction
 from typing import Dict, List, Tuple
 
 from lieyamaguti.complexes import Cochain
+from lieyamaguti.deformation import NotLinearDeformation
 from lieyamaguti.linalg import Matrix, Vector, is_zero_vector, vadd, vsub, vzero
 from lieyamaguti.rbo import RelRBO, _require_verified, induced_lya_on_v
 from lieyamaguti.structures import (
@@ -281,3 +286,53 @@ def induced_rep_on_g(o: RelRBO) -> Representation:
         mu2.append(row)
 
     return Representation(sub, m, rho2, mu2)
+
+
+def pre_ly_products(o: RelRBO) -> Tuple[Tuple[Tuple[Vector, ...], ...],
+                                        Tuple[Tuple[Tuple[Vector, ...], ...], ...]]:
+    """Pre-Lie-Yamaguti products on the module:
+
+        u * v     = rho(Tu) v          (binary table [a][b])
+        {u, v, w} = mu(Tv, Tw) u       (ternary table [a][b][c])
+
+    The commutator of * is the sub-adjacent bracket (checked by the tests)."""
+    _require_verified(o)
+    r = o.rep
+    v = r.dim_v
+    timg = [o.column(b) for b in range(v)]
+    rho = [r.rho_of(x) for x in timg]
+    mu = [[r.mu_of(x, y) for y in timg] for x in timg]
+    binary = tuple(tuple(rho[a].column(b) for b in range(v)) for a in range(v))
+    ternary = tuple(tuple(tuple(mu[b][c].column(a) for c in range(v)) for b in range(v))
+                    for a in range(v))
+    return binary, ternary
+
+
+def pre_ly_deformation_terms(o: RelRBO, frak_t: Matrix) -> Tuple[tuple, tuple, tuple]:
+    """Deformation terms induced on the pre-Lie-Yamaguti products of a linear
+    deformation:
+
+        phi(u, v)       = rho(frak_t u) v
+        omega1(u, v, w) = mu(Tv, frak_t w) u + mu(frak_t v, Tw) u
+        omega2(u, v, w) = mu(frak_t v, frak_t w) u
+
+    so that the deformed operator's products are * + t*phi and
+    {.} + t*omega1 + t^2*omega2. Raises NotLinearDeformation when frak_t is
+    not a linear deformation direction."""
+    report = linear_deformation_check(o, frak_t)
+    if not report.valid:
+        raise NotLinearDeformation(report.violations[0])
+    r = o.rep
+    v = r.dim_v
+    timg = [o.column(b) for b in range(v)]
+    simg = [frak_t.column(b) for b in range(v)]
+    rho = [r.rho_of(x) for x in simg]
+    mu1 = [[r.mu_of(timg[b], simg[c]) + r.mu_of(simg[b], timg[c]) for c in range(v)]
+           for b in range(v)]
+    mu2 = [[r.mu_of(x, y) for y in simg] for x in simg]
+    phi = tuple(tuple(rho[a].column(b) for b in range(v)) for a in range(v))
+    omega1 = tuple(tuple(tuple(mu1[b][c].column(a) for c in range(v)) for b in range(v))
+                   for a in range(v))
+    omega2 = tuple(tuple(tuple(mu2[b][c].column(a) for c in range(v)) for b in range(v))
+                   for a in range(v))
+    return phi, omega1, omega2

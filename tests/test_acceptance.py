@@ -240,6 +240,18 @@ def test_linear_check_agrees_with_sampled_parameters(dim2: Model, dim4: Model):
         assert agreed_valid >= 1  # the delta-image direction always works
 
 
+def _holds(*labels):
+    return [{"identity": label, "valid": True, "violations": []} for label in labels]
+
+
+# every Nijenhuis condition holds for the one wedge element of dim2
+_DIM2_NIJENHUIS = {
+    "is_nijenhuis": True,
+    "conditions": _holds("bracket-binary", "bracket-ternary-quadratic", "bracket-ternary-cubic",
+                         "mu-quadratic", "mu-cubic", "closing"),
+    "plain_conditions": _holds("bracket-binary", "bracket-ternary-quadratic",
+                               "bracket-ternary-cubic", "closing")}
+
 FROZEN_CLI = [
     (("check-algebra", "dim2.lyat"), 0,
      {"command": "check-algebra", "status": "ok",
@@ -306,6 +318,12 @@ FROZEN_CLI = [
                        "args": ["e2", "e1", "e2", "e2", "u2"], "residual": "-u1"},
                       {"identity": "mu-composition",
                        "args": ["e2", "e2", "e1", "e2", "u2"], "residual": "-2*u1"}]}}),
+    (("nijenhuis", "dim2.lyat", "--element", "X"), 0,
+     {"command": "nijenhuis", "status": "ok",
+      "details": {"elements": [{"name": "X", **_DIM2_NIJENHUIS}]}}),
+    (("nijenhuis", "dim2.lyat", "--all-basis"), 0,
+     {"command": "nijenhuis", "status": "ok",
+      "details": {"elements": [{"name": "e1^e2", **_DIM2_NIJENHUIS}]}}),
 ]
 
 
@@ -322,7 +340,8 @@ def test_frozen_output_without_asserts():
     src = str(Path(__file__).resolve().parents[1] / "src")
     env = {**os.environ, "PYTHONPATH": os.pathsep.join(
         p for p in (src, os.environ.get("PYTHONPATH")) if p)}
-    for argv, expected_code, expected_payload in (FROZEN_CLI[1], FROZEN_CLI[3], FROZEN_CLI[4]):
+    for argv, expected_code, expected_payload in (FROZEN_CLI[1], FROZEN_CLI[3], FROZEN_CLI[4],
+                                                  FROZEN_CLI[-1]):
         proc = subprocess.run(
             [sys.executable, "-O", "-m", "lieyamaguti.cli", *argv, "--format", "json"],
             capture_output=True, text=True, env=env)

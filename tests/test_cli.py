@@ -438,6 +438,44 @@ class TestKernelDump:
         assert calls == {"rows": [1], "rref": 2}
 
 
+class TestObstructionAssembly:
+    """`deform obstruction` and `deform extend` apply the degree-2 coboundary
+    only to an obstruction without a witness: Ob = -delta(witness) is a
+    cocycle already, as delta o delta = 0."""
+
+    @pytest.fixture
+    def degrees(self, monkeypatch):
+        from lieyamaguti import complexes
+
+        seen = []
+        rows = complexes._coboundary_rows
+
+        def rows_spy(ctx, p):
+            seen.append(p)
+            return rows(ctx, p)
+
+        monkeypatch.setattr(complexes, "_coboundary_rows", rows_spy)
+        return seen
+
+    @pytest.mark.parametrize("argv", [("obstruction",), ("extend", "--max-order", "3")])
+    def test_trivial_obstructions_build_no_degree_two_rows(self, capsys, degrees, argv):
+        code, _ = run_json(capsys, "deform", argv[0], "dim2.lyat", *argv[1:])
+        assert code == 0
+        assert degrees and set(degrees) == {1}
+
+    def test_nontrivial_obstruction_is_checked_as_a_cocycle(self, capsys, degrees, tmp_path):
+        # T_1 = E_11 is a 1-cocycle of the dim2 operator whose obstruction is
+        # not a coboundary
+        model = dict(MINIMAL, deformation={"terms": [[["0", "0"], ["0", "1"]],
+                                                     [["1", "0"], ["0", "0"]]]})
+        code, payload = run_json(capsys, "deform", "obstruction",
+                                 write_model(tmp_path, "d.lyat", model))
+        assert code == 1
+        details = payload["details"]
+        assert details["is_cocycle"] and not details["trivial"]
+        assert sorted(degrees) == [1, 2]
+
+
 # sl2 lifted by <x,y,z> = [[x,y],z], its adjoint representation and the
 # operator diag(-1, 0, 0): e1^e2 fails every Nijenhuis condition
 SL2_LIFT = {

@@ -9,7 +9,7 @@ import pytest
 
 import lieyamaguti as ly
 import reference_deformation as ref
-from conftest import Model, fr, random_matrix
+from conftest import Model, fr, random_fraction, random_matrix
 from lieyamaguti import cli, rbo
 
 
@@ -229,6 +229,42 @@ class TestPreLyDeformationTerms:
                             ly.vadd(ly.vscale(fr(t), om1[i][j][k]),
                                     ly.vscale(fr(t * t), om2[i][j][k])))
                         assert def_t[i][j][k] == expect
+
+    def test_equals_the_reference(self, dim2: Model, dim4: Model, dim4_rational: Model,
+                                  sl2_standard: Model):
+        # directions delta(X) of seeded wedges, and seeded matrices that fail
+        # to be directions of a linear deformation
+        rng = random.Random(37)
+
+        def outcome(fn, o, frak_t):
+            try:
+                return fn(o, frak_t)
+            except ly.NotLinearDeformation as exc:
+                return type(exc), str(exc), exc.violation
+
+        valid = invalid = 0
+        for m in (dim2, dim4, dim4_rational, sl2_standard):
+            o = m.op
+            dim, shape = o.algebra.dim, (o.t_matrix.rows, o.t_matrix.cols)
+            assert ly.pre_ly_products(o) == ref.pre_ly_products(o)
+            wedges = [ly.Wedge2.from_flat(dim, [random_fraction(rng, 3, 2)
+                                                for _ in ly.wedge_basis(dim)])
+                      for _ in range(3)]
+            directions = [ly.rbo_delta0(o, x).as_matrix(dim) for x in wedges]
+            directions += [random_matrix(rng, *shape, 2, 2) for _ in range(3)]
+            for frak_t in directions:
+                got = outcome(ly.pre_ly_deformation_terms, o, frak_t)
+                assert got == outcome(ref.pre_ly_deformation_terms, o, frak_t)
+                if got[0] is ly.NotLinearDeformation:
+                    invalid += 1
+                    continue
+                valid += 1
+                phi, omega1, omega2 = got
+                vectors = [vec for row in phi for vec in row]
+                vectors += [vec for omega in (omega1, omega2) for plane in omega
+                            for row in plane for vec in row]
+                assert all(type(x) is Fraction for vec in vectors for x in vec)
+        assert valid >= 6 and invalid >= 6
 
 
 class TestRigidity:

@@ -2,6 +2,7 @@
 only the library modules it runs."""
 
 import importlib
+import importlib.util
 import json
 import os
 import subprocess
@@ -42,6 +43,21 @@ def test_unknown_attribute_raises():
     with pytest.raises(AttributeError, match="no_such_name"):
         ly.no_such_name
     assert not hasattr(ly, "no_such_name")
+
+
+def test_every_traced_name_resolves():
+    # perfbench's tracer wraps these by name; a rename in the package would
+    # leave `--trace` failing with nothing else to catch it
+    path = Path(__file__).resolve().parents[1] / "perfbench" / "tracecli.py"
+    spec = importlib.util.spec_from_file_location("tracecli", path)
+    tracecli = importlib.util.module_from_spec(spec)
+    spec.loader.exec_module(tracecli)
+    assert tracecli.SPANS
+    for module, attribute in tracecli.SPANS:
+        obj = importlib.import_module(f"lieyamaguti.{module}")
+        for part in attribute.split("."):
+            obj = getattr(obj, part)
+        assert callable(obj), (module, attribute)
 
 
 _PROBE = """\
