@@ -517,11 +517,10 @@ def _cmd_cohomology(model: ModelFile, args) -> Report:
 
 
 def _cmd_nijenhuis(model: ModelFile, args) -> Report:
-    from .rbo import RelRBO, Wedge2
-    from .deformation import nijenhuis_element_check
-
     r = _validated_rep(model)
+    from .rbo import RelRBO, Wedge2
     o = RelRBO.build(model.algebra, r, model.require_operator())
+    from .deformation import nijenhuis_element_check
     gn = model.algebra.basis_names
     vn = _module_names(r.dim_v)
     if args.element is not None:
@@ -548,11 +547,10 @@ def _cmd_nijenhuis(model: ModelFile, args) -> Report:
 
 
 def _cmd_deform(model: ModelFile, args) -> Report:
-    from .rbo import RelRBO
-    from .deformation import TruncatedDeformation, extend_deformation, obstruction, order_n_check
-
     r = _validated_rep(model)
+    from .rbo import RelRBO
     o = RelRBO.build(model.algebra, r, model.require_operator())
+    from .deformation import TruncatedDeformation, extend_deformation, obstruction, order_n_check
     if model.deformation is None:
         raise ParseError(f"{model.path}: file declares no deformation")
     d = TruncatedDeformation(model.deformation)
@@ -696,13 +694,13 @@ def _dispatch(args) -> Report:
 def _input_errors() -> Tuple[type, ...]:
     """Exceptions that mean the input is unusable (exit 2); any other, a
     `ValueError` included, is a fault in lyat (exit 3). Evaluated only while
-    an `except` clause matches, so a command that succeeds never imports
-    `rbo` or `deformation` for it."""
-    from .rbo import NotRotaBaxter, UnverifiedOperator
-    from .deformation import NotLinearDeformation, NotNijenhuisElement, NotOrderN
-
+    an `except` clause matches, and a module the command did not load cannot
+    have raised, so `rbo` and `deformation` are read only when loaded."""
+    rbo, deformation = (sys.modules.get(f"{__package__}.{m}") for m in ("rbo", "deformation"))
     return (ParseError, InvariantError, UsageError, InvalidAlgebra, InvalidRepresentation,
-            NotRotaBaxter, UnverifiedOperator, NotOrderN, NotNijenhuisElement, NotLinearDeformation)
+            *((rbo.NotRotaBaxter, rbo.UnverifiedOperator) if rbo else ()),
+            *((deformation.NotOrderN, deformation.NotNijenhuisElement,
+               deformation.NotLinearDeformation) if deformation else ()))
 
 
 def main(argv: Optional[Sequence[str]] = None) -> int:

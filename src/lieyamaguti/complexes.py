@@ -14,27 +14,29 @@ while that of delta_II runs to slot n+1. Both are written once, in
 emits the nonzero {input index: coefficient} entries of each in integers, Q =
 q^2 times the exact ones: every term reads one table scaled as `structures`
 explains, [.,.] and rho (weight 1, scaled by q) with one more factor q, or
-<.,.,.>, mu and D (weight 2, scaled by q^2). `coboundary` applies the rows to
-a flattened cochain and `coboundary_matrix` densifies them, both dividing by
-Q; `cohomology_dims` takes the ranks of the integer rows as they are, with no
-dense matrix. The tests compare the rows against an independent term-by-term
-evaluation on cochains and check that consecutive differentials compose to
-zero.
+<.,.,.>, mu and D (weight 2, scaled by q^2). Every computation reads these
+rows in integers: `coboundary` applies them to a cochain scaled to integers,
+`_preimage` solves delta(x) = c on them and `cohomology_dims` takes their
+ranks; `coboundary_matrix` densifies them, a view for API users. The tests
+compare the rows against an independent term-by-term evaluation on cochains
+and check that consecutive differentials compose to zero.
 """
 
 from __future__ import annotations
 
 import itertools
 from fractions import Fraction
+from operator import mul
 from typing import Dict, List, NamedTuple, Optional, Sequence, Tuple
 
-from .linalg import IntRow, Matrix, Rref, Vector, _rank, is_zero_vector, rat, vzero
+from .linalg import IntRow, Matrix, Rref, Vector, _rank, _solve, rat
 from .structures import (
     InvalidRepresentation,
     LYAlgebra,
     Representation,
     Scaled,
     _algebra_tables,
+    _denominator_lcm,
     _scaled_matrix,
     _structure_lcm,
     check_representation,
@@ -125,13 +127,7 @@ class Cochain(NamedTuple):
 
     @classmethod
     def zero(cls, ctx: ComplexContext, p: int) -> "Cochain":
-        z = vzero(ctx.v)
-        if p == 1:
-            return cls(1, (z,) * ctx.m, None)
-        if p < 1:
-            raise ValueError("cochain degree must be at least 1")
-        n = p - 1
-        return cls(p, (z,) * (ctx.w ** n), (z,) * (ctx.w ** n * ctx.m))
+        return cls.from_flat(ctx, p, (0,) * cochain_dim(ctx, p))
 
     @classmethod
     def from_flat(cls, ctx: ComplexContext, p: int, coeffs: Sequence) -> "Cochain":
@@ -139,11 +135,11 @@ class Cochain(NamedTuple):
         vals = [rat(c) for c in coeffs]
         if len(vals) != total:
             raise ValueError(f"expected {total} coefficients for degree {p}, got {len(vals)}")
-        v = ctx.v
-        chunks = [tuple(vals[i:i + v]) for i in range(0, total, v)]
+        v, nf = ctx.v, ctx.m if p == 1 else ctx.w ** (p - 1)
+        # counted by values, not by coordinates: a zero-dimensional module has values ()
+        chunks = [tuple(vals[i * v:i * v + v]) for i in range(nf if p == 1 else nf * (1 + ctx.m))]
         if p == 1:
             return cls(1, tuple(chunks), None)
-        nf = ctx.w ** (p - 1)
         return cls(p, tuple(chunks[:nf]), tuple(chunks[nf:]))
 
     def flatten(self) -> Vector:
@@ -164,9 +160,7 @@ class Cochain(NamedTuple):
         return Matrix.from_columns(list(self.f_part), rows=rows)
 
     def is_zero(self) -> bool:
-        if any(not is_zero_vector(v) for v in self.f_part):
-            return False
-        return self.g_part is None or all(is_zero_vector(v) for v in self.g_part)
+        return not any(map(any, self.f_part + (self.g_part or ())))
 
 
 def _compose_wedges(ctx: ComplexContext, t: List[List[List[Scaled]]], wk: int, wl: int) -> Scaled:
@@ -298,10 +292,27 @@ def coboundary(ctx: ComplexContext, c: Cochain) -> Cochain:
             or any(len(val) != ctx.v for val in c.f_part + (c.g_part or ())):
         raise ValueError(f"malformed degree-{p} cochain")
     flat = c.flatten()
+    scale = _denominator_lcm((flat,))
+    ints = [x.numerator * (scale // x.denominator) for x in flat]
     qq, rows = _coboundary_rows(ctx, p)
-    zero = Fraction(0)
-    image = [sum((co * flat[k] for k, co in row.items()), zero) / qq for row in rows]
+    den, zero = qq * scale, Fraction(0)
+    image = [Fraction(s, den) if (s := sum(map(mul, row.values(), map(ints.__getitem__, row))))
+             else zero for row in rows]
     return Cochain.from_flat(ctx, p + 1, image)
+
+
+def _preimage(ctx: ComplexContext, c: Cochain) -> Optional[Vector]:
+    """A flat x with delta(x) = c, free variables set to zero, or None when c
+    (of degree p >= 2) is no coboundary. Row i of [delta | c] is scaled by
+    Q d_i, for c_i = n_i / d_i: d_i times the integer row, and Q n_i."""
+    ncols = cochain_dim(ctx, c.degree - 1)
+    qq, rows = _coboundary_rows(ctx, c.degree - 1)
+    aug: List[IntRow] = []
+    for row, x in zip(rows, c.flatten()):
+        aug.append({k: x.denominator * co for k, co in row.items()})
+        if x:
+            aug[-1][ncols] = qq * x.numerator
+    return _solve(aug, ncols)
 
 
 def coboundary_matrix(ctx: ComplexContext, p: int) -> Matrix:
@@ -309,13 +320,10 @@ def coboundary_matrix(ctx: ComplexContext, p: int) -> Matrix:
     cochain_dim(p) columns, cochain_dim(p+1) rows."""
     dim_in = cochain_dim(ctx, p)
     qq, rows = _coboundary_rows(ctx, p)
-    zero = Fraction(0)  # one shared zero: the matrix is mostly empty
-    entries = []
-    for row in rows:
-        dense = [zero] * dim_in
+    entries = [[Fraction(0)] * dim_in for _ in rows]  # one shared zero per row
+    for dense, row in zip(entries, rows):
         for k, co in row.items():
             dense[k] = Fraction(co, qq)
-        entries.append(dense)
     return Matrix(entries, cols=dim_in)
 
 

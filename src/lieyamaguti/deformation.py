@@ -15,6 +15,7 @@ and one engine in `rbo` computes every order in one pass. Linear deformations
 need the full expansion to vanish; order-n deformations only need it mod
 t^{n+1}; the residual at t^{n+1} is the obstruction to extending one more
 order, and the one at t^1 is the coboundary of T_1 (`rbo_delta1_expanded`).
+`obstruction` works on the integer rows of delta^1 and delta^2, with no matrix.
 T_t likewise deforms the pre-Lie-Yamaguti products u * v = rho(T_t u) v and
 {u, v, w} = mu(T_t v, T_t w) u, expanded by the same Cauchy product.
 
@@ -38,11 +39,11 @@ from __future__ import annotations
 import itertools
 from typing import Container, Iterator, NamedTuple, Optional, Tuple
 
-from .linalg import Matrix, solve_linear, vadd, vneg, vsub
+from .linalg import Matrix, vadd, vneg, vsub
 from .structures import AxiomReport, Term, Violation, _adjoint_tables, wedge_basis
-from .complexes import Cochain, coboundary
+from .complexes import Cochain, _preimage, coboundary
 from .rbo import RelRBO, Wedge2, _expansion, _pre_ly_expansion, _require_verified, _violations
-from .rbo_cohomology import RboComplex, _delta0, rbo_coboundary_matrix, rbo_cohomology_dims, rbo_delta0
+from .rbo_cohomology import RboComplex, _delta0, rbo_cohomology_dims, rbo_delta0
 
 __all__ = [
     "NotNijenhuisElement",
@@ -325,9 +326,9 @@ def obstruction(o: RelRBO, d: TruncatedDeformation) -> ObstructionResult:
     rc = RboComplex.build(o)
     binary, ternary = residuals[n + 1]
     ob = Cochain(2, tuple(binary.values()), tuple(ternary.values()))
-    sol = solve_linear(rbo_coboundary_matrix(rc, 1), vneg(ob.flatten()))
-    witness = None if sol is None else Cochain.from_flat(rc.ctx, 1, sol)
-    # a witness makes Ob = -delta(witness) a cocycle, as delta o delta = 0
+    # a preimage x of Ob gives the witness -x, and makes Ob a cocycle, as delta o delta = 0
+    sol = _preimage(rc.ctx, ob)
+    witness = None if sol is None else Cochain.from_flat(rc.ctx, 1, vneg(sol))
     is_cocycle = witness is not None or coboundary(rc.ctx, ob).is_zero()
     return ObstructionResult(ob, is_cocycle, witness is not None, witness)
 

@@ -10,13 +10,13 @@ Vectors are plain tuples of Fraction.
 `rank_kernel`, `solve_linear` and `inverse` scale each row of their matrix
 to integers by the LCM of its denominators (`_int_rows`), which keeps its
 reduced row echelon form, and share one elimination, `_rref`, of sparse
-integer rows ``{column: nonzero value}``; callers that need only a rank hand
-their own integer rows to `_rank`, and no dense matrix is built. Rows enter
-one at a time, each reduced against the pivot rows found so far, which are
-kept fully reduced; a row that vanishes is dropped, otherwise its first
-column becomes a new pivot and is cleared from the other pivot rows. Zeros
-are never touched, which matters for the tall, sparse, low-rank coboundary
-matrices.
+integer rows ``{column: nonzero value}``; callers that need only a rank or
+one solution hand their own integer rows to `_rank` or `_solve`, and no
+dense matrix is built. Rows enter one at a time, each reduced against the
+pivot rows found so far, which are kept fully reduced; a row that vanishes
+is dropped, otherwise its first column becomes a new pivot and is cleared
+from the other pivot rows. Zeros are never touched, which matters for the
+tall, sparse, low-rank coboundary matrices.
 
 The elimination runs modulo the prime P = 2**61 - 1 (`_rref_mod`), so no
 entry grows beyond 61 bits. A row is first tested with one weighted sum: a
@@ -51,7 +51,7 @@ from __future__ import annotations
 
 from fractions import Fraction
 from math import gcd, isqrt, lcm
-from operator import mul
+from operator import add, mul, sub
 from typing import Dict, Iterable, List, Optional, Sequence, Tuple
 
 Rational = Fraction
@@ -218,21 +218,19 @@ class Matrix:
             out.append(acc)
         return Matrix(out, cols=other.cols)
 
-    def __add__(self, other: "Matrix") -> "Matrix":
+    def _entrywise(self, other, op, name: str) -> "Matrix":
         if not isinstance(other, Matrix):
             return NotImplemented
         if (self.rows, self.cols) != (other.rows, other.cols):
-            raise ValueError("shape mismatch in matrix addition")
-        return Matrix([[a + b for a, b in zip(r1, r2)]
-                       for r1, r2 in zip(self.entries, other.entries)], cols=self.cols)
+            raise ValueError(f"shape mismatch in matrix {name}")
+        return Matrix([list(map(op, r1, r2)) for r1, r2 in zip(self.entries, other.entries)],
+                      cols=self.cols)
+
+    def __add__(self, other: "Matrix") -> "Matrix":
+        return self._entrywise(other, add, "addition")
 
     def __sub__(self, other: "Matrix") -> "Matrix":
-        if not isinstance(other, Matrix):
-            return NotImplemented
-        if (self.rows, self.cols) != (other.rows, other.cols):
-            raise ValueError("shape mismatch in matrix subtraction")
-        return Matrix([[a - b for a, b in zip(r1, r2)]
-                       for r1, r2 in zip(self.entries, other.entries)], cols=self.cols)
+        return self._entrywise(other, sub, "subtraction")
 
     def __neg__(self) -> "Matrix":
         return Matrix([[-a for a in r] for r in self.entries], cols=self.cols)
@@ -342,18 +340,15 @@ def _rref_mod(rows: Iterable[IntRow]) -> Dict[int, Dict[int, int]]:
         kappa = -sum(map(mul, row.values(), map(weight.__getitem__, row))) % P
         shift = weight[pc] - kappa  # a row losing b at pc gains b * shift in weight
         for opc, other in basis.items():
-            f = other.pop(pc, 0)
+            f = other.pop(pc, 0) % P
             if f:
                 weight[opc] = (weight[opc] + f * shift) % P
                 for c, x in row.items():
-                    y = (other.get(c, 0) - f * x) % P
-                    if y:
-                        other[c] = y
-                    else:
-                        del other[c]
+                    other[c] = other.get(c, 0) - f * x
         weight[pc] = kappa
         basis[pc] = row
-    return basis
+    # back-elimination left entries below rank * P**2, and zeros, in the pivot rows
+    return {pc: {c: y for c, x in row.items() if (y := x % P)} for pc, row in basis.items()}
 
 
 def _lift(u: int) -> Optional[Fraction]:
@@ -459,12 +454,18 @@ def solve_linear(a: Matrix, b: Vector) -> Optional[Vector]:
     """
     if len(b) != a.rows:
         raise ValueError(f"rhs length {len(b)} does not match {a.rows} rows")
-    basis = _rref(_int_rows(r + (rat(x),) for r, x in zip(a.entries, b)))
-    if a.cols in basis:
+    return _solve(_int_rows(r + (rat(x),) for r, x in zip(a.entries, b)), a.cols)
+
+
+def _solve(ints: Sequence[IntRow], ncols: int) -> Optional[Vector]:
+    """`solve_linear` on integer rows of [a | b], b in column `ncols`; scaling
+    a row by any nonzero factor leaves the RREF, so the solution, unchanged."""
+    basis = _rref(ints)
+    if ncols in basis:
         return None
-    x = [Fraction(0)] * a.cols
+    x = [Fraction(0)] * ncols
     for pc, row in basis.items():
-        x[pc] = row.get(a.cols, Fraction(0))
+        x[pc] = row.get(ncols, Fraction(0))
     return tuple(x)
 
 

@@ -29,15 +29,7 @@ import itertools
 from fractions import Fraction
 from typing import Dict, Iterable, Iterator, List, NamedTuple, Optional, Sequence, Tuple
 
-from .linalg import (
-    Matrix,
-    Vector,
-    inverse,
-    rat,
-    vadd,
-    vsub,
-    vzero,
-)
+from .linalg import Matrix, Vector, inverse, rat, vadd, vsub, vzero
 from .structures import (
     AxiomReport,
     LYAlgebra,

@@ -131,6 +131,22 @@ LIE_FAMILIES: Dict[str, Tuple[int, Dict[Tuple[int, int], Tuple[int, ...]]]] = {
 }
 
 
+def sl2_sum_operator(k: int) -> ly.RelRBO:
+    """The operator sending f to e in each block (T e_{3b+2} = e_{3b+1}) on
+    the adjoint representation of k copies of sl2, lifted by
+    <x,y,z> = [[x,y],z]."""
+    n = 3 * k
+    binary = {}
+    for b in range(k):
+        for (i, j), consts in LIE_FAMILIES["sl2"][1].items():
+            value = [fr(0)] * n
+            value[3 * b:3 * b + 3] = map(fr, consts)
+            binary[(3 * b + i, 3 * b + j)] = tuple(value)
+    a = ly.lya_from_lie(n, binary)
+    t = [[fr(int(i % 3 == 1 and j == i + 1)) for j in range(n)] for i in range(n)]
+    return ly.RelRBO.build(a, ly.adjoint_rep(a), ly.Matrix(t))
+
+
 def random_invertible(rng, n: int) -> ly.Matrix:
     while True:
         m = ly.Matrix([[fr(rng.randint(-3, 3)) for _ in range(n)] for _ in range(n)])

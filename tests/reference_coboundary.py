@@ -6,6 +6,11 @@ assembler: here every term of delta_I and delta_II is evaluated directly on
 the value vectors through the multilinear `_eval_f`/`_eval_g`, and the matrix
 is built column by column from unit cochains. Slow (dim 4 degree 2 takes
 seconds), so only the tests use it.
+
+`coboundary` is the package's map as it was before it applied the integer
+rows in integers, kept verbatim: it divides every entry of every row by Q as
+a `Fraction`. The package's `coboundary` must return the same cochains and
+raise the same errors.
 """
 
 from __future__ import annotations
@@ -15,6 +20,7 @@ from fractions import Fraction
 from typing import Dict, List, Sequence, Tuple
 
 from lieyamaguti import Cochain, ComplexContext, Matrix, cochain_dim
+from lieyamaguti.complexes import _coboundary_rows
 from lieyamaguti.linalg import Vector, vadd, vscale, vsub, vzero
 
 Sparse = List[Tuple[int, Fraction]]  # (index, coefficient) pairs, coefficient != 0
@@ -237,3 +243,20 @@ def reference_coboundary_matrix(ctx: ComplexContext, p: int) -> Matrix:
         cols.append(reference_coboundary(ctx, Cochain.from_flat(ctx, p, unit)).flatten())
         unit[idx] = Fraction(0)
     return Matrix.from_columns(cols, rows=dim_out)
+
+
+def coboundary(ctx: ComplexContext, c: Cochain) -> Cochain:
+    """Apply the differential, raising the degree by one."""
+    p = c.degree
+    if p < 1:
+        raise ValueError("cochain degree must be at least 1")
+    nf = ctx.m if p == 1 else ctx.w ** (p - 1)
+    blocks = (len(c.f_part), None if c.g_part is None else len(c.g_part))
+    if blocks != (nf, None if p == 1 else nf * ctx.m) \
+            or any(len(val) != ctx.v for val in c.f_part + (c.g_part or ())):
+        raise ValueError(f"malformed degree-{p} cochain")
+    flat = c.flatten()
+    qq, rows = _coboundary_rows(ctx, p)
+    zero = Fraction(0)
+    image = [sum((co * flat[k] for k, co in row.items()), zero) / qq for row in rows]
+    return Cochain.from_flat(ctx, p + 1, image)

@@ -15,6 +15,11 @@ use it.
 `pre_ly_products` and `pre_ly_deformation_terms` are kept verbatim as the
 library wrote them before both read one expansion of the products in powers
 of t; the second gates on this module's `linear_deformation_check`.
+
+`obstruction` is kept verbatim as the library wrote it before it read the
+witness off the integer rows of delta^1: it solves over the dense
+`rbo_coboundary_matrix` with `solve_linear`, and tests the cocycle condition
+with the `Fraction` coboundary of `reference_coboundary`.
 """
 
 from __future__ import annotations
@@ -23,9 +28,16 @@ from fractions import Fraction
 from typing import Dict, List, Tuple
 
 from lieyamaguti.complexes import Cochain
-from lieyamaguti.deformation import NotLinearDeformation
-from lieyamaguti.linalg import Matrix, Vector, is_zero_vector, vadd, vsub, vzero
+from lieyamaguti.deformation import (
+    NotLinearDeformation,
+    NotOrderN,
+    ObstructionResult,
+    TruncatedDeformation,
+    _order_violations,
+)
+from lieyamaguti.linalg import Matrix, Vector, is_zero_vector, solve_linear, vadd, vneg, vsub, vzero
 from lieyamaguti.rbo import RelRBO, _require_verified, induced_lya_on_v
+from lieyamaguti.rbo_cohomology import RboComplex, rbo_coboundary_matrix
 from lieyamaguti.structures import (
     AxiomReport,
     LYAlgebra,
@@ -33,6 +45,8 @@ from lieyamaguti.structures import (
     Violation,
     wedge_basis,
 )
+
+from reference_coboundary import coboundary
 
 
 def _unit(n: int, i: int) -> Vector:
@@ -336,3 +350,23 @@ def pre_ly_deformation_terms(o: RelRBO, frak_t: Matrix) -> Tuple[tuple, tuple, t
     omega2 = tuple(tuple(tuple(mu2[b][c].column(a) for c in range(v)) for b in range(v))
                    for a in range(v))
     return phi, omega1, omega2
+
+
+def obstruction(o: RelRBO, d: TruncatedDeformation) -> ObstructionResult:
+    """The coefficient residual at t^{n+1}, packaged as a 2-cochain Ob of the
+    operator complex. The deformation extends to order n+1 by a term frak_t
+    iff delta(frak_t) = -Ob; the witness is such a preimage when it exists.
+
+    Raises NotOrderN when d itself fails its order-n conditions."""
+    n = d.order
+    residuals, viols = _order_violations(o, d, range(n + 2))
+    if viols:
+        raise NotOrderN(viols[0])
+    rc = RboComplex.build(o)
+    binary, ternary = residuals[n + 1]
+    ob = Cochain(2, tuple(binary.values()), tuple(ternary.values()))
+    sol = solve_linear(rbo_coboundary_matrix(rc, 1), vneg(ob.flatten()))
+    witness = None if sol is None else Cochain.from_flat(rc.ctx, 1, sol)
+    # a witness makes Ob = -delta(witness) a cocycle, as delta o delta = 0
+    is_cocycle = witness is not None or coboundary(rc.ctx, ob).is_zero()
+    return ObstructionResult(ob, is_cocycle, witness is not None, witness)

@@ -1,5 +1,6 @@
-"""Dense Gauss-Jordan elimination over the rationals, and the modular pass
-and certificate `lieyamaguti.linalg` used before it skipped rows.
+"""Dense Gauss-Jordan elimination over the rationals, the modular pass and
+certificate `lieyamaguti.linalg` used before it skipped rows, and its
+modular pass before it deferred the reduction of the back-elimination.
 
 This is the elimination `lieyamaguti.linalg` used before it switched to a
 sparse incremental reduction, kept verbatim as an independent reference:
@@ -13,9 +14,10 @@ from __future__ import annotations
 
 from fractions import Fraction
 from math import lcm
+from operator import mul
 from typing import Dict, Iterable, List, Optional, Tuple
 
-from lieyamaguti.linalg import IntRow, Matrix, P, SparseRow, Vector, rat
+from lieyamaguti.linalg import IntRow, Matrix, P, SparseRow, Vector, _Weights, rat
 
 
 def _rref(rows: List[List[Fraction]], ncols: int) -> List[int]:
@@ -164,3 +166,44 @@ def _certified(rows: Iterable[IntRow], basis: Dict[int, SparseRow]) -> bool:
         if any(acc.values()):
             return False
     return True
+
+
+# The modular pass of `lieyamaguti.linalg` before its back-elimination left
+# the pivot rows unreduced until it returned, kept verbatim (under its own
+# name): it reduces every updated entry modulo P and deletes the zeros at
+# once. The package must return the same modular form.
+
+def _rref_mod_eager(rows: Iterable[IntRow]) -> Dict[int, Dict[int, int]]:
+    """`_rref_exact` over the integers modulo P, with entries in range(1, P),
+    skipping each row whose weighted sum is 0 (see the module docstring)."""
+    basis: Dict[int, Dict[int, int]] = {}
+    weight = _Weights()
+    for row in sorted(rows, key=len):  # short rows first keep pivot rows sparse
+        if not sum(map(mul, row.values(), map(weight.__getitem__, row))) % P:
+            continue
+        row = dict(row)
+        for pc in [c for c in row if c in basis]:
+            f = row.pop(pc) % P
+            if f:
+                for c, x in basis[pc].items():
+                    row[c] = row.get(c, 0) - f * x
+        # reduced mod P once, after all subtractions; a nonzero weighted sum leaves some
+        row = {c: y for c, x in row.items() if (y := x % P)}
+        pc = min(row)
+        inv = pow(row.pop(pc), -1, P)
+        row = {c: x * inv % P for c, x in row.items()}
+        kappa = -sum(map(mul, row.values(), map(weight.__getitem__, row))) % P
+        shift = weight[pc] - kappa  # a row losing b at pc gains b * shift in weight
+        for opc, other in basis.items():
+            f = other.pop(pc, 0)
+            if f:
+                weight[opc] = (weight[opc] + f * shift) % P
+                for c, x in row.items():
+                    y = (other.get(c, 0) - f * x) % P
+                    if y:
+                        other[c] = y
+                    else:
+                        del other[c]
+        weight[pc] = kappa
+        basis[pc] = row
+    return basis

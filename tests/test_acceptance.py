@@ -363,6 +363,20 @@ def test_no_asserts_in_src():
     assert found == []
 
 
+def test_dense_views_have_no_callers_in_src():
+    # library computations read the integer rows; the dense matrices and the
+    # solves over them are views for API users and may only build on each other
+    views = {"coboundary_matrix", "rbo_coboundary_matrix", "rank_kernel", "solve_linear"}
+
+    def name(call):
+        return getattr(call.func, "id", None) or getattr(call.func, "attr", None)
+
+    found = {f"{path.name}:{node.lineno}" for path, fn in _src_nodes()
+             if isinstance(fn, ast.FunctionDef) and fn.name not in views
+             for node in ast.walk(fn) if isinstance(node, ast.Call) and name(node) in views}
+    assert sorted(found) == []
+
+
 def test_no_dataclasses_in_src():
     # records are NamedTuples: importing `dataclasses` loads inspect, ast and
     # dis, a cost every `lyat` command would pay at start-up

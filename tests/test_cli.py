@@ -476,6 +476,46 @@ class TestObstructionAssembly:
         assert sorted(degrees) == [1, 2]
 
 
+class TestObstructionOnIntegerRows:
+    """`deform obstruction` and `deform extend` read delta^1 and delta^2 as
+    integer rows: no dense view and no `solve_linear` on a `Matrix`."""
+
+    VIEWS = ("solve_linear", "rbo_coboundary_matrix", "coboundary_matrix")
+
+    @pytest.fixture
+    def views(self, monkeypatch):
+        from lieyamaguti import deformation  # noqa: F401  (loads the modules it imports from)
+
+        called = []
+
+        def spy(name, real):
+            def wrapper(*args):
+                called.append(name)
+                return real(*args)
+            return wrapper
+
+        for mod in [m for m in sys.modules.values() if m.__name__.startswith("lieyamaguti")]:
+            for name in self.VIEWS:
+                if hasattr(mod, name):
+                    monkeypatch.setattr(mod, name, spy(name, getattr(mod, name)))
+        return called
+
+    @pytest.mark.parametrize("argv", [("obstruction",), ("extend", "--max-order", "3")])
+    def test_trivial_obstructions(self, capsys, views, argv):
+        code, _ = run_json(capsys, "deform", argv[0], "dim2.lyat", *argv[1:])
+        assert code == 0
+        assert views == []
+
+    def test_nontrivial_obstruction(self, capsys, views, tmp_path):
+        model = dict(MINIMAL, deformation={"terms": [[["0", "0"], ["0", "1"]],
+                                                     [["1", "0"], ["0", "0"]]]})
+        code, payload = run_json(capsys, "deform", "obstruction",
+                                 write_model(tmp_path, "d.lyat", model))
+        assert code == 1
+        assert payload["details"]["is_cocycle"] and not payload["details"]["trivial"]
+        assert views == []
+
+
 # sl2 lifted by <x,y,z> = [[x,y],z], its adjoint representation and the
 # operator diag(-1, 0, 0): e1^e2 fails every Nijenhuis condition
 SL2_LIFT = {

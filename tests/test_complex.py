@@ -11,6 +11,7 @@ import lieyamaguti as ly
 from conftest import Model, conjugated_lie_lya, fr, random_valid_pair
 from lieyamaguti.complexes import _coboundary_rows, _delta_rank
 from lieyamaguti.structures import _structure_lcm
+from reference_coboundary import coboundary as replaced_coboundary
 from reference_coboundary import reference_coboundary, reference_coboundary_matrix
 
 rationals = st.builds(fr, st.integers(-6, 6), st.integers(1, 4))
@@ -84,6 +85,17 @@ class TestCochain:
         # columns are images of basis vectors
         assert m.column(0) == (fr(1), fr(2))
         assert m.column(1) == (fr(3), fr(4))
+
+    def test_zero_dimensional_module(self, dim2: Model):
+        # every value vector is (); the cochains still have their m, w^n and
+        # w^n m values, and the differential maps them to zero
+        ctx = ly.ComplexContext(dim2.algebra, ly.zero_rep(dim2.algebra, 0))
+        for p, shape in ((1, (2, None)), (2, (1, 2)), (3, (1, 2))):
+            z = ly.Cochain.from_flat(ctx, p, ())
+            assert z == ly.Cochain.zero(ctx, p) and z.is_zero()
+            assert (len(z.f_part), None if z.g_part is None else len(z.g_part)) == shape
+            assert set(z.f_part + (z.g_part or ())) == {()}
+            assert ly.coboundary(ctx, z) == ly.Cochain.zero(ctx, p + 1)
 
 
 class TestCoboundary:
@@ -240,6 +252,39 @@ class TestIntegerRows:
                 dim_b = ranks[p - 1] if p >= 2 else 0
                 assert ly.cohomology_dims(ctx, p) == ly.CohomologySummary(
                     p, dim_c, dim_c - ranks[p], dim_b, dim_c - ranks[p] - dim_b)
+
+    def test_coboundary_equals_the_replaced_fraction_map(self, dim2, dim4_rational,
+                                                         sl2_standard):
+        # the map scales a cochain to integers, so denominators in both the
+        # structure (q > 1) and the cochain must come out as before
+        start = time.monotonic()
+        rng = random.Random(67)
+        scales = []
+        for ctx, degrees in _integer_row_contexts(dim2, dim4_rational, sl2_standard):
+            scales.append(_structure_lcm(ctx.rep))
+            for p in degrees:
+                dim = ly.cochain_dim(ctx, p)
+                flats = [(fr(0),) * dim, tuple(fr(int(k == dim // 2)) for k in range(dim))]
+                flats += [tuple(fr(rng.randint(-5, 5), rng.choice((1, 2, 3, 4, 9, 35)))
+                                if rng.random() < density else fr(0) for _ in range(dim))
+                          for density in (0.2, 1.0)]
+                for flat in flats:
+                    c = ly.Cochain.from_flat(ctx, p, flat)
+                    got = ly.coboundary(ctx, c)
+                    assert got == replaced_coboundary(ctx, c)
+                    assert all(type(x) is Fraction for x in got.flatten())
+        assert sum(1 for q in scales if q > 1) >= 3
+        assert time.monotonic() - start < 60.0
+
+    def test_malformed_cochains_fail_as_in_the_replaced_map(self, ctx2):
+        z = fr(0)
+        for c in (ly.Cochain(1, ((z, z),), None), ly.Cochain(2, ((z, z),), None),
+                  ly.Cochain(2, ((z, z),), ((z,), (z, z))), ly.Cochain(0, (), None),
+                  ly.Cochain(1, ((z,), (z, z)), None)):
+            with pytest.raises(ValueError) as want:
+                replaced_coboundary(ctx2, c)
+            with pytest.raises(ValueError, match=f"^{want.value}$"):
+                ly.coboundary(ctx2, c)
 
     def test_cohomology_dims_builds_no_matrix(self, dim4: Model, monkeypatch):
         ctx = ly.ComplexContext(dim4.algebra, dim4.rep)

@@ -2,6 +2,7 @@
 Nijenhuis elements and obstructions."""
 
 import random
+import time
 from fractions import Fraction
 from importlib import resources
 
@@ -9,7 +10,7 @@ import pytest
 
 import lieyamaguti as ly
 import reference_deformation as ref
-from conftest import Model, fr, random_fraction, random_matrix
+from conftest import Model, fr, random_fraction, random_matrix, sl2_sum_operator
 from lieyamaguti import cli, rbo
 
 
@@ -406,3 +407,72 @@ class TestObstructionClasses:
                 if res.trivial:
                     assert ly.order_n_check(m.op, ly.extend_deformation(m.op, d)).valid
         assert nontrivial > 0
+
+
+def _cocycle_draws(o: ly.RelRBO, rng: random.Random, count: int):
+    """Order-1 deformations T + t T_1, T_1 a seeded combination of the
+    free-column basis of Z^1 with coefficients in -3..3."""
+    rc = ly.RboComplex.build(o)
+    m1 = ly.rbo_coboundary_matrix(rc, 1)
+    _, kernel = ly.rank_kernel(m1)
+    for _ in range(count):
+        z = [fr(0)] * m1.cols
+        for k in kernel:
+            z = ly.vadd(z, ly.vscale(fr(rng.randint(-3, 3)), k))
+        t1 = ly.Cochain.from_flat(rc.ctx, 1, z).as_matrix(o.algebra.dim)
+        yield ly.TruncatedDeformation((o.t_matrix, t1))
+
+
+def _same_obstruction(o: ly.RelRBO, d: ly.TruncatedDeformation):
+    """The package's obstruction of d, asserted equal to the replaced one
+    field by field, or None after asserting that both raise the same
+    NotOrderN."""
+    try:
+        want = ref.obstruction(o, d)
+    except ly.NotOrderN as exc:
+        with pytest.raises(ly.NotOrderN) as info:
+            ly.obstruction(o, d)
+        assert info.value.violation == exc.violation
+        return None
+    got = ly.obstruction(o, d)
+    assert got == want   # ob, is_cocycle, trivial and witness
+    return got
+
+
+class TestObstructionAgainstReference:
+    """`obstruction` reads the witness off the integer rows of delta^1 and
+    tests the cocycle condition in integers; its results must equal those of
+    the replaced dense solve and `Fraction` coboundary exactly."""
+
+    def test_fixtures(self, dim2: Model, dim4: Model, dim4_rational: Model,
+                      sl2_standard: Model):
+        rng = random.Random(43)
+        zero_module = ly.RelRBO.build(dim2.algebra, ly.zero_rep(dim2.algebra, 0),
+                                      ly.Matrix.zero(2, 0))
+        results = []
+        for o in (dim2.op, dim4.op, dim4_rational.op, sl2_standard.op, zero_module):
+            a, v = o.algebra.dim, o.rep.dim_v
+            d = ly.trivial_deformation_from(o, ly.Wedge2.zero(a))
+            for _ in range(3):   # trivial at every order
+                results.append(_same_obstruction(o, d))
+                d = ly.extend_deformation(o, d)
+            for d in _cocycle_draws(o, rng, 3):
+                results.append(_same_obstruction(o, d))
+                if results[-1].trivial:
+                    results.append(_same_obstruction(o, ly.extend_deformation(o, d)))
+            for n in (1, 2):   # random terms: mostly NotOrderN
+                terms = (o.t_matrix,) + tuple(random_matrix(rng, a, v, 3, 3) for _ in range(n))
+                results.append(_same_obstruction(o, ly.TruncatedDeformation(terms)))
+        assert sum(r is None for r in results) >= 7
+        assert sum(r is not None and not r.trivial for r in results) >= 3
+        assert sum(r is not None and r.trivial and not r.ob.is_zero() for r in results) >= 1
+
+    @pytest.mark.parametrize("k", [2, 3])
+    def test_sl2_sums(self, k):
+        start = time.monotonic()
+        o = sl2_sum_operator(k)
+        first = next(_cocycle_draws(o, random.Random(11), 1))
+        assert not _same_obstruction(o, first).trivial
+        zero = ly.trivial_deformation_from(o, ly.Wedge2.zero(o.algebra.dim))
+        assert _same_obstruction(o, zero).trivial
+        assert time.monotonic() - start < 60.0

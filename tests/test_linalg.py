@@ -7,7 +7,7 @@ import pytest
 from hypothesis import given, settings, strategies as st
 
 import reference_linalg as ref
-from conftest import Model, transport
+from conftest import Model, conjugated_lie_lya, transport
 from lieyamaguti import (
     ComplexContext,
     Matrix,
@@ -29,6 +29,7 @@ from lieyamaguti import (
     vzero,
 )
 from lieyamaguti import linalg
+from lieyamaguti.complexes import _coboundary_rows
 from lieyamaguti.linalg import P
 
 
@@ -374,8 +375,9 @@ class TestSkippedRowsAndPackedCertificate:
             rows = _low_rank_rows(rng, ncols, rng.randint(1, min(ncols, 5)),
                                   rng.randint(4, 40), big=case % 5 == 4)
             assert linalg._rref(rows) == linalg._rref_exact(rows)
-            # skipping rows of the span leaves the modular form as it was
-            assert linalg._rref_mod(rows) == ref._rref_mod(rows)
+            # skipping rows of the span leaves the modular form as it was, and
+            # so does reducing the back-elimination only once
+            assert linalg._rref_mod(rows) == ref._rref_mod(rows) == ref._rref_mod_eager(rows)
 
     def test_no_skipped_rows_fall_back_on_coboundary_rows(self, dim4: Model, fallbacks):
         ctx = ComplexContext(dim4.algebra, dim4.rep)
@@ -384,7 +386,20 @@ class TestSkippedRowsAndPackedCertificate:
             basis = linalg._rref(rows)
             assert not fallbacks
             assert basis == linalg._rref_exact(rows)
+            assert linalg._rref_mod(rows) == ref._rref_mod_eager(rows)
             fallbacks.clear()
+
+    def test_deferred_back_elimination_on_dense_coboundary_rows(self):
+        # sl2 in a seeded dense basis: delta^2 has rank 29, so each pivot row
+        # takes many back-elimination updates before the pass returns
+        rng = random.Random(73)
+        a = conjugated_lie_lya(rng, "sl2")
+        ctx = ComplexContext(a, adjoint_rep(a))
+        for p in (1, 2):
+            rows = _coboundary_rows(ctx, p)[1]
+            modular = linalg._rref_mod(rows)
+            assert modular == ref._rref_mod_eager(rows)
+            assert all(0 < u < P for row in modular.values() for u in row.values())
 
     @pytest.mark.parametrize("rows,pivots", [
         # weights all 1: {1: 1, 2: -1} sums to 0, yet it is independent, and

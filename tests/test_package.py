@@ -69,14 +69,14 @@ print(json.dumps({"code": code, "loaded": loaded}), file=sys.stderr)
 """
 
 
-def _probe(argv):
+def _probe(argv, codes=(0, 1)):
     src = str(Path(__file__).resolve().parents[1] / "src")
     env = {**os.environ, "PYTHONPATH": os.pathsep.join(
         p for p in (src, os.environ.get("PYTHONPATH")) if p)}
     proc = subprocess.run([sys.executable, "-c", _PROBE, *argv],
                           capture_output=True, text=True, env=env)
     probe = json.loads(proc.stderr)
-    assert probe["code"] in (0, 1)
+    assert probe["code"] in codes
     return probe["loaded"]
 
 
@@ -89,6 +89,22 @@ def _probe(argv):
 def test_light_commands_load_only_linalg_and_structures(argv):
     assert _probe(argv) == ["lieyamaguti", "lieyamaguti.cli",
                             "lieyamaguti.linalg", "lieyamaguti.structures"]
+
+
+@pytest.mark.parametrize("argv", [
+    ("check-algebra", "dim0.lyat"),
+    ("nijenhuis", "dim2_bad_algebra.lyat", "--all-basis"),
+    ("deform", "obstruction", "dim2_bad_algebra.lyat"),
+])
+def test_unusable_input_loads_only_what_ran(tmp_path, argv):
+    # exit 2 takes the exceptions of loaded modules only: a file with "dim": 0
+    # fails parsing, and an algebra failing its identities fails before the
+    # operator is read
+    path = tmp_path / "dim0.lyat"
+    path.write_text(json.dumps({"scalar": "rational", "dim": 0, "binary": [], "ternary": []}))
+    argv = tuple(str(path) if a == "dim0.lyat" else a for a in argv)
+    assert _probe(argv, codes=(2,)) == ["lieyamaguti", "lieyamaguti.cli",
+                                        "lieyamaguti.linalg", "lieyamaguti.structures"]
 
 
 @pytest.mark.parametrize("argv", [
