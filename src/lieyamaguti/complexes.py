@@ -12,9 +12,10 @@ follow a fixed sign convention; the D-type sum of delta_I stops at slot n
 while that of delta_II runs to slot n+1. Both are written once, in
 `_coboundary_rows`, which walks the output coordinates of the flat layout and
 emits the nonzero {input index: coefficient} entries of each in integers, Q =
-q^2 times the exact ones: every term reads one table scaled as `structures`
-explains, [.,.] and rho (weight 1, scaled by q) with one more factor q, or
-<.,.,.>, mu and D (weight 2, scaled by q^2). Every computation reads these
+q^2 times the exact ones. Every term reads one of the representation's cached
+`tables()` (see `structures`): [.,.] or rho (weight 1, scaled by q) with one
+more factor q, or <.,.,.>, mu or D (weight 2, scaled by q^2), the module maps
+column by column. Every computation reads these
 rows in integers: `coboundary` applies them to a cochain scaled to integers,
 `_preimage` solves delta(x) = c on them and `cohomology_dims` takes their
 ranks; `coboundary_matrix` densifies them, a view for API users. The tests
@@ -35,10 +36,7 @@ from .structures import (
     LYAlgebra,
     Representation,
     Scaled,
-    _algebra_tables,
     _denominator_lcm,
-    _scaled_matrix,
-    _structure_lcm,
     check_representation,
     wedge_basis,
 )
@@ -188,31 +186,24 @@ def _coboundary_rows(ctx: ComplexContext, p: int) -> Tuple[int, List[IntRow]]:
     position ("slot") of the flat layout, and maps it into the output value
     vector either by a representation matrix (rho, mu, D) or by a scalar
     (structure constants, composed wedges)."""
-    a, r = ctx.algebra, ctx.rep
     m, v, w = ctx.m, ctx.v, ctx.w
-    q = _structure_lcm(r)
-    b, t = _algebra_tables(a, q)
-
-    def nonzeros(mat: Matrix, s: int) -> List[Tuple[int, int, int]]:
-        return [(i, j, x) for i, row in enumerate(_scaled_matrix(mat, s)) for j, x in row]
-
-    rho = [nonzeros(r.rho(i), q) for i in range(m)]
-    mu = [[nonzeros(r.mu(i, z), q * q) for z in range(m)] for i in range(m)]
-    d = [nonzeros(r.d_basis(i, j), q * q) for (i, j) in ctx.wedge]
+    q, b, t, rho, mu, dd = ctx.rep.tables()
+    d = [dd[i][j] for (i, j) in ctx.wedge]
     rows: List[IntRow] = []
 
     def emit(ops, scals) -> None:
-        """One output value vector: ops are (sign, matrix nonzeros, slot),
+        """One output value vector: ops are (sign, matrix columns, slot),
         scals are (coefficient, slot)."""
         acc: List[IntRow] = [{} for _ in range(v)]
-        for sign, entries, slot in ops:
-            base = slot * v
-            for i, j, x in entries:
-                acc[i][base + j] = acc[i].get(base + j, 0) + sign * x
+        for sign, cols, slot in ops:
+            # column col is read at input index k; empty columns are skipped
+            for k, col in itertools.compress(enumerate(cols, slot * v), cols):
+                for i, x in col:
+                    row = acc[i]
+                    row[k] = row.get(k, 0) + sign * x
         for co, slot in scals:
-            base = slot * v
-            for i in range(v):
-                acc[i][base + i] = acc[i].get(base + i, 0) + co
+            for k, row in enumerate(acc, slot * v):
+                row[k] = row.get(k, 0) + co
         rows.extend({k: c for k, c in row.items() if c} for row in acc)
 
     if p == 1:

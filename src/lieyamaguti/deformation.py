@@ -40,7 +40,7 @@ import itertools
 from typing import Container, Iterator, NamedTuple, Optional, Tuple
 
 from .linalg import Matrix, vadd, vneg, vsub
-from .structures import AxiomReport, Term, Violation, _adjoint_tables, wedge_basis
+from .structures import AxiomReport, Term, Violation, wedge_basis
 from .complexes import Cochain, _preimage, coboundary
 from .rbo import RelRBO, Wedge2, _expansion, _pre_ly_expansion, _require_verified, _violations
 from .rbo_cohomology import RboComplex, _delta0, rbo_cohomology_dims, rbo_delta0
@@ -244,8 +244,9 @@ def nijenhuis_element_check(o: RelRBO, x: Wedge2) -> NijenhuisReport:
     brackets = conditions[:3]
 
     plain = None
-    if r.dim_v == m and _adjoint_tables(a) == ([r.rho(i) for i in rng],
-                                               [[r.mu(i, j) for j in rng] for i in rng]):
+    tab = r.tables()   # adjoint: rho(e_i) e_k = [e_i, e_k], mu(e_i, e_j) e_k = <e_k, e_i, e_j>
+    if r.dim_v == m and all(tab.rho[i][k] == tab.b[i][k] and tab.mu[i][j][k] == tab.t[k][i][j]
+                            for i in rng for j in rng for k in rng):
         plain = brackets + (condition("closing", (
             ((y,), x.bracket_with(a, vsub(t.apply(lx.column(y)), x.bracket_with(a, t.column(y)))))
             for y in rng)),)

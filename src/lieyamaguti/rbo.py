@@ -12,15 +12,16 @@ semidirect sum; all of that lives here.
 
 Both identities, and every coefficient of their expansion under a polynomial
 T_t = sum_s t^s T_s (see `deformation`), are evaluated by one engine,
-`_expansion`, in Python integers as `structures` explains for the axioms. q
-is the least common multiple of every denominator among the constants of
-[.,.], <.,.,.>, rho, mu and every term T_s. Give T, [.,.] and rho weight 1
-and <.,.,.>, mu and D weight 2; then the binary identity and each of its
-coefficients are homogeneous of weight 3, and the ternary ones of weight 5.
-Evaluated on the tables scaled by q to the power of their weight, a residual
-R is therefore q^3 or q^5 times the true one, which Fraction(R, q^3) or
-Fraction(R, q^5) gives back exactly. The sub-adjacent brackets [u,v]_T and
-<u,v,w>_T are the engine's inner tables, of weight 2 and 4.
+`_expansion`, in Python integers. It reads the representation's cached
+`tables()`, scaled by q as `structures` explains, and scales the terms T_s
+by their own q_T, the least common multiple of their denominators. Both
+identities are bi-homogeneous: every summand of the binary one holds T twice
+and a table of weight 1 in q, every summand of the ternary one T three times
+and a table of weight 2. A residual R is therefore q_T^2 q or q_T^3 q^2 times
+the true one, which Fraction(R, q_T^2 q) or Fraction(R, q_T^3 q^2) gives
+back exactly. The sub-adjacent brackets [u,v]_T and <u,v,w>_T are the
+engine's inner tables, scaled by q_T q and q_T^2 q^2. As q_T is separate,
+the cached tables depend only on the representation.
 """
 
 from __future__ import annotations
@@ -34,12 +35,14 @@ from .structures import (
     AxiomReport,
     LYAlgebra,
     Representation,
+    Scaled,
     Term,
     Violation,
-    _algebra_tables,
+    _ccomb,
     _comb,
+    _denominator_lcm,
+    _fraction_matrix,
     _scaled,
-    _structure_lcm,
     wedge_basis,
 )
 
@@ -136,18 +139,11 @@ def check_rbo(a: LYAlgebra, r: Representation, t: Matrix) -> AxiomReport:
 Residuals = Dict[int, Tuple[Dict[Tuple[int, int], Vector], Dict[Tuple[int, int, int], Vector]]]
 
 
-def _tables(a: LYAlgebra, r: Representation, terms: Sequence[Matrix]):
-    """q and the engine's scaled tables: those of `_algebra_tables`, T_s u_c
-    as [s][c], and column c of rho(e_p), mu(e_p, e_p2), D(e_p, e_p2) as [c][p](p2)."""
-    grng, vrng = range(a.dim), range(r.dim_v)
-    q = _structure_lcm(r, *terms)
-    q2 = q * q
-    b, t = _algebra_tables(a, q)
-    tc = [[_scaled(term.column(c), q) for c in vrng] for term in terms]
-    rho = [[_scaled(r.rho(p).column(c), q) for p in grng] for c in vrng]
-    mu = [[[_scaled(r.mu(p, p2).column(c), q2) for p2 in grng] for p in grng] for c in vrng]
-    d = [[[_scaled(r.d_basis(p, p2).column(c), q2) for p2 in grng] for p in grng] for c in vrng]
-    return q, b, t, tc, rho, mu, d
+def _term_tables(terms: Sequence[Matrix]) -> Tuple[int, List[List[Scaled]]]:
+    """q_T, the least common multiple of the terms' denominators, and
+    q_T T_s u_c as [s][c]."""
+    qt = _denominator_lcm(row for term in terms for row in term.entries)
+    return qt, [[_scaled(col, qt) for col in term.columns()] for term in terms]
 
 
 def _expansion(a: LYAlgebra, r: Representation, terms: Sequence[Matrix],
@@ -170,22 +166,23 @@ def _expansion(a: LYAlgebra, r: Representation, terms: Sequence[Matrix],
     vrng = range(v)
     top = len(terms) - 1
     orders = tuple(orders)
-    q, b, t, tc, rho, mu, d = _tables(a, r, terms)
-    q2 = q * q
+    q, b, t, rho, mu, d = r.tables()
+    qt, tc = _term_tables(terms)
+    qq = qt * q
     pairs = wedge_basis(v)
     triples = [(b1, b2, b3) for b1, b2 in pairs for b3 in vrng]
 
     def nonzero(acc: List[int]) -> List[Tuple[int, int]]:
         return [(l, x) for l, x in enumerate(acc) if x]
 
-    # [u,v]_{T_j}, and sum_{j+k=s} of the inner ternary sum, scaled by q^2 and q^4
+    # [u,v]_{T_j}, and sum_{j+k=s} of the inner ternary sum, scaled by qq and qq^2
     inner2 = []
     for j in range(top + 1):
         table = {}
         for b1, b2 in pairs:
             acc = [0] * v
-            _comb(acc, 1, tc[j][b1], rho[b2])
-            _comb(acc, -1, tc[j][b2], rho[b1])
+            _ccomb(acc, 1, tc[j][b1], rho, b2)
+            _ccomb(acc, -1, tc[j][b2], rho, b1)
             table[(b1, b2)] = acc
         inner2.append(table)
     inner4 = {}
@@ -196,17 +193,17 @@ def _expansion(a: LYAlgebra, r: Representation, terms: Sequence[Matrix],
             for j in range(max(0, s - top), min(s, top) + 1):
                 tk = tc[s - j]
                 for p, x in tc[j][b1]:
-                    _comb(acc, x, tk[b2], d[b3][p])
-                    _comb(acc, -x, tk[b3], mu[b2][p])
+                    _ccomb(acc, x, tk[b2], d[p], b3)
+                    _ccomb(acc, -x, tk[b3], mu[p], b2)
                 for p, x in tc[j][b2]:
-                    _comb(acc, x, tk[b3], mu[b1][p])
+                    _ccomb(acc, x, tk[b3], mu[p], b1)
             table[(b1, b2, b3)] = acc
         inner4[s] = table
 
     def unscale(acc: List[int], den: int) -> Vector:
         return tuple(Fraction(x, den) for x in acc)
 
-    den3, den5 = q2 * q, q2 * q2 * q
+    # each residual term holds one more T than an inner table: over qt qq and qt qq^2
     residuals: Residuals = {}
     for s in orders:
         binary = {}
@@ -216,7 +213,7 @@ def _expansion(a: LYAlgebra, r: Representation, terms: Sequence[Matrix],
                 for p, x in tc[i][b1]:
                     _comb(acc, x, tc[s - i][b2], b[p])
                 _comb(acc, -1, nonzero(inner2[s - i][(b1, b2)]), tc[i])
-            binary[(b1, b2)] = unscale(acc, den3)
+            binary[(b1, b2)] = unscale(acc, qt * qq)
         ternary = {}
         for b1, b2, b3 in triples:
             acc = [0] * m
@@ -227,10 +224,10 @@ def _expansion(a: LYAlgebra, r: Representation, terms: Sequence[Matrix],
                         for p2, y in tc[j][b2]:
                             _comb(acc, x * y, tk, t[p][p2])
                 _comb(acc, -1, nonzero(inner4[s - i][(b1, b2, b3)]), tc[i])
-            ternary[(b1, b2, b3)] = unscale(acc, den5)
+            ternary[(b1, b2, b3)] = unscale(acc, qt * qq * qq)
         residuals[s] = (binary, ternary)
-    return residuals, ({k: unscale(acc, q2) for k, acc in inner2[0].items() if any(acc)},
-                       {k: unscale(acc, q2 * q2) for k, acc in inner4[0].items() if any(acc)})
+    return residuals, ({k: unscale(acc, qq) for k, acc in inner2[0].items() if any(acc)},
+                       {k: unscale(acc, qq * qq) for k, acc in inner4[0].items() if any(acc)})
 
 
 def _violations(residuals: Residuals, orders: Iterable[int],
@@ -269,35 +266,34 @@ def induced_rep_on_g(o: RelRBO) -> Representation:
     It is a valid representation, and its derived D action has the closed form
         D'(u, v) x = <Tu, Tv, x> - T( mu(Tv, x) u - mu(Tu, x) v )
     (both checked by the tests). Evaluated on the engine's integer tables:
-    rho' has weight 2 and mu' weight 4."""
+    rho' over q_T q and mu' over (q_T q)^2."""
     _require_verified(o)
     sub = induced_lya_on_v(o)
     a, r = o.algebra, o.rep
     m, v = a.dim, r.dim_v
-    q, b, t, (tc,), rho, mu, d = _tables(a, r, (o.t_matrix,))
+    q, b, t, rho, mu, d = r.tables()
+    qt, (tc,) = _term_tables((o.t_matrix,))
 
     def rho2(u: int, c: int) -> List[int]:
         acc = [0] * m
         _comb(acc, -1, tc[u], b[c])              # [Tu, e_c] = -[e_c, Tu]
-        _comb(acc, 1, rho[u][c], tc)             # T( rho(e_c) u )
+        _comb(acc, 1, rho[c][u], tc)             # T( rho(e_c) u )
         return acc
 
     def mu2(u1: int, u2: int, c: int) -> List[int]:
         acc = [0] * m
         for p, x in tc[u1]:
             _comb(acc, x, tc[u2], t[c][p])       # <e_c, Tu1, Tu2>
-            _comb(acc, -x, d[u2][c][p], tc)      # - T( D(e_c, Tu1) u2 )
+            _comb(acc, -x, d[c][p][u2], tc)      # - T( D(e_c, Tu1) u2 )
         for p, x in tc[u2]:
-            _comb(acc, x, mu[u1][c][p], tc)      # + T( mu(e_c, Tu2) u1 )
+            _comb(acc, x, mu[c][p][u1], tc)      # + T( mu(e_c, Tu2) u1 )
         return acc
 
-    def matrix(column, den: int) -> Matrix:
-        return Matrix.from_columns([tuple(Fraction(x, den) for x in column(c)) for c in range(m)],
-                                   rows=m)
-
-    return Representation(sub, m, [matrix(lambda c: rho2(u, c), q ** 2) for u in range(v)],
-                          [[matrix(lambda c: mu2(u1, u2, c), q ** 4) for u2 in range(v)]
-                           for u1 in range(v)])
+    grng, qq = range(m), qt * q
+    return Representation(sub, m, [_fraction_matrix([rho2(u, c) for c in grng], m, qq)
+                                   for u in range(v)],
+                          [[_fraction_matrix([mu2(u1, u2, c) for c in grng], m, qq * qq)
+                            for u2 in range(v)] for u1 in range(v)])
 
 
 def pre_ly_products(o: RelRBO) -> Tuple[Tuple[Tuple[Vector, ...], ...],
@@ -483,7 +479,4 @@ class Wedge2(NamedTuple):
         """D(X) = sum X_ij D(e_i, e_j) acting on the module."""
         if r.algebra.dim != self.dim:
             raise ValueError("wedge element and algebra dimensions differ")
-        out = Matrix.zero(r.dim_v, r.dim_v)
-        for i, j, c in self.entries:
-            out = out + r.d_basis(i, j).scale(c)
-        return out
+        return r._combine((c, r.d_basis(i, j)) for i, j, c in self.entries)

@@ -18,6 +18,12 @@ weight w evaluated on the scaled tables is therefore exactly q^w times its
 true residual, so it vanishes exactly when the true residual does, and
 Fraction(R, q^w) gives the true residual back. Nothing is rounded or sampled.
 
+`Representation.tables()` is the one place where a representation's
+constants become integers. It builds q and the scaled tables once and caches
+them, rho, mu and D as lists of sparse columns. D is computed there from its
+formula, in integers of weight 2, and `d_basis` is its `Fraction` view. The
+structure checks, `complexes` and `rbo` all read these tables.
+
 The checks that evaluate in `Fraction` arithmetic instead (the Nijenhuis
 conditions, homomorphisms of operators, Nijenhuis elements, equivalences)
 yield (identity, args, residual) terms to `AxiomReport.from_residuals`, the
@@ -35,7 +41,6 @@ from typing import Dict, Iterable, List, NamedTuple, Optional, Sequence, Tuple, 
 from .linalg import (
     Matrix,
     Vector,
-    commutator,
     is_zero_vector,
     vadd,
     vneg,
@@ -342,9 +347,22 @@ def _comb(acc: List[int], s: int, coeffs: Scaled, vecs: Sequence[Scaled]) -> Non
             acc[l] += sc * x
 
 
+def _ccomb(acc: List[int], s: int, coeffs: Scaled, mats: Sequence[List[Scaled]], c: int) -> None:
+    """acc += s * sum_p coeffs[p] * (column c of mats[p])."""
+    for p, x in coeffs:
+        sx = s * x
+        for l, y in mats[p][c]:
+            acc[l] += sx * y
+
+
 def _add(acc: List[int], s: int, vec: Scaled) -> None:
     for l, x in vec:
         acc[l] += s * x
+
+
+def _fraction_matrix(cols: Sequence[Sequence[int]], rows: int, den: int) -> Matrix:
+    """The matrix whose columns are the integer columns over den."""
+    return Matrix.from_columns([tuple(Fraction(x, den) for x in col) for col in cols], rows=rows)
 
 
 def _algebra_tables(a: LYAlgebra, q: int) -> Tuple[List[List[Scaled]], List[List[List[Scaled]]]]:
@@ -354,18 +372,6 @@ def _algebra_tables(a: LYAlgebra, q: int) -> Tuple[List[List[Scaled]], List[List
     b = [[_scaled(a.bracket_basis(i, j), q) for j in rng] for i in rng]
     t = [[[_scaled(a.triple_basis(i, j, k), q2) for k in rng] for j in rng] for i in rng]
     return b, t
-
-
-def _structure_lcm(r: "Representation", *matrices: Matrix) -> int:
-    """q for the constants of r's algebra, rho and mu, also clearing every
-    denominator of the given matrices."""
-    a = r.algebra
-    rng = range(a.dim)
-    return _denominator_lcm([a.bracket_basis(i, j) for i in rng for j in rng]
-                            + [a.triple_basis(i, j, k) for i in rng for j in rng for k in rng]
-                            + [row for i in rng for row in r.rho(i).entries]
-                            + [row for i in rng for j in rng for row in r.mu(i, j).entries]
-                            + [row for m in matrices for row in m.entries])
 
 
 def _vector_violation(viols: List[Violation], identity: str, args: Tuple[int, ...],
@@ -449,16 +455,21 @@ def lya_from_lie(dim: int,
     return LYAlgebra(dim, binary=binary, ternary=ternary, basis_names=basis_names)
 
 
+# q and the integer tables of a representation; see `Representation.tables`
+Tables = NamedTuple("Tables", [("q", int), ("b", list), ("t", list),
+                               ("rho", list), ("mu", list), ("d", list)])
+
+
 class Representation:
     """Module data (rho, mu) for a Lie-Yamaguti algebra.
 
     rho assigns a dim_v x dim_v matrix to each algebra basis element; mu
-    assigns one to each ordered pair. `d_basis` caches the derived skew
-    action D(x,y) = mu(y,x) - mu(x,y) + [rho(x),rho(y)] - rho([x,y]).
+    assigns one to each ordered pair. `d_basis` views the derived skew action
+    D(x,y) = mu(y,x) - mu(x,y) + [rho(x),rho(y)] - rho([x,y]) from `tables`.
     Validity is a separate question answered by `check_representation`.
     """
 
-    __slots__ = ("algebra", "dim_v", "_rho", "_mu", "_d")
+    __slots__ = ("algebra", "dim_v", "_rho", "_mu", "_tables", "_d")
 
     def __init__(self, algebra: LYAlgebra, dim_v: int,
                  rho: Sequence[Matrix], mu: Sequence[Sequence[Matrix]]):
@@ -479,6 +490,7 @@ class Representation:
         object.__setattr__(self, "dim_v", dim_v)
         object.__setattr__(self, "_rho", tuple(rho))
         object.__setattr__(self, "_mu", tuple(tuple(row) for row in mu))
+        object.__setattr__(self, "_tables", None)
         object.__setattr__(self, "_d", {})
 
     def __setattr__(self, name, value):
@@ -489,6 +501,14 @@ class Representation:
 
     def mu(self, i: int, j: int) -> Matrix:
         return self._mu[i][j]
+
+    def tables(self) -> Tables:
+        """The integer tables, built on the first call: q[e_i,e_j] as b[i][j],
+        q^2<e_i,e_j,e_k> as t[i][j][k], and the columns of q rho(e_i),
+        q^2 mu(e_i,e_j) and q^2 D(e_i,e_j) as rho[i][c], mu[i][j][c], d[i][j][c]."""
+        if self._tables is None:
+            object.__setattr__(self, "_tables", _tables(self))
+        return self._tables
 
     def _combine(self, terms: Iterable[Tuple[Fraction, Matrix]]) -> Matrix:
         """sum of c * m over the terms, accumulated into one table."""
@@ -510,15 +530,12 @@ class Representation:
                              for j, cj in enumerate(y) if cj)
 
     def d_basis(self, i: int, j: int) -> Matrix:
-        cached = self._d.get((i, j))
-        if cached is None:  # D is skew by construction: build each unordered pair once
-            if i >= j:
-                cached = -self.d_basis(j, i) if i > j else Matrix.zero(self.dim_v, self.dim_v)
-            else:
-                cached = (self._mu[j][i] - self._mu[i][j] + commutator(self._rho[i], self._rho[j])
-                          - self.rho_of(self.algebra.bracket_basis(i, j)))
-            self._d[(i, j)] = cached
-        return cached
+        """D(e_i, e_j), the `Fraction` view of its integer table."""
+        if (i, j) not in self._d:
+            q, *_, d = self.tables()
+            cols = [[dict(col).get(l, 0) for l in range(self.dim_v)] for col in d[i][j]]
+            self._d[(i, j)] = _fraction_matrix(cols, self.dim_v, q * q)
+        return self._d[(i, j)]
 
     def d_of(self, x: Vector, y: Vector) -> Matrix:
         return self._combine((ci * cj, self.d_basis(i, j))
@@ -538,29 +555,49 @@ class Representation:
         return f"Representation(dim_v={self.dim_v} over dim={self.algebra.dim})"
 
 
-def _scaled_matrix(m: Matrix, s: int) -> List[Scaled]:
-    """The rows of s * m by their nonzero entries."""
-    return [_scaled(row, s) for row in m.entries]
+def _tables(r: Representation) -> Tables:
+    """The integer tables of `Representation.tables`; D(e_i, e_j) from its
+    formula for i < j, by skewness otherwise."""
+    a, n = r.algebra, r.dim_v
+    rng = range(a.dim)
+    maps = [r.rho(i) for i in rng] + [r.mu(i, j) for i in rng for j in rng]
+    q = _denominator_lcm([a.bracket_basis(i, j) for i in rng for j in rng]
+                         + [a.triple_basis(i, j, k) for i in rng for j in rng for k in rng]
+                         + [row for m in maps for row in m.entries])
+    b, t = _algebra_tables(a, q)
+    rho = [[_scaled(col, q) for col in r.rho(i).columns()] for i in rng]
+    mu = [[[_scaled(col, q * q) for col in r.mu(i, j).columns()] for j in rng] for i in rng]
+    d: List[List[List[Scaled]]] = [[[[] for _ in range(n)] for _ in rng] for _ in rng]
+    for i, j in wedge_basis(a.dim):
+        acc = [0] * (n * n)
+        _madd(acc, 1, mu[j][i])
+        _madd(acc, -1, mu[i][j])
+        _mmul(acc, 1, rho[i], rho[j])
+        _mmul(acc, -1, rho[j], rho[i])
+        _mcomb(acc, -1, b[i][j], rho)
+        d[i][j] = [[(l, x) for l, x in enumerate(acc[c * n:c * n + n]) if x] for c in range(n)]
+        d[j][i] = [[(l, -x) for l, x in col] for col in d[i][j]]
+    return Tables(q, b, t, rho, mu, d)
 
 
 def _madd(acc: List[int], s: int, m: List[Scaled]) -> None:
-    """acc += s * m, with acc a row-major flat table."""
+    """acc += s * m, with acc a column-major flat table."""
     v = len(m)
-    for r, row in enumerate(m):
-        rv = r * v
-        for c, x in row:
-            acc[rv + c] += s * x
+    for c, col in enumerate(m):
+        cv = c * v
+        for r, x in col:
+            acc[cv + r] += s * x
 
 
 def _mmul(acc: List[int], s: int, m1: List[Scaled], m2: List[Scaled]) -> None:
     """acc += s * m1 @ m2."""
-    v = len(m1)
-    for r, row in enumerate(m1):
-        rv = r * v
-        for k, x in row:
+    v = len(m2)
+    for c, col in enumerate(m2):
+        cv = c * v
+        for k, x in col:
             sx = s * x
-            for c, y in m2[k]:
-                acc[rv + c] += sx * y
+            for r, y in m1[k]:
+                acc[cv + r] += sx * y
 
 
 def _mcomb(acc: List[int], s: int, coeffs: Scaled, mats: Sequence[List[Scaled]]) -> None:
@@ -575,7 +612,7 @@ def _matrix_violations(viols: List[Violation], identity: str, args: Tuple[int, .
     if not any(acc):
         return
     for c in range(v):
-        col = acc[c::v]
+        col = acc[c * v:c * v + v]
         if any(col):
             viols.append(Violation(identity, args + (c,),
                                    tuple(Fraction(x, den) for x in col)))
@@ -592,12 +629,8 @@ def check_representation(r: Representation) -> AxiomReport:
     n, v = a.dim, r.dim_v
     rng = range(n)
     vv = v * v
-    q = _structure_lcm(r)
-    b, t = _algebra_tables(a, q)
-    rho = [_scaled_matrix(r.rho(i), q) for i in rng]
-    mu = [[_scaled_matrix(r.mu(i, j), q * q) for j in rng] for i in rng]
+    q, b, t, rho, mu, d = r.tables()
     mu_t = [[mu[p][k] for p in rng] for k in rng]  # mu_t[k][p] = mu(e_p, e_k)
-    d = [[_scaled_matrix(r.d_basis(i, j), q * q) for j in rng] for i in rng]
     w3, w4 = q ** 3, q ** 4
     viols: List[Violation] = []
 
@@ -709,48 +742,25 @@ def semidirect(a: LYAlgebra, r: Representation) -> LYAlgebra:
     if r.algebra is not a and r.algebra != a:
         raise ValueError("representation belongs to a different algebra")
     m, v = a.dim, r.dim_v
-    n = m + v
-
-    def pad_g(x: Vector) -> Vector:
-        return tuple(x) + vzero(v)
-
-    def pad_v(u: Vector) -> Vector:
-        return vzero(m) + tuple(u)
-
-    uvec = [tuple(Fraction(1 if c == b else 0) for c in range(v)) for b in range(v)]
-
+    zero_g, zero_v = vzero(m), vzero(v)
     binary: Dict[Tuple[int, int], Vector] = {}
     ternary: Dict[Tuple[int, int, int], Vector] = {}
-
-    for p in range(n):
-        for q in range(p + 1, n):
-            if q < m:
-                val = pad_g(a.bracket_basis(p, q))
-            elif p < m:
-                val = pad_v(r.rho(p).apply(uvec[q - m]))
-            else:
-                val = vzero(n)
-            if not is_zero_vector(val):
-                binary[(p, q)] = val
-            for k in range(n):
-                if q < m:
-                    if k < m:
-                        t = pad_g(a.triple_basis(p, q, k))
-                    else:
-                        t = pad_v(r.d_basis(p, q).apply(uvec[k - m]))
-                elif p < m:
-                    # <e_p + 0, 0 + u_b, z + w> = mu(0,z)0 - mu(e_p,z)u_b on the V side
-                    if k < m:
-                        t = pad_v(vneg(r.mu(p, k).apply(uvec[q - m])))
-                    else:
-                        t = vzero(n)
-                else:
-                    t = vzero(n)
-                if not is_zero_vector(t):
-                    ternary[(p, q, k)] = t
+    # every other constant vanishes
+    for p, q in wedge_basis(m):
+        binary[(p, q)] = a.bracket_basis(p, q) + zero_v
+        for k in range(m):
+            ternary[(p, q, k)] = a.triple_basis(p, q, k) + zero_v
+        for b in range(v):
+            ternary[(p, q, m + b)] = zero_g + r.d_basis(p, q).column(b)
+    for p in range(m):
+        for b in range(v):
+            binary[(p, m + b)] = zero_g + r.rho(p).column(b)
+            for k in range(m):
+                # <e_p + 0, 0 + u_b, z + w> = mu(0,z)0 - mu(e_p,z)u_b on the V side
+                ternary[(p, m + b, k)] = zero_g + vneg(r.mu(p, k).column(b))
 
     names = a.basis_names + _names("u", v)
-    return LYAlgebra(n, binary=binary, ternary=ternary, basis_names=names)
+    return LYAlgebra(m + v, binary=binary, ternary=ternary, basis_names=names)
 
 
 def _nijenhuis(a: LYAlgebra, n: Matrix) -> Tuple[AxiomReport, Dict, Dict]:

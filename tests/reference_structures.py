@@ -8,15 +8,19 @@ representation identity builds a new `Matrix`. The reports of both
 implementations must be equal, violation for violation and residual for
 residual. Slow on the 8-dimensional semidirect sums (seconds), so only the
 tests use it.
+
+`semidirect` is kept verbatim as the library wrote it before it set only the
+constants that can be nonzero; the tests compare the two sums exactly.
 """
 
 from __future__ import annotations
 
 import itertools
-from typing import List, Tuple
+from fractions import Fraction
+from typing import Dict, List, Tuple
 
-from lieyamaguti.linalg import Matrix, commutator, is_zero_vector, vadd, vsub
-from lieyamaguti.structures import AxiomReport, LYAlgebra, Representation, Violation
+from lieyamaguti.linalg import Matrix, Vector, commutator, is_zero_vector, vadd, vneg, vsub, vzero
+from lieyamaguti.structures import AxiomReport, LYAlgebra, Representation, Violation, _names
 
 
 def check_lya(a: LYAlgebra) -> AxiomReport:
@@ -137,3 +141,59 @@ def check_representation(r: Representation) -> AxiomReport:
         _matrix_violations(viols, "mu-triple-expansion", (i, j, k, l), res)
 
     return AxiomReport.from_violations(viols)
+
+
+def semidirect(a: LYAlgebra, r: Representation) -> LYAlgebra:
+    """Brackets on g (+) V induced by (rho, mu):
+
+        [x+u, y+v]   = [x,y] + rho(x)v - rho(y)u
+        <x+u,y+v,z+w> = <x,y,z> + D(x,y)w + mu(y,z)u - mu(x,z)v
+
+    Built unconditionally; it passes `check_lya` exactly when `r` passes
+    `check_representation`, which makes it an independent validity probe.
+    """
+    if r.algebra is not a and r.algebra != a:
+        raise ValueError("representation belongs to a different algebra")
+    m, v = a.dim, r.dim_v
+    n = m + v
+
+    def pad_g(x: Vector) -> Vector:
+        return tuple(x) + vzero(v)
+
+    def pad_v(u: Vector) -> Vector:
+        return vzero(m) + tuple(u)
+
+    uvec = [tuple(Fraction(1 if c == b else 0) for c in range(v)) for b in range(v)]
+
+    binary: Dict[Tuple[int, int], Vector] = {}
+    ternary: Dict[Tuple[int, int, int], Vector] = {}
+
+    for p in range(n):
+        for q in range(p + 1, n):
+            if q < m:
+                val = pad_g(a.bracket_basis(p, q))
+            elif p < m:
+                val = pad_v(r.rho(p).apply(uvec[q - m]))
+            else:
+                val = vzero(n)
+            if not is_zero_vector(val):
+                binary[(p, q)] = val
+            for k in range(n):
+                if q < m:
+                    if k < m:
+                        t = pad_g(a.triple_basis(p, q, k))
+                    else:
+                        t = pad_v(r.d_basis(p, q).apply(uvec[k - m]))
+                elif p < m:
+                    # <e_p + 0, 0 + u_b, z + w> = mu(0,z)0 - mu(e_p,z)u_b on the V side
+                    if k < m:
+                        t = pad_v(vneg(r.mu(p, k).apply(uvec[q - m])))
+                    else:
+                        t = vzero(n)
+                else:
+                    t = vzero(n)
+                if not is_zero_vector(t):
+                    ternary[(p, q, k)] = t
+
+    names = a.basis_names + _names("u", v)
+    return LYAlgebra(n, binary=binary, ternary=ternary, basis_names=names)

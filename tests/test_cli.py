@@ -438,6 +438,46 @@ class TestKernelDump:
         assert calls == {"rows": [1], "rref": 2}
 
 
+class TestTablesOnce:
+    """A representation's integer tables are built once: for the model's
+    representation, and for the induced one of each `RboComplex.build`."""
+
+    @pytest.fixture
+    def builds(self, monkeypatch):
+        from lieyamaguti import rbo_cohomology
+
+        seen = {"tables": [], "induced": []}
+        tables, induced = structures._tables, rbo_cohomology.induced_rep_on_g
+
+        def tables_spy(r):
+            seen["tables"].append(r)
+            return tables(r)
+
+        def induced_spy(o):
+            seen["induced"].append(induced(o))
+            return seen["induced"][-1]
+
+        monkeypatch.setattr(structures, "_tables", tables_spy)
+        monkeypatch.setattr(rbo_cohomology, "induced_rep_on_g", induced_spy)
+        return seen
+
+    def dim4_deformation(self, tmp_path):
+        model = json.loads((Path(cli.__file__).parent / "data" / "dim4.lyat").read_text())
+        model["deformation"] = {"terms": [model["operator"]]}
+        return write_model(tmp_path, "d4.lyat", model)
+
+    @pytest.mark.parametrize("argv", [("cohomology", "dim4.lyat", "--degree", "2", "--rbo"),
+                                      ("deform", "extend", None, "--max-order", "3")])
+    def test_once_per_representation(self, capsys, builds, tmp_path, argv):
+        argv = [self.dim4_deformation(tmp_path) if a is None else a for a in argv]
+        code, _ = run_json(capsys, *argv)
+        assert code == 0
+        reps, induced = builds["tables"], builds["induced"]
+        assert len({id(r) for r in reps}) == len(reps)
+        assert induced and {id(r) for r in induced} <= {id(r) for r in reps}
+        assert len(reps) == 1 + len(induced)
+
+
 class TestObstructionAssembly:
     """`deform obstruction` and `deform extend` apply the degree-2 coboundary
     only to an obstruction without a witness: Ob = -delta(witness) is a

@@ -10,7 +10,6 @@ from hypothesis import given, settings, strategies as st
 import lieyamaguti as ly
 from conftest import Model, conjugated_lie_lya, fr, random_valid_pair
 from lieyamaguti.complexes import _coboundary_rows, _delta_rank
-from lieyamaguti.structures import _structure_lcm
 from reference_coboundary import coboundary as replaced_coboundary
 from reference_coboundary import reference_coboundary, reference_coboundary_matrix
 
@@ -211,7 +210,7 @@ def _integer_row_contexts(dim2: Model, dim4_rational: Model, sl2_standard: Model
     for family, degrees in (("sl2", (1, 2)), ("heisenberg", (1, 2, 3))):
         while True:
             a = conjugated_lie_lya(rng, family)
-            if _structure_lcm(ly.adjoint_rep(a)) > 1:
+            if ly.adjoint_rep(a).tables().q > 1:
                 out.append((ly.ComplexContext(a, ly.adjoint_rep(a)), degrees))
                 break
     return out
@@ -225,7 +224,7 @@ class TestIntegerRows:
         start = time.monotonic()
         scales = []
         for ctx, degrees in _integer_row_contexts(dim2, dim4_rational, sl2_standard):
-            q = _structure_lcm(ctx.rep)
+            q = ctx.rep.tables().q
             scales.append(q)
             for p in degrees:
                 qq, rows = _coboundary_rows(ctx, p)
@@ -261,7 +260,7 @@ class TestIntegerRows:
         rng = random.Random(67)
         scales = []
         for ctx, degrees in _integer_row_contexts(dim2, dim4_rational, sl2_standard):
-            scales.append(_structure_lcm(ctx.rep))
+            scales.append(ctx.rep.tables().q)
             for p in degrees:
                 dim = ly.cochain_dim(ctx, p)
                 flats = [(fr(0),) * dim, tuple(fr(int(k == dim // 2)) for k in range(dim))]
@@ -287,10 +286,13 @@ class TestIntegerRows:
                 ly.coboundary(ctx2, c)
 
     def test_cohomology_dims_builds_no_matrix(self, dim4: Model, monkeypatch):
-        ctx = ly.ComplexContext(dim4.algebra, dim4.rep)
-        expected = [ly.cohomology_dims(ctx, p) for p in (1, 2)]
-        for i, j in ctx.wedge:
-            ctx.rep.d_basis(i, j)   # D is the representation's own, cached data
+        # checking and reading a new copy of the representation builds its
+        # tables, D among them, under the spy
+        a, r = dim4.algebra, dim4.rep
+        rng = range(a.dim)
+        expected = [ly.cohomology_dims(ly.ComplexContext(a, r), p) for p in (1, 2)]
+        fresh = ly.Representation(a, r.dim_v, [r.rho(i) for i in rng],
+                                  [[r.mu(i, j) for j in rng] for i in rng])
         built = []
         init = ly.Matrix.__init__
 
@@ -299,5 +301,6 @@ class TestIntegerRows:
             init(self, *args, **kwargs)
 
         monkeypatch.setattr(ly.Matrix, "__init__", spy)
+        ctx = ly.ComplexContext(a, fresh)
         assert [ly.cohomology_dims(ctx, p) for p in (1, 2)] == expected
         assert not built

@@ -1,6 +1,7 @@
 """Deformations of Rota-Baxter operators: linear, higher order, equivalence,
 Nijenhuis elements and obstructions."""
 
+import math
 import random
 import time
 from fractions import Fraction
@@ -10,7 +11,7 @@ import pytest
 
 import lieyamaguti as ly
 import reference_deformation as ref
-from conftest import Model, fr, random_fraction, random_matrix, sl2_sum_operator
+from conftest import Model, fr, random_fraction, random_matrix, sl2_sum_operator, transport
 from lieyamaguti import cli, rbo
 
 
@@ -476,3 +477,68 @@ class TestObstructionAgainstReference:
         zero = ly.trivial_deformation_from(o, ly.Wedge2.zero(o.algebra.dim))
         assert _same_obstruction(o, zero).trivial
         assert time.monotonic() - start < 60.0
+
+
+def _denominators(*matrices: ly.Matrix) -> int:
+    return math.lcm(*(x.denominator for m in matrices for row in m.entries for x in row))
+
+
+class TestSplitScaling:
+    """The engine scales the terms T_s by their own q_T, and the
+    representation's tables by q. With q_T coprime to q, every residual,
+    inner table and induced structure must still equal the reference."""
+
+    @pytest.fixture(scope="class")
+    def ops(self, dim4_rational: Model, sl2_standard: Model):
+        """Operators with q_T = 5 on representations with q > 1 coprime to 35:
+        that of dim4_rational, and sl2_standard in bases with denominators 2
+        and 3, whose sub-adjacent algebra is not zero. Both identities are
+        homogeneous in T, so every multiple of an operator is one."""
+        p, q = ly.Matrix([[2, 1, 0], [0, 3, 1], [0, 0, 1]]), ly.Matrix([[2, 1], [0, 3]])
+        sl2 = transport(sl2_standard.algebra, sl2_standard.rep, p, q) \
+            + (ly.inverse(p) @ sl2_standard.op.t_matrix @ q,)
+        d4 = dim4_rational
+        return [ly.RelRBO.build(a, r, t.scale(fr(_denominators(t), 5)))
+                for a, r, t in ((d4.algebra, d4.rep, d4.op.t_matrix), sl2)]
+
+    def test_scales_are_coprime(self, ops):
+        for o in ops:
+            q = o.rep.tables().q
+            assert q > 1 and math.gcd(q, 35) == 1 and _denominators(o.t_matrix) == 5
+
+    def test_induced_structures(self, ops):
+        nonzero = 0
+        for o in ops:
+            binary, ternary = ref._sub_adjacent_constants(o.rep, o.t_matrix)
+            sub = ly.induced_lya_on_v(o)
+            assert (sub.binary_constants(), sub.ternary_constants()) == (binary, ternary)
+            assert ly.induced_rep_on_g(o) == ref.induced_rep_on_g(o)
+            nonzero += bool(binary and ternary)
+        assert nonzero
+
+    def test_terms_over_5_and_7(self, ops):
+        rng = random.Random(53)
+        for o in ops:
+            m, v = o.algebra.dim, o.rep.dim_v
+            t1, t2 = (random_matrix(rng, m, v, 3, 1).scale(fr(1, den)) for den in (7, 5))
+            assert _denominators(o.t_matrix, t1, t2) == 35
+            terms = (o.t_matrix, t1, t2)
+            want = ref.order_n_check(o, terms)
+            assert not want.valid
+            _assert_same_report(ly.order_n_check(o, ly.TruncatedDeformation(terms)), want)
+            c = ly.Cochain(1, tuple(t1.columns()), None)
+            assert ly.rbo_delta1_expanded(o, c) == ref.rbo_delta1_expanded(o, c)
+            # a 1-cocycle T_1 over 7 makes T + t T_1 an order-1 deformation
+            rc = ly.RboComplex.build(o)
+            _, kernel = ly.rank_kernel(ly.rbo_coboundary_matrix(rc, 1))
+            nonzero = 0
+            for k in kernel:
+                ints = [int(x * math.lcm(*(y.denominator for y in k))) for x in k]
+                z = [fr(x, 7 * math.gcd(*ints)) for x in ints]
+                d = ly.TruncatedDeformation(
+                    (o.t_matrix, ly.Cochain.from_flat(rc.ctx, 1, z).as_matrix()))
+                assert _denominators(*d.terms) == 35
+                got = _same_obstruction(o, d)
+                assert got.ob == ref.obstruction_cochain(o, d.terms)
+                nonzero += not got.ob.is_zero()
+            assert nonzero

@@ -289,6 +289,18 @@ class TestAgainstDenseReference:
             _assert_matches_reference(None, ly.zero_rep(m.algebra, 0))
             _assert_matches_reference(None, ly.zero_rep(m.algebra, 2))
 
+    def test_semidirect_sums_equal_the_replaced_construction(
+            self, dim2: Model, dim4_rational: Model, sl2_standard: Model, bad_rep):
+        rng = random.Random(19)
+        pairs = [(m.algebra, m.rep) for m in (dim2, dim4_rational, sl2_standard)]
+        pairs += [(dim2.algebra, bad_rep), (dim2.algebra, ly.zero_rep(dim2.algebra, 0)),
+                  (sl2_standard.algebra, corrupt_rep(rng, sl2_standard.rep))]
+        for a, r in pairs:
+            got, want = ly.semidirect(a, r), ref.semidirect(a, r)
+            assert got == want and got.basis_names == want.basis_names
+            assert got.binary_constants() == want.binary_constants()
+            assert got.ternary_constants() == want.ternary_constants()
+
     def test_broken_inputs(self, dim2: Model, dim4: Model, broken_algebra, bad_rep):
         lya_report, = _assert_matches_reference(broken_algebra)
         assert len(lya_report.violations) == 8
