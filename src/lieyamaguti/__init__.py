@@ -16,7 +16,7 @@ _EXPORTS = {
         "rank_kernel", "rat", "rat_str", "solve_linear", "vadd", "vector", "vneg",
         "vscale", "vsub", "vzero"), "linalg"),
     **dict.fromkeys((
-        "AxiomReport", "InvalidAlgebra", "InvalidRepresentation", "JacobiViolation",
+        "AxiomReport", "InputError", "InvalidAlgebra", "InvalidRepresentation", "JacobiViolation",
         "LYAlgebra", "NotNijenhuis", "Representation", "Violation", "adjoint_rep",
         "check_lya", "check_representation", "deformed_brackets",
         "lya_from_lie", "nijenhuis_operator_check", "semidirect", "zero_rep",

@@ -24,9 +24,9 @@ columns are module basis vectors. An explicit representation is
 {"dim": v, "rho": [M...], "mu": [[M...]...]} with v x v matrices.
 
 Exit codes: 0 when the checked property holds, 1 when a check ran and found
-violations, 2 when the input could not be used (parse error, missing
-structure, invalid algebra where a valid one is required), 3 for an internal
-error in lyat itself.
+violations, 2 when the input could not be used, which is exactly when the
+command raised a subclass of `structures.InputError`, 3 for any other
+exception, an internal error in lyat itself.
 
 Each command imports the library modules it runs inside its `_cmd_*`
 function; at module level only `linalg` and `structures` are loaded.
@@ -44,12 +44,12 @@ from typing import Any, Dict, List, NamedTuple, Optional, Sequence, Tuple
 
 from .linalg import Matrix, Vector, _kernel, _rref, rat_str
 from .structures import (
-    InvalidAlgebra,
-    InvalidRepresentation,
+    InputError,
     LYAlgebra,
     Representation,
     Violation,
-    _adjoint_tables,
+    _require_lya,
+    _require_representation,
     adjoint_rep,
     check_lya,
     check_representation,
@@ -60,15 +60,15 @@ __all__ = ["ParseError", "InvariantError", "ModelFile", "Report",
            "parse_model", "main"]
 
 
-class ParseError(Exception):
+class ParseError(InputError):
     """The model file is malformed."""
 
 
-class InvariantError(Exception):
+class InvariantError(InputError):
     """The model file is well-formed but breaks a storage invariant."""
 
 
-class UsageError(Exception):
+class UsageError(InputError):
     """A command-line value is outside what the command accepts."""
 
 
@@ -431,17 +431,11 @@ def _text_lines(value: Any, indent: int = 0) -> List[str]:
 
 def _validated_rep(model: ModelFile) -> Representation:
     """Representation of a validated algebra, validated too unless adjoint."""
-    alg_report = check_lya(model.algebra)
-    if not alg_report.valid:
-        first = alg_report.violations[0]
-        raise InvalidAlgebra(f"algebra fails {first.identity} at basis tuple {first.args}")
     if model.rep_kind == "adjoint":
-        return Representation(model.algebra, model.algebra.dim, *_adjoint_tables(model.algebra))
+        return adjoint_rep(model.algebra)
+    _require_lya(model.algebra)
     r = model.rep()
-    rep_report = check_representation(r)
-    if not rep_report.valid:
-        first = rep_report.violations[0]
-        raise InvalidRepresentation(f"representation fails {first.identity} at {first.args}")
+    _require_representation(r)
     return r
 
 
@@ -691,23 +685,11 @@ def _dispatch(args) -> Report:
     raise RuntimeError(f"unknown command {args.command!r}")
 
 
-def _input_errors() -> Tuple[type, ...]:
-    """Exceptions that mean the input is unusable (exit 2); any other, a
-    `ValueError` included, is a fault in lyat (exit 3). Evaluated only while
-    an `except` clause matches, and a module the command did not load cannot
-    have raised, so `rbo` and `deformation` are read only when loaded."""
-    rbo, deformation = (sys.modules.get(f"{__package__}.{m}") for m in ("rbo", "deformation"))
-    return (ParseError, InvariantError, UsageError, InvalidAlgebra, InvalidRepresentation,
-            *((rbo.NotRotaBaxter, rbo.UnverifiedOperator) if rbo else ()),
-            *((deformation.NotOrderN, deformation.NotNijenhuisElement,
-               deformation.NotLinearDeformation) if deformation else ()))
-
-
 def main(argv: Optional[Sequence[str]] = None) -> int:
     args = _build_parser().parse_args(argv)
     try:
         report = _dispatch(args)
-    except _input_errors() as exc:
+    except InputError as exc:
         report = Report(args.command, "error", {"message": str(exc)})
     except Exception as exc:
         report = Report(args.command, "error",

@@ -1,22 +1,22 @@
 """The cochain complex of a Lie-Yamaguti algebra with module coefficients.
 
-Degree 1 cochains are linear maps g -> V. A degree n+1 cochain (n >= 1) is a
-pair (f, g) with f: (wedge^2 g)^(tensor n) -> V and g: (wedge^2 g)^(tensor n)
-(tensor) g -> V. Wedge arguments are expanded over the lexicographic basis
-e_i ^ e_j (i < j), so cochains are stored as flat tuples of value vectors:
-f-block first, then g-block, wedge-tuple index most significant, module
-coordinates innermost.
+A degree n+1 cochain (n >= 1) is a pair (f, g) with f: (wedge^2 g)^(tensor n)
+-> V and g: (wedge^2 g)^(tensor n) (tensor) g -> V. Degree 1 is the n = 0 case
+with no f-block: a linear map g -> V. Wedge arguments are expanded over the
+lexicographic basis e_i ^ e_j (i < j), so cochains are stored as flat tuples
+of value vectors: f-block first, then g-block, wedge-tuple index most
+significant, module coordinates innermost.
 
 The two differentials (delta_I into the f-slot, delta_II into the g-slot)
 follow a fixed sign convention; the D-type sum of delta_I stops at slot n
-while that of delta_II runs to slot n+1. Both are written once, in
-`_coboundary_rows`, which walks the output coordinates of the flat layout and
-emits the nonzero {input index: coefficient} entries of each in integers, Q =
-q^2 times the exact ones. Every term reads one of the representation's cached
-`tables()` (see `structures`): [.,.] or rho (weight 1, scaled by q) with one
-more factor q, or <.,.,.>, mu or D (weight 2, scaled by q^2), the module maps
-column by column. Every computation reads these
-rows in integers: `coboundary` applies them to a cochain scaled to integers,
+while that of delta_II runs to slot n+1. Both are written once, for every
+degree, in `_coboundary_rows`, which walks the output coordinates of the flat
+layout and emits the nonzero {input index: coefficient} entries of each in
+integers, Q = q^2 times the exact ones. Every term reads one of the
+representation's cached `tables()` (see `structures`): [.,.] or rho (weight 1,
+scaled by q) with one more factor q, or <.,.,.>, mu or D (weight 2, scaled by
+q^2), the module maps column by column. Every computation reads these rows in
+integers: `coboundary` applies them to a cochain scaled to integers,
 `_preimage` solves delta(x) = c on them and `cohomology_dims` takes their
 ranks; `coboundary_matrix` densifies them, a view for API users. The tests
 compare the rows against an independent term-by-term evaluation on cochains
@@ -32,12 +32,11 @@ from typing import Dict, List, NamedTuple, Optional, Sequence, Tuple
 
 from .linalg import IntRow, Matrix, Rref, Vector, _rank, _solve, rat
 from .structures import (
-    InvalidRepresentation,
     LYAlgebra,
     Representation,
     Scaled,
     _denominator_lcm,
-    check_representation,
+    _require_representation,
     wedge_basis,
 )
 
@@ -70,11 +69,7 @@ class ComplexContext:
         if rep.algebra is not algebra and rep.algebra != algebra:
             raise ValueError("representation belongs to a different algebra")
         if validate:
-            report = check_representation(rep)
-            if not report.valid:
-                first = report.violations[0]
-                raise InvalidRepresentation(
-                    f"representation fails {first.identity} at {first.args}")
+            _require_representation(rep)
         object.__setattr__(self, "algebra", algebra)
         object.__setattr__(self, "rep", rep)
         object.__setattr__(self, "wedge", wedge_basis(algebra.dim))
@@ -206,21 +201,11 @@ def _coboundary_rows(ctx: ComplexContext, p: int) -> Tuple[int, List[IntRow]]:
                 row[k] = row.get(k, 0) + co
         rows.extend({k: c for k, c in row.items() if c} for row in acc)
 
-    if p == 1:
-        # dI f(x, y) = rho(x) f(y) - rho(y) f(x) - f([x, y])
-        for (i, j) in ctx.wedge:
-            emit([(q, rho[i], j), (-q, rho[j], i)], [(-q * co, k) for k, co in b[i][j]])
-        # dII f(x, y, z) = D(x, y) f(z) + mu(y, z) f(x) - mu(x, z) f(y) - f(<x, y, z>)
-        for widx, (i, j) in enumerate(ctx.wedge):
-            for z in range(m):
-                emit([(1, d[widx], z), (1, mu[j][z], i), (-1, mu[i][z], j)],
-                     [(-co, k) for k, co in t[i][j][z]])
-        return q * q, rows
-
-    n = p - 1  # number of wedge slots of the input
-    nf = w ** n
+    n = p - 1  # number of wedge slots of the input; degree 1 has no f-block
+    nf = w ** n if n else 0
     sign_n = (-1) ** n
-    comp = [[_compose_wedges(ctx, t, wk, wl) for wl in range(w)] for wk in range(w)]
+    # composed wedges pair two input slots, so no degree-1 row reads them
+    comp = [[_compose_wedges(ctx, t, wk, wl) for wl in range(w)] for wk in range(w)] if n else []
     bracket = [b[i][j] for (i, j) in ctx.wedge]
     triple = [[t[i][j][z] for z in range(m)] for (i, j) in ctx.wedge]
 

@@ -40,7 +40,7 @@ import itertools
 from typing import Container, Iterator, NamedTuple, Optional, Tuple
 
 from .linalg import Matrix, vadd, vneg, vsub
-from .structures import AxiomReport, Term, Violation, wedge_basis
+from .structures import AxiomReport, InputError, Term, Violation, wedge_basis
 from .complexes import Cochain, _preimage, coboundary
 from .rbo import RelRBO, Wedge2, _expansion, _pre_ly_expansion, _require_verified, _violations
 from .rbo_cohomology import RboComplex, _delta0, rbo_cohomology_dims, rbo_delta0
@@ -65,7 +65,7 @@ __all__ = [
 ]
 
 
-class NotNijenhuisElement(Exception):
+class NotNijenhuisElement(InputError):
     """The wedge element fails one of the Nijenhuis conditions."""
 
     def __init__(self, label: str, violation: Violation):
@@ -74,7 +74,7 @@ class NotNijenhuisElement(Exception):
         super().__init__(f"fails {label} at {violation.args}")
 
 
-class NotLinearDeformation(Exception):
+class NotLinearDeformation(InputError):
     """T + t*frak_t is not a relative Rota-Baxter operator for all t."""
 
     def __init__(self, violation: Violation):
@@ -82,7 +82,7 @@ class NotLinearDeformation(Exception):
         super().__init__(f"fails {violation.identity} at {violation.args}")
 
 
-class NotOrderN(Exception):
+class NotOrderN(InputError):
     """The truncated deformation fails its own order-n conditions."""
 
     def __init__(self, violation: Violation):

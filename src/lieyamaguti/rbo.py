@@ -33,6 +33,7 @@ from typing import Dict, Iterable, Iterator, List, NamedTuple, Optional, Sequenc
 from .linalg import Matrix, Vector, inverse, rat, vadd, vsub, vzero
 from .structures import (
     AxiomReport,
+    InputError,
     LYAlgebra,
     Representation,
     Scaled,
@@ -63,11 +64,11 @@ __all__ = [
 ]
 
 
-class NotRotaBaxter(ValueError):
+class NotRotaBaxter(InputError, ValueError):
     """`RelRBO.build` was given an operator that fails `check_rbo`."""
 
 
-class UnverifiedOperator(Exception):
+class UnverifiedOperator(InputError):
     """A construction that is only meaningful for verified operators was
     asked to run on an unverified one."""
 

@@ -54,6 +54,7 @@ __all__ = [
     "Violation",
     "AxiomReport",
     "JacobiViolation",
+    "InputError",
     "InvalidAlgebra",
     "InvalidRepresentation",
     "NotNijenhuis",
@@ -175,11 +176,16 @@ class JacobiViolation(Exception):
         super().__init__(f"Jacobi identity fails on basis triple {triple}")
 
 
-class InvalidAlgebra(Exception):
+class InputError(Exception):
+    """The input cannot be used. Every error that `lyat` reports with exit
+    code 2 derives from this class; any other exception is a fault in lyat."""
+
+
+class InvalidAlgebra(InputError):
     """An operation required a valid Lie-Yamaguti algebra and got a broken one."""
 
 
-class InvalidRepresentation(Exception):
+class InvalidRepresentation(InputError):
     """An operation required a valid representation and got a broken one."""
 
 
@@ -699,29 +705,34 @@ def check_representation(r: Representation) -> AxiomReport:
     return AxiomReport.from_violations(viols)
 
 
+def _require_lya(a: LYAlgebra) -> None:
+    """Raise InvalidAlgebra at the first violation `check_lya` finds."""
+    report = check_lya(a)
+    if not report.valid:
+        first = report.violations[0]
+        raise InvalidAlgebra(f"algebra fails {first.identity} at basis tuple {first.args}")
+
+
+def _require_representation(r: Representation) -> None:
+    """Raise InvalidRepresentation at the first violation `check_representation` finds."""
+    report = check_representation(r)
+    if not report.valid:
+        first = report.violations[0]
+        raise InvalidRepresentation(f"representation fails {first.identity} at {first.args}")
+
+
 def adjoint_rep(a: LYAlgebra) -> Representation:
     """The algebra acting on itself: rho(x) = [x, .], mu(x, y) = <., x, y>.
 
     Requires a valid algebra (raises InvalidAlgebra otherwise); validity of
     the result is then automatic and D(x,y) acts as <x,y,.>.
     """
-    report = check_lya(a)
-    if not report.valid:
-        first = report.violations[0]
-        raise InvalidAlgebra(
-            f"algebra fails {first.identity} at basis tuple {first.args}")
-    rho, mu = _adjoint_tables(a)
-    return Representation(a, a.dim, rho, mu)
-
-
-def _adjoint_tables(a: LYAlgebra) -> Tuple[List[Matrix], List[List[Matrix]]]:
-    """The matrices of rho(e_i) = [e_i, .] and mu(e_i, e_j) = <., e_i, e_j>,
-    for any algebra, valid or not."""
+    _require_lya(a)
     rng = range(a.dim)
     rho = [Matrix.from_columns([a.bracket_basis(i, k) for k in rng], rows=a.dim) for i in rng]
     mu = [[Matrix.from_columns([a.triple_basis(k, i, j) for k in rng], rows=a.dim)
            for j in rng] for i in rng]
-    return rho, mu
+    return Representation(a, a.dim, rho, mu)
 
 
 def zero_rep(a: LYAlgebra, dim_v: int) -> Representation:

@@ -209,6 +209,30 @@ class TestParseErrors:
             assert payload["details"] == {"message": "ValueError: rows out of range",
                                           "internal": True}
 
+    def test_exit_two_is_decided_by_exception_type(self):
+        import lieyamaguti as ly
+
+        exit_two = (cli.ParseError, cli.InvariantError, cli.UsageError,
+                    ly.InvalidAlgebra, ly.InvalidRepresentation,
+                    ly.NotRotaBaxter, ly.UnverifiedOperator,
+                    ly.NotOrderN, ly.NotNijenhuisElement, ly.NotLinearDeformation)
+        assert all(issubclass(cls, ly.InputError) for cls in exit_two)
+        assert issubclass(ly.NotRotaBaxter, ValueError)
+        for cls in (ly.JacobiViolation, ly.NotNijenhuis, ly.NotIntertwining,
+                    ly.NotAutomorphism):
+            assert not issubclass(cls, ly.InputError), cls
+
+    def test_input_errors_of_lazily_loaded_modules_exit_two(self, capsys, monkeypatch):
+        from lieyamaguti import deformation
+
+        def fails(o, d):
+            raise deformation.NotOrderN(structures.Violation("binary@t^1", (0, 1), (1, 0)))
+
+        monkeypatch.setattr(deformation, "obstruction", fails)
+        code, payload = run_json(capsys, "deform", "obstruction", "dim2.lyat")
+        assert code == 2
+        assert payload["details"] == {"message": "fails binary@t^1 at (0, 1)"}
+
     def test_deform_needs_block(self, capsys):
         code, out = run(capsys, "deform", "check", "dim4.lyat")
         assert code == 2
@@ -350,11 +374,12 @@ EXPLICIT = dict(MINIMAL, representation={
 
 class TestStructureChecks:
     """`cohomology` checks the algebra once, and the representation only when
-    the file writes it out: an adjoint one is valid by theorem."""
+    the file writes it out: an adjoint one is valid by theorem, and
+    `adjoint_rep` is the one place that builds it."""
 
     @pytest.fixture
     def calls(self, monkeypatch):
-        counts = {"check_lya": 0, "check_representation": 0}
+        counts = {"check_lya": 0, "check_representation": 0, "adjoint_rep": 0}
         for name in counts:
             orig = getattr(structures, name)
 
@@ -371,14 +396,14 @@ class TestStructureChecks:
     def test_adjoint_model(self, capsys, calls, extra):
         code, _ = run(capsys, "cohomology", "dim4.lyat", "--degree", "1", *extra)
         assert code == 0
-        assert calls == {"check_lya": 1, "check_representation": 0}
+        assert calls == {"check_lya": 1, "check_representation": 0, "adjoint_rep": 1}
 
     @pytest.mark.parametrize("extra", [(), ("--rbo",)])
     def test_explicit_model(self, capsys, calls, tmp_path, extra):
         written = write_model(tmp_path, "explicit.lyat", EXPLICIT)
         code, payload = run_json(capsys, "cohomology", written, "--degree", "2", *extra)
         assert code == 0
-        assert calls == {"check_lya": 1, "check_representation": 1}
+        assert calls == {"check_lya": 1, "check_representation": 1, "adjoint_rep": 0}
         _, adjoint = run_json(capsys, "cohomology", "dim2.lyat", "--degree", "2", *extra)
         assert payload == adjoint
 
@@ -387,12 +412,12 @@ class TestStructureChecks:
         assert code == 2
         assert payload["details"] == {
             "message": "algebra fails binary-derivation at basis tuple (0, 1, 0, 1)"}
-        assert calls == {"check_lya": 1, "check_representation": 0}
+        assert calls == {"check_lya": 1, "check_representation": 0, "adjoint_rep": 1}
         code, payload = run_json(capsys, "cohomology", "dim2_bad_rep.lyat", "--degree", "1")
         assert code == 2
         assert payload["details"] == {
             "message": "representation fails mu-bracket-right at (1, 0, 1, 1)"}
-        assert calls == {"check_lya": 2, "check_representation": 1}
+        assert calls == {"check_lya": 2, "check_representation": 1, "adjoint_rep": 1}
 
 
 class TestKernelDump:
