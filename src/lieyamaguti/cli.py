@@ -40,7 +40,7 @@ import os
 import re
 import sys
 from fractions import Fraction
-from typing import Any, Dict, List, NamedTuple, Optional, Sequence, Tuple
+from typing import Any, Callable, Dict, List, NamedTuple, Optional, Sequence, Tuple
 
 from .linalg import Matrix, Vector, _kernel, _rref, rat_str
 from .structures import (
@@ -48,6 +48,7 @@ from .structures import (
     LYAlgebra,
     Representation,
     Violation,
+    _names,
     _require_lya,
     _require_representation,
     adjoint_rep,
@@ -103,17 +104,33 @@ def _parse_rat(x: Any, where: str) -> Fraction:
     raise ParseError(f"{where}: expected a rational, got {type(x).__name__}")
 
 
-def _parse_args_list(entry: Any, count: int, dim: int, where: str) -> Tuple[int, ...]:
-    if not isinstance(entry, list) or len(entry) != count:
-        raise ParseError(f"{where}: args must be a list of {count} basis indices")
-    out = []
-    for x in entry:
-        if isinstance(x, bool) or not isinstance(x, int):
-            raise ParseError(f"{where}: basis indices must be integers")
-        if not 1 <= x <= dim:
-            raise ParseError(f"{where}: basis index {x} out of range 1..{dim}")
-        out.append(x - 1)
-    return tuple(out)
+def _indexed(spec: Any, count: int, dim: int, where: str, key: str,
+             parse: Callable[[Any, str], Any], ascending: str) -> Dict[Tuple[int, ...], Any]:
+    """The entries {"args": [...], key: value} of spec by their 0-based args:
+    1-based indices in the file, the first two ascending (else the message
+    `ascending` with {} for the args), none repeated. Entry k is reported as
+    `where` followed by k, and its value is read by parse(value, where k)."""
+    out: Dict[Tuple[int, ...], Any] = {}
+    for pos, entry in enumerate(spec):
+        at = f"{where}{pos + 1}"
+        if not isinstance(entry, dict) or set(entry) != {"args", key}:
+            raise ParseError(f"{at}: expected keys args and {key}")
+        given = entry["args"]
+        if not isinstance(given, list) or len(given) != count:
+            raise ParseError(f"{at}: args must be a list of {count} basis indices")
+        for x in given:
+            if isinstance(x, bool) or not isinstance(x, int):
+                raise ParseError(f"{at}: basis indices must be integers")
+            if not 1 <= x <= dim:
+                raise ParseError(f"{at}: basis index {x} out of range 1..{dim}")
+        args = tuple(x - 1 for x in given)
+        shown = f"[{', '.join(str(i + 1) for i in args)}]"
+        if args[0] >= args[1]:
+            raise InvariantError(f"{at}: {ascending.format(shown)}")
+        if args in out:
+            raise ParseError(f"{at}: duplicate args {shown}")
+        out[args] = parse(entry[key], at)
+    return out
 
 
 def _value_vector(value: Any, names: Sequence[str], where: str) -> Vector:
@@ -187,37 +204,16 @@ def parse_model(text: str, path: str = "<input>") -> ModelFile:
             raise ParseError(f'{path}: "basis" must list {dim} distinct names')
         names = tuple(basis)
     else:
-        names = tuple(f"e{i + 1}" for i in range(dim))
+        names = _names("e", dim)
 
-    binary: Dict[Tuple[int, int], Vector] = {}
-    for pos, entry in enumerate(data.get("binary", [])):
-        where = f"{path}: binary entry {pos + 1}"
-        if not isinstance(entry, dict) or set(entry) != {"args", "value"}:
-            raise ParseError(f"{where}: expected keys args and value")
-        i, j = _parse_args_list(entry["args"], 2, dim, where)
-        if i >= j:
-            raise InvariantError(
-                f"{where}: constants are stored for ascending indices only "
-                f"(got [{i + 1}, {j + 1}]); state the i < j case and the skew "
-                f"completion is implied")
-        if (i, j) in binary:
-            raise ParseError(f"{where}: duplicate args [{i + 1}, {j + 1}]")
-        binary[(i, j)] = _value_vector(entry["value"], names, where)
+    def vector(value: Any, where: str) -> Vector:
+        return _value_vector(value, names, where)
 
-    ternary: Dict[Tuple[int, int, int], Vector] = {}
-    for pos, entry in enumerate(data.get("ternary", [])):
-        where = f"{path}: ternary entry {pos + 1}"
-        if not isinstance(entry, dict) or set(entry) != {"args", "value"}:
-            raise ParseError(f"{where}: expected keys args and value")
-        i, j, k = _parse_args_list(entry["args"], 3, dim, where)
-        if i >= j:
-            raise InvariantError(
-                f"{where}: constants are stored for ascending first indices "
-                f"only (got [{i + 1}, {j + 1}, {k + 1}])")
-        if (i, j, k) in ternary:
-            raise ParseError(f"{where}: duplicate args [{i + 1}, {j + 1}, {k + 1}]")
-        ternary[(i, j, k)] = _value_vector(entry["value"], names, where)
-
+    binary = _indexed(data.get("binary", []), 2, dim, f"{path}: binary entry ", "value", vector,
+                      "constants are stored for ascending indices only (got {}); "
+                      "state the i < j case and the skew completion is implied")
+    ternary = _indexed(data.get("ternary", []), 3, dim, f"{path}: ternary entry ", "value", vector,
+                       "constants are stored for ascending first indices only (got {})")
     algebra = LYAlgebra(dim, binary=binary, ternary=ternary, basis_names=names)
 
     rep_kind: Optional[str] = None
@@ -284,20 +280,8 @@ def parse_model(text: str, path: str = "<input>") -> ModelFile:
             where = f"{path}: element {name!r}"
             if not isinstance(terms_spec, list):
                 raise ParseError(f"{where}: expected a list of wedge terms")
-            coeffs: Dict[Tuple[int, int], Fraction] = {}
-            for pos, term in enumerate(terms_spec):
-                twhere = f"{where}, term {pos + 1}"
-                if not isinstance(term, dict) or set(term) != {"args", "coeff"}:
-                    raise ParseError(f"{twhere}: expected keys args and coeff")
-                i, j = _parse_args_list(term["args"], 2, dim, twhere)
-                if i >= j:
-                    raise InvariantError(
-                        f"{twhere}: wedge terms are stored for ascending "
-                        f"indices only (got [{i + 1}, {j + 1}])")
-                if (i, j) in coeffs:
-                    raise ParseError(f"{twhere}: duplicate args [{i + 1}, {j + 1}]")
-                coeffs[(i, j)] = _parse_rat(term["coeff"], twhere)
-            elements[name] = coeffs
+            elements[name] = _indexed(terms_spec, 2, dim, f"{where}, term ", "coeff", _parse_rat,
+                                      "wedge terms are stored for ascending indices only (got {})")
 
     return ModelFile(path=path, algebra=algebra, rep_kind=rep_kind,
                      explicit_rep=explicit_rep, operator=operator,
@@ -353,10 +337,6 @@ def _render_violations(viols, g_names, v_names, plain=False) -> List[Dict[str, A
 
 def _render_matrix(m: Matrix) -> List[List[str]]:
     return [[rat_str(x) for x in row] for row in m.entries]
-
-
-def _module_names(dim_v: int) -> Tuple[str, ...]:
-    return tuple(f"u{i + 1}" for i in range(dim_v))
 
 
 # -- reports ------------------------------------------------------------------
@@ -453,7 +433,7 @@ def _cmd_check_rep(model: ModelFile) -> Report:
     r = model.rep()
     report = check_representation(r)
     gn = model.algebra.basis_names
-    vn = _module_names(r.dim_v)
+    vn = _names("u", r.dim_v)
     return Report("check-rep", "ok" if report.valid else "violated", {
         "dim": model.algebra.dim,
         "dim_v": r.dim_v,
@@ -469,7 +449,7 @@ def _cmd_check_rbo(model: ModelFile) -> Report:
     t = model.require_operator()
     report = check_rbo(model.algebra, r, t)
     gn = model.algebra.basis_names
-    vn = _module_names(r.dim_v)
+    vn = _names("u", r.dim_v)
     return Report("check-rbo", "ok" if report.valid else "violated", {
         "dim": model.algebra.dim,
         "dim_v": r.dim_v,
@@ -516,7 +496,7 @@ def _cmd_nijenhuis(model: ModelFile, args) -> Report:
     o = RelRBO.build(model.algebra, r, model.require_operator())
     from .deformation import nijenhuis_element_check
     gn = model.algebra.basis_names
-    vn = _module_names(r.dim_v)
+    vn = _names("u", r.dim_v)
     if args.element is not None:
         if args.element not in model.elements:
             raise ParseError(f"{model.path}: no element named {args.element!r}")
@@ -549,7 +529,7 @@ def _cmd_deform(model: ModelFile, args) -> Report:
         raise ParseError(f"{model.path}: file declares no deformation")
     d = TruncatedDeformation(model.deformation)
     gn = model.algebra.basis_names
-    vn = _module_names(r.dim_v)
+    vn = _names("u", r.dim_v)
 
     if args.action == "check":
         report = order_n_check(o, d)

@@ -95,15 +95,19 @@ class ComplexContext:
         return self._windex[(i, j)]
 
 
-def cochain_dim(ctx: ComplexContext, p: int) -> int:
-    """Dimension of the degree-p cochain space. Degree 0 lives only in the
-    operator complex, not here."""
+def _blocks(ctx: ComplexContext, p: int) -> Tuple[int, int]:
+    """The numbers nf, ng of value vectors in the f- and g-blocks of the
+    degree-p = n+1 layout: w^n and w^n m, with no f-block at degree 1 (n = 0).
+    Degree 0 lives only in the operator complex, not here."""
     if p < 1:
         raise ValueError("cochain degree must be at least 1")
-    if p == 1:
-        return ctx.m * ctx.v
     n = p - 1
-    return (ctx.w ** n) * ctx.v + (ctx.w ** n) * ctx.m * ctx.v
+    return (ctx.w ** n if n else 0), ctx.w ** n * ctx.m
+
+
+def cochain_dim(ctx: ComplexContext, p: int) -> int:
+    """Dimension of the degree-p cochain space."""
+    return sum(_blocks(ctx, p)) * ctx.v
 
 
 class Cochain(NamedTuple):
@@ -124,16 +128,14 @@ class Cochain(NamedTuple):
 
     @classmethod
     def from_flat(cls, ctx: ComplexContext, p: int, coeffs: Sequence) -> "Cochain":
-        total = cochain_dim(ctx, p)
+        (nf, ng), v = _blocks(ctx, p), ctx.v
         vals = [rat(c) for c in coeffs]
-        if len(vals) != total:
+        if len(vals) != (total := (nf + ng) * v):
             raise ValueError(f"expected {total} coefficients for degree {p}, got {len(vals)}")
-        v, nf = ctx.v, ctx.m if p == 1 else ctx.w ** (p - 1)
         # counted by values, not by coordinates: a zero-dimensional module has values ()
-        chunks = [tuple(vals[i * v:i * v + v]) for i in range(nf if p == 1 else nf * (1 + ctx.m))]
-        if p == 1:
-            return cls(1, tuple(chunks), None)
-        return cls(p, tuple(chunks[:nf]), tuple(chunks[nf:]))
+        chunks = [tuple(vals[i * v:i * v + v]) for i in range(nf + ng)]
+        # degree 1 keeps its values in f_part
+        return cls(p, tuple(chunks[:nf]), tuple(chunks[nf:])) if nf else cls(p, tuple(chunks), None)
 
     def flatten(self) -> Vector:
         parts: List[Fraction] = []
@@ -202,7 +204,7 @@ def _coboundary_rows(ctx: ComplexContext, p: int) -> Tuple[int, List[IntRow]]:
         rows.extend({k: c for k, c in row.items() if c} for row in acc)
 
     n = p - 1  # number of wedge slots of the input; degree 1 has no f-block
-    nf = w ** n if n else 0
+    nf = _blocks(ctx, p)[0]
     sign_n = (-1) ** n
     # composed wedges pair two input slots, so no degree-1 row reads them
     comp = [[_compose_wedges(ctx, t, wk, wl) for wl in range(w)] for wk in range(w)] if n else []
@@ -260,11 +262,9 @@ def _coboundary_rows(ctx: ComplexContext, p: int) -> Tuple[int, List[IntRow]]:
 def coboundary(ctx: ComplexContext, c: Cochain) -> Cochain:
     """Apply the differential, raising the degree by one."""
     p = c.degree
-    if p < 1:
-        raise ValueError("cochain degree must be at least 1")
-    nf = ctx.m if p == 1 else ctx.w ** (p - 1)
+    nf, ng = _blocks(ctx, p)
     blocks = (len(c.f_part), None if c.g_part is None else len(c.g_part))
-    if blocks != (nf, None if p == 1 else nf * ctx.m) \
+    if blocks != ((nf, ng) if nf else (ng, None)) \
             or any(len(val) != ctx.v for val in c.f_part + (c.g_part or ())):
         raise ValueError(f"malformed degree-{p} cochain")
     flat = c.flatten()

@@ -15,7 +15,8 @@ and one engine in `rbo` computes every order in one pass. Linear deformations
 need the full expansion to vanish; order-n deformations only need it mod
 t^{n+1}; the residual at t^{n+1} is the obstruction to extending one more
 order, and the one at t^1 is the coboundary of T_1 (`rbo_delta1_expanded`).
-`obstruction` works on the integer rows of delta^1 and delta^2, with no matrix.
+The obstruction is a 2-cocycle by the paper's lemma, which the tests check;
+`obstruction` only seeks its preimage, on the integer rows of delta^1.
 T_t likewise deforms the pre-Lie-Yamaguti products u * v = rho(T_t u) v and
 {u, v, w} = mu(T_t v, T_t w) u, expanded by the same Cauchy product.
 
@@ -41,7 +42,7 @@ from typing import Container, Iterator, NamedTuple, Optional, Tuple
 
 from .linalg import Matrix, vadd, vneg, vsub
 from .structures import AxiomReport, InputError, Term, Violation, wedge_basis
-from .complexes import Cochain, _preimage, coboundary
+from .complexes import Cochain, _preimage
 from .rbo import RelRBO, Wedge2, _expansion, _pre_ly_expansion, _require_verified, _violations
 from .rbo_cohomology import RboComplex, _delta0, rbo_cohomology_dims, rbo_delta0
 
@@ -116,9 +117,10 @@ class TruncatedDeformation(_TruncatedDeformationFields):
 
 
 class ObstructionResult(NamedTuple):
-    """The residual 2-cochain at order n+1, whether it is a cocycle, and a
-    degree-1 preimage of its negative under the operator coboundary when one
-    exists (then the deformation extends by that term)."""
+    """The residual 2-cochain at order n+1, whether it is a cocycle (always,
+    by the paper's lemma; not recomputed), and a degree-1 preimage of its
+    negative under the operator coboundary when one exists (then the
+    deformation extends by that term)."""
 
     ob: Cochain
     is_cocycle: bool
@@ -327,11 +329,10 @@ def obstruction(o: RelRBO, d: TruncatedDeformation) -> ObstructionResult:
     rc = RboComplex.build(o)
     binary, ternary = residuals[n + 1]
     ob = Cochain(2, tuple(binary.values()), tuple(ternary.values()))
-    # a preimage x of Ob gives the witness -x, and makes Ob a cocycle, as delta o delta = 0
+    # a preimage x of Ob gives the witness -x
     sol = _preimage(rc.ctx, ob)
     witness = None if sol is None else Cochain.from_flat(rc.ctx, 1, vneg(sol))
-    is_cocycle = witness is not None or coboundary(rc.ctx, ob).is_zero()
-    return ObstructionResult(ob, is_cocycle, witness is not None, witness)
+    return ObstructionResult(ob, True, witness is not None, witness)
 
 
 def extend_deformation(o: RelRBO, d: TruncatedDeformation) -> Optional[TruncatedDeformation]:

@@ -96,8 +96,9 @@ class RelRBO(_RelRBOFields):
     """An operator matrix (columns = images of module basis vectors in g)
     bundled with its algebra and representation.
 
-    `verified` records that `check_rbo` passed; constructions that rely on
-    the defining identities gate on it. Use `build` to verify-and-wrap.
+    `verified` records that `check_rbo` passed, or that a theorem makes T an
+    operator (`conjugate_rbo`); constructions that rely on the defining
+    identities gate on it. Use `build` to verify-and-wrap.
     """
 
     __slots__ = ()
@@ -398,7 +399,7 @@ def conjugate_rbo(o: RelRBO, phi_g: Matrix, phi_v: Matrix) -> RelRBO:
     """phi_g^{-1} o T o phi_v, which is again a relative Rota-Baxter operator
     when phi_g is an algebra automorphism and (phi_g, phi_v) intertwines rho
     and mu. Raises NotAutomorphism / NotIntertwining when the hypotheses
-    fail; the result is rebuilt through `check_rbo`."""
+    fail; when they hold the result is an operator, returned verified."""
     _require_verified(o)
     a, r = o.algebra, o.rep
     _check_pair_shapes(a, r, phi_g, phi_v)
@@ -421,7 +422,7 @@ def conjugate_rbo(o: RelRBO, phi_g: Matrix, phi_v: Matrix) -> RelRBO:
             raise NotAutomorphism(f"phi_g fails the {identity.split('-')[1]} bracket at {args}")
         raise NotIntertwining(failure)
 
-    return RelRBO.build(a, r, phi_g_inv @ o.t_matrix @ phi_v)
+    return RelRBO(a, r, phi_g_inv @ o.t_matrix @ phi_v, verified=True)
 
 
 class Wedge2(NamedTuple):

@@ -377,6 +377,15 @@ def test_dense_views_have_no_callers_in_src():
     assert sorted(found) == []
 
 
+def test_coboundary_has_no_callers_outside_complexes():
+    # the paper's lemmas that `coboundary` would re-prove at run time (the
+    # obstruction is a 2-cocycle, delta o delta = 0) are checked by the tests
+    found = [f"{path.name}:{node.lineno}" for path, node in _src_nodes()
+             if path.name != "complexes.py" and isinstance(node, ast.Call)
+             and "coboundary" in (getattr(node.func, "id", None), getattr(node.func, "attr", None))]
+    assert found == []
+
+
 def test_no_dataclasses_in_src():
     # records are NamedTuples: importing `dataclasses` loads inspect, ast and
     # dis, a cost every `lyat` command would pay at start-up

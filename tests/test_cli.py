@@ -144,6 +144,31 @@ class TestParseErrors:
         assert code == 2
         assert message in out
 
+    @pytest.mark.parametrize("payload,error,message", [
+        ({"binary": [{"args": [2, 1], "value": {}}]}, cli.InvariantError,
+         "binary entry 1: constants are stored for ascending indices only (got [2, 1]); "
+         "state the i < j case and the skew completion is implied"),
+        ({"ternary": [{"args": [2, 1, 3], "value": {}}]}, cli.InvariantError,
+         "ternary entry 1: constants are stored for ascending first indices only (got [2, 1, 3])"),
+        ({"ternary": [{"args": [1, 2, 3], "value": {}}, {"args": [1, 2, 3], "value": {}}]},
+         cli.ParseError, "ternary entry 2: duplicate args [1, 2, 3]"),
+        ({"ternary": [{"args": [1, 2], "value": {}}]}, cli.ParseError,
+         "ternary entry 1: args must be a list of 3 basis indices"),
+        ({"elements": {"X": [{"args": [2, 1], "coeff": "1"}]}}, cli.InvariantError,
+         "element 'X', term 1: wedge terms are stored for ascending indices only (got [2, 1])"),
+        ({"elements": {"X": [{"args": [1, 2], "coeff": "1"}, {"args": [1, 2], "coeff": "2"}]}},
+         cli.ParseError, "element 'X', term 2: duplicate args [1, 2]"),
+        ({"elements": {"X": [{"args": [1, 2], "value": "1"}]}}, cli.ParseError,
+         "element 'X', term 1: expected keys args and coeff"),
+        ({"elements": {"X": [{"args": [1, True], "coeff": "1"}]}}, cli.ParseError,
+         "element 'X', term 1: basis indices must be integers"),
+    ])
+    def test_entry_messages(self, payload, error, message):
+        # binary and ternary constants and wedge terms share one reader
+        with pytest.raises(error) as info:
+            cli.parse_model(json.dumps(dict(scalar="rational", dim=3, **payload)), "m.lyat")
+        assert type(info.value) is error and str(info.value) == f"m.lyat: {message}"
+
     def test_not_json(self, capsys, tmp_path):
         p = tmp_path / "garbage.lyat"
         p.write_text("not json {")
@@ -504,9 +529,9 @@ class TestTablesOnce:
 
 
 class TestObstructionAssembly:
-    """`deform obstruction` and `deform extend` apply the degree-2 coboundary
-    only to an obstruction without a witness: Ob = -delta(witness) is a
-    cocycle already, as delta o delta = 0."""
+    """`deform obstruction` and `deform extend` build the rows of delta^1
+    only: the obstruction is a cocycle by the paper's lemma, which
+    `tests/test_deformation.py::TestObstructionIsACocycle` checks."""
 
     @pytest.fixture
     def degrees(self, monkeypatch):
@@ -528,7 +553,7 @@ class TestObstructionAssembly:
         assert code == 0
         assert degrees and set(degrees) == {1}
 
-    def test_nontrivial_obstruction_is_checked_as_a_cocycle(self, capsys, degrees, tmp_path):
+    def test_nontrivial_obstruction_builds_degree_one_rows_only(self, capsys, degrees, tmp_path):
         # T_1 = E_11 is a 1-cocycle of the dim2 operator whose obstruction is
         # not a coboundary
         model = dict(MINIMAL, deformation={"terms": [[["0", "0"], ["0", "1"]],
@@ -538,7 +563,7 @@ class TestObstructionAssembly:
         assert code == 1
         details = payload["details"]
         assert details["is_cocycle"] and not details["trivial"]
-        assert sorted(degrees) == [1, 2]
+        assert degrees == [1]
 
 
 class TestObstructionOnIntegerRows:

@@ -149,6 +149,8 @@ class TestCoboundary:
             ly.coboundary(ctx2, ly.Cochain(2, ((z, z),), None))
         with pytest.raises(ValueError, match="malformed degree-2"):
             ly.coboundary(ctx2, ly.Cochain(2, ((z, z),), ((z,), (z, z))))
+        with pytest.raises(ValueError, match="malformed degree-1"):   # g_part is None at degree 1
+            ly.coboundary(ctx2, ly.Cochain(1, ((z, z), (z, z)), ()))
         with pytest.raises(ValueError, match="at least 1"):
             ly.coboundary(ctx2, ly.Cochain(0, (), None))
 
@@ -279,7 +281,7 @@ class TestIntegerRows:
         z = fr(0)
         for c in (ly.Cochain(1, ((z, z),), None), ly.Cochain(2, ((z, z),), None),
                   ly.Cochain(2, ((z, z),), ((z,), (z, z))), ly.Cochain(0, (), None),
-                  ly.Cochain(1, ((z,), (z, z)), None)):
+                  ly.Cochain(1, ((z,), (z, z)), None), ly.Cochain(1, ((z, z), (z, z)), ())):
             with pytest.raises(ValueError) as want:
                 replaced_coboundary(ctx2, c)
             with pytest.raises(ValueError, match=f"^{want.value}$"):

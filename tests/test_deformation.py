@@ -11,7 +11,8 @@ import pytest
 
 import lieyamaguti as ly
 import reference_deformation as ref
-from conftest import Model, fr, random_fraction, random_matrix, sl2_sum_operator, transport
+from conftest import (LIE_FAMILIES, Model, fr, random_fraction, random_matrix, sl2_sum_operator,
+                      transport)
 from lieyamaguti import cli, rbo
 
 
@@ -410,18 +411,72 @@ class TestObstructionClasses:
         assert nontrivial > 0
 
 
-def _cocycle_draws(o: ly.RelRBO, rng: random.Random, count: int):
+def _cocycle_draws(o: ly.RelRBO, rng: random.Random, count: int, share: float = 1.0):
     """Order-1 deformations T + t T_1, T_1 a seeded combination of the
-    free-column basis of Z^1 with coefficients in -3..3."""
+    free-column basis of Z^1 with coefficients in -3..3; with share < 1, each
+    basis vector enters with that probability."""
     rc = ly.RboComplex.build(o)
     m1 = ly.rbo_coboundary_matrix(rc, 1)
     _, kernel = ly.rank_kernel(m1)
     for _ in range(count):
         z = [fr(0)] * m1.cols
         for k in kernel:
-            z = ly.vadd(z, ly.vscale(fr(rng.randint(-3, 3)), k))
+            if share == 1 or rng.random() < share:
+                z = ly.vadd(z, ly.vscale(fr(rng.randint(-3, 3)), k))
         t1 = ly.Cochain.from_flat(rc.ctx, 1, z).as_matrix(o.algebra.dim)
         yield ly.TruncatedDeformation((o.t_matrix, t1))
+
+
+class TestObstructionIsACocycle:
+    """`obstruction` takes the paper's lemma for granted: the residual at
+    t^{n+1} of an order-n deformation is a 2-cocycle. These tests apply
+    delta^2 to it on nontrivial classes, where no witness implies it."""
+
+    @staticmethod
+    def _checked(o: ly.RelRBO, ctx: ly.ComplexContext, d: ly.TruncatedDeformation):
+        res = ly.obstruction(o, d)
+        assert res.is_cocycle and ly.coboundary(ctx, res.ob).is_zero()
+        return res
+
+    def test_dim2_e11(self, dim2: Model):
+        # T_1 = E_11 is a 1-cocycle whose obstruction is not a coboundary
+        e11 = ly.Matrix(((fr(1), fr(0)), (fr(0), fr(0))))
+        d = ly.TruncatedDeformation((dim2.op.t_matrix, e11))
+        ctx = ly.RboComplex.build(dim2.op).ctx
+        assert not self._checked(dim2.op, ctx, d).trivial
+
+    def test_order_one_on_sl2_sum(self):
+        o = sl2_sum_operator(2)
+        ctx = ly.RboComplex.build(o).ctx
+        draws = _cocycle_draws(o, random.Random(67), 24, share=0.25)
+        assert sum(not self._checked(o, ctx, d).trivial for d in draws) >= 10
+
+    def test_order_one_on_sl2_lift(self):
+        # T h = h on the sl2 lift: delta^2 reads the binary block of Ob here,
+        # as it does not on the operator complexes of dim2 and sl2+sl2, so a
+        # rescaled block of Ob is no cocycle
+        a = ly.lya_from_lie(3, {k: tuple(map(fr, v)) for k, v in LIE_FAMILIES["sl2"][1].items()})
+        t = ly.Matrix([[fr(int(i == j == 0)) for j in range(3)] for i in range(3)])
+        o = ly.RelRBO.build(a, ly.adjoint_rep(a), t)
+        ctx = ly.RboComplex.build(o).ctx
+        draws = _cocycle_draws(o, random.Random(5), 24)
+        assert sum(not self._checked(o, ctx, d).trivial for d in draws) >= 10
+
+    def test_order_two_on_sl2_sum(self):
+        # a trivial order-1 class extended by its witness T_2, then T_2 moved
+        # by a 1-cocycle: still order 2, with a new class at t^3
+        o = sl2_sum_operator(2)
+        ctx = ly.RboComplex.build(o).ctx
+        rng = random.Random(71)
+        extended = [ly.extend_deformation(o, d) for d in _cocycle_draws(o, rng, 24, share=0.15)]
+        extended = [d for d in extended if d is not None][:10]
+        assert len(extended) == 10
+        nontrivial = 0
+        for d, shift in zip(extended * 3, _cocycle_draws(o, rng, 30, share=0.15)):
+            d2 = ly.TruncatedDeformation(d.terms[:2] + (d.terms[2] + shift.terms[1],))
+            assert ly.order_n_check(o, d2).valid
+            nontrivial += not self._checked(o, ctx, d2).trivial
+        assert nontrivial >= 5
 
 
 def _same_obstruction(o: ly.RelRBO, d: ly.TruncatedDeformation):

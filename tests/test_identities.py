@@ -109,6 +109,8 @@ class TestAgainstReference:
         kinds = set()
         for o, pg, pv in cases:
             moved = _outcome(ly.conjugate_rbo, o, pg, pv)
+            if isinstance(moved, ly.RelRBO):   # returned verified with no check_rbo of its own
+                assert ly.check_rbo(moved.algebra, moved.rep, moved.t_matrix).valid
             assert moved == _outcome(ref.conjugate_rbo, o, pg, pv)
             kinds.add(type(moved) if isinstance(moved, ly.RelRBO) else moved[0])
             targets = [o] + ([moved] if isinstance(moved, ly.RelRBO) else [])

@@ -7,6 +7,7 @@ import pytest
 import lieyamaguti as ly
 import reference_deformation as ref
 from conftest import Model, dim4_operator, fr, random_fraction
+from lieyamaguti import rbo
 
 
 class TestCheckRbo:
@@ -162,6 +163,14 @@ class TestHomomorphisms:
         # conjugating is an equivalence: phi is a homomorphism moved -> original
         report = ly.rbo_homomorphism_check(moved, dim2.op, phi, phi)
         assert report.valid
+
+    def test_conjugation_makes_no_check_rbo_call(self, dim2: Model, monkeypatch):
+        # the hypotheses make the conjugate an operator; the tests check it
+        calls, real = [], rbo.check_rbo
+        monkeypatch.setattr(rbo, "check_rbo", lambda *args: calls.append(args) or real(*args))
+        phi = ly.Matrix(((fr(3), fr(1)), (fr(0), fr(1))))
+        assert ly.conjugate_rbo(dim2.op, phi, phi).verified
+        assert calls == []
 
     def test_conjugation_failure_modes(self, dim2: Model):
         o = dim2.op
