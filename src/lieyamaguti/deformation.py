@@ -21,29 +21,24 @@ T_t likewise deforms the pre-Lie-Yamaguti products u * v = rho(T_t u) v and
 {u, v, w} = mu(T_t v, T_t w) u, expanded by the same Cauchy product.
 
 A wedge element X gives phi_t = Id + t<X, .> on g and psi_t = Id + tD(X) on
-V, and `_phi_terms` expands them as a homomorphism in powers of t, into the
-t^s coefficients of
-
-    binary-hom      [phi_t x, phi_t y] - phi_t [x, y]                  s <= 2
-    ternary-hom     <phi_t x, phi_t y, phi_t z> - phi_t <x, y, z>      s <= 3
-    rho-intertwine  rho(phi_t x) psi_t - psi_t rho(x)                  s <= 2
-    mu-intertwine   mu(phi_t x, phi_t y) psi_t - psi_t mu(x, y)        s <= 3
-
-Between linear deformations T + tT_1' and T + tT_1 the t^1 term of the
-operator condition is T_1 - T_1' + delta(X), so equivalent deformations have
-cohomologous infinitesimals; a Nijenhuis element zeroes the t^2 and t^3
-bracket and mu terms.
+V, which the homomorphism engine of `rbo` (`_hom_expansion`) expands in
+powers of t: the binary-hom and rho-intertwine coefficients up to t^2, the
+ternary-hom and mu-intertwine ones up to t^3. Between linear deformations
+T + tT_1' and T + tT_1 the t^1 term of the operator condition is
+T_1 - T_1' + delta(X), so equivalent deformations have cohomologous
+infinitesimals; a Nijenhuis element zeroes the t^2 and t^3 bracket and mu
+terms.
 """
 
 from __future__ import annotations
 
-import itertools
-from typing import Container, Iterator, NamedTuple, Optional, Tuple
+from typing import NamedTuple, Optional, Tuple
 
-from .linalg import Matrix, vadd, vneg, vsub
-from .structures import AxiomReport, InputError, Term, Violation, wedge_basis
+from .linalg import Matrix, vneg, vsub
+from .structures import AxiomReport, InputError, Violation
 from .complexes import Cochain, _preimage
-from .rbo import RelRBO, Wedge2, _expansion, _pre_ly_expansion, _require_verified, _violations
+from .rbo import (_HOM, RelRBO, Wedge2, _expansion, _hom_expansion,
+                  _pre_ly_expansion, _require_verified, _violations)
 from .rbo_cohomology import RboComplex, _delta0, rbo_cohomology_dims, rbo_delta0
 
 __all__ = [
@@ -170,45 +165,10 @@ def linear_deformation_check(o: RelRBO, frak_t: Matrix) -> AxiomReport:
     return AxiomReport.from_violations(_violations(residuals, orders, *_LABELS))
 
 
-def _phi_terms(o: RelRBO, lx: Matrix, dx: Matrix,
-               labels: Optional[Container[str]] = None) -> Iterator[Term]:
-    """The coefficients of the module docstring for lx = <X, .> and dx = D(X),
-    labelled "<name>@t^<s>", on the pairs i < j, the triples, i and (i, j) in
-    turn, with each tuple's orders in turn; only those in labels, if given."""
-    a, r = o.algebra, o.rep
-    rng = range(a.dim)
-    e, le = [a.basis(i) for i in rng], lx.columns()
-    br, tr, rho, mu = a.bracket, a.triple, r.rho_of, r.mu_of
-    families = (
-        ("binary-hom", wedge_basis(a.dim), {
-            1: lambda i, j: vsub(vadd(br(le[i], e[j]), br(e[i], le[j])), lx.apply(br(e[i], e[j]))),
-            2: lambda i, j: br(le[i], le[j])}),
-        ("ternary-hom", itertools.product(rng, repeat=3), {
-            1: lambda i, j, k: vsub(vadd(vadd(tr(le[i], e[j], e[k]), tr(e[i], le[j], e[k])),
-                                         tr(e[i], e[j], le[k])), lx.apply(tr(e[i], e[j], e[k]))),
-            2: lambda i, j, k: vadd(vadd(tr(le[i], le[j], e[k]), tr(le[i], e[j], le[k])),
-                                    tr(e[i], le[j], le[k])),
-            3: lambda i, j, k: tr(le[i], le[j], le[k])}),
-        ("rho-intertwine", [(i,) for i in rng], {
-            1: lambda i: rho(le[i]) + r.rho(i) @ dx - dx @ r.rho(i),
-            2: lambda i: rho(le[i]) @ dx}),
-        ("mu-intertwine", itertools.product(rng, repeat=2), {
-            1: lambda i, j: mu(le[i], e[j]) + mu(e[i], le[j]) + r.mu(i, j) @ dx - dx @ r.mu(i, j),
-            2: lambda i, j: mu(le[i], le[j]) + (mu(le[i], e[j]) + mu(e[i], le[j])) @ dx,
-            3: lambda i, j: mu(le[i], le[j]) @ dx}),
-    )
-    for name, tuples, coefficients in families:
-        wanted = [(f"{name}@t^{s}", c) for s, c in coefficients.items()
-                  if labels is None or f"{name}@t^{s}" in labels]
-        for idx in tuples:
-            for label, coefficient in wanted:
-                yield label, idx, coefficient(*idx)
-
-
-# the coefficients of `_phi_terms` that make up the Nijenhuis conditions
-_NIJENHUIS = {"binary-hom@t^2": "bracket-binary", "ternary-hom@t^2": "bracket-ternary-quadratic",
-              "ternary-hom@t^3": "bracket-ternary-cubic", "mu-intertwine@t^2": "mu-quadratic",
-              "mu-intertwine@t^3": "mu-cubic"}
+# the coefficients of the expansion of phi_t and psi_t that make up the Nijenhuis conditions
+_NIJENHUIS = {"bracket-binary": ("binary-hom", 2), "bracket-ternary-quadratic": ("ternary-hom", 2),
+              "bracket-ternary-cubic": ("ternary-hom", 3), "mu-quadratic": ("mu-intertwine", 2),
+              "mu-cubic": ("mu-intertwine", 3)}
 
 
 def nijenhuis_element_check(o: RelRBO, x: Wedge2) -> NijenhuisReport:
@@ -229,17 +189,15 @@ def nijenhuis_element_check(o: RelRBO, x: Wedge2) -> NijenhuisReport:
     condition phrased through the operator on g)."""
     _require_verified(o)
     a, r, t = o.algebra, o.rep, o.t_matrix
-    m = a.dim
-    rng = range(m)
-    lx = x.action_matrix(a)
-    dx = x.d_matrix(r)
+    m, rng = a.dim, range(a.dim)
+    lx, dx = x.action_matrix(a), x.d_matrix(r)   # each checks the dimension of X
+    expansion = _hom_expansion(a, r, (Matrix.identity(m), lx), (Matrix.identity(r.dim_v), dx),
+                               (2, 3), ("binary-hom", "ternary-hom", "mu-intertwine"))
 
     def condition(label: str, terms) -> Tuple[str, AxiomReport]:
         return label, AxiomReport.from_residuals((label, args, res) for args, res in terms)
 
-    found = {label: [] for label in _NIJENHUIS.values()}
-    for identity, args, res in _phi_terms(o, lx, dx, _NIJENHUIS):
-        found[_NIJENHUIS[identity]].append((args, res))
+    found = {label: expansion[name][s].items() for label, (name, s) in _NIJENHUIS.items()}
     found["closing"] = [((b,), x.bracket_with(a, image))
                         for b, image in enumerate(_delta0(o, x, dx).f_part)]
     conditions = tuple(condition(label, terms) for label, terms in found.items())
@@ -285,18 +243,21 @@ def equivalence_check_linear(o: RelRBO, d1: TruncatedDeformation,
             raise ValueError("equivalence check applies to linear deformations")
         if d.terms[0] != o.t_matrix:
             raise ValueError("deformation must start at the operator")
-    lx = x.action_matrix(a)
-    dx = x.d_matrix(r)
+    orders = (1, 2, 3)   # binary-hom and rho-intertwine vanish at t^3
+    lx, dx = x.action_matrix(a), x.d_matrix(r)
+    expansion = _hom_expansion(a, r, (Matrix.identity(a.dim), lx), (Matrix.identity(r.dim_v), dx),
+                               orders, _HOM[:4])
     t1, t2 = d1.terms[1], d2.terms[1]
-
-    def terms() -> Iterator[Term]:
-        for identity, args, res in _phi_terms(o, lx, dx):
-            # reported as psi_t mu(x, y) - mu(phi_t x, phi_t y) psi_t, and so for rho
-            yield identity, args, (-res if isinstance(res, Matrix) else res)
-        yield "t-intertwine@t^1", (), t1 - t2 + rbo_delta0(o, x).as_matrix(a.dim)
-        yield "t-intertwine@t^2", (), t1 @ dx - lx @ t2
-
-    return AxiomReport.from_residuals(terms())
+    # each tuple of algebra indices with its orders in turn (the sort is stable); the
+    # intertwinings as psi_t mu(x, y) - mu(phi_t x, phi_t y) psi_t, and so for rho
+    viols = [v for name in _HOM[:4] for v in sorted(
+        (Violation(f"{name}@t^{s}", args, vneg(res) if name.endswith("intertwine") else res)
+         for s in orders for args, res in expansion[name][s].items()),
+        key=lambda v: v.args[:v.arg_spaces.count("g")])]
+    operator = AxiomReport.from_residuals([
+        ("t-intertwine@t^1", (), t1 - t2 + _delta0(o, x, dx).as_matrix(a.dim)),
+        ("t-intertwine@t^2", (), t1 @ dx - lx @ t2)])
+    return AxiomReport.from_violations(viols + list(operator.violations))
 
 
 def _order_violations(o: RelRBO, d: TruncatedDeformation, orders: range):

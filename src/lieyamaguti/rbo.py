@@ -22,22 +22,27 @@ the true one, which Fraction(R, q_T^2 q) or Fraction(R, q_T^3 q^2) gives
 back exactly. The sub-adjacent brackets [u,v]_T and <u,v,w>_T are the
 engine's inner tables, scaled by q_T q and q_T^2 q^2. As q_T is separate,
 the cached tables depend only on the representation.
+
+`_hom_expansion` expands the conditions for phi_t = sum_s t^s Phi_s on g and
+psi_t = sum_s t^s Psi_s on V to be a homomorphism of operators, with every
+Phi_s and Psi_s scaled by one q_phi. Each left side holds the maps k = 2 or 3
+times and a table of weight w = k - 1, each right side the maps once, times
+q_phi^(k-1); so Fraction(R, q_phi^k q^w) is the residual.
 """
 
 from __future__ import annotations
 
 import itertools
 from fractions import Fraction
-from typing import Dict, Iterable, Iterator, List, NamedTuple, Optional, Sequence, Tuple
+from typing import Dict, Iterable, List, NamedTuple, Sequence, Tuple
 
-from .linalg import Matrix, Vector, inverse, rat, vadd, vsub, vzero
+from .linalg import Matrix, Vector, inverse, rat, vadd, vneg, vzero
 from .structures import (
     AxiomReport,
     InputError,
     LYAlgebra,
     Representation,
     Scaled,
-    Term,
     Violation,
     _ccomb,
     _comb,
@@ -245,6 +250,58 @@ def _violations(residuals: Residuals, orders: Iterable[int],
     return viols
 
 
+# the homomorphism conditions, in the order `rbo_homomorphism_check` reports them
+_HOM = ("binary-hom", "ternary-hom", "rho-intertwine", "mu-intertwine", "d-intertwine")
+
+
+def _hom_expansion(a: LYAlgebra, r: Representation, phis: Sequence[Matrix], psis: Sequence[Matrix],
+                   orders: Sequence[int], families: Sequence[str]) -> Dict[str, Dict]:
+    """The t^s coefficients, s in orders, of the homomorphism conditions on
+    phi_t = sum_s t^s phis[s] on g and psi_t = sum_s t^s psis[s] on V,
+
+        binary-hom      [phi_t x, phi_t y] - phi_t [x, y]               (x < y)
+        ternary-hom     <phi_t x, phi_t y, phi_t z> - phi_t <x, y, z>
+        rho-intertwine  rho(phi_t x) psi_t u - psi_t rho(x) u
+        mu-intertwine   mu(phi_t x, phi_t y) psi_t u - psi_t mu(x, y) u
+        d-intertwine    D(phi_t x, phi_t y) psi_t u - psi_t D(x, y) u
+
+    for basis vectors x, y, z of g and u of V, in integers as the module
+    docstring explains: {family: {s: {args: residual}}}, nonzero residuals
+    only, args in lexicographic order."""
+    q, b, t, rho, mu, d = r.tables()
+    qp, scaled = _term_tables(tuple(phis) + tuple(psis))
+    f, g = scaled[:len(phis)], scaled[len(phis):]
+    # each family's table, of weight n - 1, and its n slots' maps; the last maps the value too
+    spec = {"binary-hom": (b, (f, f)), "ternary-hom": (t, (f, f, f)), "rho-intertwine": (rho, (f, g)),
+            "mu-intertwine": (mu, (f, f, g)), "d-intertwine": (d, (f, f, g))}
+    out = {}
+    for name in families:
+        table, maps = spec[name]
+        n, value = len(maps), maps[-1]
+        den, rhs = qp ** n * q ** (n - 1), -qp ** (n - 1)
+        splits = {s: [ss for ss in itertools.product(*(range(len(mp)) for mp in maps))
+                      if sum(ss) == s] for s in orders}
+        out[name] = residuals = {s: {} for s in orders}
+        tuples = wedge_basis(a.dim) if name == "binary-hom" else \
+            itertools.product(*(range(len(mp[0])) for mp in maps))
+        for args in tuples:
+            for s in orders:
+                acc = [0] * len(value[0])
+                for ss in splits[s]:
+                    *head, last = (mp[si][i] for mp, si, i in zip(maps, ss, args))
+                    for pairs in itertools.product(*head):
+                        sub, c = table, 1
+                        for p, x in pairs:
+                            sub, c = sub[p], c * x
+                        _comb(acc, c, last, sub)
+                if s < len(value):
+                    entry = table[args[0]][args[1]] if n == 2 else table[args[0]][args[1]][args[2]]
+                    _comb(acc, rhs, entry, value[s])
+                if any(acc):
+                    residuals[s][args] = tuple(Fraction(x, den) for x in acc)
+    return out
+
+
 def _require_verified(o: RelRBO) -> None:
     if not o.verified:
         raise UnverifiedOperator("operator has not passed check_rbo")
@@ -342,29 +399,24 @@ def lift_to_nijenhuis(o: RelRBO) -> Matrix:
                   + [[0] * (m + v) for _ in range(v)], cols=m + v)
 
 
-def _homomorphism_terms(a: LYAlgebra, r: Representation, phi_g: Matrix, phi_v: Matrix,
-                        t_condition: Optional[Matrix] = None) -> Iterator[Term]:
-    """The residuals of (phi_g, phi_v) as a homomorphism of operators, in the
-    order `rbo_homomorphism_check` reports them: phi_g on each pair and then
-    each triple of basis vectors, the operator condition when given, and the
-    rho, mu and D intertwining conditions (matrix residuals)."""
-    rng = range(a.dim)
-    pg = [phi_g.apply(a.basis(i)) for i in rng]
-    for i, j in wedge_basis(a.dim):
-        yield ("phi-binary-hom", (i, j),
-               vsub(phi_g.apply(a.bracket_basis(i, j)), a.bracket(pg[i], pg[j])))
-        for k in rng:
-            yield ("phi-ternary-hom", (i, j, k),
-                   vsub(phi_g.apply(a.triple_basis(i, j, k)), a.triple(pg[i], pg[j], pg[k])))
-    if t_condition is not None:
-        yield "t-intertwine", (), t_condition
-    for i in rng:
-        yield "rho-intertwine", (i,), phi_v @ r.rho(i) - r.rho_of(pg[i]) @ phi_v
-    pairs = list(itertools.product(rng, repeat=2))
-    for i, j in pairs:
-        yield "mu-intertwine", (i, j), phi_v @ r.mu(i, j) - r.mu_of(pg[i], pg[j]) @ phi_v
-    for i, j in pairs:
-        yield "d-intertwine", (i, j), phi_v @ r.d_basis(i, j) - r.d_of(pg[i], pg[j]) @ phi_v
+def _homomorphism_violations(a: LYAlgebra, r: Representation, phi_g: Matrix, phi_v: Matrix,
+                             families: Sequence[str]) -> Tuple[List[Violation], List[Violation]]:
+    """The violations of (phi_g, phi_v) as a homomorphism of operators, with
+    residuals phi(...) - (...)phi, in the order `rbo_homomorphism_check`
+    reports them: phi_g on each pair and then on its triples (i < j), and the
+    intertwinings among families."""
+    m, v = a.dim, r.dim_v
+    if (phi_g.rows, phi_g.cols) != (m, m):
+        raise ValueError(f"phi_g must be {m}x{m}")
+    if (phi_v.rows, phi_v.cols) != (v, v):
+        raise ValueError(f"phi_v must be {v}x{v}")
+    res = _hom_expansion(a, r, (phi_g,), (phi_v,), (0,), families)
+    viols = [Violation(("phi-" if name in _HOM[:2] else "") + name, args, vneg(x))
+             for name in families for args, x in res[name][0].items()
+             if name != "ternary-hom" or args[0] < args[1]]
+    # the brackets come first; a stable sort puts each pair's binary violation before its triples'
+    brackets = sorted((x for x in viols if x.residual_space == "g"), key=lambda x: x.args[:2])
+    return brackets, viols[len(brackets):]
 
 
 def rbo_homomorphism_check(o1: RelRBO, o2: RelRBO,
@@ -381,18 +433,10 @@ def rbo_homomorphism_check(o1: RelRBO, o2: RelRBO,
     is reported as its own identity."""
     if o1.algebra != o2.algebra or o1.rep != o2.rep:
         raise ValueError("homomorphisms are defined between operators on the same data")
-    a, r = o1.algebra, o1.rep
-    _check_pair_shapes(a, r, phi_g, phi_v)
-    return AxiomReport.from_residuals(_homomorphism_terms(
-        a, r, phi_g, phi_v, o2.t_matrix @ phi_v - phi_g @ o1.t_matrix))
-
-
-def _check_pair_shapes(a: LYAlgebra, r: Representation, phi_g: Matrix, phi_v: Matrix) -> None:
-    m, v = a.dim, r.dim_v
-    if (phi_g.rows, phi_g.cols) != (m, m):
-        raise ValueError(f"phi_g must be {m}x{m}")
-    if (phi_v.rows, phi_v.cols) != (v, v):
-        raise ValueError(f"phi_v must be {v}x{v}")
+    brackets, intertwinings = _homomorphism_violations(o1.algebra, o1.rep, phi_g, phi_v, _HOM)
+    operator = AxiomReport.from_residuals(
+        [("t-intertwine", (), o2.t_matrix @ phi_v - phi_g @ o1.t_matrix)]).violations
+    return AxiomReport.from_violations(brackets + list(operator) + intertwinings)
 
 
 def conjugate_rbo(o: RelRBO, phi_g: Matrix, phi_v: Matrix) -> RelRBO:
@@ -402,7 +446,8 @@ def conjugate_rbo(o: RelRBO, phi_g: Matrix, phi_v: Matrix) -> RelRBO:
     fail; when they hold the result is an operator, returned verified."""
     _require_verified(o)
     a, r = o.algebra, o.rep
-    _check_pair_shapes(a, r, phi_g, phi_v)
+    # D-intertwining is implied by the conditions before it
+    brackets, intertwinings = _homomorphism_violations(a, r, phi_g, phi_v, _HOM[:4])
     try:
         phi_g_inv = inverse(phi_g)
     except ValueError as exc:
@@ -411,17 +456,11 @@ def conjugate_rbo(o: RelRBO, phi_g: Matrix, phi_v: Matrix) -> RelRBO:
         inverse(phi_v)
     except ValueError as exc:
         raise ValueError(f"phi_v must be invertible: {exc}") from exc
-
-    for identity, args, res in _homomorphism_terms(a, r, phi_g, phi_v):
-        if identity == "d-intertwine":
-            break  # implied by the conditions before it
-        failure = AxiomReport.from_residuals([(identity, args, res)]).first()
-        if failure is None:
-            continue
-        if identity.startswith("phi-"):
-            raise NotAutomorphism(f"phi_g fails the {identity.split('-')[1]} bracket at {args}")
-        raise NotIntertwining(failure)
-
+    if brackets:
+        first = brackets[0]
+        raise NotAutomorphism(f"phi_g fails the {first.identity.split('-')[1]} bracket at {first.args}")
+    if intertwinings:
+        raise NotIntertwining(intertwinings[0])
     return RelRBO(a, r, phi_g_inv @ o.t_matrix @ phi_v, verified=True)
 
 

@@ -24,10 +24,10 @@ them, rho, mu and D as lists of sparse columns. D is computed there from its
 formula, in integers of weight 2, and `d_basis` is its `Fraction` view. The
 structure checks, `complexes` and `rbo` all read these tables.
 
-The checks that evaluate in `Fraction` arithmetic instead (the Nijenhuis
-conditions, homomorphisms of operators, Nijenhuis elements, equivalences)
-yield (identity, args, residual) terms to `AxiomReport.from_residuals`, the
-`Fraction`-path counterpart of `_matrix_violations`. `Violation` reads the
+The checks that still evaluate in `Fraction` arithmetic (the Nijenhuis
+conditions, and the t-intertwine and closing conditions of `rbo` and
+`deformation`) yield (identity, args, residual) terms to `from_residuals` of
+`AxiomReport`, the counterpart of `_matrix_violations`. `Violation` reads the
 spaces of its arguments and residual from `_SPACES`, one entry per identity.
 """
 

@@ -64,18 +64,23 @@ def dim4() -> Model:
     return Model(a, r, o, ly.Wedge2.basis(4, 0, 1))
 
 
+# the non-unimodular rational bases of g (columns of DIM4_P) and of V
+# (columns of DIM4_Q) in which `dim4_rational` writes the big fixture
+DIM4_P = ly.Matrix(((fr(2), fr(1, 3), fr(0), fr(1)),
+                    (fr(0), fr(1, 2), fr(1), fr(0)),
+                    (fr(1), fr(0), fr(3), fr(-1, 2)),
+                    (fr(0), fr(1), fr(0), fr(5, 4))))
+DIM4_Q = ly.Matrix(((fr(1, 2), fr(0), fr(1), fr(0)),
+                    (fr(0), fr(3), fr(0), fr(1)),
+                    (fr(1), fr(0), fr(2, 3), fr(0)),
+                    (fr(0), fr(1), fr(-1), fr(1, 5))))
+
+
 @pytest.fixture(scope="session")
 def dim4_rational(dim4: Model) -> Model:
     """The big fixture in non-unimodular rational bases of g and V, so every
     table has denominators and the integer scale of the checks is above 1."""
-    p = ly.Matrix(((fr(2), fr(1, 3), fr(0), fr(1)),
-                   (fr(0), fr(1, 2), fr(1), fr(0)),
-                   (fr(1), fr(0), fr(3), fr(-1, 2)),
-                   (fr(0), fr(1), fr(0), fr(5, 4))))
-    q = ly.Matrix(((fr(1, 2), fr(0), fr(1), fr(0)),
-                   (fr(0), fr(3), fr(0), fr(1)),
-                   (fr(1), fr(0), fr(2, 3), fr(0)),
-                   (fr(0), fr(1), fr(-1), fr(1, 5))))
+    p, q = DIM4_P, DIM4_Q
     a, r = transport(dim4.algebra, dim4.rep, p, q)
     o = ly.RelRBO.build(a, r, ly.inverse(p) @ dim4.op.t_matrix @ q)
     return Model(a, r, o, ly.Wedge2.from_dict(4, {(0, 1): fr(1, 2), (2, 3): fr(3)}))

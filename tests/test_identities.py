@@ -10,7 +10,8 @@ import pytest
 import lieyamaguti as ly
 import reference_identities as ref
 from lieyamaguti import structures
-from conftest import LIE_FAMILIES, Model, fr, random_fraction, random_matrix
+from conftest import (DIM4_P, DIM4_Q, LIE_FAMILIES, Model, fr, random_fraction, random_matrix,
+                      sl2_sum_operator)
 
 
 def _sl2_lift(t: ly.Matrix) -> Model:
@@ -31,6 +32,13 @@ def models(dim2: Model, dim4: Model, dim4_rational: Model, sl2_standard: Model):
 def _random_wedge(rng, dim: int) -> ly.Wedge2:
     return ly.Wedge2.from_flat(dim, [random_fraction(rng, 3, 2) if rng.random() < 0.6 else 0
                                      for _ in ly.wedge_basis(dim)])
+
+
+# wedge elements of the dim-4 algebra over 5 and 7, coprime to the integer
+# scale q of `dim4_rational`'s representation
+WEDGES_OVER_5_AND_7 = (ly.Wedge2.from_dict(4, {(0, 1): fr(1, 5), (2, 3): fr(2, 7)}),
+                       ly.Wedge2.from_dict(4, {(0, 2): fr(2, 7), (0, 3): fr(1, 5),
+                                               (1, 3): fr(-1, 5)}))
 
 
 def _random_invertible(rng, n: int) -> ly.Matrix:
@@ -86,7 +94,8 @@ class TestAgainstReference:
         with pytest.raises(ValueError, match="operator must be 2x2"):
             ly.nijenhuis_operator_check(dim2.algebra, ly.Matrix.zero(3, 3))
 
-    def test_homomorphisms_and_conjugation(self, models, dim2: Model, dim4: Model):
+    def test_homomorphisms_and_conjugation(self, models, dim2: Model, dim4: Model,
+                                           dim4_rational: Model):
         rng = random.Random(59)
         # rho vanishes, so a map of the module can fail mu before rho
         z = ly.Matrix.zero(2, 2)
@@ -105,6 +114,16 @@ class TestAgainstReference:
             cases.append((o, ly.Matrix.identity(m), _random_invertible(rng, v)))
             cases.append((o, _random_invertible(rng, m), _random_invertible(rng, v)))
             cases.append((o, ly.Matrix.identity(m), ly.Matrix.zero(v, v)))
+        # maps over 5 and 7 on dim4_rational, whose q is coprime to 35: random
+        # ones, and the automorphism diag(1, 1/5, 2/7, 1/5) of the dim4 brackets
+        # and module, written in dim4_rational's bases
+        o = dim4_rational.op
+        cases += [(o, random_matrix(rng, 4, 4, 3, 1).scale(fr(1, 5)),
+                   random_matrix(rng, 4, 4, 3, 1).scale(fr(1, 7))) for _ in range(2)]
+        auto = ly.Matrix(((fr(1), 0, 0, 0), (0, fr(1, 5), 0, 0),
+                          (0, 0, fr(2, 7), 0), (0, 0, 0, fr(1, 5))))
+        cases.append((o, ly.inverse(DIM4_P) @ auto @ DIM4_P, ly.inverse(DIM4_Q) @ auto @ DIM4_Q))
+        cases.append((o, ly.inverse(DIM4_P) @ auto @ DIM4_P, ly.Matrix.identity(4).scale(fr(1, 7))))
         invalid = 0
         kinds = set()
         for o, pg, pv in cases:
@@ -122,7 +141,7 @@ class TestAgainstReference:
         assert kinds == {ly.RelRBO, ly.NotAutomorphism, ly.NotIntertwining, ValueError}
         assert invalid > len(cases) // 2
 
-    def test_nijenhuis_elements(self, models, dim2: Model):
+    def test_nijenhuis_elements(self, models, dim2: Model, dim4_rational: Model):
         rng = random.Random(61)
         a, r = dim2.algebra, dim2.rep
         # the adjoint action written out, and one that differs from it in mu only
@@ -132,43 +151,118 @@ class TestAgainstReference:
                                   [[r.mu(i, j).scale(fr(2)) for j in range(2)] for i in range(2)])
         ops = [m.op for m in models] + [
             ly.RelRBO(a, rep, dim2.op.t_matrix, verified=True) for rep in (written, other)]
-        failing = plain = total = 0
+        cases = []
         for o in ops:
             dim = o.algebra.dim
             elements = [ly.Wedge2.zero(dim), ly.Wedge2.basis(dim, 0, 1)]
             elements += [_random_wedge(rng, dim) for _ in range(4)]
-            for x in elements:
-                total += 1
-                report = ly.nijenhuis_element_check(o, x)
-                assert report == ref.nijenhuis_element_check(o, x)
-                for _, rep in report.conditions + (report.plain_conditions or ()):
-                    _assert_fractions(rep)
-                failing += not report.is_nijenhuis
-                plain += report.plain_conditions is not None
+            cases += [(o, x) for x in elements]
+        cases += [(dim4_rational.op, x) for x in WEDGES_OVER_5_AND_7]
+        sl2_sum = sl2_sum_operator(2)
+        cases += [(sl2_sum, _random_wedge(rng, 6)) for _ in range(3)]
+        failing = plain = total = 0
+        for o, x in cases:
+            total += 1
+            report = ly.nijenhuis_element_check(o, x)
+            assert report == ref.nijenhuis_element_check(o, x)
+            for _, rep in report.conditions + (report.plain_conditions or ()):
+                _assert_fractions(rep)
+            failing += not report.is_nijenhuis
+            plain += report.plain_conditions is not None
         # on the dim2 and dim4 examples every wedge element passes
         assert failing > 12
         assert 0 < plain < total
 
-    def test_equivalences(self, models):
+    def test_equivalences(self, models, dim4_rational: Model):
         rng = random.Random(67)
         failing = 0
+
+        def zero(o: ly.RelRBO) -> ly.TruncatedDeformation:
+            return ly.TruncatedDeformation((o.t_matrix, ly.Matrix.zero(o.t_matrix.rows,
+                                                                       o.t_matrix.cols)))
+
+        def compare(o: ly.RelRBO, first, second, x: ly.Wedge2) -> ly.AxiomReport:
+            report = ly.equivalence_check_linear(o, first, second, x)
+            assert report == ref.equivalence_check_linear(o, first, second, x)
+            _assert_fractions(report)
+            return report
+
+        def compare_directions(o: ly.RelRBO, x: ly.Wedge2, direction: ly.Matrix) -> None:
+            nonlocal failing
+            d1 = ly.TruncatedDeformation((o.t_matrix, direction))
+            for first, second in ((zero(o), d1), (d1, zero(o)), (zero(o), zero(o))):
+                failing += not compare(o, first, second, x).valid
+
+        def compare_trivial(o: ly.RelRBO, x: ly.Wedge2) -> None:
+            delta = ly.TruncatedDeformation((o.t_matrix, ly.rbo_delta0(o, x).as_matrix()))
+            compare(o, zero(o), delta, x)
+
         for m in models:
             o = m.op
-            dim, shape = o.algebra.dim, (o.t_matrix.rows, o.t_matrix.cols)
-            zero = ly.TruncatedDeformation((o.t_matrix, ly.Matrix.zero(*shape)))
+            shape = (o.t_matrix.rows, o.t_matrix.cols)
             for _ in range(3):
-                x = _random_wedge(rng, dim)
-                d1 = ly.TruncatedDeformation((o.t_matrix, random_matrix(rng, *shape, 2, 2)))
-                for first, second in ((zero, d1), (d1, zero), (zero, zero)):
-                    report = ly.equivalence_check_linear(o, first, second, x)
-                    assert report == ref.equivalence_check_linear(o, first, second, x)
-                    _assert_fractions(report)
-                    failing += not report.valid
-            x = m.x
+                x = _random_wedge(rng, o.algebra.dim)
+                compare_directions(o, x, random_matrix(rng, *shape, 2, 2))
+            compare_trivial(o, m.x)
+        # over 5 and 7 on dim4_rational, whose q is coprime to 35; T + t delta(X)
+        # is a deformation equivalent to T, as every wedge element of dim4 is a
+        # Nijenhuis element
+        o = dim4_rational.op
+        for x in WEDGES_OVER_5_AND_7:
+            compare_directions(o, x, random_matrix(rng, 4, 4, 3, 1).scale(fr(1, 7)))
+            compare_trivial(o, x)
             delta = ly.TruncatedDeformation((o.t_matrix, ly.rbo_delta0(o, x).as_matrix()))
-            report = ly.equivalence_check_linear(o, zero, delta, x)
-            assert report == ref.equivalence_check_linear(o, zero, delta, x)
+            assert ly.equivalence_check_linear(o, zero(o), delta, x).valid
+        sl2_sum = sl2_sum_operator(2)
+        for _ in range(3):
+            compare_directions(sl2_sum, _random_wedge(rng, 6), random_matrix(rng, 6, 6, 2, 2))
         assert failing > 20
+
+    def test_wedge_of_another_dimension(self, dim2: Model):
+        """The expansion takes <X, .> and D(X) as matrices, so the callers
+        reject a wedge element of another dimension themselves."""
+        o = dim2.op
+        zero = ly.TruncatedDeformation((o.t_matrix, ly.Matrix.zero(2, 2)))
+        want = (ValueError, "wedge element and algebra dimensions differ", None)
+        for x in (ly.Wedge2.basis(3, 0, 1), ly.Wedge2.zero(1)):
+            assert _outcome(ly.nijenhuis_element_check, o, x) == want
+            assert _outcome(ref.nijenhuis_element_check, o, x) == want
+            assert _outcome(ly.equivalence_check_linear, o, zero, zero, x) == want
+            assert _outcome(ref.equivalence_check_linear, o, zero, zero, x) == want
+
+
+def test_homomorphism_checks_read_only_the_integer_tables(dim2: Model, sl2_standard: Model,
+                                                          monkeypatch):
+    """The homomorphism, conjugation, equivalence and Nijenhuis element checks
+    evaluate on `Representation.tables()`: none builds rho(x), mu(x, y) or
+    D(x, y) of a vector as a `Fraction` matrix."""
+    called = []
+
+    def spy(name: str):
+        real = getattr(ly.Representation, name)
+
+        def wrapper(self, *args):
+            called.append(name)
+            return real(self, *args)
+        return wrapper
+
+    for name in ("rho_of", "mu_of", "d_of"):
+        monkeypatch.setattr(ly.Representation, name, spy(name))
+    rng = random.Random(73)
+    for m in (dim2, sl2_standard):   # adjoint, and written out
+        o = m.op
+        n, v = o.algebra.dim, o.rep.dim_v
+        other = ly.RelRBO(m.algebra, m.rep, random_matrix(rng, n, v, 2, 2), verified=True)
+        for pg, pv in ((ly.Matrix.identity(n), ly.Matrix.identity(v)),
+                       (_random_invertible(rng, n), _random_invertible(rng, v))):
+            assert ly.rbo_homomorphism_check(o, other, pg, pv).violations
+            _outcome(ly.conjugate_rbo, o, pg, pv)
+        zero = ly.TruncatedDeformation((o.t_matrix, ly.Matrix.zero(n, v)))
+        linear = ly.TruncatedDeformation((o.t_matrix, random_matrix(rng, n, v, 2, 2)))
+        for x in (m.x, _random_wedge(rng, n)):
+            assert not ly.equivalence_check_linear(o, zero, linear, x).valid
+            ly.nijenhuis_element_check(o, x)
+    assert called == []
 
 
 def test_every_reported_identity_names_its_spaces(models):
