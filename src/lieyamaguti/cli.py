@@ -104,12 +104,14 @@ def _parse_rat(x: Any, where: str) -> Fraction:
     raise ParseError(f"{where}: expected a rational, got {type(x).__name__}")
 
 
-def _indexed(spec: Any, count: int, dim: int, where: str, key: str,
-             parse: Callable[[Any, str], Any], ascending: str) -> Dict[Tuple[int, ...], Any]:
-    """The entries {"args": [...], key: value} of spec by their 0-based args:
-    1-based indices in the file, the first two ascending (else the message
-    `ascending` with {} for the args), none repeated. Entry k is reported as
-    `where` followed by k, and its value is read by parse(value, where k)."""
+def _indexed(spec: Any, count: int, dim: int, where: str, key: str, parse: Callable[[Any, str], Any],
+             ascending: str, not_list: str) -> Dict[Tuple[int, ...], Any]:
+    """The entries {"args": [...], key: value} of the list spec (else the
+    message `not_list`) by their 0-based args: 1-based in the file, the first
+    two ascending (else the message `ascending` with {} for the args), none
+    repeated. Entry k is reported as `where` k; parse(value, where k) reads it."""
+    if not isinstance(spec, list):
+        raise ParseError(not_list)
     out: Dict[Tuple[int, ...], Any] = {}
     for pos, entry in enumerate(spec):
         at = f"{where}{pos + 1}"
@@ -211,9 +213,11 @@ def parse_model(text: str, path: str = "<input>") -> ModelFile:
 
     binary = _indexed(data.get("binary", []), 2, dim, f"{path}: binary entry ", "value", vector,
                       "constants are stored for ascending indices only (got {}); "
-                      "state the i < j case and the skew completion is implied")
+                      "state the i < j case and the skew completion is implied",
+                      f'{path}: "binary" must be a list of entries')
     ternary = _indexed(data.get("ternary", []), 3, dim, f"{path}: ternary entry ", "value", vector,
-                       "constants are stored for ascending first indices only (got {})")
+                       "constants are stored for ascending first indices only (got {})",
+                       f'{path}: "ternary" must be a list of entries')
     algebra = LYAlgebra(dim, binary=binary, ternary=ternary, basis_names=names)
 
     rep_kind: Optional[str] = None
@@ -278,10 +282,9 @@ def parse_model(text: str, path: str = "<input>") -> ModelFile:
             if not isinstance(name, str) or not name:
                 raise ParseError(f"{path}: element names must be nonempty strings")
             where = f"{path}: element {name!r}"
-            if not isinstance(terms_spec, list):
-                raise ParseError(f"{where}: expected a list of wedge terms")
             elements[name] = _indexed(terms_spec, 2, dim, f"{where}, term ", "coeff", _parse_rat,
-                                      "wedge terms are stored for ascending indices only (got {})")
+                                      "wedge terms are stored for ascending indices only (got {})",
+                                      f"{where}: expected a list of wedge terms")
 
     return ModelFile(path=path, algebra=algebra, rep_kind=rep_kind,
                      explicit_rep=explicit_rep, operator=operator,

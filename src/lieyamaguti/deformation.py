@@ -21,25 +21,25 @@ T_t likewise deforms the pre-Lie-Yamaguti products u * v = rho(T_t u) v and
 {u, v, w} = mu(T_t v, T_t w) u, expanded by the same Cauchy product.
 
 A wedge element X gives phi_t = Id + t<X, .> on g and psi_t = Id + tD(X) on
-V, which the homomorphism engine of `rbo` (`_hom_expansion`) expands in
-powers of t: the binary-hom and rho-intertwine coefficients up to t^2, the
-ternary-hom and mu-intertwine ones up to t^3. Between linear deformations
+V, which the homomorphism engine of `structures` (`_hom_expansion`) expands
+in powers of t: the binary-hom and rho-intertwine coefficients up to t^2,
+the ternary-hom and mu-intertwine ones up to t^3. Between linear deformations
 T + tT_1' and T + tT_1 the t^1 term of the operator condition is
 T_1 - T_1' + delta(X), so equivalent deformations have cohomologous
 infinitesimals; a Nijenhuis element zeroes the t^2 and t^3 bracket and mu
-terms.
+terms. With L = <X, .>, delta(X) = T D(X) - L T; the closing condition is
+the columns of L delta(X), and on the adjoint representation of L (T L - L T).
 """
 
 from __future__ import annotations
 
 from typing import NamedTuple, Optional, Tuple
 
-from .linalg import Matrix, vneg, vsub
-from .structures import AxiomReport, InputError, Violation
+from .linalg import Matrix, vneg
+from .structures import AxiomReport, InputError, Violation, _hom_expansion
 from .complexes import Cochain, _preimage
-from .rbo import (_HOM, RelRBO, Wedge2, _expansion, _hom_expansion,
-                  _pre_ly_expansion, _require_verified, _violations)
-from .rbo_cohomology import RboComplex, _delta0, rbo_cohomology_dims, rbo_delta0
+from .rbo import _HOM, RelRBO, Wedge2, _expansion, _pre_ly_expansion, _require_verified, _violations
+from .rbo_cohomology import RboComplex, _delta0, rbo_cohomology_dims
 
 __all__ = [
     "NotNijenhuisElement",
@@ -188,7 +188,7 @@ def nijenhuis_element_check(o: RelRBO, x: Wedge2) -> NijenhuisReport:
     reduced set that suffices there (the bracket conditions plus a closing
     condition phrased through the operator on g)."""
     _require_verified(o)
-    a, r, t = o.algebra, o.rep, o.t_matrix
+    a, r = o.algebra, o.rep
     m, rng = a.dim, range(a.dim)
     lx, dx = x.action_matrix(a), x.d_matrix(r)   # each checks the dimension of X
     expansion = _hom_expansion(a, r, (Matrix.identity(m), lx), (Matrix.identity(r.dim_v), dx),
@@ -197,19 +197,17 @@ def nijenhuis_element_check(o: RelRBO, x: Wedge2) -> NijenhuisReport:
     def condition(label: str, terms) -> Tuple[str, AxiomReport]:
         return label, AxiomReport.from_residuals((label, args, res) for args, res in terms)
 
-    found = {label: expansion[name][s].items() for label, (name, s) in _NIJENHUIS.items()}
-    found["closing"] = [((b,), x.bracket_with(a, image))
-                        for b, image in enumerate(_delta0(o, x, dx).f_part)]
-    conditions = tuple(condition(label, terms) for label, terms in found.items())
-    brackets = conditions[:3]
+    def closing(d=None) -> Tuple[str, AxiomReport]:   # <X,.> delta(X), one violation per column v
+        return condition("closing", [((), lx @ Matrix.from_columns(_delta0(o, x, d), rows=m))])
 
-    plain = None
+    conditions = tuple(condition(label, expansion[name][s].items())
+                       for label, (name, s) in _NIJENHUIS.items()) + (closing(),)
+
     tab = r.tables()   # adjoint: rho(e_i) e_k = [e_i, e_k], mu(e_i, e_j) e_k = <e_k, e_i, e_j>
-    if r.dim_v == m and all(tab.rho[i][k] == tab.b[i][k] and tab.mu[i][j][k] == tab.t[k][i][j]
-                            for i in rng for j in rng for k in rng):
-        plain = brackets + (condition("closing", (
-            ((y,), x.bracket_with(a, vsub(t.apply(lx.column(y)), x.bracket_with(a, t.column(y)))))
-            for y in rng)),)
+    adjoint = r.dim_v == m and all(tab.rho[i][k] == tab.b[i][k] and tab.mu[i][j][k] == tab.t[k][i][j]
+                                   for i in rng for j in rng for k in rng)
+    # there the bracket conditions and <X, T<X,y> - <X,Ty>>: closing with <X,.> for D(X)
+    plain = conditions[:3] + (closing(tab.t),) if adjoint else None
 
     return NijenhuisReport(element=x, conditions=conditions, plain_conditions=plain)
 
@@ -221,8 +219,7 @@ def trivial_deformation_from(o: RelRBO, x: Wedge2) -> TruncatedDeformation:
     for label, rep in report.conditions:
         if not rep.valid:
             raise NotNijenhuisElement(label, rep.violations[0])
-    direction = rbo_delta0(o, x).as_matrix(o.algebra.dim)
-    return TruncatedDeformation((o.t_matrix, direction))
+    return TruncatedDeformation((o.t_matrix, Matrix.from_columns(_delta0(o, x), rows=o.algebra.dim)))
 
 
 def equivalence_check_linear(o: RelRBO, d1: TruncatedDeformation,
@@ -255,7 +252,7 @@ def equivalence_check_linear(o: RelRBO, d1: TruncatedDeformation,
          for s in orders for args, res in expansion[name][s].items()),
         key=lambda v: v.args[:v.arg_spaces.count("g")])]
     operator = AxiomReport.from_residuals([
-        ("t-intertwine@t^1", (), t1 - t2 + _delta0(o, x, dx).as_matrix(a.dim)),
+        ("t-intertwine@t^1", (), t1 - t2 + Matrix.from_columns(_delta0(o, x), rows=a.dim)),
         ("t-intertwine@t^2", (), t1 @ dx - lx @ t2)])
     return AxiomReport.from_violations(viols + list(operator.violations))
 

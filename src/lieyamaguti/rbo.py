@@ -23,16 +23,15 @@ back exactly. The sub-adjacent brackets [u,v]_T and <u,v,w>_T are the
 engine's inner tables, scaled by q_T q and q_T^2 q^2. As q_T is separate,
 the cached tables depend only on the representation.
 
-`_hom_expansion` expands the conditions for phi_t = sum_s t^s Phi_s on g and
-psi_t = sum_s t^s Psi_s on V to be a homomorphism of operators, with every
-Phi_s and Psi_s scaled by one q_phi. Each left side holds the maps k = 2 or 3
-times and a table of weight w = k - 1, each right side the maps once, times
-q_phi^(k-1); so Fraction(R, q_phi^k q^w) is the residual.
+Homomorphisms of operators are order 0 of `structures._hom_expansion`, the
+t^s coefficients of the conditions for phi_t = sum_s t^s Phi_s on g and
+psi_t = sum_s t^s Psi_s on V to be a homomorphism. The same expansion, for
+phi_t = Id + tN, gives the Nijenhuis operator conditions
+(`structures._nijenhuis`).
 """
 
 from __future__ import annotations
 
-import itertools
 from fractions import Fraction
 from typing import Dict, Iterable, List, NamedTuple, Sequence, Tuple
 
@@ -42,13 +41,12 @@ from .structures import (
     InputError,
     LYAlgebra,
     Representation,
-    Scaled,
     Violation,
     _ccomb,
     _comb,
-    _denominator_lcm,
     _fraction_matrix,
-    _scaled,
+    _hom_expansion,
+    _term_tables,
     wedge_basis,
 )
 
@@ -144,13 +142,6 @@ def check_rbo(a: LYAlgebra, r: Representation, t: Matrix) -> AxiomReport:
 
 
 Residuals = Dict[int, Tuple[Dict[Tuple[int, int], Vector], Dict[Tuple[int, int, int], Vector]]]
-
-
-def _term_tables(terms: Sequence[Matrix]) -> Tuple[int, List[List[Scaled]]]:
-    """q_T, the least common multiple of the terms' denominators, and
-    q_T T_s u_c as [s][c]."""
-    qt = _denominator_lcm(row for term in terms for row in term.entries)
-    return qt, [[_scaled(col, qt) for col in term.columns()] for term in terms]
 
 
 def _expansion(a: LYAlgebra, r: Representation, terms: Sequence[Matrix],
@@ -252,54 +243,6 @@ def _violations(residuals: Residuals, orders: Iterable[int],
 
 # the homomorphism conditions, in the order `rbo_homomorphism_check` reports them
 _HOM = ("binary-hom", "ternary-hom", "rho-intertwine", "mu-intertwine", "d-intertwine")
-
-
-def _hom_expansion(a: LYAlgebra, r: Representation, phis: Sequence[Matrix], psis: Sequence[Matrix],
-                   orders: Sequence[int], families: Sequence[str]) -> Dict[str, Dict]:
-    """The t^s coefficients, s in orders, of the homomorphism conditions on
-    phi_t = sum_s t^s phis[s] on g and psi_t = sum_s t^s psis[s] on V,
-
-        binary-hom      [phi_t x, phi_t y] - phi_t [x, y]               (x < y)
-        ternary-hom     <phi_t x, phi_t y, phi_t z> - phi_t <x, y, z>
-        rho-intertwine  rho(phi_t x) psi_t u - psi_t rho(x) u
-        mu-intertwine   mu(phi_t x, phi_t y) psi_t u - psi_t mu(x, y) u
-        d-intertwine    D(phi_t x, phi_t y) psi_t u - psi_t D(x, y) u
-
-    for basis vectors x, y, z of g and u of V, in integers as the module
-    docstring explains: {family: {s: {args: residual}}}, nonzero residuals
-    only, args in lexicographic order."""
-    q, b, t, rho, mu, d = r.tables()
-    qp, scaled = _term_tables(tuple(phis) + tuple(psis))
-    f, g = scaled[:len(phis)], scaled[len(phis):]
-    # each family's table, of weight n - 1, and its n slots' maps; the last maps the value too
-    spec = {"binary-hom": (b, (f, f)), "ternary-hom": (t, (f, f, f)), "rho-intertwine": (rho, (f, g)),
-            "mu-intertwine": (mu, (f, f, g)), "d-intertwine": (d, (f, f, g))}
-    out = {}
-    for name in families:
-        table, maps = spec[name]
-        n, value = len(maps), maps[-1]
-        den, rhs = qp ** n * q ** (n - 1), -qp ** (n - 1)
-        splits = {s: [ss for ss in itertools.product(*(range(len(mp)) for mp in maps))
-                      if sum(ss) == s] for s in orders}
-        out[name] = residuals = {s: {} for s in orders}
-        tuples = wedge_basis(a.dim) if name == "binary-hom" else \
-            itertools.product(*(range(len(mp[0])) for mp in maps))
-        for args in tuples:
-            for s in orders:
-                acc = [0] * len(value[0])
-                for ss in splits[s]:
-                    *head, last = (mp[si][i] for mp, si, i in zip(maps, ss, args))
-                    for pairs in itertools.product(*head):
-                        sub, c = table, 1
-                        for p, x in pairs:
-                            sub, c = sub[p], c * x
-                        _comb(acc, c, last, sub)
-                if s < len(value):
-                    entry = table[args[0]][args[1]] if n == 2 else table[args[0]][args[1]][args[2]]
-                    _comb(acc, rhs, entry, value[s])
-                if any(acc):
-                    residuals[s][args] = tuple(Fraction(x, den) for x in acc)
-    return out
 
 
 def _require_verified(o: RelRBO) -> None:
@@ -405,11 +348,9 @@ def _homomorphism_violations(a: LYAlgebra, r: Representation, phi_g: Matrix, phi
     residuals phi(...) - (...)phi, in the order `rbo_homomorphism_check`
     reports them: phi_g on each pair and then on its triples (i < j), and the
     intertwinings among families."""
-    m, v = a.dim, r.dim_v
-    if (phi_g.rows, phi_g.cols) != (m, m):
-        raise ValueError(f"phi_g must be {m}x{m}")
-    if (phi_v.rows, phi_v.cols) != (v, v):
-        raise ValueError(f"phi_v must be {v}x{v}")
+    for name, phi, n in (("phi_g", phi_g, a.dim), ("phi_v", phi_v, r.dim_v)):
+        if (phi.rows, phi.cols) != (n, n):
+            raise ValueError(f"{name} must be {n}x{n}")
     res = _hom_expansion(a, r, (phi_g,), (phi_v,), (0,), families)
     viols = [Violation(("phi-" if name in _HOM[:2] else "") + name, args, vneg(x))
              for name in families for args, x in res[name][0].items()

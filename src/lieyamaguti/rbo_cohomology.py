@@ -12,9 +12,10 @@ degree 1 included.
 
 from __future__ import annotations
 
+from fractions import Fraction
 from typing import List, NamedTuple, Optional
 
-from .linalg import Matrix, Rref, Vector, _int_rows, _rank, vsub
+from .linalg import Matrix, Rref, Vector, _int_rows, _rank
 from .complexes import (
     Cochain,
     CohomologySummary,
@@ -24,6 +25,7 @@ from .complexes import (
     cohomology_dims,
     wedge_basis,
 )
+from .structures import _comb, _denominator_lcm, _term_tables
 from .rbo import RelRBO, Wedge2, _expansion, _require_verified, induced_rep_on_g
 
 __all__ = [
@@ -55,16 +57,27 @@ class RboComplex(NamedTuple):
 def rbo_delta0(o: RelRBO, x: Wedge2) -> Cochain:
     """The degree-0 coboundary of a wedge element, as a 1-cochain V -> g."""
     _require_verified(o)
+    return Cochain(1, tuple(_delta0(o, x)), None)
+
+
+def _delta0(o: RelRBO, x: Wedge2, d: Optional[list] = None) -> List[Vector]:
+    """The columns T( D(X) e_b ) - <X, T e_b> of delta X on the integer tables, over q_T q^2
+    and the LCM of X's denominators; `d` stands in for D's table (see `nijenhuis_element_check`)."""
     if x.dim != o.algebra.dim:
         raise ValueError("wedge element and algebra dimensions differ")
-    return _delta0(o, x, x.d_matrix(o.rep))
-
-
-def _delta0(o: RelRBO, x: Wedge2, dx: Matrix) -> Cochain:
-    """(delta X)(v) = T( D(X) v ) - <X, Tv>, given dx = D(X)."""
-    a, t = o.algebra, o.t_matrix
-    return Cochain(1, tuple(vsub(t.apply(dx.column(b)), x.bracket_with(a, t.column(b)))
-                            for b in range(o.rep.dim_v)), None)
+    q, _, t, _, _, dt = o.rep.tables()
+    d = dt if d is None else d
+    qt, (tc,) = _term_tables((o.t_matrix,))
+    qx = _denominator_lcm([[c for _, _, c in x.entries]])
+    cols = []
+    for b, tb in enumerate(tc):
+        acc = [0] * x.dim
+        for i, j, c in x.entries:
+            w = c.numerator * (qx // c.denominator)
+            _comb(acc, w, d[i][j][b], tc)
+            _comb(acc, -w, tb, t[i][j])
+        cols.append(tuple(Fraction(y, qx * qt * q * q) for y in acc))
+    return cols
 
 
 def rbo_coboundary_matrix(rc: RboComplex, p: int) -> Matrix:
@@ -79,11 +92,8 @@ def rbo_coboundary_matrix(rc: RboComplex, p: int) -> Matrix:
 
 
 def _delta0_columns(o: RelRBO) -> List[Vector]:
-    """delta of each basis wedge e_i ^ e_j, flattened: the columns of the
-    degree-0 coboundary matrix. D(e_i ^ e_j) is the representation's D(e_i, e_j)."""
-    m = o.algebra.dim
-    return [_delta0(o, Wedge2.basis(m, i, j), o.rep.d_basis(i, j)).flatten()
-            for (i, j) in wedge_basis(m)]
+    """delta of each basis wedge, flattened: the columns of the degree-0 coboundary matrix."""
+    return [rbo_delta0(o, Wedge2.basis(o.algebra.dim, *ij)).flatten() for ij in wedge_basis(o.algebra.dim)]
 
 
 def rbo_cohomology_dims(rc: RboComplex, p: int, top: Optional[Rref] = None) -> CohomologySummary:

@@ -24,11 +24,11 @@ them, rho, mu and D as lists of sparse columns. D is computed there from its
 formula, in integers of weight 2, and `d_basis` is its `Fraction` view. The
 structure checks, `complexes` and `rbo` all read these tables.
 
-The checks that still evaluate in `Fraction` arithmetic (the Nijenhuis
-conditions, and the t-intertwine and closing conditions of `rbo` and
-`deformation`) yield (identity, args, residual) terms to `from_residuals` of
-`AxiomReport`, the counterpart of `_matrix_violations`. `Violation` reads the
-spaces of its arguments and residual from `_SPACES`, one entry per identity.
+`_hom_expansion` serves `rbo`, `deformation` and the Nijenhuis operator
+check. What remains in `Fraction` arithmetic, matrix products, yields
+(identity, args, residual) terms to `from_residuals` of `AxiomReport`, the
+counterpart of `_matrix_violations`. `Violation` reads the spaces of its
+arguments and residual from `_SPACES`, one entry per identity.
 """
 
 from __future__ import annotations
@@ -42,7 +42,6 @@ from .linalg import (
     Matrix,
     Vector,
     is_zero_vector,
-    vadd,
     vneg,
     vsub,
     vector,
@@ -371,13 +370,16 @@ def _fraction_matrix(cols: Sequence[Sequence[int]], rows: int, den: int) -> Matr
     return Matrix.from_columns([tuple(Fraction(x, den) for x in col) for col in cols], rows=rows)
 
 
-def _algebra_tables(a: LYAlgebra, q: int) -> Tuple[List[List[Scaled]], List[List[List[Scaled]]]]:
-    """q*[e_i,e_j] as b[i][j] and q^2*<e_i,e_j,e_k> as t[i][j][k]."""
+def _algebra_tables(a: LYAlgebra, maps: Sequence[Matrix] = ()) -> Tuple[int, list, list]:
+    """q, the least common multiple of the denominators of the algebra's constants
+    and the maps' entries; q[e_i,e_j] as b[i][j], q^2<e_i,e_j,e_k> as t[i][j][k]."""
     rng = range(a.dim)
-    q2 = q * q
+    q = _denominator_lcm([a.bracket_basis(i, j) for i in rng for j in rng]
+                         + [a.triple_basis(i, j, k) for i in rng for j in rng for k in rng]
+                         + [row for m in maps for row in m.entries])
     b = [[_scaled(a.bracket_basis(i, j), q) for j in rng] for i in rng]
-    t = [[[_scaled(a.triple_basis(i, j, k), q2) for k in rng] for j in rng] for i in rng]
-    return b, t
+    t = [[[_scaled(a.triple_basis(i, j, k), q * q) for k in rng] for j in rng] for i in rng]
+    return q, b, t
 
 
 def _vector_violation(viols: List[Violation], identity: str, args: Tuple[int, ...],
@@ -397,9 +399,7 @@ def check_lya(a: LYAlgebra) -> AxiomReport:
     viols: List[Violation] = []
     n = a.dim
     rng = range(n)
-    q = _denominator_lcm([a.bracket_basis(i, j) for i in rng for j in rng]
-                         + [a.triple_basis(i, j, k) for i in rng for j in rng for k in rng])
-    b, t = _algebra_tables(a, q)
+    q, b, t = _algebra_tables(a)
     # tt[k][l][p] = t[p][k][l]: the triple as a function of its first slot
     tt = [[[t[p][k][l] for p in rng] for l in rng] for k in rng]
     w2, w3, w4 = q ** 2, q ** 3, q ** 4
@@ -566,11 +566,7 @@ def _tables(r: Representation) -> Tables:
     formula for i < j, by skewness otherwise."""
     a, n = r.algebra, r.dim_v
     rng = range(a.dim)
-    maps = [r.rho(i) for i in rng] + [r.mu(i, j) for i in rng for j in rng]
-    q = _denominator_lcm([a.bracket_basis(i, j) for i in rng for j in rng]
-                         + [a.triple_basis(i, j, k) for i in rng for j in rng for k in rng]
-                         + [row for m in maps for row in m.entries])
-    b, t = _algebra_tables(a, q)
+    q, b, t = _algebra_tables(a, [r.rho(i) for i in rng] + [r.mu(i, j) for i in rng for j in rng])
     rho = [[_scaled(col, q) for col in r.rho(i).columns()] for i in rng]
     mu = [[[_scaled(col, q * q) for col in r.mu(i, j).columns()] for j in rng] for i in rng]
     d: List[List[List[Scaled]]] = [[[[] for _ in range(n)] for _ in rng] for _ in rng]
@@ -774,33 +770,84 @@ def semidirect(a: LYAlgebra, r: Representation) -> LYAlgebra:
     return LYAlgebra(m + v, binary=binary, ternary=ternary, basis_names=names)
 
 
+def _term_tables(terms: Sequence[Matrix]) -> Tuple[int, List[List[Scaled]]]:
+    """q_T, the least common multiple of the terms' denominators, and q_T T_s u_c as [s][c]."""
+    qt = _denominator_lcm(row for term in terms for row in term.entries)
+    return qt, [[_scaled(col, qt) for col in term.columns()] for term in terms]
+
+
+def _hom_expansion(a: LYAlgebra, r: Representation, phis: Sequence[Matrix], psis: Sequence[Matrix],
+                   orders: Sequence[int], families: Sequence[str]) -> Dict[str, Dict]:
+    """The t^s coefficients, s in orders, of the homomorphism conditions on
+    phi_t = sum_s t^s phis[s] on g and psi_t = sum_s t^s psis[s] on V,
+
+        binary-hom      [phi_t x, phi_t y] - phi_t [x, y]               (x < y)
+        ternary-hom     <phi_t x, phi_t y, phi_t z> - phi_t <x, y, z>
+        rho-intertwine  rho(phi_t x) psi_t u - psi_t rho(x) u
+        mu-intertwine   mu(phi_t x, phi_t y) psi_t u - psi_t mu(x, y) u
+        d-intertwine    D(phi_t x, phi_t y) psi_t u - psi_t D(x, y) u
+
+    for basis vectors x, y, z of g and u of V, in integers on `r.tables()`:
+    {family: {s: {args: residual}}}, nonzero residuals only, args in
+    lexicographic order. With all maps scaled by one q_phi, a left side holds
+    them k = 2 or 3 times and a table of weight k - 1, a right side once,
+    times q_phi^(k-1); so Fraction(R, q_phi^k q^(k-1)) is the residual."""
+    q, b, t, rho, mu, d = r.tables()
+    qp, scaled = _term_tables(tuple(phis) + tuple(psis))
+    f, g = scaled[:len(phis)], scaled[len(phis):]
+    # each family's table, of weight n - 1, and its n slots' maps; the last maps the value too
+    spec = {"binary-hom": (b, (f, f)), "ternary-hom": (t, (f, f, f)), "rho-intertwine": (rho, (f, g)),
+            "mu-intertwine": (mu, (f, f, g)), "d-intertwine": (d, (f, f, g))}
+    out = {}
+    for name in families:
+        table, maps = spec[name]
+        n, value = len(maps), maps[-1]
+        den, rhs = qp ** n * q ** (n - 1), -qp ** (n - 1)
+        splits = {s: [ss for ss in itertools.product(*(range(len(mp)) for mp in maps))
+                      if sum(ss) == s] for s in orders}
+        out[name] = residuals = {s: {} for s in orders}
+        tuples = wedge_basis(a.dim) if name == "binary-hom" else \
+            itertools.product(*(range(len(mp[0])) for mp in maps))
+        for args in tuples:
+            for s in orders:
+                acc = [0] * len(value[0])
+                for ss in splits[s]:
+                    *head, last = (mp[si][i] for mp, si, i in zip(maps, ss, args))
+                    for pairs in itertools.product(*head):
+                        sub, c = table, 1
+                        for p, x in pairs:
+                            sub, c = sub[p], c * x
+                        _comb(acc, c, last, sub)
+                if s < len(value):
+                    entry = table[args[0]][args[1]] if n == 2 else table[args[0]][args[1]][args[2]]
+                    _comb(acc, rhs, entry, value[s])
+                if any(acc):
+                    residuals[s][args] = tuple(Fraction(x, den) for x in acc)
+    return out
+
+
 def _nijenhuis(a: LYAlgebra, n: Matrix) -> Tuple[AxiomReport, Dict, Dict]:
-    """The report of `nijenhuis_operator_check` and the constants of the
-    deformed brackets [e_i,e_j]_N and <e_i,e_j,e_k>_N (i < j)."""
+    """The report of `nijenhuis_operator_check` and the nonzero deformed
+    constants (i < j), from the t^s coefficients B_s of binary-hom and C_s of
+    ternary-hom for phi_t = Id + tN: [x,y]_N = B_1, <x,y,z>_N = C_2 - N C_1,
+    and the residuals [Nx,Ny] - N[x,y]_N = B_2 - N B_1 and
+    <Nx,Ny,Nz> - N<x,y,z>_N = C_3 - N<x,y,z>_N."""
     if (n.rows, n.cols) != (a.dim, a.dim):
         raise ValueError(f"operator must be {a.dim}x{a.dim}")
-    rng = range(a.dim)
-    bas = [a.basis(i) for i in rng]
-    nb = [n.apply(b) for b in bas]
-    binary: Dict[Tuple[int, int], Vector] = {}
-    ternary: Dict[Tuple[int, int, int], Vector] = {}
-    for i, j in wedge_basis(a.dim):
-        binary[(i, j)] = vsub(vadd(a.bracket(nb[i], bas[j]), a.bracket(bas[i], nb[j])),
-                              n.apply(a.bracket_basis(i, j)))
-        for k in rng:
-            t = a.triple(nb[i], nb[j], bas[k])
-            t = vadd(t, a.triple(nb[i], bas[j], nb[k]))
-            t = vadd(t, a.triple(bas[i], nb[j], nb[k]))
-            t = vsub(t, n.apply(a.triple(nb[i], bas[j], bas[k])))
-            t = vsub(t, n.apply(a.triple(bas[i], nb[j], bas[k])))
-            t = vsub(t, n.apply(a.triple(bas[i], bas[j], nb[k])))
-            ternary[(i, j, k)] = vadd(t, n.apply(n.apply(a.triple_basis(i, j, k))))
+    ex = _hom_expansion(a, zero_rep(a, 0), (Matrix.identity(a.dim), n), (), (1, 2, 3),
+                        ("binary-hom", "ternary-hom"))
+    (b1, b2, _), (c1, c2, c3) = (ex[name].values() for name in ("binary-hom", "ternary-hom"))
+    zero = vzero(a.dim)
+
+    def minus_n(x: Dict, y: Dict) -> Dict:   # x - N y where either is nonzero, i < j, in order
+        return {k: vsub(x.get(k, zero), n.apply(y.get(k, zero)))
+                for k in sorted(x.keys() | y.keys()) if k[0] < k[1]}
+
+    ternary = minus_n(c2, c1)
     report = AxiomReport.from_residuals(itertools.chain(
-        (("nijenhuis-binary", (i, j), vsub(a.bracket(nb[i], nb[j]), n.apply(val)))
-         for (i, j), val in binary.items()),
-        (("nijenhuis-ternary", (i, j, k), vsub(a.triple(nb[i], nb[j], nb[k]), n.apply(val)))
-         for (i, j, k), val in ternary.items())))
-    return report, binary, ternary
+        (("nijenhuis-binary", k, res) for k, res in minus_n(b2, b1).items()),
+        (("nijenhuis-ternary", k, res) for k, res in minus_n(c3, ternary).items())))
+    return report, b1, ternary
 
 
 def nijenhuis_operator_check(a: LYAlgebra, n: Matrix) -> AxiomReport:

@@ -169,6 +169,14 @@ class TestParseErrors:
             cli.parse_model(json.dumps(dict(scalar="rational", dim=3, **payload)), "m.lyat")
         assert type(info.value) is error and str(info.value) == f"m.lyat: {message}"
 
+    @pytest.mark.parametrize("key", ["binary", "ternary"])
+    @pytest.mark.parametrize("value", [5, None, True, {"args": [1, 2], "value": {}}])
+    def test_constants_must_be_a_list(self, capsys, tmp_path, key, value):
+        path = write_model(tmp_path, "model.lyat", {"scalar": "rational", "dim": 2, key: value})
+        code, payload = run_json(capsys, "check-algebra", path)
+        assert code == 2
+        assert payload["details"] == {"message": f'{path}: "{key}" must be a list of entries'}
+
     def test_not_json(self, capsys, tmp_path):
         p = tmp_path / "garbage.lyat"
         p.write_text("not json {")

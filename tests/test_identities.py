@@ -64,11 +64,45 @@ def _assert_fractions(report: ly.AxiomReport) -> None:
         assert all(type(x) is Fraction for x in v.residual)
 
 
+def _count_calls(monkeypatch, cls, names) -> list:
+    """Record the name of each call of the methods `names` of `cls`."""
+    called = []
+
+    def spy(name: str):
+        real = getattr(cls, name)
+
+        def wrapper(self, *args):
+            called.append(name)
+            return real(self, *args)
+        return wrapper
+
+    for name in names:
+        monkeypatch.setattr(cls, name, spy(name))
+    return called
+
+
+def _off_axioms_operator() -> ly.RelRBO:
+    """An operator on the adjoint-shaped action of an algebra that fails
+    `check_lya`; there D(X) is not <X, .>."""
+    def vec(*xs):
+        return tuple(fr(x) for x in xs)
+    a = ly.LYAlgebra(3, binary={(0, 2): vec(1, -1, 1), (1, 2): vec(1, -1, -1)},
+                     ternary={(0, 1, 0): vec(1, 0, 1), (0, 1, 2): vec(-1, 1, 0),
+                              (0, 2, 2): vec(-1, -1, 1), (1, 2, 1): vec(1, -1, 0)})
+    rng = range(3)
+    r = ly.Representation(a, 3, [ly.Matrix.from_columns([a.bracket_basis(i, k) for k in rng], rows=3)
+                                 for i in rng],
+                          [[ly.Matrix.from_columns([a.triple_basis(k, i, j) for k in rng], rows=3)
+                            for j in rng] for i in rng])
+    return ly.RelRBO.build(a, r, ly.Matrix([[1, 0, -1], [0, 0, 0], [0, 0, 0]]))
+
+
 class TestAgainstReference:
     """Every check must report exactly what its reference reports: the same
     violations in the same order, with the same args and residuals."""
 
-    def test_nijenhuis_operators(self, models, dim2: Model, sl2_standard: Model):
+    def test_nijenhuis_operators(self, models, dim2: Model, dim4_rational: Model,
+                                 sl2_standard: Model):
         rng = random.Random(53)
         cases = []
         for m in models:
@@ -80,6 +114,17 @@ class TestAgainstReference:
             sd = ly.semidirect(m.algebra, m.rep)
             lift = ly.lift_to_nijenhuis(m.op)
             cases += [(sd, lift), (sd, lift + random_matrix(rng, sd.dim, sd.dim, 1, 1))]
+        # operators over 5 and 7, coprime to the integer scale q of `dim4_rational`
+        a = dim4_rational.algebra
+        cases += [(a, random_matrix(rng, 4, 4, 3, 1).scale(fr(1, p))) for p in (5, 7)]
+        cases.append((a, ly.Matrix.identity(4).scale(fr(2, 35))))
+        # the semidirect sum of sl2 + sl2 with its lift, and the lift with one more entry
+        o = sl2_sum_operator(2)
+        sd = ly.semidirect(o.algebra, o.rep)
+        lift = ly.lift_to_nijenhuis(o)
+        nudge = [[fr(0)] * sd.dim for _ in range(sd.dim)]
+        nudge[0][7] = fr(1, 5)
+        cases += [(sd, lift), (sd, lift + ly.Matrix(nudge))]
         invalid = 0
         for a, n in cases:
             report = ly.nijenhuis_operator_check(a, n)
@@ -160,6 +205,9 @@ class TestAgainstReference:
         cases += [(dim4_rational.op, x) for x in WEDGES_OVER_5_AND_7]
         sl2_sum = sl2_sum_operator(2)
         cases += [(sl2_sum, _random_wedge(rng, 6)) for _ in range(3)]
+        off = _off_axioms_operator()
+        assert not ly.check_lya(off.algebra).valid
+        cases.append((off, ly.Wedge2.from_dict(3, {(0, 1): 1, (1, 2): fr(1, 2)})))
         failing = plain = total = 0
         for o, x in cases:
             total += 1
@@ -172,6 +220,9 @@ class TestAgainstReference:
         # on the dim2 and dim4 examples every wedge element passes
         assert failing > 12
         assert 0 < plain < total
+        # the last case is off the axioms: the reduced closing condition, reading <X, .> for D(X), differs
+        closings = [dict(conds)["closing"] for conds in (report.conditions, report.plain_conditions)]
+        assert closings[0] != closings[1]
 
     def test_equivalences(self, models, dim4_rational: Model):
         rng = random.Random(67)
@@ -236,18 +287,7 @@ def test_homomorphism_checks_read_only_the_integer_tables(dim2: Model, sl2_stand
     """The homomorphism, conjugation, equivalence and Nijenhuis element checks
     evaluate on `Representation.tables()`: none builds rho(x), mu(x, y) or
     D(x, y) of a vector as a `Fraction` matrix."""
-    called = []
-
-    def spy(name: str):
-        real = getattr(ly.Representation, name)
-
-        def wrapper(self, *args):
-            called.append(name)
-            return real(self, *args)
-        return wrapper
-
-    for name in ("rho_of", "mu_of", "d_of"):
-        monkeypatch.setattr(ly.Representation, name, spy(name))
+    called = _count_calls(monkeypatch, ly.Representation, ("rho_of", "mu_of", "d_of"))
     rng = random.Random(73)
     for m in (dim2, sl2_standard):   # adjoint, and written out
         o = m.op
@@ -263,6 +303,39 @@ def test_homomorphism_checks_read_only_the_integer_tables(dim2: Model, sl2_stand
             assert not ly.equivalence_check_linear(o, zero, linear, x).valid
             ly.nijenhuis_element_check(o, x)
     assert called == []
+
+
+def test_nijenhuis_operator_checks_read_only_the_integer_tables(dim2: Model,
+                                                                dim4_rational: Model,
+                                                                monkeypatch):
+    """`nijenhuis_operator_check` and `deformed_brackets` evaluate no bracket
+    of vectors: they read the homomorphism expansion of Id + tN."""
+    rng = random.Random(79)
+    o = sl2_sum_operator(1)
+    cases = [(ly.semidirect(m.algebra, m.rep), ly.lift_to_nijenhuis(m))
+             for m in (dim2.op, o)]
+    a = dim4_rational.algebra
+    cases += [(a, random_matrix(rng, 4, 4, 2, 2)), (a, ly.Matrix.identity(4).scale(fr(3, 5)))]
+    called = _count_calls(monkeypatch, ly.LYAlgebra, ("bracket", "triple"))
+    valid = [ly.nijenhuis_operator_check(a, n).valid for a, n in cases]
+    for a, n in cases[:2] + cases[3:]:
+        ly.deformed_brackets(a, n)
+    assert valid == [True, True, False, True]
+    assert called == []
+
+
+def test_nijenhuis_elements_bracket_only_to_build_the_action(models, monkeypatch):
+    """`nijenhuis_element_check` calls `Wedge2.bracket_with` once per basis
+    vector of g, for the columns of <X, .>; delta(X) and the closing
+    conditions are products of matrices."""
+    rng = random.Random(83)
+    called = _count_calls(monkeypatch, ly.Wedge2, ("bracket_with",))
+    for m in models:
+        n = m.algebra.dim
+        for x in (m.x, _random_wedge(rng, n)):
+            del called[:]
+            ly.nijenhuis_element_check(m.op, x)
+            assert len(called) == n
 
 
 def test_every_reported_identity_names_its_spaces(models):
