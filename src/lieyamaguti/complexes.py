@@ -13,7 +13,7 @@ while that of delta_II runs to slot n+1. Both are written once, for every
 degree, in `_coboundary_rows`, which walks the output coordinates of the flat
 layout and emits the nonzero {input index: coefficient} entries of each in
 integers, Q = q^2 times the exact ones. Every term reads one of the
-representation's cached `tables()` (see `structures`): [.,.] or rho (weight 1,
+representation's stored `tables()` (see `structures`): [.,.] or rho (weight 1,
 scaled by q) with one more factor q, or <.,.,.>, mu or D (weight 2, scaled by
 q^2), the module maps column by column. Every computation reads these rows in
 integers: `coboundary` applies them to a cochain scaled to integers,

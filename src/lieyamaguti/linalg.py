@@ -175,8 +175,7 @@ class Matrix:
             if rows is None:
                 raise ValueError("a 0-column matrix needs an explicit row count")
             nrows = rows
-        return cls([[rat(columns[j][i]) for j in range(len(columns))] for i in range(nrows)],
-                   cols=len(columns))
+        return cls([[col[i] for col in columns] for i in range(nrows)], cols=len(columns))
 
     def row(self, i: int) -> Vector:
         return self.entries[i]

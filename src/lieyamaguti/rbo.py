@@ -12,7 +12,7 @@ semidirect sum; all of that lives here.
 
 Both identities, and every coefficient of their expansion under a polynomial
 T_t = sum_s t^s T_s (see `deformation`), are evaluated by one engine,
-`_expansion`, in Python integers. It reads the representation's cached
+`_expansion`, in Python integers. It reads the representation's stored
 `tables()`, scaled by q as `structures` explains, and scales the terms T_s
 by their own q_T, the least common multiple of their denominators. Both
 identities are bi-homogeneous: every summand of the binary one holds T twice
@@ -21,7 +21,7 @@ and a table of weight 2. A residual R is therefore q_T^2 q or q_T^3 q^2 times
 the true one, which Fraction(R, q_T^2 q) or Fraction(R, q_T^3 q^2) gives
 back exactly. The sub-adjacent brackets [u,v]_T and <u,v,w>_T are the
 engine's inner tables, scaled by q_T q and q_T^2 q^2. As q_T is separate,
-the cached tables depend only on the representation.
+the stored tables depend only on the representation.
 
 Homomorphisms of operators are order 0 of `structures._hom_expansion`, the
 t^s coefficients of the conditions for phi_t = sum_s t^s Phi_s on g and
@@ -32,6 +32,7 @@ phi_t = Id + tN, gives the Nijenhuis operator conditions
 
 from __future__ import annotations
 
+import math
 from fractions import Fraction
 from typing import Dict, Iterable, List, NamedTuple, Sequence, Tuple
 
@@ -42,9 +43,9 @@ from .structures import (
     LYAlgebra,
     Representation,
     Violation,
+    _algebra_tables,
     _ccomb,
     _comb,
-    _fraction_matrix,
     _hom_expansion,
     _term_tables,
     wedge_basis,
@@ -267,8 +268,8 @@ def induced_rep_on_g(o: RelRBO) -> Representation:
 
     It is a valid representation, and its derived D action has the closed form
         D'(u, v) x = <Tu, Tv, x> - T( mu(Tv, x) u - mu(Tu, x) v )
-    (both checked by the tests). Evaluated on the engine's integer tables:
-    rho' over q_T q and mu' over (q_T q)^2."""
+    (both checked by the tests). Evaluated on the engine's integer tables, as
+    rho' over q_T q and mu' over (q_T q)^2, then rescaled to the least q."""
     _require_verified(o)
     sub = induced_lya_on_v(o)
     a, r = o.algebra, o.rep
@@ -291,11 +292,19 @@ def induced_rep_on_g(o: RelRBO) -> Representation:
             _comb(acc, x, mu[c][p][u1], tc)      # + T( mu(e_c, Tu2) u1 )
         return acc
 
-    grng, qq = range(m), qt * q
-    return Representation(sub, m, [_fraction_matrix([rho2(u, c) for c in grng], m, qq)
-                                   for u in range(v)],
-                          [[_fraction_matrix([mu2(u1, u2, c) for c in grng], m, qq * qq)
-                            for u2 in range(v)] for u1 in range(v)])
+    grng, vrng, qq = range(m), range(v), qt * q
+    rhos = [[rho2(u, c) for c in grng] for u in vrng]
+    mus = [[[mu2(u1, u2, c) for c in grng] for u2 in vrng] for u1 in vrng]
+    # the lcm of the denominators of all x / qq^w is the denominator of gcd(all x, qq^w) / qq^w
+    g1 = math.gcd(qq, *(x for u in rhos for col in u for x in col))
+    g2 = math.gcd(qq * qq, *(x for row in mus for u in row for col in u for x in col))
+    q2, b2, t2 = _algebra_tables(sub, [(Fraction(g1, qq), Fraction(g2, qq * qq))])
+
+    def rescaled(cols: List[List[int]], w: int) -> list:
+        return [[(l, x * q2 ** w // qq ** w) for l, x in enumerate(col) if x] for col in cols]
+
+    return Representation.__new__(Representation)._fill(
+        sub, m, q2, b2, t2, [rescaled(u, 1) for u in rhos], [[rescaled(u, 2) for u in row] for row in mus])
 
 
 def pre_ly_products(o: RelRBO) -> Tuple[Tuple[Tuple[Vector, ...], ...],

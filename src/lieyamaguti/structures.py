@@ -18,11 +18,12 @@ weight w evaluated on the scaled tables is therefore exactly q^w times its
 true residual, so it vanishes exactly when the true residual does, and
 Fraction(R, q^w) gives the true residual back. Nothing is rounded or sampled.
 
-`Representation.tables()` is the one place where a representation's
-constants become integers. It builds q and the scaled tables once and caches
-them, rho, mu and D as lists of sparse columns. D is computed there from its
-formula, in integers of weight 2, and `d_basis` is its `Fraction` view. The
-structure checks, `complexes` and `rbo` all read these tables.
+A `Representation` is held once, as these tables: q, and rho, mu and D as
+lists of sparse integer columns, which the structure checks, `complexes` and
+`rbo` read. They are built at construction by `Representation._fill`, which
+computes D from its formula in integers of weight 2; q is still the least
+common multiple of the denominators. `rho`, `mu` and `d_basis` are `Fraction`
+views of the tables.
 
 `_hom_expansion` serves `rbo`, `deformation` and the Nijenhuis operator
 check. What remains in `Fraction` arithmetic, matrix products, yields
@@ -365,18 +366,13 @@ def _add(acc: List[int], s: int, vec: Scaled) -> None:
         acc[l] += s * x
 
 
-def _fraction_matrix(cols: Sequence[Sequence[int]], rows: int, den: int) -> Matrix:
-    """The matrix whose columns are the integer columns over den."""
-    return Matrix.from_columns([tuple(Fraction(x, den) for x in col) for col in cols], rows=rows)
-
-
-def _algebra_tables(a: LYAlgebra, maps: Sequence[Matrix] = ()) -> Tuple[int, list, list]:
+def _algebra_tables(a: LYAlgebra, vectors: Iterable[Vector] = ()) -> Tuple[int, list, list]:
     """q, the least common multiple of the denominators of the algebra's constants
-    and the maps' entries; q[e_i,e_j] as b[i][j], q^2<e_i,e_j,e_k> as t[i][j][k]."""
+    and the vectors' entries; q[e_i,e_j] as b[i][j], q^2<e_i,e_j,e_k> as t[i][j][k]."""
     rng = range(a.dim)
     q = _denominator_lcm([a.bracket_basis(i, j) for i in rng for j in rng]
                          + [a.triple_basis(i, j, k) for i in rng for j in rng for k in rng]
-                         + [row for m in maps for row in m.entries])
+                         + list(vectors))
     b = [[_scaled(a.bracket_basis(i, j), q) for j in rng] for i in rng]
     t = [[[_scaled(a.triple_basis(i, j, k), q * q) for k in rng] for j in rng] for i in rng]
     return q, b, t
@@ -467,53 +463,77 @@ Tables = NamedTuple("Tables", [("q", int), ("b", list), ("t", list),
 
 
 class Representation:
-    """Module data (rho, mu) for a Lie-Yamaguti algebra.
+    """Module data (rho, mu) for a Lie-Yamaguti algebra, held as its integer `tables`.
 
     rho assigns a dim_v x dim_v matrix to each algebra basis element; mu
-    assigns one to each ordered pair. `d_basis` views the derived skew action
-    D(x,y) = mu(y,x) - mu(x,y) + [rho(x),rho(y)] - rho([x,y]) from `tables`.
-    Validity is a separate question answered by `check_representation`.
+    assigns one to each ordered pair. `rho`, `mu` and `d_basis`, of the derived
+    skew action D(x,y) = mu(y,x) - mu(x,y) + [rho(x),rho(y)] - rho([x,y]), are
+    `Fraction` views of the tables, made on first use. Validity is a separate
+    question answered by `check_representation`.
     """
 
-    __slots__ = ("algebra", "dim_v", "_rho", "_mu", "_tables", "_d")
+    __slots__ = ("algebra", "dim_v", "_tables", "_views")
 
     def __init__(self, algebra: LYAlgebra, dim_v: int,
                  rho: Sequence[Matrix], mu: Sequence[Sequence[Matrix]]):
-        if dim_v < 0:
-            raise ValueError("module dimension must be nonnegative")
         if len(rho) != algebra.dim:
             raise ValueError(f"expected {algebra.dim} rho matrices, got {len(rho)}")
-        for m in rho:
-            if (m.rows, m.cols) != (dim_v, dim_v):
-                raise ValueError(f"rho matrix has shape {m.rows}x{m.cols}, expected {dim_v}x{dim_v}")
         if len(mu) != algebra.dim or any(len(row) != algebra.dim for row in mu):
             raise ValueError(f"mu must be a {algebra.dim}x{algebra.dim} array of matrices")
-        for row in mu:
-            for m in row:
-                if (m.rows, m.cols) != (dim_v, dim_v):
-                    raise ValueError(f"mu matrix has shape {m.rows}x{m.cols}, expected {dim_v}x{dim_v}")
-        object.__setattr__(self, "algebra", algebra)
-        object.__setattr__(self, "dim_v", dim_v)
-        object.__setattr__(self, "_rho", tuple(rho))
-        object.__setattr__(self, "_mu", tuple(tuple(row) for row in mu))
-        object.__setattr__(self, "_tables", None)
-        object.__setattr__(self, "_d", {})
+        maps = [*rho, *itertools.chain(*mu)]
+        for m in maps:
+            if (m.rows, m.cols) != (dim_v, dim_v):
+                raise ValueError(f"rho and mu matrices must be {dim_v}x{dim_v}, got {m.rows}x{m.cols}")
+        q, b, t = _algebra_tables(algebra, [row for m in maps for row in m.entries])
+        self._fill(algebra, dim_v, q, b, t, [[_scaled(col, q) for col in m.columns()] for m in rho],
+                   [[[_scaled(col, q * q) for col in m.columns()] for m in row] for row in mu])
+
+    def _fill(self, algebra: LYAlgebra, dim_v: int, q: int, b: list, t: list,
+              rho: List[List[Scaled]], mu: List[List[List[Scaled]]]) -> "Representation":
+        """The one builder of a representation: store q, the algebra's b and t, the columns
+        of q rho and q^2 mu, and D from its formula for i < j, by skewness otherwise."""
+        if dim_v < 0:
+            raise ValueError("module dimension must be nonnegative")
+        n, rng = dim_v, range(algebra.dim)
+        d: List[List[List[Scaled]]] = [[[[] for _ in range(n)] for _ in rng] for _ in rng]
+        for i, j in wedge_basis(algebra.dim):
+            acc = [0] * (n * n)
+            _madd(acc, 1, mu[j][i])
+            _madd(acc, -1, mu[i][j])
+            _mmul(acc, 1, rho[i], rho[j])
+            _mmul(acc, -1, rho[j], rho[i])
+            _mcomb(acc, -1, b[i][j], rho)
+            d[i][j] = [[(l, x) for l, x in enumerate(acc[c * n:c * n + n]) if x] for c in range(n)]
+            d[j][i] = [[(l, -x) for l, x in col] for col in d[i][j]]
+        for name, value in (("algebra", algebra), ("dim_v", dim_v),
+                            ("_tables", Tables(q, b, t, rho, mu, d)), ("_views", {})):
+            object.__setattr__(self, name, value)
+        return self
 
     def __setattr__(self, name, value):
         raise AttributeError("Representation is immutable")
 
+    def _view(self, key: tuple, cols: List[Scaled], w: int) -> Matrix:
+        """The `Fraction` matrix of integer columns of weight w, made on first use."""
+        if key not in self._views:
+            n, den = self.dim_v, self._tables.q ** w
+            self._views[key] = Matrix.from_columns(
+                [[Fraction(c.get(l, 0), den) for l in range(n)] for c in map(dict, cols)], rows=n)
+        return self._views[key]
+
     def rho(self, i: int) -> Matrix:
-        return self._rho[i]
+        return self._view(("rho", i), self._tables.rho[i], 1)
 
     def mu(self, i: int, j: int) -> Matrix:
-        return self._mu[i][j]
+        return self._view(("mu", i, j), self._tables.mu[i][j], 2)
+
+    def d_basis(self, i: int, j: int) -> Matrix:
+        return self._view(("d", i, j), self._tables.d[i][j], 2)
 
     def tables(self) -> Tables:
-        """The integer tables, built on the first call: q[e_i,e_j] as b[i][j],
-        q^2<e_i,e_j,e_k> as t[i][j][k], and the columns of q rho(e_i),
-        q^2 mu(e_i,e_j) and q^2 D(e_i,e_j) as rho[i][c], mu[i][j][c], d[i][j][c]."""
-        if self._tables is None:
-            object.__setattr__(self, "_tables", _tables(self))
+        """The integer tables: q[e_i,e_j] as b[i][j], q^2<e_i,e_j,e_k> as
+        t[i][j][k], and the columns of q rho(e_i), q^2 mu(e_i,e_j) and
+        q^2 D(e_i,e_j) as rho[i][c], mu[i][j][c], d[i][j][c]."""
         return self._tables
 
     def _combine(self, terms: Iterable[Tuple[Fraction, Matrix]]) -> Matrix:
@@ -528,20 +548,12 @@ class Representation:
         return Matrix(acc, cols=n)
 
     def rho_of(self, x: Vector) -> Matrix:
-        return self._combine((c, self._rho[i]) for i, c in enumerate(x) if c)
+        return self._combine((c, self.rho(i)) for i, c in enumerate(x) if c)
 
     def mu_of(self, x: Vector, y: Vector) -> Matrix:
-        return self._combine((ci * cj, self._mu[i][j])
+        return self._combine((ci * cj, self.mu(i, j))
                              for i, ci in enumerate(x) if ci
                              for j, cj in enumerate(y) if cj)
-
-    def d_basis(self, i: int, j: int) -> Matrix:
-        """D(e_i, e_j), the `Fraction` view of its integer table."""
-        if (i, j) not in self._d:
-            q, *_, d = self.tables()
-            cols = [[dict(col).get(l, 0) for l in range(self.dim_v)] for col in d[i][j]]
-            self._d[(i, j)] = _fraction_matrix(cols, self.dim_v, q * q)
-        return self._d[(i, j)]
 
     def d_of(self, x: Vector, y: Vector) -> Matrix:
         return self._combine((ci * cj, self.d_basis(i, j))
@@ -552,34 +564,13 @@ class Representation:
         if not isinstance(other, Representation):
             return NotImplemented
         return (self.algebra == other.algebra and self.dim_v == other.dim_v
-                and self._rho == other._rho and self._mu == other._mu)
+                and self._tables[:5] == other._tables[:5])
 
     def __hash__(self) -> int:
-        return hash((self.algebra, self.dim_v, self._rho, self._mu))
+        return hash((self.algebra, self.dim_v, self._tables.q))
 
     def __repr__(self) -> str:
         return f"Representation(dim_v={self.dim_v} over dim={self.algebra.dim})"
-
-
-def _tables(r: Representation) -> Tables:
-    """The integer tables of `Representation.tables`; D(e_i, e_j) from its
-    formula for i < j, by skewness otherwise."""
-    a, n = r.algebra, r.dim_v
-    rng = range(a.dim)
-    q, b, t = _algebra_tables(a, [r.rho(i) for i in rng] + [r.mu(i, j) for i in rng for j in rng])
-    rho = [[_scaled(col, q) for col in r.rho(i).columns()] for i in rng]
-    mu = [[[_scaled(col, q * q) for col in r.mu(i, j).columns()] for j in rng] for i in rng]
-    d: List[List[List[Scaled]]] = [[[[] for _ in range(n)] for _ in rng] for _ in rng]
-    for i, j in wedge_basis(a.dim):
-        acc = [0] * (n * n)
-        _madd(acc, 1, mu[j][i])
-        _madd(acc, -1, mu[i][j])
-        _mmul(acc, 1, rho[i], rho[j])
-        _mmul(acc, -1, rho[j], rho[i])
-        _mcomb(acc, -1, b[i][j], rho)
-        d[i][j] = [[(l, x) for l, x in enumerate(acc[c * n:c * n + n]) if x] for c in range(n)]
-        d[j][i] = [[(l, -x) for l, x in col] for col in d[i][j]]
-    return Tables(q, b, t, rho, mu, d)
 
 
 def _madd(acc: List[int], s: int, m: List[Scaled]) -> None:
@@ -724,17 +715,18 @@ def adjoint_rep(a: LYAlgebra) -> Representation:
     the result is then automatic and D(x,y) acts as <x,y,.>.
     """
     _require_lya(a)
+    q, b, t = _algebra_tables(a)
     rng = range(a.dim)
-    rho = [Matrix.from_columns([a.bracket_basis(i, k) for k in rng], rows=a.dim) for i in rng]
-    mu = [[Matrix.from_columns([a.triple_basis(k, i, j) for k in rng], rows=a.dim)
-           for j in rng] for i in rng]
-    return Representation(a, a.dim, rho, mu)
+    mu = [[[t[k][i][j] for k in rng] for j in rng] for i in rng]
+    return Representation.__new__(Representation)._fill(a, a.dim, q, b, t, b, mu)
 
 
 def zero_rep(a: LYAlgebra, dim_v: int) -> Representation:
     """The trivial action on a dim_v-dimensional module."""
-    z = Matrix.zero(dim_v, dim_v)
-    return Representation(a, dim_v, [z] * a.dim, [[z] * a.dim for _ in range(a.dim)])
+    q, b, t = _algebra_tables(a)
+    zero = [[]] * dim_v   # the tables are read, never written
+    return Representation.__new__(Representation)._fill(a, dim_v, q, b, t, [zero] * a.dim,
+                                                         [[zero] * a.dim] * a.dim)
 
 
 def semidirect(a: LYAlgebra, r: Representation) -> LYAlgebra:

@@ -152,6 +152,12 @@ def sl2_sum_operator(k: int) -> ly.RelRBO:
     return ly.RelRBO.build(a, ly.adjoint_rep(a), ly.Matrix(t))
 
 
+def assert_same_representation(got: ly.Representation, want: ly.Representation) -> None:
+    """The same integer tables, q included, and so equal and equally hashed."""
+    assert got.tables() == want.tables()
+    assert got == want and hash(got) == hash(want)
+
+
 def random_invertible(rng, n: int) -> ly.Matrix:
     while True:
         m = ly.Matrix([[fr(rng.randint(-3, 3)) for _ in range(n)] for _ in range(n)])

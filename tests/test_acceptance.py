@@ -377,6 +377,16 @@ def test_dense_views_have_no_callers_in_src():
     assert sorted(found) == []
 
 
+def test_fraction_matrix_is_gone_from_src():
+    # a representation is held as its integer tables, which its constructors
+    # hand in directly; no helper turns integer columns into Fraction matrices
+    # for the tables to be scaled back out of them
+    found = [f"{path.name}:{node.lineno}" for path, node in _src_nodes()
+             if "_fraction_matrix" in (getattr(node, "id", None), getattr(node, "attr", None),
+                                       getattr(node, "name", None))]   # names, defs, imports
+    assert found == []
+
+
 def test_coboundary_has_no_callers_outside_complexes():
     # the paper's lemmas that `coboundary` would re-prove at run time (the
     # obstruction is a 2-cocycle, delta o delta = 0) are checked by the tests

@@ -497,25 +497,26 @@ class TestKernelDump:
 
 
 class TestTablesOnce:
-    """A representation's integer tables are built once: for the model's
-    representation, and for the induced one of each `RboComplex.build`."""
+    """A representation's integer tables are built once, by its one builder
+    `Representation._fill`: for the model's representation, and for the
+    induced one of each `RboComplex.build`."""
 
     @pytest.fixture
     def builds(self, monkeypatch):
         from lieyamaguti import rbo_cohomology
 
         seen = {"tables": [], "induced": []}
-        tables, induced = structures._tables, rbo_cohomology.induced_rep_on_g
+        fill, induced = structures.Representation._fill, rbo_cohomology.induced_rep_on_g
 
-        def tables_spy(r):
+        def fill_spy(r, *args):
             seen["tables"].append(r)
-            return tables(r)
+            return fill(r, *args)
 
         def induced_spy(o):
             seen["induced"].append(induced(o))
             return seen["induced"][-1]
 
-        monkeypatch.setattr(structures, "_tables", tables_spy)
+        monkeypatch.setattr(structures.Representation, "_fill", fill_spy)
         monkeypatch.setattr(rbo_cohomology, "induced_rep_on_g", induced_spy)
         return seen
 

@@ -101,6 +101,10 @@ class TestMatrix:
         m = Matrix.from_columns([(fr(1), fr(0)), (fr(2), fr(3))])
         assert m.column(1) == (fr(2), fr(3))
         assert Matrix.from_columns([], rows=2).cols == 0
+        # the entries are coerced once, by the constructor, and floats are refused
+        for bad in ([(fr(1), 0.5)], [(1.0,), (fr(2),)]):
+            with pytest.raises(TypeError, match="not an exact rational"):
+                Matrix.from_columns(bad)
 
     def test_commutator(self):
         a = Matrix(((fr(0), fr(1)), (fr(0), fr(0))))

@@ -6,7 +6,8 @@ import pytest
 
 import lieyamaguti as ly
 import reference_deformation as ref
-from conftest import Model, dim4_operator, fr, random_fraction
+from conftest import (Model, assert_same_representation, dim4_operator, fr, random_fraction,
+                      sl2_sum_operator)
 from lieyamaguti import rbo
 
 
@@ -96,9 +97,11 @@ class TestInducedStructures:
     def test_induced_rep_equals_the_reference(self, dim2: Model, dim4: Model,
                                              dim4_rational: Model, sl2_standard: Model):
         # the integer-table construction against the dense Fraction one it
-        # replaced; dim4_rational has denominators in every table
-        for m in (dim2, dim4, dim4_rational, sl2_standard):
-            assert ly.induced_rep_on_g(m.op) == ref.induced_rep_on_g(m.op)
+        # replaced, whose tables the public constructor scales by the least
+        # q; dim4_rational has denominators in every table
+        ops = [m.op for m in (dim2, dim4, dim4_rational, sl2_standard)]
+        for o in ops + [sl2_sum_operator(2), sl2_sum_operator(3)]:
+            assert_same_representation(ly.induced_rep_on_g(o), ref.induced_rep_on_g(o))
 
     def test_pre_ly_products(self, dim2: Model):
         binary, ternary = ly.pre_ly_products(dim2.op)
@@ -218,3 +221,25 @@ class TestWedge2:
     def test_dimension_mismatch(self, dim2: Model):
         with pytest.raises(ValueError, match="dimensions differ"):
             ly.Wedge2.basis(4, 0, 1).action_matrix(dim2.algebra)
+
+
+def test_representations_are_built_without_fraction_matrices(dim2: Model, dim4_rational: Model,
+                                                             monkeypatch):
+    """adjoint_rep, zero_rep and RboComplex.build hand integer columns to the
+    representation's builder: none of them constructs a `Matrix`."""
+    ops = [dim2.op, dim4_rational.op, sl2_sum_operator(3)]
+    built = []
+    init = ly.Matrix.__init__
+
+    def spy(self, *args, **kwargs):
+        built.append(self)
+        init(self, *args, **kwargs)
+
+    monkeypatch.setattr(ly.Matrix, "__init__", spy)
+    for o in ops:
+        ly.RboComplex.build(o)
+        ly.adjoint_rep(o.algebra)
+        ly.zero_rep(o.algebra, 2)
+    assert built == []
+    ly.Matrix.identity(1)
+    assert len(built) == 1

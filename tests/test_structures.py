@@ -124,6 +124,26 @@ class TestAdjointRep:
                             - rep.rho_of(a.bracket_basis(i, j)))
                 assert rep.d_basis(i, j) == expected
 
+    def test_tables_equal_the_written_out_construction(self, dim2: Model, dim4: Model,
+                                                        dim4_rational: Model, sl2_standard: Model):
+        # adjoint_rep hands the algebra's own integer tables to the builder;
+        # they must equal, q included, what the public constructor scales
+        # from the written-out Fraction matrices rho(x) = [x, .], mu(x, y) = <., x, y>
+        rng = random.Random(97)
+        algebras = [m.algebra for m in (dim2, dim4, dim4_rational, sl2_standard)]
+        algebras += [conjugated_lie_lya(rng, f) for f in sorted(LIE_FAMILIES) for _ in range(3)]
+        scales = []
+        for a in algebras:
+            n = range(a.dim)
+            rho = [ly.Matrix.from_columns([a.bracket_basis(i, k) for k in n], rows=a.dim) for i in n]
+            mu = [[ly.Matrix.from_columns([a.triple_basis(k, i, j) for k in n], rows=a.dim)
+                   for j in n] for i in n]
+            written, r = ly.Representation(a, a.dim, rho, mu), ly.adjoint_rep(a)
+            assert r.tables() == written.tables()
+            assert r == written and hash(r) == hash(written)
+            scales.append(r.tables().q)
+        assert sum(q > 1 for q in scales) >= 5
+
     def test_valid_on_fixtures(self, dim2: Model, dim4: Model):
         assert ly.check_representation(dim2.rep).valid
         assert ly.check_representation(dim4.rep).valid
@@ -177,6 +197,18 @@ class TestCheckRepresentation:
     def test_zero_rep_valid(self, dim2: Model):
         for k in (1, 3):
             assert ly.check_representation(ly.zero_rep(dim2.algebra, k)).valid
+
+    def test_zero_rep_tables_equal_the_written_out_construction(self, dim2: Model,
+                                                                dim4_rational: Model):
+        for a in (dim2.algebra, dim4_rational.algebra):
+            for k in range(3):
+                z = ly.Matrix.zero(k, k)
+                written = ly.Representation(a, k, [z] * a.dim, [[z] * a.dim for _ in range(a.dim)])
+                assert ly.zero_rep(a, k).tables() == written.tables()
+                assert ly.zero_rep(a, k) == written
+        assert dim4_rational.rep.tables().q > 1
+        with pytest.raises(ValueError, match="nonnegative"):
+            ly.zero_rep(dim2.algebra, -1)
 
     def test_random_corruptions_mostly_caught(self):
         rng = random.Random(23)
