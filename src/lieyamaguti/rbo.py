@@ -20,7 +20,9 @@ and a table of weight 1 in q, every summand of the ternary one T three times
 and a table of weight 2. A residual R is therefore q_T^2 q or q_T^3 q^2 times
 the true one, which Fraction(R, q_T^2 q) or Fraction(R, q_T^3 q^2) gives
 back exactly. The sub-adjacent brackets [u,v]_T and <u,v,w>_T are the
-engine's inner tables, scaled by q_T q and q_T^2 q^2. As q_T is separate,
+engine's inner tables, scaled by q_T q and q_T^2 q^2; `induced_lya_on_v`
+reduces them in integers to the least q and hands them to the algebra's
+builder, as `induced_rep_on_g` does with rho' and mu'. As q_T is separate,
 the stored tables depend only on the representation.
 
 Homomorphisms of operators are order 0 of `structures._hom_expansion`, the
@@ -32,21 +34,25 @@ phi_t = Id + tN, gives the Nijenhuis operator conditions
 
 from __future__ import annotations
 
-import math
 from fractions import Fraction
 from typing import Dict, Iterable, List, NamedTuple, Sequence, Tuple
 
-from .linalg import Matrix, Vector, inverse, rat, vadd, vneg, vzero
+from .linalg import Matrix, Vector, inverse, rat, vneg
 from .structures import (
     AxiomReport,
     InputError,
     LYAlgebra,
     Representation,
+    Scaled,
     Violation,
     _algebra_tables,
     _ccomb,
     _comb,
     _hom_expansion,
+    _least_q,
+    _names,
+    _rescaled,
+    _sparse,
     _term_tables,
     wedge_basis,
 )
@@ -146,7 +152,7 @@ Residuals = Dict[int, Tuple[Dict[Tuple[int, int], Vector], Dict[Tuple[int, int, 
 
 
 def _expansion(a: LYAlgebra, r: Representation, terms: Sequence[Matrix],
-               orders: Iterable[int]) -> Tuple[Residuals, Tuple[Dict, Dict]]:
+               orders: Iterable[int]) -> Tuple[Residuals, Tuple[int, Dict, Dict]]:
     """The t^s coefficients of both identities for T_t = sum_s t^s terms[s],
     in integers as the module docstring explains:
 
@@ -157,8 +163,9 @@ def _expansion(a: LYAlgebra, r: Representation, terms: Sequence[Matrix],
 
     over the available terms. Returns {s: (S_bin(s), S_ter(s))} for each s in
     orders, each a dict from the module basis tuples (u < v, then w) in
-    lexicographic order to the residual in g, and the nonzero constants of
-    [u,v]_T and <u,v,w>_T for T = terms[0]. Both sums are skew in (u, v)
+    lexicographic order to the residual in g; and, for T = terms[0], qq =
+    q_T q with the constants of [u,v]_T and <u,v,w>_T on the same tuples, as
+    sparse integer vectors over qq and qq^2. Both sums are skew in (u, v)
     (relabel j <-> k), so u < v suffices.
     """
     m, v = a.dim, r.dim_v
@@ -171,10 +178,7 @@ def _expansion(a: LYAlgebra, r: Representation, terms: Sequence[Matrix],
     pairs = wedge_basis(v)
     triples = [(b1, b2, b3) for b1, b2 in pairs for b3 in vrng]
 
-    def nonzero(acc: List[int]) -> List[Tuple[int, int]]:
-        return [(l, x) for l, x in enumerate(acc) if x]
-
-    # [u,v]_{T_j}, and sum_{j+k=s} of the inner ternary sum, scaled by qq and qq^2
+    # [u,v]_{T_j}, and sum_{j+k=s} of the inner ternary sum, scaled by qq and qq^2, sparse
     inner2 = []
     for j in range(top + 1):
         table = {}
@@ -182,7 +186,7 @@ def _expansion(a: LYAlgebra, r: Representation, terms: Sequence[Matrix],
             acc = [0] * v
             _ccomb(acc, 1, tc[j][b1], rho, b2)
             _ccomb(acc, -1, tc[j][b2], rho, b1)
-            table[(b1, b2)] = acc
+            table[(b1, b2)] = _sparse(acc)
         inner2.append(table)
     inner4 = {}
     for s in {0} | {s - i for s in orders for i in range(min(s, top) + 1)}:
@@ -196,7 +200,7 @@ def _expansion(a: LYAlgebra, r: Representation, terms: Sequence[Matrix],
                     _ccomb(acc, -x, tk[b3], mu[p], b2)
                 for p, x in tc[j][b2]:
                     _ccomb(acc, x, tk[b3], mu[p], b1)
-            table[(b1, b2, b3)] = acc
+            table[(b1, b2, b3)] = _sparse(acc)
         inner4[s] = table
 
     def unscale(acc: List[int], den: int) -> Vector:
@@ -211,7 +215,7 @@ def _expansion(a: LYAlgebra, r: Representation, terms: Sequence[Matrix],
             for i in range(max(0, s - top), min(s, top) + 1):
                 for p, x in tc[i][b1]:
                     _comb(acc, x, tc[s - i][b2], b[p])
-                _comb(acc, -1, nonzero(inner2[s - i][(b1, b2)]), tc[i])
+                _comb(acc, -1, inner2[s - i][(b1, b2)], tc[i])
             binary[(b1, b2)] = unscale(acc, qt * qq)
         ternary = {}
         for b1, b2, b3 in triples:
@@ -222,11 +226,10 @@ def _expansion(a: LYAlgebra, r: Representation, terms: Sequence[Matrix],
                     for p, x in tc[i][b1]:
                         for p2, y in tc[j][b2]:
                             _comb(acc, x * y, tk, t[p][p2])
-                _comb(acc, -1, nonzero(inner4[s - i][(b1, b2, b3)]), tc[i])
+                _comb(acc, -1, inner4[s - i][(b1, b2, b3)], tc[i])
             ternary[(b1, b2, b3)] = unscale(acc, qt * qq * qq)
         residuals[s] = (binary, ternary)
-    return residuals, ({k: unscale(acc, qq) for k, acc in inner2[0].items() if any(acc)},
-                       {k: unscale(acc, qq * qq) for k, acc in inner4[0].items() if any(acc)})
+    return residuals, (qq, inner2[0], inner4[0])
 
 
 def _violations(residuals: Residuals, orders: Iterable[int],
@@ -254,10 +257,16 @@ def _require_verified(o: RelRBO) -> None:
 def induced_lya_on_v(o: RelRBO) -> LYAlgebra:
     """The sub-adjacent Lie-Yamaguti algebra on the module of a verified
     operator. It satisfies the axioms, and T is an algebra homomorphism from
-    it into the original brackets (both checked by the tests)."""
+    it into the original brackets (both checked by the tests). Its tables are
+    the engine's inner tables over q_T q, rescaled in integers to the least q."""
     _require_verified(o)
-    _, (binary, ternary) = _expansion(o.algebra, o.rep, (o.t_matrix,), ())
-    return LYAlgebra(o.rep.dim_v, binary=binary, ternary=ternary)
+    _, (qq, binary, ternary) = _expansion(o.algebra, o.rep, (o.t_matrix,), ())
+    q = _least_q(qq, [(w, (x for vec in table.values() for _, x in vec))
+                      for w, table in ((1, binary), (2, ternary))])
+    v = o.rep.dim_v
+    return LYAlgebra.__new__(LYAlgebra)._fill(
+        v, _names("e", v), q, {key: _rescaled(vec, q, qq, 1) for key, vec in binary.items() if vec},
+        {key: _rescaled(vec, q, qq, 2) for key, vec in ternary.items() if vec})
 
 
 def induced_rep_on_g(o: RelRBO) -> Representation:
@@ -277,34 +286,30 @@ def induced_rep_on_g(o: RelRBO) -> Representation:
     q, b, t, rho, mu, d = r.tables()
     qt, (tc,) = _term_tables((o.t_matrix,))
 
-    def rho2(u: int, c: int) -> List[int]:
+    def rho2(u: int, c: int) -> Scaled:
         acc = [0] * m
         _comb(acc, -1, tc[u], b[c])              # [Tu, e_c] = -[e_c, Tu]
         _comb(acc, 1, rho[c][u], tc)             # T( rho(e_c) u )
-        return acc
+        return _sparse(acc)
 
-    def mu2(u1: int, u2: int, c: int) -> List[int]:
+    def mu2(u1: int, u2: int, c: int) -> Scaled:
         acc = [0] * m
         for p, x in tc[u1]:
             _comb(acc, x, tc[u2], t[c][p])       # <e_c, Tu1, Tu2>
             _comb(acc, -x, d[c][p][u2], tc)      # - T( D(e_c, Tu1) u2 )
         for p, x in tc[u2]:
             _comb(acc, x, mu[c][p][u1], tc)      # + T( mu(e_c, Tu2) u1 )
-        return acc
+        return _sparse(acc)
 
     grng, vrng, qq = range(m), range(v), qt * q
     rhos = [[rho2(u, c) for c in grng] for u in vrng]
     mus = [[[mu2(u1, u2, c) for c in grng] for u2 in vrng] for u1 in vrng]
-    # the lcm of the denominators of all x / qq^w is the denominator of gcd(all x, qq^w) / qq^w
-    g1 = math.gcd(qq, *(x for u in rhos for col in u for x in col))
-    g2 = math.gcd(qq * qq, *(x for row in mus for u in row for col in u for x in col))
-    q2, b2, t2 = _algebra_tables(sub, [(Fraction(g1, qq), Fraction(g2, qq * qq))])
-
-    def rescaled(cols: List[List[int]], w: int) -> list:
-        return [[(l, x * q2 ** w // qq ** w) for l, x in enumerate(col) if x] for col in cols]
-
+    q2, b2, t2 = _algebra_tables(sub, _least_q(qq, [
+        (1, (x for u in rhos for col in u for _, x in col)),
+        (2, (x for row in mus for u in row for col in u for _, x in col))]))
     return Representation.__new__(Representation)._fill(
-        sub, m, q2, b2, t2, [rescaled(u, 1) for u in rhos], [[rescaled(u, 2) for u in row] for row in mus])
+        sub, m, q2, b2, t2, [[_rescaled(col, q2, qq, 1) for col in u] for u in rhos],
+        [[[_rescaled(col, q2, qq, 2) for col in u] for u in row] for row in mus])
 
 
 def pre_ly_products(o: RelRBO) -> Tuple[Tuple[Tuple[Vector, ...], ...],
@@ -453,17 +458,18 @@ class Wedge2(NamedTuple):
         return tuple(out.get(pair, Fraction(0)) for pair in wedge_basis(self.dim))
 
     def bracket_with(self, a: LYAlgebra, z: Vector) -> Vector:
-        """<X, z> = sum X_ij <e_i, e_j, z>."""
-        out = vzero(a.dim)
+        """<X, z> = sum X_ij <e_i, e_j, z>, read from the algebra's table q^2 <.,.,.>."""
+        q, _, t = _algebra_tables(a)
+        out = [Fraction(0)] * a.dim
         for i, j, c in self.entries:
-            out = vadd(out, tuple(c * x for x in a.triple(a.basis(i), a.basis(j), z)))
-        return out
+            _comb(out, c, _sparse(z), t[i][j])
+        return tuple(x / (q * q) for x in out)
 
     def action_matrix(self, a: LYAlgebra) -> Matrix:
         """Matrix of z -> <X, z> on the algebra."""
         if a.dim != self.dim:
             raise ValueError("wedge element and algebra dimensions differ")
-        cols = [self.bracket_with(a, a.basis(k)) for k in range(a.dim)]
+        cols = [self.bracket_with(a, [int(l == k) for l in range(a.dim)]) for k in range(a.dim)]
         return Matrix.from_columns(cols, rows=a.dim)
 
     def d_matrix(self, r: Representation) -> Matrix:

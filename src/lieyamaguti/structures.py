@@ -2,7 +2,7 @@
 
 A Lie-Yamaguti algebra carries a skew binary bracket [.,.] and a ternary
 bracket <.,.,.> skew in its first two slots, tied together by four axioms
-(checked in `check_lya`). Structure constants are stored for i < j only and
+(checked in `check_lya`). Structure constants are given for i < j only and
 completed by skewness; all arithmetic is exact.
 
 `check_lya` and `check_representation` evaluate each identity on each basis
@@ -18,12 +18,17 @@ weight w evaluated on the scaled tables is therefore exactly q^w times its
 true residual, so it vanishes exactly when the true residual does, and
 Fraction(R, q^w) gives the true residual back. Nothing is rounded or sampled.
 
-A `Representation` is held once, as these tables: q, and rho, mu and D as
-lists of sparse integer columns, which the structure checks, `complexes` and
-`rbo` read. They are built at construction by `Representation._fill`, which
-computes D from its formula in integers of weight 2; q is still the least
-common multiple of the denominators. `rho`, `mu` and `d_basis` are `Fraction`
-views of the tables.
+Both structures are held once, as these tables, which the structure checks,
+`complexes` and `rbo` read. An `LYAlgebra` stores q and the sparse integer
+vectors q[e_i,e_j] and q^2<e_i,e_j,e_k> for every ordered index tuple; its one
+builder, `LYAlgebra._fill`, writes the i > j entries by negation, so every
+stored table is skew. A `Representation` adds rho, mu and D as lists of
+sparse integer columns; `Representation._fill` computes D from its formula in
+integers of weight 2, and holds the algebra's tables rescaled to its own q.
+Every construction reduces q to the least common multiple of the
+denominators, so equal structures have equal tables. `basis`,
+`bracket_basis`, `triple_basis`, `rho`, `mu` and `d_basis` are `Fraction`
+views of the tables, made on first use.
 
 `_hom_expansion` serves `rbo`, `deformation` and the Nijenhuis operator
 check. What remains in `Fraction` arithmetic, matrix products, yields
@@ -204,15 +209,19 @@ def _names(prefix: str, n: int) -> Tuple[str, ...]:
 
 class LYAlgebra:
     """Finite-dimensional algebra with a skew binary bracket and a ternary
-    bracket skew in its first two slots.
+    bracket skew in its first two slots, held as its integer tables.
 
     `binary` maps (i, j) with i < j to the coefficient vector of [e_i, e_j];
     `ternary` maps (i, j, k) with i < j to that of <e_i, e_j, e_k>. Missing
-    entries are zero. Whether the axioms hold is a separate question answered
-    by `check_lya`.
+    entries are zero. The constants are stored once, scaled as the module
+    docstring explains: q, the least common multiple of their denominators,
+    and q[e_i,e_j] as b[i][j] and q^2<e_i,e_j,e_k> as t[i][j][k], sparse, for
+    every ordered index tuple. `basis`, `bracket_basis` and `triple_basis` are
+    `Fraction` views of them, made on first use. Whether the axioms hold is a
+    separate question answered by `check_lya`.
     """
 
-    __slots__ = ("dim", "basis_names", "_binary", "_ternary", "_basis")
+    __slots__ = ("dim", "basis_names", "_tables", "_views")
 
     def __init__(self, dim: int,
                  binary: Optional[Dict[Tuple[int, int], Iterable]] = None,
@@ -224,37 +233,48 @@ class LYAlgebra:
         if len(names) != dim:
             raise ValueError(f"expected {dim} basis names, got {len(names)}")
 
-        zero = vzero(dim)
-        btab: List[List[Vector]] = [[zero] * dim for _ in range(dim)]
+        bvals: Dict[Tuple[int, int], Vector] = {}
         for key, val in (binary or {}).items():
             i, j = key
             self._check_pair(i, j, dim)
-            v = vector(val)
+            bvals[key] = v = vector(val)
             if len(v) != dim:
                 raise ValueError(f"binary constant at {key} has length {len(v)}, expected {dim}")
-            btab[i][j] = v
-            btab[j][i] = vneg(v)
 
-        ttab: List[List[List[Vector]]] = [[[zero] * dim for _ in range(dim)] for _ in range(dim)]
+        tvals: Dict[Tuple[int, int, int], Vector] = {}
         for key, val in (ternary or {}).items():
             i, j, k = key
             self._check_pair(i, j, dim)
             if not 0 <= k < dim:
                 raise ValueError(f"ternary index {k} out of range")
-            v = vector(val)
+            tvals[key] = v = vector(val)
             if len(v) != dim:
                 raise ValueError(f"ternary constant at {key} has length {len(v)}, expected {dim}")
-            ttab[i][j][k] = v
-            ttab[j][i][k] = vneg(v)
 
-        object.__setattr__(self, "dim", dim)
-        object.__setattr__(self, "basis_names", names)
-        object.__setattr__(self, "_binary", tuple(tuple(r) for r in btab))
-        object.__setattr__(self, "_ternary",
-                           tuple(tuple(tuple(c) for c in r) for r in ttab))
-        object.__setattr__(self, "_basis",
-                           tuple(tuple(Fraction(1 if c == i else 0) for c in range(dim))
-                                 for i in range(dim)))
+        q = _denominator_lcm([*bvals.values(), *tvals.values()])
+        self._fill(dim, names, q, {key: _scaled(v, q) for key, v in bvals.items()},
+                   {key: _scaled(v, q * q) for key, v in tvals.items()})
+
+    def _fill(self, dim: int, names: Tuple[str, ...], q: int, b: Dict[Tuple[int, int], Scaled],
+              t: Dict[Tuple[int, int, int], Scaled]) -> "LYAlgebra":
+        """The one builder of an algebra: store q and the tables from the sparse
+        constants b[(i, j)] = q[e_i,e_j] and t[(i, j, k)] = q^2<e_i,e_j,e_k>, of
+        which it reads only those with i < j (a missing one is zero). It writes
+        each i > j entry as the negated j < i one and the diagonal as zero, so
+        every stored table is skew, whoever calls it; `check_lya` relies on that."""
+        rng, zero = range(dim), []   # the tables are read, never written
+        bt = [[zero] * dim for _ in rng]
+        tt = [[[zero] * dim for _ in rng] for _ in rng]
+        for (i, j), c in b.items():
+            if i < j:
+                bt[i][j], bt[j][i] = c, [(l, -x) for l, x in c]
+        for (i, j, k), c in t.items():
+            if i < j:
+                tt[i][j][k], tt[j][i][k] = c, [(l, -x) for l, x in c]
+        for name, value in (("dim", dim), ("basis_names", names), ("_tables", (q, bt, tt)),
+                            ("_views", {})):
+            object.__setattr__(self, name, value)
+        return self
 
     def __setattr__(self, name, value):
         raise AttributeError("LYAlgebra is immutable")
@@ -266,68 +286,60 @@ class LYAlgebra:
         if i >= j:
             raise ValueError(f"structure constants are stored for i < j only, got ({i}, {j})")
 
+    def _view(self, key: tuple, vec: Scaled, w: int) -> Vector:
+        """The `Fraction` vector of a sparse integer one of weight w, made on first use."""
+        view = self._views.get(key)
+        if view is None:
+            out, den = [Fraction(0)] * self.dim, self._tables[0] ** w
+            for l, x in vec:
+                out[l] = Fraction(x, den)
+            view = self._views[key] = tuple(out)
+        return view
+
     def basis(self, i: int) -> Vector:
-        return self._basis[i]
+        return self._view(("e", i), [(i, 1)], 0)
 
     def bracket_basis(self, i: int, j: int) -> Vector:
-        return self._binary[i][j]
+        return self._view(("b", i, j), self._tables[1][i][j], 1)
 
     def triple_basis(self, i: int, j: int, k: int) -> Vector:
-        return self._ternary[i][j][k]
+        return self._view(("t", i, j, k), self._tables[2][i][j][k], 2)
+
+    def _evaluate(self, table: list, w: int, args: Sequence[Vector]) -> Vector:
+        """The multilinear extension of a table of weight w to the vectors, in
+        integers: each vector is scaled by the lcm of its denominators."""
+        out, scales = [0] * self.dim, [_denominator_lcm([x]) for x in args]
+        for pairs in itertools.product(*map(_scaled, args, scales)):
+            sub, c = table, 1
+            for p, x in pairs:
+                sub, c = sub[p], c * x
+            for l, y in sub:
+                out[l] += c * y
+        den, zero = self._tables[0] ** w * math.prod(scales), Fraction(0)
+        return tuple(Fraction(x, den) if x else zero for x in out)
 
     def bracket(self, u: Vector, v: Vector) -> Vector:
-        out = [Fraction(0)] * self.dim
-        for i, ci in enumerate(u):
-            if not ci:
-                continue
-            for j, cj in enumerate(v):
-                if not cj:
-                    continue
-                w = self._binary[i][j]
-                c = ci * cj
-                for l, wl in enumerate(w):
-                    if wl:
-                        out[l] += c * wl
-        return tuple(out)
+        return self._evaluate(self._tables[1], 1, (u, v))
 
     def triple(self, u: Vector, v: Vector, w: Vector) -> Vector:
-        out = [Fraction(0)] * self.dim
-        for i, ci in enumerate(u):
-            if not ci:
-                continue
-            for j, cj in enumerate(v):
-                if not cj:
-                    continue
-                cij = ci * cj
-                for k, ck in enumerate(w):
-                    if not ck:
-                        continue
-                    t = self._ternary[i][j][k]
-                    c = cij * ck
-                    for l, tl in enumerate(t):
-                        if tl:
-                            out[l] += c * tl
-        return tuple(out)
+        return self._evaluate(self._tables[2], 2, (u, v, w))
 
     def binary_constants(self) -> Dict[Tuple[int, int], Vector]:
-        return {(i, j): self._binary[i][j]
-                for i in range(self.dim) for j in range(i + 1, self.dim)
-                if not is_zero_vector(self._binary[i][j])}
+        b = self._tables[1]
+        return {(i, j): self.bracket_basis(i, j) for i, j in wedge_basis(self.dim) if b[i][j]}
 
     def ternary_constants(self) -> Dict[Tuple[int, int, int], Vector]:
-        return {(i, j, k): self._ternary[i][j][k]
-                for i in range(self.dim) for j in range(i + 1, self.dim)
-                for k in range(self.dim)
-                if not is_zero_vector(self._ternary[i][j][k])}
+        t = self._tables[2]
+        return {(i, j, k): self.triple_basis(i, j, k)
+                for i, j in wedge_basis(self.dim) for k in range(self.dim) if t[i][j][k]}
 
     def __eq__(self, other) -> bool:
         if not isinstance(other, LYAlgebra):
             return NotImplemented
-        return (self.dim == other.dim and self._binary == other._binary
-                and self._ternary == other._ternary)
+        return self.dim == other.dim and self._tables == other._tables
 
     def __hash__(self) -> int:
-        return hash((self.dim, self._binary, self._ternary))
+        return hash((self.dim, self._tables[0]))
 
     def __repr__(self) -> str:
         return f"LYAlgebra(dim={self.dim})"
@@ -343,6 +355,11 @@ def _denominator_lcm(vectors: Iterable[Sequence[Fraction]]) -> int:
 def _scaled(vec: Sequence[Fraction], s: int) -> Scaled:
     """The nonzero entries of s * vec, where s clears every denominator."""
     return [(l, x.numerator * (s // x.denominator)) for l, x in enumerate(vec) if x]
+
+
+def _sparse(acc: Iterable[int]) -> Scaled:
+    """The nonzero entries of a dense integer vector."""
+    return [(l, x) for l, x in enumerate(acc) if x] if any(acc) else []
 
 
 def _comb(acc: List[int], s: int, coeffs: Scaled, vecs: Sequence[Scaled]) -> None:
@@ -366,22 +383,27 @@ def _add(acc: List[int], s: int, vec: Scaled) -> None:
         acc[l] += s * x
 
 
-def _algebra_tables(a: LYAlgebra, vectors: Iterable[Vector] = ()) -> Tuple[int, list, list]:
-    """q, the least common multiple of the denominators of the algebra's constants
-    and the vectors' entries; q[e_i,e_j] as b[i][j], q^2<e_i,e_j,e_k> as t[i][j][k]."""
-    rng = range(a.dim)
-    q = _denominator_lcm([a.bracket_basis(i, j) for i in rng for j in rng]
-                         + [a.triple_basis(i, j, k) for i in rng for j in rng for k in rng]
-                         + list(vectors))
-    b = [[_scaled(a.bracket_basis(i, j), q) for j in rng] for i in rng]
-    t = [[[_scaled(a.triple_basis(i, j, k), q * q) for k in rng] for j in rng] for i in rng]
-    return q, b, t
+def _algebra_tables(a: LYAlgebra, den: int = 1) -> Tuple[int, list, list]:
+    """The algebra's stored q, b and t (see `LYAlgebra`), or, when den brings a
+    denominator that q lacks, the same tables over q' = lcm(q, den): b times
+    q'/q and t times (q'/q)^2."""
+    q, b, t = a._tables
+    s = math.lcm(q, den) // q
+    if s == 1:
+        return a._tables
+    return q * s, [[[(l, x * s) for l, x in c] for c in row] for row in b], \
+        [[[[(l, x * s * s) for l, x in c] for c in col] for col in row] for row in t]
 
 
-def _vector_violation(viols: List[Violation], identity: str, args: Tuple[int, ...],
-                      acc: List[int], den: int) -> None:
-    if any(acc):
-        viols.append(Violation(identity, args, tuple(Fraction(x, den) for x in acc)))
+def _least_q(qq: int, weighted: Iterable[Tuple[int, Iterable[int]]]) -> int:
+    """The least common multiple of the denominators of x / qq^w, over the
+    integers x of each weight w: that of gcd(qq^w, all x) / qq^w, for each w."""
+    return math.lcm(*(qq ** w // math.gcd(qq ** w, *xs) for w, xs in weighted))
+
+
+def _rescaled(vec: Scaled, q: int, qq: int, w: int) -> Scaled:
+    """A sparse integer vector of weight w over qq^w, over q^w."""
+    return [(l, x * q ** w // qq ** w) for l, x in vec]
 
 
 def check_lya(a: LYAlgebra) -> AxiomReport:
@@ -391,17 +413,20 @@ def check_lya(a: LYAlgebra) -> AxiomReport:
     empty violation list certifies the algebra. Violations carry the basis
     index tuple and the nonzero residual (always "LHS sum" in the orientation
     written below). Evaluated in integers as the module docstring explains.
+
+    On skew tables, as `LYAlgebra._fill` stores them, jacobi-defect and
+    cyclic-ternary are totally skew in their first three indices, and both
+    derivation identities skew in (i, j) and in (k, l). So one tuple per orbit
+    decides validity; only an algebra that fails is enumerated in full.
     """
-    viols: List[Violation] = []
     n = a.dim
     rng = range(n)
     q, b, t = _algebra_tables(a)
     # tt[k][l][p] = t[p][k][l]: the triple as a function of its first slot
     tt = [[[t[p][k][l] for p in rng] for l in rng] for k in rng]
-    w2, w3, w4 = q ** 2, q ** 3, q ** 4
 
     # [[x,y],z] + [[y,z],x] + [[z,x],y] + <x,y,z> + <y,z,x> + <z,x,y> = 0
-    for i, j, k in itertools.product(rng, repeat=3):
+    def jacobi(i, j, k):
         acc = [0] * n
         _comb(acc, -1, b[i][j], b[k])
         _comb(acc, -1, b[j][k], b[i])
@@ -409,34 +434,48 @@ def check_lya(a: LYAlgebra) -> AxiomReport:
         _add(acc, 1, t[i][j][k])
         _add(acc, 1, t[j][k][i])
         _add(acc, 1, t[k][i][j])
-        _vector_violation(viols, "jacobi-defect", (i, j, k), acc, w2)
+        return acc
 
     # <[x,y],z,w> + <[y,z],x,w> + <[z,x],y,w> = 0
-    for i, j, k, l in itertools.product(rng, repeat=4):
+    def cyclic(i, j, k, l):
         acc = [0] * n
         _comb(acc, 1, b[i][j], tt[k][l])
         _comb(acc, 1, b[j][k], tt[i][l])
         _comb(acc, 1, b[k][i], tt[j][l])
-        _vector_violation(viols, "cyclic-ternary", (i, j, k, l), acc, w3)
+        return acc
 
     # <x,y,[z,w]> = [<x,y,z>,w] + [z,<x,y,w>]
-    for i, j, k, l in itertools.product(rng, repeat=4):
+    def binary_derivation(i, j, k, l):
         acc = [0] * n
         _comb(acc, 1, b[k][l], t[i][j])
         _comb(acc, 1, t[i][j][k], b[l])
         _comb(acc, -1, t[i][j][l], b[k])
-        _vector_violation(viols, "binary-derivation", (i, j, k, l), acc, w3)
+        return acc
 
     # <x,y,<z,w,t>> = <<x,y,z>,w,t> + <z,<x,y,w>,t> + <z,w,<x,y,t>>
-    for i, j, k, l, m in itertools.product(rng, repeat=5):
+    def ternary_derivation(i, j, k, l, m):
         acc = [0] * n
         _comb(acc, 1, t[k][l][m], t[i][j])
         _comb(acc, -1, t[i][j][k], tt[l][m])
         _comb(acc, 1, t[i][j][l], tt[k][m])
         _comb(acc, -1, t[i][j][m], t[k][l])
-        _vector_violation(viols, "ternary-derivation", (i, j, k, l, m), acc, w4)
+        return acc
 
-    return AxiomReport.from_violations(viols)
+    pairs, triples = wedge_basis(n), list(itertools.combinations(rng, 3))
+    # (label, residual, its arity, q^weight, one tuple per orbit)
+    identities = (
+        ("jacobi-defect", jacobi, 3, q ** 2, triples),
+        ("cyclic-ternary", cyclic, 4, q ** 3, [c + (l,) for c in triples for l in rng]),
+        ("binary-derivation", binary_derivation, 4, q ** 3, [p + r for p in pairs for r in pairs]),
+        ("ternary-derivation", ternary_derivation, 5, q ** 4,
+         [p + r + (m,) for p in pairs for r in pairs for m in rng]),
+    )
+    if not any(any(res(*args)) for _, res, _, _, orbits in identities for args in orbits):
+        return AxiomReport.from_violations(())
+    return AxiomReport.from_violations(
+        Violation(label, args, tuple(Fraction(x, den) for x in acc))
+        for label, res, arity, den, _ in identities
+        for args in itertools.product(rng, repeat=arity) if any(acc := res(*args)))
 
 
 def lya_from_lie(dim: int,
@@ -452,9 +491,17 @@ def lya_from_lie(dim: int,
     failure = check_lya(lie).first("jacobi-defect")
     if failure is not None:
         raise JacobiViolation(failure.args, failure.residual)
-    ternary = {(i, j, k): lie.bracket(lie.bracket_basis(i, j), lie.basis(k))
-               for i, j in wedge_basis(dim) for k in range(dim)}
-    return LYAlgebra(dim, binary=binary, ternary=ternary, basis_names=basis_names)
+    q, b, _ = _algebra_tables(lie)
+    ternary = {}
+    for i, j in wedge_basis(dim):
+        for k in range(dim):
+            acc = [0] * dim   # q^2 [[e_i, e_j], e_k] = -q^2 [e_k, [e_i, e_j]]
+            _comb(acc, -1, b[i][j], b[k])
+            ternary[(i, j, k)] = _sparse(acc)
+    q2, b2, _ = _algebra_tables(lie, _least_q(q, [(2, (x for c in ternary.values() for _, x in c))]))
+    return LYAlgebra.__new__(LYAlgebra)._fill(
+        dim, lie.basis_names, q2, {(i, j): b2[i][j] for i, j in wedge_basis(dim)},
+        {key: _rescaled(acc, q2, q, 2) for key, acc in ternary.items()})
 
 
 # q and the integer tables of a representation; see `Representation.tables`
@@ -484,7 +531,7 @@ class Representation:
         for m in maps:
             if (m.rows, m.cols) != (dim_v, dim_v):
                 raise ValueError(f"rho and mu matrices must be {dim_v}x{dim_v}, got {m.rows}x{m.cols}")
-        q, b, t = _algebra_tables(algebra, [row for m in maps for row in m.entries])
+        q, b, t = _algebra_tables(algebra, _denominator_lcm(row for m in maps for row in m.entries))
         self._fill(algebra, dim_v, q, b, t, [[_scaled(col, q) for col in m.columns()] for m in rho],
                    [[[_scaled(col, q * q) for col in m.columns()] for m in row] for row in mu])
 
@@ -503,7 +550,7 @@ class Representation:
             _mmul(acc, 1, rho[i], rho[j])
             _mmul(acc, -1, rho[j], rho[i])
             _mcomb(acc, -1, b[i][j], rho)
-            d[i][j] = [[(l, x) for l, x in enumerate(acc[c * n:c * n + n]) if x] for c in range(n)]
+            d[i][j] = [_sparse(acc[c * n:c * n + n]) for c in range(n)]
             d[j][i] = [[(l, -x) for l, x in col] for col in d[i][j]]
         for name, value in (("algebra", algebra), ("dim_v", dim_v),
                             ("_tables", Tables(q, b, t, rho, mu, d)), ("_views", {})):
@@ -795,21 +842,22 @@ def _hom_expansion(a: LYAlgebra, r: Representation, phis: Sequence[Matrix], psis
         table, maps = spec[name]
         n, value = len(maps), maps[-1]
         den, rhs = qp ** n * q ** (n - 1), -qp ** (n - 1)
-        splits = {s: [ss for ss in itertools.product(*(range(len(mp)) for mp in maps))
-                      if sum(ss) == s] for s in orders}
+        # per order, each split's maps of the head slots and of the last one
+        splits = {s: [([mp[si] for mp, si in zip(maps[:-1], ss)], value[ss[-1]])
+                      for ss in itertools.product(*(range(len(mp)) for mp in maps)) if sum(ss) == s]
+                  for s in orders}
         out[name] = residuals = {s: {} for s in orders}
         tuples = wedge_basis(a.dim) if name == "binary-hom" else \
             itertools.product(*(range(len(mp[0])) for mp in maps))
         for args in tuples:
             for s in orders:
                 acc = [0] * len(value[0])
-                for ss in splits[s]:
-                    *head, last = (mp[si][i] for mp, si, i in zip(maps, ss, args))
-                    for pairs in itertools.product(*head):
+                for heads, last in splits[s]:
+                    for pairs in itertools.product(*map(list.__getitem__, heads, args)):
                         sub, c = table, 1
                         for p, x in pairs:
                             sub, c = sub[p], c * x
-                        _comb(acc, c, last, sub)
+                        _comb(acc, c, last[args[-1]], sub)
                 if s < len(value):
                     entry = table[args[0]][args[1]] if n == 2 else table[args[0]][args[1]][args[2]]
                     _comb(acc, rhs, entry, value[s])

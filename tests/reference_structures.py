@@ -11,16 +11,25 @@ tests use it.
 
 `semidirect` is kept verbatim as the library wrote it before it set only the
 constants that can be nonzero; the tests compare the two sums exactly.
+
+`FractionAlgebra` is `LYAlgebra` as the library wrote it before an algebra was
+held as its integer tables: it stores the `Fraction` constants for every
+ordered index tuple, completed by skewness, and evaluates the brackets on
+them. `algebra_tables` is the scan that scaled such constants to integers,
+kept verbatim; on the `Fraction` views of an algebra it gives the tables the
+algebra must store.
 """
 
 from __future__ import annotations
 
 import itertools
 from fractions import Fraction
-from typing import Dict, List, Tuple
+from typing import Dict, Iterable, List, Optional, Sequence, Tuple
 
-from lieyamaguti.linalg import Matrix, Vector, commutator, is_zero_vector, vadd, vneg, vsub, vzero
-from lieyamaguti.structures import AxiomReport, LYAlgebra, Representation, Violation, _names
+from lieyamaguti.linalg import (Matrix, Vector, commutator, is_zero_vector, vadd, vector, vneg,
+                                vsub, vzero)
+from lieyamaguti.structures import (AxiomReport, LYAlgebra, Representation, Violation,
+                                    _denominator_lcm, _names, _scaled)
 
 
 def check_lya(a: LYAlgebra) -> AxiomReport:
@@ -197,3 +206,146 @@ def semidirect(a: LYAlgebra, r: Representation) -> LYAlgebra:
 
     names = a.basis_names + _names("u", v)
     return LYAlgebra(n, binary=binary, ternary=ternary, basis_names=names)
+
+
+class FractionAlgebra:
+    """Finite-dimensional algebra with a skew binary bracket and a ternary
+    bracket skew in its first two slots.
+
+    `binary` maps (i, j) with i < j to the coefficient vector of [e_i, e_j];
+    `ternary` maps (i, j, k) with i < j to that of <e_i, e_j, e_k>. Missing
+    entries are zero. Whether the axioms hold is a separate question answered
+    by `check_lya`.
+    """
+
+    __slots__ = ("dim", "basis_names", "_binary", "_ternary", "_basis")
+
+    def __init__(self, dim: int,
+                 binary: Optional[Dict[Tuple[int, int], Iterable]] = None,
+                 ternary: Optional[Dict[Tuple[int, int, int], Iterable]] = None,
+                 basis_names: Optional[Sequence[str]] = None):
+        if dim < 0:
+            raise ValueError("algebra dimension must be nonnegative")
+        names = tuple(basis_names) if basis_names is not None else _names("e", dim)
+        if len(names) != dim:
+            raise ValueError(f"expected {dim} basis names, got {len(names)}")
+
+        zero = vzero(dim)
+        btab: List[List[Vector]] = [[zero] * dim for _ in range(dim)]
+        for key, val in (binary or {}).items():
+            i, j = key
+            self._check_pair(i, j, dim)
+            v = vector(val)
+            if len(v) != dim:
+                raise ValueError(f"binary constant at {key} has length {len(v)}, expected {dim}")
+            btab[i][j] = v
+            btab[j][i] = vneg(v)
+
+        ttab: List[List[List[Vector]]] = [[[zero] * dim for _ in range(dim)] for _ in range(dim)]
+        for key, val in (ternary or {}).items():
+            i, j, k = key
+            self._check_pair(i, j, dim)
+            if not 0 <= k < dim:
+                raise ValueError(f"ternary index {k} out of range")
+            v = vector(val)
+            if len(v) != dim:
+                raise ValueError(f"ternary constant at {key} has length {len(v)}, expected {dim}")
+            ttab[i][j][k] = v
+            ttab[j][i][k] = vneg(v)
+
+        object.__setattr__(self, "dim", dim)
+        object.__setattr__(self, "basis_names", names)
+        object.__setattr__(self, "_binary", tuple(tuple(r) for r in btab))
+        object.__setattr__(self, "_ternary",
+                           tuple(tuple(tuple(c) for c in r) for r in ttab))
+        object.__setattr__(self, "_basis",
+                           tuple(tuple(Fraction(1 if c == i else 0) for c in range(dim))
+                                 for i in range(dim)))
+
+    def __setattr__(self, name, value):
+        raise AttributeError("FractionAlgebra is immutable")
+
+    @staticmethod
+    def _check_pair(i: int, j: int, dim: int) -> None:
+        if not (0 <= i < dim and 0 <= j < dim):
+            raise ValueError(f"basis index out of range in ({i}, {j})")
+        if i >= j:
+            raise ValueError(f"structure constants are stored for i < j only, got ({i}, {j})")
+
+    def basis(self, i: int) -> Vector:
+        return self._basis[i]
+
+    def bracket_basis(self, i: int, j: int) -> Vector:
+        return self._binary[i][j]
+
+    def triple_basis(self, i: int, j: int, k: int) -> Vector:
+        return self._ternary[i][j][k]
+
+    def bracket(self, u: Vector, v: Vector) -> Vector:
+        out = [Fraction(0)] * self.dim
+        for i, ci in enumerate(u):
+            if not ci:
+                continue
+            for j, cj in enumerate(v):
+                if not cj:
+                    continue
+                w = self._binary[i][j]
+                c = ci * cj
+                for l, wl in enumerate(w):
+                    if wl:
+                        out[l] += c * wl
+        return tuple(out)
+
+    def triple(self, u: Vector, v: Vector, w: Vector) -> Vector:
+        out = [Fraction(0)] * self.dim
+        for i, ci in enumerate(u):
+            if not ci:
+                continue
+            for j, cj in enumerate(v):
+                if not cj:
+                    continue
+                cij = ci * cj
+                for k, ck in enumerate(w):
+                    if not ck:
+                        continue
+                    t = self._ternary[i][j][k]
+                    c = cij * ck
+                    for l, tl in enumerate(t):
+                        if tl:
+                            out[l] += c * tl
+        return tuple(out)
+
+    def binary_constants(self) -> Dict[Tuple[int, int], Vector]:
+        return {(i, j): self._binary[i][j]
+                for i in range(self.dim) for j in range(i + 1, self.dim)
+                if not is_zero_vector(self._binary[i][j])}
+
+    def ternary_constants(self) -> Dict[Tuple[int, int, int], Vector]:
+        return {(i, j, k): self._ternary[i][j][k]
+                for i in range(self.dim) for j in range(i + 1, self.dim)
+                for k in range(self.dim)
+                if not is_zero_vector(self._ternary[i][j][k])}
+
+    def __eq__(self, other) -> bool:
+        if not isinstance(other, FractionAlgebra):
+            return NotImplemented
+        return (self.dim == other.dim and self._binary == other._binary
+                and self._ternary == other._ternary)
+
+    def __hash__(self) -> int:
+        return hash((self.dim, self._binary, self._ternary))
+
+    def __repr__(self) -> str:
+        return f"FractionAlgebra(dim={self.dim})"
+
+
+def algebra_tables(a, vectors: Iterable[Vector] = ()) -> Tuple[int, list, list]:
+    """q, the least common multiple of the denominators of the algebra's constants
+    and the vectors' entries; q[e_i,e_j] as b[i][j], q^2<e_i,e_j,e_k> as t[i][j][k]."""
+    rng = range(a.dim)
+    q = _denominator_lcm([a.bracket_basis(i, j) for i in rng for j in rng]
+                         + [a.triple_basis(i, j, k) for i in rng for j in rng for k in rng]
+                         + list(vectors))
+    b = [[_scaled(a.bracket_basis(i, j), q) for j in rng] for i in rng]
+    t = [[[_scaled(a.triple_basis(i, j, k), q * q) for k in rng] for j in rng] for i in rng]
+    return q, b, t

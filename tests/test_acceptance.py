@@ -387,6 +387,22 @@ def test_fraction_matrix_is_gone_from_src():
     assert found == []
 
 
+def test_algebra_views_are_read_only_inside_structures():
+    # an algebra is held as its integer tables, which every other module reads;
+    # its `Fraction` constants are views for API users, and the old stored
+    # copies of them (`_binary`, `_ternary`) are gone, slots included
+    views, gone = {"bracket_basis", "triple_basis"}, {"_binary", "_ternary"}
+
+    def names(node):
+        return {getattr(node, "id", None), getattr(node, "attr", None), getattr(node, "name", None),
+                getattr(node, "value", None) if isinstance(node, ast.Constant) else None}
+
+    found = [f"{path.name}:{node.lineno}" for path, node in _src_nodes()
+             if names(node) & gone or (path.name != "structures.py" and isinstance(node, ast.Call)
+                                       and names(node.func) & views)]
+    assert found == []
+
+
 def test_coboundary_has_no_callers_outside_complexes():
     # the paper's lemmas that `coboundary` would re-prove at run time (the
     # obstruction is a 2-cocycle, delta o delta = 0) are checked by the tests

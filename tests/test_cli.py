@@ -497,26 +497,36 @@ class TestKernelDump:
 
 
 class TestTablesOnce:
-    """A representation's integer tables are built once, by its one builder
-    `Representation._fill`: for the model's representation, and for the
-    induced one of each `RboComplex.build`."""
+    """A structure's integer tables are built once, by its one builder:
+    `Representation._fill` for the model's representation and for the induced
+    one of each `RboComplex.build`, `LYAlgebra._fill` for the model's algebra
+    and for the sub-adjacent one of each build."""
+
+    COMMANDS = [("cohomology", "dim4.lyat", "--degree", "2", "--rbo"),
+                ("deform", "extend", None, "--max-order", "3")]
 
     @pytest.fixture
     def builds(self, monkeypatch):
         from lieyamaguti import rbo_cohomology
 
-        seen = {"tables": [], "induced": []}
+        seen = {"tables": [], "algebras": [], "induced": []}
         fill, induced = structures.Representation._fill, rbo_cohomology.induced_rep_on_g
+        fill_algebra = structures.LYAlgebra._fill
 
         def fill_spy(r, *args):
             seen["tables"].append(r)
             return fill(r, *args)
+
+        def fill_algebra_spy(a, *args):
+            seen["algebras"].append(a)
+            return fill_algebra(a, *args)
 
         def induced_spy(o):
             seen["induced"].append(induced(o))
             return seen["induced"][-1]
 
         monkeypatch.setattr(structures.Representation, "_fill", fill_spy)
+        monkeypatch.setattr(structures.LYAlgebra, "_fill", fill_algebra_spy)
         monkeypatch.setattr(rbo_cohomology, "induced_rep_on_g", induced_spy)
         return seen
 
@@ -525,8 +535,7 @@ class TestTablesOnce:
         model["deformation"] = {"terms": [model["operator"]]}
         return write_model(tmp_path, "d4.lyat", model)
 
-    @pytest.mark.parametrize("argv", [("cohomology", "dim4.lyat", "--degree", "2", "--rbo"),
-                                      ("deform", "extend", None, "--max-order", "3")])
+    @pytest.mark.parametrize("argv", COMMANDS)
     def test_once_per_representation(self, capsys, builds, tmp_path, argv):
         argv = [self.dim4_deformation(tmp_path) if a is None else a for a in argv]
         code, _ = run_json(capsys, *argv)
@@ -535,6 +544,16 @@ class TestTablesOnce:
         assert len({id(r) for r in reps}) == len(reps)
         assert induced and {id(r) for r in induced} <= {id(r) for r in reps}
         assert len(reps) == 1 + len(induced)
+
+    @pytest.mark.parametrize("argv", COMMANDS)
+    def test_once_per_algebra(self, capsys, builds, tmp_path, argv):
+        argv = [self.dim4_deformation(tmp_path) if a is None else a for a in argv]
+        code, _ = run_json(capsys, *argv)
+        assert code == 0
+        algebras, induced = builds["algebras"], builds["induced"]
+        assert len({id(a) for a in algebras}) == len(algebras)
+        assert induced and {id(r.algebra) for r in induced} <= {id(a) for a in algebras}
+        assert len(algebras) == 1 + len(induced)
 
 
 class TestObstructionAssembly:

@@ -328,7 +328,11 @@ class TestAgainstReference:
                 report = ly.check_rbo(a, r, op)
                 _assert_same_report(report, ref.check_rbo(a, r, op))
                 invalid += not report.valid
-                _, sub = rbo._expansion(a, r, (op,), ())
+                # the inner tables are sparse integer vectors over qq and qq^2, on every tuple
+                _, (qq, binary, ternary) = rbo._expansion(a, r, (op,), ())
+                sub = tuple({k: tuple(Fraction(dict(vec).get(l, 0), den) for l in range(r.dim_v))
+                             for k, vec in table.items() if vec}
+                            for table, den in ((binary, qq), (ternary, qq * qq)))
                 assert sub == ref._sub_adjacent_constants(r, op)
         assert invalid > 20
 

@@ -243,3 +243,32 @@ def test_representations_are_built_without_fraction_matrices(dim2: Model, dim4_r
     assert built == []
     ly.Matrix.identity(1)
     assert len(built) == 1
+
+
+def test_command_paths_read_no_algebra_views(dim2: Model, dim4: Model, dim4_rational: Model,
+                                            sl2_standard: Model, broken_algebra, monkeypatch):
+    """check_lya, adjoint_rep, RboComplex.build and nijenhuis_element_check
+    read the algebra's integer tables, never its `Fraction` views."""
+    models = [(m.op, m.x) for m in (dim2, dim4, dim4_rational, sl2_standard)]
+    models.append((sl2_sum_operator(3), ly.Wedge2.basis(9, 1, 2)))
+    read = []
+
+    def spy(name: str):
+        real = getattr(ly.LYAlgebra, name)
+
+        def wrapper(self, *args):
+            read.append(name)
+            return real(self, *args)
+        return wrapper
+
+    for name in ("basis", "bracket_basis", "triple_basis"):
+        monkeypatch.setattr(ly.LYAlgebra, name, spy(name))
+    assert not ly.check_lya(broken_algebra).valid
+    for o, x in models:
+        assert ly.check_lya(o.algebra).valid
+        ly.adjoint_rep(o.algebra)
+        ly.RboComplex.build(o)
+        ly.nijenhuis_element_check(o, x)
+    assert read == []
+    dim2.algebra.basis(0)
+    assert read == ["basis"]

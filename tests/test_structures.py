@@ -1,5 +1,6 @@
 """Algebras, representations, semidirect sums and Nijenhuis operators."""
 
+import itertools
 import random
 from fractions import Fraction
 
@@ -8,16 +9,22 @@ import pytest
 import lieyamaguti as ly
 import reference_structures as ref
 from conftest import (
+    DIM4_P,
+    DIM4_Q,
     LIE_FAMILIES,
     Model,
     conjugated_lie_lya,
     corrupt_rep,
+    dim4_operator,
     fr,
+    random_fraction,
     random_invertible,
     random_matrix,
     random_valid_pair,
+    sl2_sum_operator,
     transport,
 )
+from lieyamaguti import structures
 
 
 class TestLYAlgebra:
@@ -379,3 +386,119 @@ class TestAgainstDenseReference:
         assert not rep_report.valid
         sd_report, = _assert_matches_reference(ly.semidirect(a, bad))
         assert not sd_report.valid
+
+
+@pytest.fixture(scope="module")
+def algebras(dim2: Model, dim4: Model, dim4_rational: Model, sl2_standard: Model, broken_algebra):
+    """Algebras from every construction: the fixtures, the lifts of the Lie
+    families, conjugated lifts and the sl2^k lifts; the sub-adjacent algebras
+    of the fixtures' operators, of the sl2^k ones, of seeded operators on
+    dim4_rational and of rational multiples of them all; and semidirect sums
+    and deformed brackets."""
+    rng = random.Random(97)
+    models = (dim2, dim4, dim4_rational, sl2_standard)
+    out = [m.algebra for m in models] + [broken_algebra]
+    out += [ly.lya_from_lie(dim, {k: tuple(map(fr, v)) for k, v in consts.items()})
+            for dim, consts in LIE_FAMILIES.values()]
+    out += [conjugated_lie_lya(rng, family) for family in sorted(LIE_FAMILIES) for _ in range(3)]
+    ops = [m.op for m in models] + [sl2_sum_operator(k) for k in (1, 2, 3)]
+    out += [o.algebra for o in ops[4:]]
+    a, r = dim4_rational.algebra, dim4_rational.rep
+    ops += [ly.RelRBO.build(a, r, ly.inverse(DIM4_P) @ dim4_operator(
+        *(random_fraction(rng, 4, 3) for _ in range(9))) @ DIM4_Q) for _ in range(3)]
+    ops += [ly.RelRBO.build(o.algebra, o.rep, o.t_matrix.scale(random_fraction(rng, 4, 5) or 1))
+            for o in ops]
+    out += [ly.induced_lya_on_v(o) for o in ops]
+    out += [ly.semidirect(m.algebra, m.rep) for m in models]
+    out += [ly.deformed_brackets(ly.semidirect(o.algebra, o.rep), ly.lift_to_nijenhuis(o))
+            for o in (dim2.op, ops[4])]
+    out.append(ly.deformed_brackets(a, ly.Matrix.identity(4).scale(fr(3, 5))))
+    return out
+
+
+class TestOneForm:
+    """An algebra is held once, as its integer tables: what it stores, the
+    `Fraction` views of it and its evaluations equal those of the replaced
+    `Fraction` form (`reference_structures.FractionAlgebra`)."""
+
+    @staticmethod
+    def fraction_form(a: ly.LYAlgebra) -> ref.FractionAlgebra:
+        return ref.FractionAlgebra(a.dim, a.binary_constants(), a.ternary_constants(),
+                                   a.basis_names)
+
+    def test_tables_equal_the_replaced_scan(self, algebras):
+        """The stored tables, q included, are those the replaced scan of the
+        `Fraction` constants gave, and so are the tables rescaled to a larger q."""
+        for a in algebras:
+            assert structures._algebra_tables(a) == ref.algebra_tables(a)
+            for den in (2, 6, 35):
+                assert (structures._algebra_tables(a, den)
+                        == ref.algebra_tables(a, [(Fraction(1, den),)]))
+        qs = [structures._algebra_tables(a)[0] for a in algebras]
+        assert len(algebras) > 50 and sum(q > 1 for q in qs) >= 9
+
+    def test_views_and_evaluations_equal_the_replaced_form(self, algebras):
+        rng = random.Random(101)
+        for a in algebras:
+            f, idx = self.fraction_form(a), range(a.dim)
+            assert [a.basis(i) for i in idx] == [f.basis(i) for i in idx]
+            assert all(a.bracket_basis(i, j) == f.bracket_basis(i, j) for i in idx for j in idx)
+            assert all(a.triple_basis(i, j, k) == f.triple_basis(i, j, k)
+                       for i in idx for j in idx for k in idx)
+            assert a.binary_constants() == f.binary_constants()
+            assert a.ternary_constants() == f.ternary_constants()
+            vecs = [a.basis(i) for i in idx] + [tuple(random_fraction(rng, 3, 4) for _ in idx)
+                                                for _ in range(3)]
+            for _ in range(6):
+                u, v, w = (rng.choice(vecs) for _ in range(3))
+                assert a.bracket(u, v) == f.bracket(u, v)
+                assert a.triple(u, v, w) == f.triple(u, v, w)
+
+    def test_equality_and_hash_decide_as_the_replaced_form(self, algebras):
+        forms = [self.fraction_form(a) for a in algebras]
+        for a in algebras:
+            rebuilt = ly.LYAlgebra(a.dim, a.binary_constants(), a.ternary_constants())
+            assert rebuilt == a and hash(rebuilt) == hash(a)
+        equal = 0
+        for (a, fa), (b, fb) in itertools.combinations(zip(algebras, forms), 2):
+            assert (a == b) == (fa == fb)
+            if a == b:
+                equal += 1
+                assert hash(a) == hash(b)
+        assert equal
+
+    def test_stored_tables_are_skew(self, algebras):
+        for a in algebras:
+            _, b, t = structures._algebra_tables(a)
+            for i in range(a.dim):
+                assert b[i][i] == [] and t[i][i] == [[]] * a.dim
+                for j in range(a.dim):
+                    assert b[j][i] == [(l, -x) for l, x in b[i][j]]
+                    assert t[j][i] == [[(l, -x) for l, x in c] for c in t[i][j]]
+
+
+class TestCheckLyaOrbits:
+    """`check_lya` decides validity on one basis tuple per orbit of the skew
+    symmetries of each identity, and enumerates a failing algebra in full."""
+
+    def test_corruptions_report_as_the_reference(self, dim4_rational: Model):
+        rng = random.Random(103)
+        valid = [conjugated_lie_lya(rng, family) for family in sorted(LIE_FAMILIES)
+                 for _ in range(6)] + [dim4_rational.algebra]
+        assert sum(structures._algebra_tables(a)[0] > 1 for a in valid) >= 5
+        failing = 0
+        for a in valid:
+            n = a.dim
+            for kind in ("binary", "ternary"):
+                binary, ternary = dict(a.binary_constants()), dict(a.ternary_constants())
+                i, j = sorted(rng.sample(range(n), 2))
+                table, key = (binary, (i, j)) if kind == "binary" else \
+                    (ternary, (i, j, rng.randrange(n)))
+                vec = list(table.get(key, (fr(0),) * n))
+                vec[rng.randrange(n)] += random_fraction(rng, 3, 3) or 1
+                table[key] = tuple(vec)
+                bad = ly.LYAlgebra(n, binary, ternary)
+                report = ly.check_lya(bad)
+                assert report == ref.check_lya(bad)
+                failing += not report.valid
+        assert failing >= 30, failing
