@@ -77,6 +77,9 @@ class UsageError(InputError):
 # the dimension is checked before anything is allocated. The bundled models
 # have dim at most 4.
 MAX_DIM = 64
+# `cohomology` counts the rows of its coboundary from the dimensions before it
+# checks or builds anything; the bundled models need at most 4 320.
+MAX_ROWS = 10 ** 6
 
 _RAT_RE = re.compile(r"-?\d+(?:/\d+)?")
 
@@ -468,9 +471,17 @@ def _cmd_cohomology(model: ModelFile, args) -> Report:
     if degree > 3 and not args.force:
         raise UsageError(f"degree {degree} cochain spaces grow exponentially; "
                          f"pass --force to compute anyway")
+    from .complexes import ComplexContext, _blocks, _coboundary_rows, cochain_dim, cohomology_dims
+
+    if model.rep_kind is not None and not args.force:
+        g = model.algebra.dim
+        v = g if model.rep_kind == "adjoint" else model.explicit_rep.dim_v
+        m, v = (v, g) if args.rbo else (g, v)   # the operator complex: V, coefficients in g
+        if (rows := sum(_blocks(m, degree + 1)) * v) > MAX_ROWS:
+            raise UsageError(f"the degree-{degree} coboundary has {rows} rows, more than "
+                             f"{MAX_ROWS}; pass --force to compute anyway")
     details: Dict[str, Any] = {"degree": degree}
     r = _validated_rep(model)
-    from .complexes import ComplexContext, _coboundary_rows, cochain_dim, cohomology_dims
 
     details["complex"] = "operator" if args.rbo else "bare"
     if args.rbo:
@@ -623,7 +634,8 @@ def _build_parser() -> argparse.ArgumentParser:
     sp.add_argument("--kernel-dump", action="store_true",
                     help="include a basis of the cocycle space (flat coordinates)")
     sp.add_argument("--force", action="store_true",
-                    help="allow degrees above 3 despite the cost")
+                    help="allow degrees above 3, and coboundaries of more than "
+                         "10^6 rows, despite the cost")
     _add_format(sp)
 
     sp = sub.add_parser("nijenhuis", help="check wedge elements for the Nijenhuis conditions")

@@ -95,19 +95,19 @@ class ComplexContext:
         return self._windex[(i, j)]
 
 
-def _blocks(ctx: ComplexContext, p: int) -> Tuple[int, int]:
-    """The numbers nf, ng of value vectors in the f- and g-blocks of the
-    degree-p = n+1 layout: w^n and w^n m, with no f-block at degree 1 (n = 0).
-    Degree 0 lives only in the operator complex, not here."""
+def _blocks(m: int, p: int) -> Tuple[int, int]:
+    """The numbers nf, ng of value vectors in the f- and g-blocks of the degree-p = n+1
+    layout over an algebra of dimension m with w wedges: w^n and w^n m, with no f-block at
+    degree 1 (n = 0). Degree 0 lives only in the operator complex, not here."""
     if p < 1:
         raise ValueError("cochain degree must be at least 1")
-    n = p - 1
-    return (ctx.w ** n if n else 0), ctx.w ** n * ctx.m
+    n, w = p - 1, m * (m - 1) // 2
+    return (w ** n if n else 0), w ** n * m
 
 
 def cochain_dim(ctx: ComplexContext, p: int) -> int:
     """Dimension of the degree-p cochain space."""
-    return sum(_blocks(ctx, p)) * ctx.v
+    return sum(_blocks(ctx.m, p)) * ctx.v
 
 
 class Cochain(NamedTuple):
@@ -128,7 +128,7 @@ class Cochain(NamedTuple):
 
     @classmethod
     def from_flat(cls, ctx: ComplexContext, p: int, coeffs: Sequence) -> "Cochain":
-        (nf, ng), v = _blocks(ctx, p), ctx.v
+        (nf, ng), v = _blocks(ctx.m, p), ctx.v
         vals = [rat(c) for c in coeffs]
         if len(vals) != (total := (nf + ng) * v):
             raise ValueError(f"expected {total} coefficients for degree {p}, got {len(vals)}")
@@ -204,7 +204,7 @@ def _coboundary_rows(ctx: ComplexContext, p: int) -> Tuple[int, List[IntRow]]:
         rows.extend({k: c for k, c in row.items() if c} for row in acc)
 
     n = p - 1  # number of wedge slots of the input; degree 1 has no f-block
-    nf = _blocks(ctx, p)[0]
+    nf = _blocks(ctx.m, p)[0]
     sign_n = (-1) ** n
     # composed wedges pair two input slots, so no degree-1 row reads them
     comp = [[_compose_wedges(ctx, t, wk, wl) for wl in range(w)] for wk in range(w)] if n else []
@@ -262,7 +262,7 @@ def _coboundary_rows(ctx: ComplexContext, p: int) -> Tuple[int, List[IntRow]]:
 def coboundary(ctx: ComplexContext, c: Cochain) -> Cochain:
     """Apply the differential, raising the degree by one."""
     p = c.degree
-    nf, ng = _blocks(ctx, p)
+    nf, ng = _blocks(ctx.m, p)
     blocks = (len(c.f_part), None if c.g_part is None else len(c.g_part))
     if blocks != ((nf, ng) if nf else (ng, None)) \
             or any(len(val) != ctx.v for val in c.f_part + (c.g_part or ())):

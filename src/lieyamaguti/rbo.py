@@ -21,9 +21,12 @@ and a table of weight 2. A residual R is therefore q_T^2 q or q_T^3 q^2 times
 the true one, which Fraction(R, q_T^2 q) or Fraction(R, q_T^3 q^2) gives
 back exactly. The sub-adjacent brackets [u,v]_T and <u,v,w>_T are the
 engine's inner tables, scaled by q_T q and q_T^2 q^2; `induced_lya_on_v`
-reduces them in integers to the least q and hands them to the algebra's
-builder, as `induced_rep_on_g` does with rho' and mu'. As q_T is separate,
-the stored tables depend only on the representation.
+hands them to the algebra's builder at that scale, as `induced_rep_on_g`
+hands rho' and mu' to the representation's, and the builders reduce them to
+the least q (see `structures`). As q_T is separate, the stored tables depend
+only on the representation. `Wedge2` reads its actions <X, .> and D(X) off
+the tables with the one evaluator of `structures`, X filling the first two
+slots.
 
 Homomorphisms of operators are order 0 of `structures._hom_expansion`, the
 t^s coefficients of the conditions for phi_t = sum_s t^s Phi_s on g and
@@ -45,13 +48,11 @@ from .structures import (
     Representation,
     Scaled,
     Violation,
-    _algebra_tables,
     _ccomb,
     _comb,
+    _evaluate,
     _hom_expansion,
-    _least_q,
     _names,
-    _rescaled,
     _sparse,
     _term_tables,
     wedge_basis,
@@ -258,15 +259,11 @@ def induced_lya_on_v(o: RelRBO) -> LYAlgebra:
     """The sub-adjacent Lie-Yamaguti algebra on the module of a verified
     operator. It satisfies the axioms, and T is an algebra homomorphism from
     it into the original brackets (both checked by the tests). Its tables are
-    the engine's inner tables over q_T q, rescaled in integers to the least q."""
+    the engine's inner tables, over q_T q."""
     _require_verified(o)
     _, (qq, binary, ternary) = _expansion(o.algebra, o.rep, (o.t_matrix,), ())
-    q = _least_q(qq, [(w, (x for vec in table.values() for _, x in vec))
-                      for w, table in ((1, binary), (2, ternary))])
     v = o.rep.dim_v
-    return LYAlgebra.__new__(LYAlgebra)._fill(
-        v, _names("e", v), q, {key: _rescaled(vec, q, qq, 1) for key, vec in binary.items() if vec},
-        {key: _rescaled(vec, q, qq, 2) for key, vec in ternary.items() if vec})
+    return LYAlgebra.__new__(LYAlgebra)._fill(v, _names("e", v), qq, binary, ternary)
 
 
 def induced_rep_on_g(o: RelRBO) -> Representation:
@@ -278,7 +275,7 @@ def induced_rep_on_g(o: RelRBO) -> Representation:
     It is a valid representation, and its derived D action has the closed form
         D'(u, v) x = <Tu, Tv, x> - T( mu(Tv, x) u - mu(Tu, x) v )
     (both checked by the tests). Evaluated on the engine's integer tables, as
-    rho' over q_T q and mu' over (q_T q)^2, then rescaled to the least q."""
+    rho' over q_T q and mu' over (q_T q)^2."""
     _require_verified(o)
     sub = induced_lya_on_v(o)
     a, r = o.algebra, o.rep
@@ -301,15 +298,10 @@ def induced_rep_on_g(o: RelRBO) -> Representation:
             _comb(acc, x, mu[c][p][u1], tc)      # + T( mu(e_c, Tu2) u1 )
         return _sparse(acc)
 
-    grng, vrng, qq = range(m), range(v), qt * q
-    rhos = [[rho2(u, c) for c in grng] for u in vrng]
-    mus = [[[mu2(u1, u2, c) for c in grng] for u2 in vrng] for u1 in vrng]
-    q2, b2, t2 = _algebra_tables(sub, _least_q(qq, [
-        (1, (x for u in rhos for col in u for _, x in col)),
-        (2, (x for row in mus for u in row for col in u for _, x in col))]))
+    grng, vrng = range(m), range(v)
     return Representation.__new__(Representation)._fill(
-        sub, m, q2, b2, t2, [[_rescaled(col, q2, qq, 1) for col in u] for u in rhos],
-        [[[_rescaled(col, q2, qq, 2) for col in u] for u in row] for row in mus])
+        sub, m, qt * q, [[rho2(u, c) for c in grng] for u in vrng],
+        [[[mu2(u1, u2, c) for c in grng] for u2 in vrng] for u1 in vrng])
 
 
 def pre_ly_products(o: RelRBO) -> Tuple[Tuple[Tuple[Vector, ...], ...],
@@ -457,23 +449,25 @@ class Wedge2(NamedTuple):
         out = {(i, j): c for i, j, c in self.entries}
         return tuple(out.get(pair, Fraction(0)) for pair in wedge_basis(self.dim))
 
+    def _contract(self, table: list, den: int, args: Sequence[Vector], n: int, matrix: bool = False):
+        """`structures._evaluate` with X in the first two slots of the table."""
+        return _evaluate([table[i][j] for i, j, _ in self.entries], den,
+                         ([c for *_, c in self.entries], *args), n, matrix)
+
     def bracket_with(self, a: LYAlgebra, z: Vector) -> Vector:
         """<X, z> = sum X_ij <e_i, e_j, z>, read from the algebra's table q^2 <.,.,.>."""
-        q, _, t = _algebra_tables(a)
-        out = [Fraction(0)] * a.dim
-        for i, j, c in self.entries:
-            _comb(out, c, _sparse(z), t[i][j])
-        return tuple(x / (q * q) for x in out)
+        q, _, t = a._tables
+        return self._contract(t, q * q, (z,), a.dim)
 
     def action_matrix(self, a: LYAlgebra) -> Matrix:
         """Matrix of z -> <X, z> on the algebra."""
         if a.dim != self.dim:
             raise ValueError("wedge element and algebra dimensions differ")
-        cols = [self.bracket_with(a, [int(l == k) for l in range(a.dim)]) for k in range(a.dim)]
-        return Matrix.from_columns(cols, rows=a.dim)
+        q, _, t = a._tables
+        return self._contract(t, q * q, (), a.dim, True)
 
     def d_matrix(self, r: Representation) -> Matrix:
         """D(X) = sum X_ij D(e_i, e_j) acting on the module."""
         if r.algebra.dim != self.dim:
             raise ValueError("wedge element and algebra dimensions differ")
-        return r._combine((c, r.d_basis(i, j)) for i, j, c in self.entries)
+        return self._contract(r.tables().d, r.tables().q ** 2, (), r.dim_v, True)

@@ -20,15 +20,15 @@ Fraction(R, q^w) gives the true residual back. Nothing is rounded or sampled.
 
 Both structures are held once, as these tables, which the structure checks,
 `complexes` and `rbo` read. An `LYAlgebra` stores q and the sparse integer
-vectors q[e_i,e_j] and q^2<e_i,e_j,e_k> for every ordered index tuple; its one
-builder, `LYAlgebra._fill`, writes the i > j entries by negation, so every
-stored table is skew. A `Representation` adds rho, mu and D as lists of
-sparse integer columns; `Representation._fill` computes D from its formula in
-integers of weight 2, and holds the algebra's tables rescaled to its own q.
-Every construction reduces q to the least common multiple of the
-denominators, so equal structures have equal tables. `basis`,
-`bracket_basis`, `triple_basis`, `rho`, `mu` and `d_basis` are `Fraction`
-views of the tables, made on first use.
+vectors q[e_i,e_j] and q^2<e_i,e_j,e_k> for every ordered index tuple, skew by
+construction; a `Representation` adds rho, mu and D as lists of sparse integer
+columns, and the algebra's tables over its own q. Only the builders,
+`LYAlgebra._fill` and `Representation._fill`, decide q: every construction
+hands them integers at whatever common scale it computed, and they reduce to
+the least q, so equal structures have equal tables. One integer evaluator,
+`_evaluate`, gives every `Fraction` value of a table: `bracket`, `triple`,
+`rho_of`, `mu_of`, `d_of`, `rbo.Wedge2`'s actions and, cached on first use,
+the views `basis`, `bracket_basis`, `triple_basis`, `rho`, `mu`, `d_basis`.
 
 `_hom_expansion` serves `rbo`, `deformation` and the Nijenhuis operator
 check. What remains in `Fraction` arithmetic, matrix products, yields
@@ -48,7 +48,6 @@ from .linalg import (
     Matrix,
     Vector,
     is_zero_vector,
-    vneg,
     vsub,
     vector,
     vzero,
@@ -255,21 +254,24 @@ class LYAlgebra:
         self._fill(dim, names, q, {key: _scaled(v, q) for key, v in bvals.items()},
                    {key: _scaled(v, q * q) for key, v in tvals.items()})
 
-    def _fill(self, dim: int, names: Tuple[str, ...], q: int, b: Dict[Tuple[int, int], Scaled],
+    def _fill(self, dim: int, names: Tuple[str, ...], qq: int, b: Dict[Tuple[int, int], Scaled],
               t: Dict[Tuple[int, int, int], Scaled]) -> "LYAlgebra":
-        """The one builder of an algebra: store q and the tables from the sparse
-        constants b[(i, j)] = q[e_i,e_j] and t[(i, j, k)] = q^2<e_i,e_j,e_k>, of
-        which it reads only those with i < j (a missing one is zero). It writes
-        each i > j entry as the negated j < i one and the diagonal as zero, so
-        every stored table is skew, whoever calls it; `check_lya` relies on that."""
+        """The one builder of an algebra, from the sparse constants b[(i, j)] = qq[e_i,e_j]
+        and t[(i, j, k)] = qq^2<e_i,e_j,e_k>, i < j, for any common scale qq (a missing one is
+        zero). It stores them over the least q, each i > j entry as the negated j < i one and
+        the diagonal as zero, so every stored table is skew; `check_lya` relies on that."""
+        q = 1 if qq == 1 else _least_q(qq, [(w, (x for c in tab.values() for _, x in c))
+                                            for w, tab in ((1, b), (2, t))])
         rng, zero = range(dim), []   # the tables are read, never written
         bt = [[zero] * dim for _ in rng]
         tt = [[[zero] * dim for _ in rng] for _ in rng]
         for (i, j), c in b.items():
-            if i < j:
+            if c:
+                c = _rescaled(c, q, qq, 1)
                 bt[i][j], bt[j][i] = c, [(l, -x) for l, x in c]
         for (i, j, k), c in t.items():
-            if i < j:
+            if c:
+                c = _rescaled(c, q, qq, 2)
                 tt[i][j][k], tt[j][i][k] = c, [(l, -x) for l, x in c]
         for name, value in (("dim", dim), ("basis_names", names), ("_tables", (q, bt, tt)),
                             ("_views", {})):
@@ -288,13 +290,9 @@ class LYAlgebra:
 
     def _view(self, key: tuple, vec: Scaled, w: int) -> Vector:
         """The `Fraction` vector of a sparse integer one of weight w, made on first use."""
-        view = self._views.get(key)
-        if view is None:
-            out, den = [Fraction(0)] * self.dim, self._tables[0] ** w
-            for l, x in vec:
-                out[l] = Fraction(x, den)
-            view = self._views[key] = tuple(out)
-        return view
+        if key not in self._views:
+            self._views[key] = _evaluate(vec, self._tables[0] ** w, (), self.dim)
+        return self._views[key]
 
     def basis(self, i: int) -> Vector:
         return self._view(("e", i), [(i, 1)], 0)
@@ -305,24 +303,11 @@ class LYAlgebra:
     def triple_basis(self, i: int, j: int, k: int) -> Vector:
         return self._view(("t", i, j, k), self._tables[2][i][j][k], 2)
 
-    def _evaluate(self, table: list, w: int, args: Sequence[Vector]) -> Vector:
-        """The multilinear extension of a table of weight w to the vectors, in
-        integers: each vector is scaled by the lcm of its denominators."""
-        out, scales = [0] * self.dim, [_denominator_lcm([x]) for x in args]
-        for pairs in itertools.product(*map(_scaled, args, scales)):
-            sub, c = table, 1
-            for p, x in pairs:
-                sub, c = sub[p], c * x
-            for l, y in sub:
-                out[l] += c * y
-        den, zero = self._tables[0] ** w * math.prod(scales), Fraction(0)
-        return tuple(Fraction(x, den) if x else zero for x in out)
-
     def bracket(self, u: Vector, v: Vector) -> Vector:
-        return self._evaluate(self._tables[1], 1, (u, v))
+        return _evaluate(self._tables[1], self._tables[0], (u, v), self.dim)
 
     def triple(self, u: Vector, v: Vector, w: Vector) -> Vector:
-        return self._evaluate(self._tables[2], 2, (u, v, w))
+        return _evaluate(self._tables[2], self._tables[0] ** 2, (u, v, w), self.dim)
 
     def binary_constants(self) -> Dict[Tuple[int, int], Vector]:
         b = self._tables[1]
@@ -355,6 +340,24 @@ def _denominator_lcm(vectors: Iterable[Sequence[Fraction]]) -> int:
 def _scaled(vec: Sequence[Fraction], s: int) -> Scaled:
     """The nonzero entries of s * vec, where s clears every denominator."""
     return [(l, x.numerator * (s // x.denominator)) for l, x in enumerate(vec) if x]
+
+
+def _evaluate(table: list, den: int, args: Sequence[Vector], n: int, matrix: bool = False):
+    """The multilinear extension of an integer table over den to `Fraction` vectors, each
+    scaled by the lcm of its denominators. The args fill the first slots; what remains is
+    a sparse vector of length n, or the n sparse columns of an n x n `Matrix`."""
+    scales = [_denominator_lcm([x]) for x in args]
+    acc = [0] * (n * n if matrix else n)
+    for pairs in itertools.product(*map(_scaled, args, scales)):
+        sub, c = table, 1
+        for p, x in pairs:
+            sub, c = sub[p], c * x
+        for k, col in enumerate(sub if matrix else (sub,)):
+            for l, y in col:
+                acc[k * n + l] += c * y
+    den, zero = den * math.prod(scales), Fraction(0)
+    out = [Fraction(x, den) if x else zero for x in acc]
+    return Matrix([out[l::n] for l in range(n)], cols=n) if matrix else tuple(out)
 
 
 def _sparse(acc: Iterable[int]) -> Scaled:
@@ -403,7 +406,7 @@ def _least_q(qq: int, weighted: Iterable[Tuple[int, Iterable[int]]]) -> int:
 
 def _rescaled(vec: Scaled, q: int, qq: int, w: int) -> Scaled:
     """A sparse integer vector of weight w over qq^w, over q^w."""
-    return [(l, x * q ** w // qq ** w) for l, x in vec]
+    return vec if q == qq else [(l, x * q ** w // qq ** w) for l, x in vec]
 
 
 def check_lya(a: LYAlgebra) -> AxiomReport:
@@ -498,10 +501,8 @@ def lya_from_lie(dim: int,
             acc = [0] * dim   # q^2 [[e_i, e_j], e_k] = -q^2 [e_k, [e_i, e_j]]
             _comb(acc, -1, b[i][j], b[k])
             ternary[(i, j, k)] = _sparse(acc)
-    q2, b2, _ = _algebra_tables(lie, _least_q(q, [(2, (x for c in ternary.values() for _, x in c))]))
     return LYAlgebra.__new__(LYAlgebra)._fill(
-        dim, lie.basis_names, q2, {(i, j): b2[i][j] for i, j in wedge_basis(dim)},
-        {key: _rescaled(acc, q2, q, 2) for key, acc in ternary.items()})
+        dim, lie.basis_names, q, {(i, j): b[i][j] for i, j in wedge_basis(dim)}, ternary)
 
 
 # q and the integer tables of a representation; see `Representation.tables`
@@ -531,16 +532,24 @@ class Representation:
         for m in maps:
             if (m.rows, m.cols) != (dim_v, dim_v):
                 raise ValueError(f"rho and mu matrices must be {dim_v}x{dim_v}, got {m.rows}x{m.cols}")
-        q, b, t = _algebra_tables(algebra, _denominator_lcm(row for m in maps for row in m.entries))
-        self._fill(algebra, dim_v, q, b, t, [[_scaled(col, q) for col in m.columns()] for m in rho],
-                   [[[_scaled(col, q * q) for col in m.columns()] for m in row] for row in mu])
+        qq = _denominator_lcm(row for m in maps for row in m.entries)
+        self._fill(algebra, dim_v, qq, [[_scaled(col, qq) for col in m.columns()] for m in rho],
+                   [[[_scaled(col, qq * qq) for col in m.columns()] for m in row] for row in mu])
 
-    def _fill(self, algebra: LYAlgebra, dim_v: int, q: int, b: list, t: list,
-              rho: List[List[Scaled]], mu: List[List[List[Scaled]]]) -> "Representation":
-        """The one builder of a representation: store q, the algebra's b and t, the columns
-        of q rho and q^2 mu, and D from its formula for i < j, by skewness otherwise."""
+    def _fill(self, algebra: LYAlgebra, dim_v: int, qq: int, rho: List[List[Scaled]],
+              mu: List[List[List[Scaled]]]) -> "Representation":
+        """The one builder of a representation, from the columns of qq rho and qq^2 mu for any
+        scale qq. It stores them over the least q, the lcm of the algebra's q and theirs, with
+        the algebra's b and t over q, and D from its formula for i < j, by skewness otherwise."""
         if dim_v < 0:
             raise ValueError("module dimension must be nonnegative")
+        q = algebra._tables[0] if qq == 1 else math.lcm(algebra._tables[0], _least_q(qq, [
+            (1, (x for m in rho for col in m for _, x in col)),
+            (2, (x for row in mu for m in row for col in m for _, x in col))]))
+        if q != qq:
+            rho = [[_rescaled(col, q, qq, 1) for col in m] for m in rho]
+            mu = [[[_rescaled(col, q, qq, 2) for col in m] for m in row] for row in mu]
+        _, b, t = _algebra_tables(algebra, q)
         n, rng = dim_v, range(algebra.dim)
         d: List[List[List[Scaled]]] = [[[[] for _ in range(n)] for _ in rng] for _ in rng]
         for i, j in wedge_basis(algebra.dim):
@@ -563,9 +572,7 @@ class Representation:
     def _view(self, key: tuple, cols: List[Scaled], w: int) -> Matrix:
         """The `Fraction` matrix of integer columns of weight w, made on first use."""
         if key not in self._views:
-            n, den = self.dim_v, self._tables.q ** w
-            self._views[key] = Matrix.from_columns(
-                [[Fraction(c.get(l, 0), den) for l in range(n)] for c in map(dict, cols)], rows=n)
+            self._views[key] = _evaluate(cols, self._tables.q ** w, (), self.dim_v, True)
         return self._views[key]
 
     def rho(self, i: int) -> Matrix:
@@ -583,29 +590,14 @@ class Representation:
         q^2 D(e_i,e_j) as rho[i][c], mu[i][j][c], d[i][j][c]."""
         return self._tables
 
-    def _combine(self, terms: Iterable[Tuple[Fraction, Matrix]]) -> Matrix:
-        """sum of c * m over the terms, accumulated into one table."""
-        n = self.dim_v
-        acc = [[Fraction(0)] * n for _ in range(n)]
-        for c, m in terms:
-            for arow, mrow in zip(acc, m.entries):
-                for col, x in enumerate(mrow):
-                    if x:
-                        arow[col] += c * x
-        return Matrix(acc, cols=n)
-
     def rho_of(self, x: Vector) -> Matrix:
-        return self._combine((c, self.rho(i)) for i, c in enumerate(x) if c)
+        return _evaluate(self._tables.rho, self._tables.q, (x,), self.dim_v, True)
 
     def mu_of(self, x: Vector, y: Vector) -> Matrix:
-        return self._combine((ci * cj, self.mu(i, j))
-                             for i, ci in enumerate(x) if ci
-                             for j, cj in enumerate(y) if cj)
+        return _evaluate(self._tables.mu, self._tables.q ** 2, (x, y), self.dim_v, True)
 
     def d_of(self, x: Vector, y: Vector) -> Matrix:
-        return self._combine((ci * cj, self.d_basis(i, j))
-                             for i, ci in enumerate(x) if ci
-                             for j, cj in enumerate(y) if cj)
+        return _evaluate(self._tables.d, self._tables.q ** 2, (x, y), self.dim_v, True)
 
     def __eq__(self, other) -> bool:
         if not isinstance(other, Representation):
@@ -765,14 +757,13 @@ def adjoint_rep(a: LYAlgebra) -> Representation:
     q, b, t = _algebra_tables(a)
     rng = range(a.dim)
     mu = [[[t[k][i][j] for k in rng] for j in rng] for i in rng]
-    return Representation.__new__(Representation)._fill(a, a.dim, q, b, t, b, mu)
+    return Representation.__new__(Representation)._fill(a, a.dim, q, b, mu)
 
 
 def zero_rep(a: LYAlgebra, dim_v: int) -> Representation:
     """The trivial action on a dim_v-dimensional module."""
-    q, b, t = _algebra_tables(a)
     zero = [[]] * dim_v   # the tables are read, never written
-    return Representation.__new__(Representation)._fill(a, dim_v, q, b, t, [zero] * a.dim,
+    return Representation.__new__(Representation)._fill(a, dim_v, 1, [zero] * a.dim,
                                                          [[zero] * a.dim] * a.dim)
 
 
@@ -788,25 +779,27 @@ def semidirect(a: LYAlgebra, r: Representation) -> LYAlgebra:
     if r.algebra is not a and r.algebra != a:
         raise ValueError("representation belongs to a different algebra")
     m, v = a.dim, r.dim_v
-    zero_g, zero_v = vzero(m), vzero(v)
-    binary: Dict[Tuple[int, int], Vector] = {}
-    ternary: Dict[Tuple[int, int, int], Vector] = {}
-    # every other constant vanishes
-    for p, q in wedge_basis(m):
-        binary[(p, q)] = a.bracket_basis(p, q) + zero_v
-        for k in range(m):
-            ternary[(p, q, k)] = a.triple_basis(p, q, k) + zero_v
-        for b in range(v):
-            ternary[(p, q, m + b)] = zero_g + r.d_basis(p, q).column(b)
-    for p in range(m):
-        for b in range(v):
-            binary[(p, m + b)] = zero_g + r.rho(p).column(b)
-            for k in range(m):
-                # <e_p + 0, 0 + u_b, z + w> = mu(0,z)0 - mu(e_p,z)u_b on the V side
-                ternary[(p, m + b, k)] = zero_g + vneg(r.mu(p, k).column(b))
+    q, b, t, rho, mu, d = r.tables()
 
-    names = a.basis_names + _names("u", v)
-    return LYAlgebra(m + v, binary=binary, ternary=ternary, basis_names=names)
+    def on_v(col: Scaled, s: int = 1) -> Scaled:   # s times a column of V, in g (+) V
+        return [(m + l, s * x) for l, x in col]
+
+    binary, ternary = {}, {}   # every other constant vanishes
+    for p, p2 in wedge_basis(m):
+        binary[(p, p2)] = b[p][p2]
+        for k in range(m):
+            ternary[(p, p2, k)] = t[p][p2][k]
+        for c in range(v):
+            ternary[(p, p2, m + c)] = on_v(d[p][p2][c])
+    for p in range(m):
+        for c in range(v):
+            binary[(p, m + c)] = on_v(rho[p][c])
+            for k in range(m):
+                # <e_p + 0, 0 + u_c, z + w> = mu(0,z)0 - mu(e_p,z)u_c on the V side
+                ternary[(p, m + c, k)] = on_v(mu[p][k][c], -1)
+    # D has weight 2, so the least q of the sum can exceed the representation's
+    return LYAlgebra.__new__(LYAlgebra)._fill(m + v, a.basis_names + _names("u", v), q,
+                                              binary, ternary)
 
 
 def _term_tables(terms: Sequence[Matrix]) -> Tuple[int, List[List[Scaled]]]:

@@ -17,7 +17,15 @@ held as its integer tables: it stores the `Fraction` constants for every
 ordered index tuple, completed by skewness, and evaluates the brackets on
 them. `algebra_tables` is the scan that scaled such constants to integers,
 kept verbatim; on the `Fraction` views of an algebra it gives the tables the
-algebra must store.
+algebra must store, and `representation_tables` extends it to a
+representation.
+
+The last section keeps the code that one integer evaluator replaced, as the
+library wrote it before: `view_semidirect`, which read the `Fraction` views
+and rescanned them through the public constructor; the representation views
+`rho`, `mu` and `d_basis` and their `combine` into `rho_of`, `mu_of` and
+`d_of`; and `Wedge2`'s `bracket_with`, `action_matrix` and `d_matrix`. The
+methods are written as functions of the object they were methods of.
 """
 
 from __future__ import annotations
@@ -29,7 +37,8 @@ from typing import Dict, Iterable, List, Optional, Sequence, Tuple
 from lieyamaguti.linalg import (Matrix, Vector, commutator, is_zero_vector, vadd, vector, vneg,
                                 vsub, vzero)
 from lieyamaguti.structures import (AxiomReport, LYAlgebra, Representation, Violation,
-                                    _denominator_lcm, _names, _scaled)
+                                    _algebra_tables, _comb, _denominator_lcm, _names, _scaled,
+                                    _sparse, wedge_basis)
 
 
 def check_lya(a: LYAlgebra) -> AxiomReport:
@@ -349,3 +358,128 @@ def algebra_tables(a, vectors: Iterable[Vector] = ()) -> Tuple[int, list, list]:
     b = [[_scaled(a.bracket_basis(i, j), q) for j in rng] for i in rng]
     t = [[[_scaled(a.triple_basis(i, j, k), q * q) for k in rng] for j in rng] for i in rng]
     return q, b, t
+
+
+def representation_tables(r: Representation) -> tuple:
+    """q, the least common multiple of the denominators of the algebra's
+    constants and of the entries of rho and mu; the algebra's tables over q
+    (`algebra_tables`); and the columns of q rho, q^2 mu and q^2 D, scanned from
+    the views."""
+    a, idx = r.algebra, range(r.algebra.dim)
+    rhos = [rho(r, i) for i in idx]
+    mus = [[mu(r, i, j) for j in idx] for i in idx]
+    q, b, t = algebra_tables(a, [row for m in rhos + [m for row in mus for m in row]
+                                 for row in m.entries])
+
+    def cols(m: Matrix, s: int) -> list:
+        return [_scaled(col, s) for col in m.columns()]
+
+    return (q, b, t, [cols(m, q) for m in rhos], [[cols(m, q * q) for m in row] for row in mus],
+            [[cols(d_basis(r, i, j), q * q) for j in idx] for i in idx])
+
+
+# -- replaced by one integer evaluator -----------------------------------------
+
+def view_semidirect(a: LYAlgebra, r: Representation) -> LYAlgebra:
+    """Brackets on g (+) V induced by (rho, mu):
+
+        [x+u, y+v]   = [x,y] + rho(x)v - rho(y)u
+        <x+u,y+v,z+w> = <x,y,z> + D(x,y)w + mu(y,z)u - mu(x,z)v
+
+    Built unconditionally; it passes `check_lya` exactly when `r` passes
+    `check_representation`, which makes it an independent validity probe.
+    """
+    if r.algebra is not a and r.algebra != a:
+        raise ValueError("representation belongs to a different algebra")
+    m, v = a.dim, r.dim_v
+    zero_g, zero_v = vzero(m), vzero(v)
+    binary: Dict[Tuple[int, int], Vector] = {}
+    ternary: Dict[Tuple[int, int, int], Vector] = {}
+    # every other constant vanishes
+    for p, q in wedge_basis(m):
+        binary[(p, q)] = a.bracket_basis(p, q) + zero_v
+        for k in range(m):
+            ternary[(p, q, k)] = a.triple_basis(p, q, k) + zero_v
+        for b in range(v):
+            ternary[(p, q, m + b)] = zero_g + r.d_basis(p, q).column(b)
+    for p in range(m):
+        for b in range(v):
+            binary[(p, m + b)] = zero_g + r.rho(p).column(b)
+            for k in range(m):
+                # <e_p + 0, 0 + u_b, z + w> = mu(0,z)0 - mu(e_p,z)u_b on the V side
+                ternary[(p, m + b, k)] = zero_g + vneg(r.mu(p, k).column(b))
+
+    names = a.basis_names + _names("u", v)
+    return LYAlgebra(m + v, binary=binary, ternary=ternary, basis_names=names)
+
+
+def view(r: Representation, cols: list, w: int) -> Matrix:
+    """The `Fraction` matrix of integer columns of weight w (`Representation._view`,
+    without its cache)."""
+    n, den = r.dim_v, r.tables().q ** w
+    return Matrix.from_columns(
+        [[Fraction(c.get(l, 0), den) for l in range(n)] for c in map(dict, cols)], rows=n)
+
+
+def rho(r: Representation, i: int) -> Matrix:
+    return view(r, r.tables().rho[i], 1)
+
+
+def mu(r: Representation, i: int, j: int) -> Matrix:
+    return view(r, r.tables().mu[i][j], 2)
+
+
+def d_basis(r: Representation, i: int, j: int) -> Matrix:
+    return view(r, r.tables().d[i][j], 2)
+
+
+def combine(r: Representation, terms: Iterable[Tuple[Fraction, Matrix]]) -> Matrix:
+    """sum of c * m over the terms, accumulated into one table."""
+    n = r.dim_v
+    acc = [[Fraction(0)] * n for _ in range(n)]
+    for c, m in terms:
+        for arow, mrow in zip(acc, m.entries):
+            for col, x in enumerate(mrow):
+                if x:
+                    arow[col] += c * x
+    return Matrix(acc, cols=n)
+
+
+def rho_of(r: Representation, x: Vector) -> Matrix:
+    return combine(r, ((c, rho(r, i)) for i, c in enumerate(x) if c))
+
+
+def mu_of(r: Representation, x: Vector, y: Vector) -> Matrix:
+    return combine(r, ((ci * cj, mu(r, i, j))
+                       for i, ci in enumerate(x) if ci
+                       for j, cj in enumerate(y) if cj))
+
+
+def d_of(r: Representation, x: Vector, y: Vector) -> Matrix:
+    return combine(r, ((ci * cj, d_basis(r, i, j))
+                       for i, ci in enumerate(x) if ci
+                       for j, cj in enumerate(y) if cj))
+
+
+def bracket_with(x, a: LYAlgebra, z: Vector) -> Vector:
+    """<X, z> = sum X_ij <e_i, e_j, z>, read from the algebra's table q^2 <.,.,.>."""
+    q, _, t = _algebra_tables(a)
+    out = [Fraction(0)] * a.dim
+    for i, j, c in x.entries:
+        _comb(out, c, _sparse(z), t[i][j])
+    return tuple(y / (q * q) for y in out)
+
+
+def action_matrix(x, a: LYAlgebra) -> Matrix:
+    """Matrix of z -> <X, z> on the algebra."""
+    if a.dim != x.dim:
+        raise ValueError("wedge element and algebra dimensions differ")
+    cols = [bracket_with(x, a, [int(l == k) for l in range(a.dim)]) for k in range(a.dim)]
+    return Matrix.from_columns(cols, rows=a.dim)
+
+
+def d_matrix(x, r: Representation) -> Matrix:
+    """D(X) = sum X_ij D(e_i, e_j) acting on the module."""
+    if r.algebra.dim != x.dim:
+        raise ValueError("wedge element and algebra dimensions differ")
+    return combine(r, ((c, d_basis(r, i, j)) for i, j, c in x.entries))

@@ -424,3 +424,41 @@ def test_no_dataclasses_in_src():
     found = [f"{path.name}:{node.lineno}" for path, node in _src_nodes()
              if any(name.split(".")[0] == "dataclasses" for name in imported(node))]
     assert found == []
+
+
+def test_only_the_builders_decide_q():
+    # every construction hands its integers to `LYAlgebra._fill` or
+    # `Representation._fill`, which alone reduce them to the least q; `rbo`
+    # imports neither reduction, and `semidirect` is built from the
+    # representation's tables, not from `Fraction` views or the public constructor
+    reductions, builders = {"_least_q", "_rescaled"}, {"LYAlgebra._fill", "Representation._fill"}
+    views = {"basis", "bracket_basis", "triple_basis", "bracket", "triple", "rho", "mu", "d_basis",
+             "rho_of", "mu_of", "d_of", "binary_constants", "ternary_constants"}
+
+    def name(call):
+        return getattr(call.func, "id", None) or getattr(call.func, "attr", None)
+
+    def functions(tree, prefix=""):   # (qualified name, def) of every function, nested ones too
+        for node in ast.iter_child_nodes(tree):
+            if isinstance(node, (ast.FunctionDef, ast.ClassDef)):
+                if isinstance(node, ast.FunctionDef):
+                    yield prefix + node.name, node
+                yield from functions(node, prefix + node.name + ".")
+
+    package = Path(__file__).resolve().parents[1] / "src" / "lieyamaguti"
+    found, calls = [], set()
+    for path in sorted(package.glob("*.py")):
+        tree = ast.parse(path.read_text(encoding="utf-8"))
+        for qual, fn in functions(tree):
+            for node in ast.walk(fn):
+                if isinstance(node, ast.Call) and name(node) in reductions:
+                    calls.add(qual)
+                if qual == "semidirect" and isinstance(node, ast.Call) \
+                        and (name(node) in views or getattr(node.func, "id", None) == "LYAlgebra"):
+                    found.append(f"semidirect calls {name(node)} at line {node.lineno}")
+        if path.name == "rbo.py":
+            found += [f"rbo imports {alias.name}" for node in ast.walk(tree)
+                      if isinstance(node, ast.ImportFrom) for alias in node.names
+                      if alias.name in reductions | {"_algebra_tables"}]
+    assert found == []
+    assert calls == builders

@@ -199,6 +199,31 @@ class TestParseErrors:
                       "--force")
         assert code == 0
 
+    def test_cohomology_sizes_the_coboundary_before_any_check(self, capsys, tmp_path, monkeypatch):
+        """The first rejected size: the abelian dim-8 adjoint model at degree 3
+        asks for (28^3 + 28^3 * 8) * 8 = 1 580 544 rows of delta^3, above
+        `MAX_ROWS` (dim 7 asks for 518 616). It exits 2 before the algebra is
+        checked or a row is assembled; `--force` lifts the limit."""
+        from lieyamaguti import complexes
+        ran = []
+
+        def spy(name):
+            def stop(*args):
+                ran.append(name)
+                raise RuntimeError(f"{name} ran")
+            return stop
+
+        for module, name in ((structures, "check_lya"), (cli, "check_lya"),
+                             (complexes, "_coboundary_rows")):
+            monkeypatch.setattr(module, name, spy(name))
+        path = write_model(tmp_path, "abelian8.lyat",
+                           {"scalar": "rational", "dim": 8, "representation": "adjoint"})
+        code, out = run(capsys, "cohomology", path, "--degree", "3")
+        assert code == 2 and ran == []
+        assert "1580544 rows" in out and "--force" in out
+        code, _ = run(capsys, "cohomology", path, "--degree", "3", "--force")
+        assert code == 3 and ran == ["check_lya"]
+
     def test_max_order_must_exceed_the_order(self, capsys):
         code, out = run(capsys, "deform", "extend", "dim2.lyat", "--max-order", "1")
         assert code == 2

@@ -502,3 +502,76 @@ class TestCheckLyaOrbits:
                 assert report == ref.check_lya(bad)
                 failing += not report.valid
         assert failing >= 30, failing
+
+
+@pytest.fixture(scope="module")
+def representations(dim2: Model, dim4: Model, dim4_rational: Model, sl2_standard: Model, bad_rep):
+    """Representations from every construction: the fixtures' adjoint ones and
+    `sl2_standard`, the sl2^k lifts' adjoint ones, the induced ones of the
+    conftest operators, `zero_rep` of dimensions 0-2, and written-out ones with
+    q > 1, among them rho with halves and integer mu, so that D has quarters."""
+    rng = random.Random(107)
+    ops = [m.op for m in (dim2, dim4, dim4_rational, sl2_standard)]
+    ops += [sl2_sum_operator(k) for k in (1, 2, 3)]
+    out = [m.rep for m in (dim2, dim4, dim4_rational, sl2_standard)] + [bad_rep]
+    out += [ly.adjoint_rep(sl2_standard.algebra)] + [o.rep for o in ops[4:]]
+    out += [ly.induced_rep_on_g(o) for o in ops]
+    out += [ly.zero_rep(a, k) for a in (dim2.algebra, dim4_rational.algebra) for k in (0, 1, 2)]
+    for a, v, rho_den, mu_den in ((dim2.algebra, 2, 2, 1), (sl2_standard.algebra, 2, 2, 1),
+                                  (dim4_rational.algebra, 2, 3, 2), (dim2.algebra, 3, 4, 3)):
+        n = a.dim
+        out.append(ly.Representation(
+            a, v, [random_matrix(rng, v, v, 3, rho_den) for _ in range(n)],
+            [[random_matrix(rng, v, v, 3, mu_den) for _ in range(n)] for _ in range(n)]))
+    return out
+
+
+class TestOneEvaluator:
+    """Every construction hands its integers to a builder that reduces them to
+    the least q, and one integer evaluator gives every `Fraction` value: the
+    tables, views and evaluations equal those of the replaced code
+    (`reference_structures`), exactly."""
+
+    def test_tables_are_least_and_equal_the_scan_of_the_views(self, representations):
+        for r in representations:
+            assert tuple(r.tables()) == ref.representation_tables(r)
+        assert sum(r.tables().q > 1 for r in representations) >= 8
+
+    def test_views_and_evaluations_equal_the_replaced_ones(self, representations):
+        rng = random.Random(109)
+        for r in representations:
+            a, v, idx = r.algebra, r.dim_v, range(r.algebra.dim)
+            assert [r.rho(i) for i in idx] == [ref.rho(r, i) for i in idx]
+            assert all(r.mu(i, j) == ref.mu(r, i, j) and r.d_basis(i, j) == ref.d_basis(r, i, j)
+                       for i in idx for j in idx)
+            vecs = [a.basis(i) for i in idx] + [tuple(random_fraction(rng, 4, 6) for _ in idx)
+                                                for _ in range(3)]
+            for _ in range(4):
+                x, y = rng.choice(vecs), rng.choice(vecs)
+                assert r.rho_of(x) == ref.rho_of(r, x)
+                assert r.mu_of(x, y) == ref.mu_of(r, x, y)
+                assert r.d_of(x, y) == ref.d_of(r, x, y)
+            wedges = [ly.Wedge2.basis(a.dim, i, j) for i, j in ly.wedge_basis(a.dim)[:2]]
+            wedges += [ly.Wedge2.from_flat(a.dim, [random_fraction(rng, 4, 6)
+                                                   for _ in ly.wedge_basis(a.dim)]),
+                       ly.Wedge2.zero(a.dim)]
+            for x in wedges:
+                assert x.action_matrix(a) == ref.action_matrix(x, a)
+                assert x.d_matrix(r) == ref.d_matrix(x, r)
+                z = rng.choice(vecs)
+                assert x.bracket_with(a, z) == ref.bracket_with(x, a, z)
+                m = x.d_matrix(r)
+                assert (m.rows, m.cols) == (v, v)
+                assert all(type(e) is Fraction for row in m.entries for e in row)
+
+    def test_semidirect_sums_equal_the_view_construction(self, representations):
+        """The sum built from the representation's tables equals the one built
+        from its views by the public constructor: tables, q included, `==`
+        and hash; the sum's q may exceed the representation's, as D has weight 2."""
+        larger = 0
+        for r in representations:
+            got, want = ly.semidirect(r.algebra, r), ref.view_semidirect(r.algebra, r)
+            assert structures._algebra_tables(got) == structures._algebra_tables(want)
+            assert got == want and hash(got) == hash(want) and got.basis_names == want.basis_names
+            larger += structures._algebra_tables(got)[0] > r.tables().q
+        assert larger
