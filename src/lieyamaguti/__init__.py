@@ -17,18 +17,16 @@ _EXPORTS = {
         "vscale", "vsub", "vzero"), "linalg"),
     **dict.fromkeys((
         "AxiomReport", "InputError", "InvalidAlgebra", "InvalidRepresentation", "JacobiViolation",
-        "LYAlgebra", "NotNijenhuis", "Representation", "Violation", "adjoint_rep",
-        "check_lya", "check_representation", "deformed_brackets",
-        "lya_from_lie", "nijenhuis_operator_check", "semidirect", "zero_rep",
-        "wedge_basis"), "structures"),
+        "LYAlgebra", "Representation", "Violation", "adjoint_rep", "check_lya",
+        "check_representation", "lya_from_lie", "zero_rep", "wedge_basis"), "structures"),
     **dict.fromkeys((
         "Cochain", "CohomologySummary", "ComplexContext", "cochain_dim",
         "coboundary", "coboundary_matrix", "cohomology_dims"), "complexes"),
     **dict.fromkeys((
-        "NotAutomorphism", "NotIntertwining", "NotRotaBaxter", "RelRBO", "UnverifiedOperator",
-        "Wedge2", "check_rbo", "conjugate_rbo", "induced_lya_on_v",
-        "induced_rep_on_g", "lift_to_nijenhuis", "pre_ly_products",
-        "rbo_homomorphism_check"), "rbo"),
+        "NotAutomorphism", "NotIntertwining", "NotNijenhuis", "NotRotaBaxter", "RelRBO",
+        "UnverifiedOperator", "Wedge2", "check_rbo", "conjugate_rbo", "deformed_brackets",
+        "induced_lya_on_v", "induced_rep_on_g", "lift_to_nijenhuis", "nijenhuis_operator_check",
+        "pre_ly_products", "rbo_homomorphism_check", "semidirect"), "rbo"),
     **dict.fromkeys((
         "RboComplex", "rbo_coboundary_matrix", "rbo_cohomology_dims", "rbo_delta0",
         "rbo_delta1_expanded"), "rbo_cohomology"),

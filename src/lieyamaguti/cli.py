@@ -416,12 +416,12 @@ def _text_lines(value: Any, indent: int = 0) -> List[str]:
 # -- commands -----------------------------------------------------------------
 
 def _validated_rep(model: ModelFile) -> Representation:
-    """Representation of a validated algebra, validated too unless adjoint."""
-    if model.rep_kind == "adjoint":
-        return adjoint_rep(model.algebra)
-    _require_lya(model.algebra)
+    """Representation of a validated algebra, validated too unless adjoint (`adjoint_rep`
+    checks the algebra); a model with none fails first, before any check."""
     r = model.rep()
-    _require_representation(r)
+    if model.rep_kind != "adjoint":
+        _require_lya(model.algebra)
+        _require_representation(r)
     return r
 
 

@@ -21,14 +21,15 @@ T_t likewise deforms the pre-Lie-Yamaguti products u * v = rho(T_t u) v and
 {u, v, w} = mu(T_t v, T_t w) u, expanded by the same Cauchy product.
 
 A wedge element X gives phi_t = Id + t<X, .> on g and psi_t = Id + tD(X) on
-V, which the homomorphism engine of `structures` (`_hom_expansion`) expands
-in powers of t: the binary-hom and rho-intertwine coefficients up to t^2,
-the ternary-hom and mu-intertwine ones up to t^3. Between linear deformations
+V, which the homomorphism engine of `rbo` (`_hom_expansion`) expands in
+powers of t: the binary-hom and rho-intertwine coefficients up to t^2, the
+ternary-hom and mu-intertwine ones up to t^3. Between linear deformations
 T + tT_1' and T + tT_1 the t^1 term of the operator condition is
 T_1 - T_1' + delta(X), so equivalent deformations have cohomologous
 infinitesimals; a Nijenhuis element zeroes the t^2 and t^3 bracket and mu
 terms. With L = <X, .>, delta(X) = T D(X) - L T; the closing condition is
 the columns of L delta(X), and on the adjoint representation of L (T L - L T).
+All of it runs on integer columns, as `rbo` explains.
 """
 
 from __future__ import annotations
@@ -36,10 +37,11 @@ from __future__ import annotations
 from typing import NamedTuple, Optional, Tuple
 
 from .linalg import Matrix, vneg
-from .structures import AxiomReport, InputError, Violation, _hom_expansion
+from .structures import AxiomReport, InputError, Violation, _column_violations, _sparse
 from .complexes import Cochain, _preimage
-from .rbo import _HOM, RelRBO, Wedge2, _expansion, _pre_ly_expansion, _require_verified, _violations
-from .rbo_cohomology import RboComplex, _delta0, rbo_cohomology_dims
+from .rbo import (_HOM, RelRBO, Wedge2, _compose, _expansion, _hom_expansion, _pre_ly_expansion,
+                  _require_verified, _term_tables, _unit, _violations)
+from .rbo_cohomology import RboComplex, _delta0, rbo_cohomology_dims, rbo_delta0
 
 __all__ = [
     "NotNijenhuisElement",
@@ -190,24 +192,27 @@ def nijenhuis_element_check(o: RelRBO, x: Wedge2) -> NijenhuisReport:
     _require_verified(o)
     a, r = o.algebra, o.rep
     m, rng = a.dim, range(a.dim)
-    lx, dx = x.action_matrix(a), x.d_matrix(r)   # each checks the dimension of X
-    expansion = _hom_expansion(a, r, (Matrix.identity(m), lx), (Matrix.identity(r.dim_v), dx),
+    qp, lx, dx = x._actions(r)   # checks the dimension of X
+    expansion = _hom_expansion(a, r, qp, (_unit(m, qp), lx), (_unit(r.dim_v, qp), dx),
                                (2, 3), ("binary-hom", "ternary-hom", "mu-intertwine"))
+    qt, (tc,) = _term_tables((o.t_matrix,))
 
     def condition(label: str, terms) -> Tuple[str, AxiomReport]:
         return label, AxiomReport.from_residuals((label, args, res) for args, res in terms)
 
-    def closing(d=None) -> Tuple[str, AxiomReport]:   # <X,.> delta(X), one violation per column v
-        return condition("closing", [((), lx @ Matrix.from_columns(_delta0(o, x, d), rows=m))])
+    def closing(d) -> Tuple[str, AxiomReport]:   # <X,.> delta(X), one violation per column v
+        delta = [_sparse(col) for col in _compose(m, *_delta0(tc, lx, d))]
+        return "closing", AxiomReport.from_violations(
+            _column_violations("closing", (), _compose(m, (1, lx, delta)), qp * qt * qp))
 
     conditions = tuple(condition(label, expansion[name][s].items())
-                       for label, (name, s) in _NIJENHUIS.items()) + (closing(),)
+                       for label, (name, s) in _NIJENHUIS.items()) + (closing(dx),)
 
     tab = r.tables()   # adjoint: rho(e_i) e_k = [e_i, e_k], mu(e_i, e_j) e_k = <e_k, e_i, e_j>
     adjoint = r.dim_v == m and all(tab.rho[i][k] == tab.b[i][k] and tab.mu[i][j][k] == tab.t[k][i][j]
                                    for i in rng for j in rng for k in rng)
     # there the bracket conditions and <X, T<X,y> - <X,Ty>>: closing with <X,.> for D(X)
-    plain = conditions[:3] + (closing(tab.t),) if adjoint else None
+    plain = conditions[:3] + (closing(lx),) if adjoint else None
 
     return NijenhuisReport(element=x, conditions=conditions, plain_conditions=plain)
 
@@ -219,7 +224,7 @@ def trivial_deformation_from(o: RelRBO, x: Wedge2) -> TruncatedDeformation:
     for label, rep in report.conditions:
         if not rep.valid:
             raise NotNijenhuisElement(label, rep.violations[0])
-    return TruncatedDeformation((o.t_matrix, Matrix.from_columns(_delta0(o, x), rows=o.algebra.dim)))
+    return TruncatedDeformation((o.t_matrix, rbo_delta0(o, x).as_matrix(o.algebra.dim)))
 
 
 def equivalence_check_linear(o: RelRBO, d1: TruncatedDeformation,
@@ -241,20 +246,22 @@ def equivalence_check_linear(o: RelRBO, d1: TruncatedDeformation,
         if d.terms[0] != o.t_matrix:
             raise ValueError("deformation must start at the operator")
     orders = (1, 2, 3)   # binary-hom and rho-intertwine vanish at t^3
-    lx, dx = x.action_matrix(a), x.d_matrix(r)
-    expansion = _hom_expansion(a, r, (Matrix.identity(a.dim), lx), (Matrix.identity(r.dim_v), dx),
-                               orders, _HOM[:4])
-    t1, t2 = d1.terms[1], d2.terms[1]
+    qp, lx, dx = x._actions(r)
+    m, idv = a.dim, _unit(r.dim_v, qp)
+    expansion = _hom_expansion(a, r, qp, (_unit(m, qp), lx), (idv, dx), orders, _HOM[:4])
+    qt, (tc, t1, t2) = _term_tables((o.t_matrix, d1.terms[1], d2.terms[1]))
     # each tuple of algebra indices with its orders in turn (the sort is stable); the
     # intertwinings as psi_t mu(x, y) - mu(phi_t x, phi_t y) psi_t, and so for rho
     viols = [v for name in _HOM[:4] for v in sorted(
         (Violation(f"{name}@t^{s}", args, vneg(res) if name.endswith("intertwine") else res)
          for s in orders for args, res in expansion[name][s].items()),
         key=lambda v: v.args[:v.arg_spaces.count("g")])]
-    operator = AxiomReport.from_residuals([
-        ("t-intertwine@t^1", (), t1 - t2 + Matrix.from_columns(_delta0(o, x), rows=a.dim)),
-        ("t-intertwine@t^2", (), t1 @ dx - lx @ t2)])
-    return AxiomReport.from_violations(viols + list(operator.violations))
+    # T_1 - T_1' + delta(X) and T_1 D(X) - <X, .> T_1', over q_T qp
+    first = _compose(m, (1, t1, idv), (-1, t2, idv), *_delta0(tc, lx, dx))
+    second = _compose(m, (1, t1, dx), (-1, lx, t2))
+    for label, cols in (("t-intertwine@t^1", first), ("t-intertwine@t^2", second)):
+        viols += _column_violations(label, (), cols, qt * qp)
+    return AxiomReport.from_violations(viols)
 
 
 def _order_violations(o: RelRBO, d: TruncatedDeformation, orders: range):

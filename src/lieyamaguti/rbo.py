@@ -8,7 +8,8 @@ An operator T: V -> g is relative Rota-Baxter for a representation
 
 Verified operators induce a Lie-Yamaguti structure on V, a representation of
 it back on g, pre-Lie-Yamaguti products, and a Nijenhuis operator on the
-semidirect sum; all of that lives here.
+semidirect sum; all of that lives here, with the semidirect sum itself and
+the Nijenhuis operator checks.
 
 Both identities, and every coefficient of their expansion under a polynomial
 T_t = sum_s t^s T_s (see `deformation`), are evaluated by one engine,
@@ -24,55 +25,35 @@ engine's inner tables, scaled by q_T q and q_T^2 q^2; `induced_lya_on_v`
 hands them to the algebra's builder at that scale, as `induced_rep_on_g`
 hands rho' and mu' to the representation's, and the builders reduce them to
 the least q (see `structures`). As q_T is separate, the stored tables depend
-only on the representation. `Wedge2` reads its actions <X, .> and D(X) off
-the tables with the one evaluator of `structures`, X filling the first two
-slots.
+only on the representation.
 
-Homomorphisms of operators are order 0 of `structures._hom_expansion`, the
-t^s coefficients of the conditions for phi_t = sum_s t^s Phi_s on g and
-psi_t = sum_s t^s Psi_s on V to be a homomorphism. The same expansion, for
-phi_t = Id + tN, gives the Nijenhuis operator conditions
-(`structures._nijenhuis`).
+Every other operator-side map is held the same way: a caller's `Matrix` (T, a
+deformation term, N, phi_g, phi_v) is scaled once by `_term_tables`, where
+it enters; identities are unit columns, and `Wedge2._contract` reads <X, .>
+and D(X) off the tables. Products of maps are composed in integers, and a
+matrix residual reports one violation per nonzero column. Homomorphisms of
+operators are order 0 of `_hom_expansion`, the t^s coefficients of the
+conditions for phi_t = sum_s t^s Phi_s on g and psi_t = sum_s t^s Psi_s on V
+to be a homomorphism. The same expansion gives the Nijenhuis operator
+conditions for phi_t = Id + tN (`_nijenhuis`), and the Nijenhuis element and
+equivalence conditions of `deformation` for Id + t<X, .> and Id + tD(X).
 """
 
 from __future__ import annotations
 
+import itertools
 from fractions import Fraction
 from typing import Dict, Iterable, List, NamedTuple, Sequence, Tuple
 
-from .linalg import Matrix, Vector, inverse, rat, vneg
-from .structures import (
-    AxiomReport,
-    InputError,
-    LYAlgebra,
-    Representation,
-    Scaled,
-    Violation,
-    _ccomb,
-    _comb,
-    _evaluate,
-    _hom_expansion,
-    _names,
-    _sparse,
-    _term_tables,
-    wedge_basis,
-)
+from .linalg import Matrix, Vector, inverse, rat, vneg, vsub, vzero
+from .structures import (AxiomReport, InputError, LYAlgebra, Representation, Scaled, Violation,
+                         _add, _ccomb, _column_violations, _comb, _denominator_lcm, _evaluate, _names,
+                         _scaled, _sparse, wedge_basis, zero_rep)
 
-__all__ = [
-    "NotRotaBaxter",
-    "UnverifiedOperator",
-    "NotIntertwining",
-    "NotAutomorphism",
-    "RelRBO",
-    "Wedge2",
-    "check_rbo",
-    "induced_lya_on_v",
-    "induced_rep_on_g",
-    "pre_ly_products",
-    "lift_to_nijenhuis",
-    "rbo_homomorphism_check",
-    "conjugate_rbo",
-]
+__all__ = ["NotRotaBaxter", "UnverifiedOperator", "NotIntertwining", "NotAutomorphism", "NotNijenhuis",
+           "RelRBO", "Wedge2", "check_rbo", "induced_lya_on_v", "induced_rep_on_g", "pre_ly_products",
+           "lift_to_nijenhuis", "rbo_homomorphism_check", "conjugate_rbo", "semidirect",
+           "nijenhuis_operator_check", "deformed_brackets"]
 
 
 class NotRotaBaxter(InputError, ValueError):
@@ -94,6 +75,15 @@ class NotIntertwining(Exception):
 
 class NotAutomorphism(Exception):
     """The algebra-side map is not an algebra automorphism."""
+
+
+class NotNijenhuis(Exception):
+    """Deformed brackets were requested for a non-Nijenhuis operator."""
+
+    def __init__(self, violation: Violation):
+        self.violation = violation
+        super().__init__(
+            f"operator fails {violation.identity} at basis tuple {violation.args}")
 
 
 class _RelRBOFields(NamedTuple):
@@ -204,9 +194,6 @@ def _expansion(a: LYAlgebra, r: Representation, terms: Sequence[Matrix],
             table[(b1, b2, b3)] = _sparse(acc)
         inner4[s] = table
 
-    def unscale(acc: List[int], den: int) -> Vector:
-        return tuple(Fraction(x, den) for x in acc)
-
     # each residual term holds one more T than an inner table: over qt qq and qt qq^2
     residuals: Residuals = {}
     for s in orders:
@@ -217,7 +204,7 @@ def _expansion(a: LYAlgebra, r: Representation, terms: Sequence[Matrix],
                 for p, x in tc[i][b1]:
                     _comb(acc, x, tc[s - i][b2], b[p])
                 _comb(acc, -1, inner2[s - i][(b1, b2)], tc[i])
-            binary[(b1, b2)] = unscale(acc, qt * qq)
+            binary[(b1, b2)] = tuple(Fraction(x, qt * qq) for x in acc)
         ternary = {}
         for b1, b2, b3 in triples:
             acc = [0] * m
@@ -228,7 +215,7 @@ def _expansion(a: LYAlgebra, r: Representation, terms: Sequence[Matrix],
                         for p2, y in tc[j][b2]:
                             _comb(acc, x * y, tk, t[p][p2])
                 _comb(acc, -1, inner4[s - i][(b1, b2, b3)], tc[i])
-            ternary[(b1, b2, b3)] = unscale(acc, qt * qq * qq)
+            ternary[(b1, b2, b3)] = tuple(Fraction(x, qt * qq * qq) for x in acc)
         residuals[s] = (binary, ternary)
     return residuals, (qq, inner2[0], inner4[0])
 
@@ -244,6 +231,80 @@ def _violations(residuals: Residuals, orders: Iterable[int],
             viols.extend(Violation(label.format(s=s), args, res)
                          for args, res in residuals[s][kind].items() if any(res))
     return viols
+
+
+def _term_tables(terms: Sequence[Matrix]) -> Tuple[int, List[List[Scaled]]]:
+    """q_T, the least common multiple of the terms' denominators, and q_T T_s u_c as [s][c]."""
+    qt = _denominator_lcm(row for term in terms for row in term.entries)
+    return qt, [[_scaled(col, qt) for col in term.columns()] for term in terms]
+
+
+def _unit(n: int, s: int) -> List[Scaled]:
+    """The columns of s times the n x n identity."""
+    return [[(c, s)] for c in range(n)]
+
+
+def _compose(rows: int, *products: Tuple[int, List[Scaled], List[Scaled]]) -> List[List[int]]:
+    """The dense integer columns of the sum of s A B over the (s, A, B) given, A with `rows` rows."""
+    cols = []
+    for c in range(len(products[0][2])):
+        acc = [0] * rows
+        for s, a, b in products:
+            _comb(acc, s, b[c], a)
+        cols.append(acc)
+    return cols
+
+
+def _hom_expansion(a: LYAlgebra, r: Representation, qp: int, phis: Sequence[List[Scaled]],
+                   psis: Sequence[List[Scaled]], orders: Sequence[int],
+                   families: Sequence[str]) -> Dict[str, Dict]:
+    """The t^s coefficients, s in orders, of the homomorphism conditions on
+    phi_t = sum_s t^s phis[s] on g and psi_t = sum_s t^s psis[s] on V,
+
+        binary-hom      [phi_t x, phi_t y] - phi_t [x, y]               (x < y)
+        ternary-hom     <phi_t x, phi_t y, phi_t z> - phi_t <x, y, z>
+        rho-intertwine  rho(phi_t x) psi_t u - psi_t rho(x) u
+        mu-intertwine   mu(phi_t x, phi_t y) psi_t u - psi_t mu(x, y) u
+        d-intertwine    D(phi_t x, phi_t y) psi_t u - psi_t D(x, y) u
+
+    for basis vectors x, y, z of g and u of V, in integers on `r.tables()`:
+    {family: {s: {args: residual}}}, nonzero residuals only, args in
+    lexicographic order. Each map is its integer columns over one common
+    scale qp. A left side holds the maps k = 2 or 3 times and a table of
+    weight k - 1, a right side once, times qp^(k-1); so Fraction(R, qp^k
+    q^(k-1)) is the residual."""
+    q, b, t, rho, mu, d = r.tables()
+    f, g = phis, psis
+    # each family's table, of weight n - 1, and its n slots' maps; the last maps the value too
+    spec = {"binary-hom": (b, (f, f)), "ternary-hom": (t, (f, f, f)), "rho-intertwine": (rho, (f, g)),
+            "mu-intertwine": (mu, (f, f, g)), "d-intertwine": (d, (f, f, g))}
+    out = {}
+    for name in families:
+        table, maps = spec[name]
+        n, value = len(maps), maps[-1]
+        den, rhs = qp ** n * q ** (n - 1), -qp ** (n - 1)
+        # per order, each split's maps of the head slots and of the last one
+        splits = {s: [([mp[si] for mp, si in zip(maps[:-1], ss)], value[ss[-1]])
+                      for ss in itertools.product(*(range(len(mp)) for mp in maps)) if sum(ss) == s]
+                  for s in orders}
+        out[name] = residuals = {s: {} for s in orders}
+        tuples = wedge_basis(a.dim) if name == "binary-hom" else \
+            itertools.product(*(range(len(mp[0])) for mp in maps))
+        for args in tuples:
+            for s in orders:
+                acc = [0] * len(value[0])
+                for heads, last in splits[s]:
+                    for pairs in itertools.product(*map(list.__getitem__, heads, args)):
+                        sub, c = table, 1
+                        for p, x in pairs:
+                            sub, c = sub[p], c * x
+                        _comb(acc, c, last[args[-1]], sub)
+                if s < len(value):
+                    entry = table[args[0]][args[1]] if n == 2 else table[args[0]][args[1]][args[2]]
+                    _comb(acc, rhs, entry, value[s])
+                if any(acc):
+                    residuals[s][args] = tuple(Fraction(x, den) for x in acc)
+    return out
 
 
 # the homomorphism conditions, in the order `rbo_homomorphism_check` reports them
@@ -320,20 +381,27 @@ def _pre_ly_expansion(r: Representation, terms: Sequence[Matrix],
                       orders: Iterable[int]) -> Dict[int, Tuple[tuple, tuple]]:
     """The t^s coefficients, s in orders, of the `pre_ly_products` tables of
     T_t = sum_s t^s terms[s] as {s: (binary, ternary)}: rho(T_s u) v and the
-    sum of mu(T_j v, T_k w) u over j + k = s."""
-    vrng, top = range(r.dim_v), len(terms) - 1
-    images = [[term.column(b) for b in vrng] for term in terms]
-    zero = Matrix.zero(r.dim_v, r.dim_v)
-    tables = {}
-    for s in orders:
-        rho = [r.rho_of(images[s][u]) if s <= top else zero for u in vrng]
-        mu = [[sum((r.mu_of(images[j][b], images[s - j][c])
-                    for j in range(max(0, s - top), min(s, top) + 1)), zero) for c in vrng]
-              for b in vrng]
-        tables[s] = (tuple(tuple(rho[u].column(w) for w in vrng) for u in vrng),
-                     tuple(tuple(tuple(mu[b][c].column(u) for c in vrng) for b in vrng)
-                           for u in vrng))
-    return tables
+    sum of mu(T_j v, T_k w) u over j + k = s, on `r.tables()` in integers."""
+    v, top = r.dim_v, len(terms) - 1
+    q, _, _, rho, mu, _ = r.tables()
+    qt, tc = _term_tables(terms)
+    vrng, qq = range(v), qt * q
+
+    def rho_col(s: int, u: int, w: int) -> Vector:   # column w of rho(T_s u), over qq
+        acc = [0] * v
+        _ccomb(acc, 1, tc[s][u] if s <= top else [], rho, w)
+        return tuple(Fraction(x, qq) for x in acc)
+
+    def mu_col(s: int, u: int, b: int, c: int) -> Vector:   # column u of the mu sum, over qq^2
+        acc = [0] * v
+        for j in range(max(0, s - top), min(s, top) + 1):
+            for p, x in tc[j][b]:
+                _ccomb(acc, x, tc[s - j][c], mu[p], u)
+        return tuple(Fraction(x, qq * qq) for x in acc)
+
+    return {s: (tuple(tuple(rho_col(s, u, w) for w in vrng) for u in vrng),
+                tuple(tuple(tuple(mu_col(s, u, b, c) for c in vrng) for b in vrng) for u in vrng))
+            for s in orders}
 
 
 def lift_to_nijenhuis(o: RelRBO) -> Matrix:
@@ -349,21 +417,25 @@ def lift_to_nijenhuis(o: RelRBO) -> Matrix:
 
 
 def _homomorphism_violations(a: LYAlgebra, r: Representation, phi_g: Matrix, phi_v: Matrix,
-                             families: Sequence[str]) -> Tuple[List[Violation], List[Violation]]:
+                             families: Sequence[str], operators: Sequence[Matrix] = ()) -> tuple:
     """The violations of (phi_g, phi_v) as a homomorphism of operators, with
     residuals phi(...) - (...)phi, in the order `rbo_homomorphism_check`
-    reports them: phi_g on each pair and then on its triples (i < j), and the
-    intertwinings among families."""
+    reports them: phi_g on each pair and then on its triples (i < j); for
+    operators (T1, T2), t-intertwine T2 phi_v - phi_g T1, one per column; and
+    the intertwinings among families. All maps are scaled together, once."""
     for name, phi, n in (("phi_g", phi_g, a.dim), ("phi_v", phi_v, r.dim_v)):
         if (phi.rows, phi.cols) != (n, n):
             raise ValueError(f"{name} must be {n}x{n}")
-    res = _hom_expansion(a, r, (phi_g,), (phi_v,), (0,), families)
+    qp, (f, g, *ts) = _term_tables((phi_g, phi_v, *operators))
+    res = _hom_expansion(a, r, qp, (f,), (g,), (0,), families)
     viols = [Violation(("phi-" if name in _HOM[:2] else "") + name, args, vneg(x))
              for name in families for args, x in res[name][0].items()
              if name != "ternary-hom" or args[0] < args[1]]
     # the brackets come first; a stable sort puts each pair's binary violation before its triples'
     brackets = sorted((x for x in viols if x.residual_space == "g"), key=lambda x: x.args[:2])
-    return brackets, viols[len(brackets):]
+    operator = _column_violations("t-intertwine", (), _compose(a.dim, (1, ts[1], g), (-1, f, ts[0])),
+                                  qp * qp) if ts else []
+    return brackets, operator, viols[len(brackets):]
 
 
 def rbo_homomorphism_check(o1: RelRBO, o2: RelRBO,
@@ -380,10 +452,8 @@ def rbo_homomorphism_check(o1: RelRBO, o2: RelRBO,
     is reported as its own identity."""
     if o1.algebra != o2.algebra or o1.rep != o2.rep:
         raise ValueError("homomorphisms are defined between operators on the same data")
-    brackets, intertwinings = _homomorphism_violations(o1.algebra, o1.rep, phi_g, phi_v, _HOM)
-    operator = AxiomReport.from_residuals(
-        [("t-intertwine", (), o2.t_matrix @ phi_v - phi_g @ o1.t_matrix)]).violations
-    return AxiomReport.from_violations(brackets + list(operator) + intertwinings)
+    return AxiomReport.from_violations(itertools.chain(*_homomorphism_violations(
+        o1.algebra, o1.rep, phi_g, phi_v, _HOM, (o1.t_matrix, o2.t_matrix))))
 
 
 def conjugate_rbo(o: RelRBO, phi_g: Matrix, phi_v: Matrix) -> RelRBO:
@@ -394,7 +464,7 @@ def conjugate_rbo(o: RelRBO, phi_g: Matrix, phi_v: Matrix) -> RelRBO:
     _require_verified(o)
     a, r = o.algebra, o.rep
     # D-intertwining is implied by the conditions before it
-    brackets, intertwinings = _homomorphism_violations(a, r, phi_g, phi_v, _HOM[:4])
+    brackets, _, intertwinings = _homomorphism_violations(a, r, phi_g, phi_v, _HOM[:4])
     try:
         phi_g_inv = inverse(phi_g)
     except ValueError as exc:
@@ -449,25 +519,121 @@ class Wedge2(NamedTuple):
         out = {(i, j): c for i, j, c in self.entries}
         return tuple(out.get(pair, Fraction(0)) for pair in wedge_basis(self.dim))
 
-    def _contract(self, table: list, den: int, args: Sequence[Vector], n: int, matrix: bool = False):
-        """`structures._evaluate` with X in the first two slots of the table."""
-        return _evaluate([table[i][j] for i, j, _ in self.entries], den,
-                         ([c for *_, c in self.entries], *args), n, matrix)
+    def _contract(self, dim: int, q: int, table: list, n: int) -> Tuple[List[Scaled], int]:
+        """s<X, .> or s D(X), as n integer columns, from q^2 <.,.,.> or q^2 D, and s = q_X q^2 for
+        q_X the lcm of X's denominators. Every action of X comes here, which checks X's dimension."""
+        if dim != self.dim:
+            raise ValueError("wedge element and algebra dimensions differ")
+        qx = _denominator_lcm([[c for *_, c in self.entries]])
+        cols = [[0] * n for _ in range(n)]
+        for i, j, c in self.entries:
+            w = c.numerator * (qx // c.denominator)
+            for col, entry in zip(cols, table[i][j]):
+                _add(col, w, entry)
+        return [_sparse(col) for col in cols], qx * q * q
+
+    def _actions(self, r: Representation) -> Tuple[int, List[Scaled], List[Scaled]]:
+        """s and the integer columns of s<X, .> and s D(X), both off `r.tables()` (r's q)."""
+        tab, m = r.tables(), r.algebra.dim
+        lx, s = self._contract(m, tab.q, tab.t, m)
+        return s, lx, self._contract(m, tab.q, tab.d, r.dim_v)[0]
 
     def bracket_with(self, a: LYAlgebra, z: Vector) -> Vector:
         """<X, z> = sum X_ij <e_i, e_j, z>, read from the algebra's table q^2 <.,.,.>."""
-        q, _, t = a._tables
-        return self._contract(t, q * q, (z,), a.dim)
+        return _evaluate(*self._contract(a.dim, a._tables[0], a._tables[2], a.dim), (z,), a.dim)
 
     def action_matrix(self, a: LYAlgebra) -> Matrix:
         """Matrix of z -> <X, z> on the algebra."""
-        if a.dim != self.dim:
-            raise ValueError("wedge element and algebra dimensions differ")
-        q, _, t = a._tables
-        return self._contract(t, q * q, (), a.dim, True)
+        return _evaluate(*self._contract(a.dim, a._tables[0], a._tables[2], a.dim), (), a.dim, True)
 
     def d_matrix(self, r: Representation) -> Matrix:
         """D(X) = sum X_ij D(e_i, e_j) acting on the module."""
-        if r.algebra.dim != self.dim:
-            raise ValueError("wedge element and algebra dimensions differ")
-        return self._contract(r.tables().d, r.tables().q ** 2, (), r.dim_v, True)
+        tab = r.tables()
+        return _evaluate(*self._contract(r.algebra.dim, tab.q, tab.d, r.dim_v), (), r.dim_v, True)
+
+
+def semidirect(a: LYAlgebra, r: Representation) -> LYAlgebra:
+    """Brackets on g (+) V induced by (rho, mu):
+
+        [x+u, y+v]   = [x,y] + rho(x)v - rho(y)u
+        <x+u,y+v,z+w> = <x,y,z> + D(x,y)w + mu(y,z)u - mu(x,z)v
+
+    Built unconditionally; it passes `check_lya` exactly when `r` passes
+    `check_representation`, which makes it an independent validity probe.
+    """
+    if r.algebra is not a and r.algebra != a:
+        raise ValueError("representation belongs to a different algebra")
+    m, v = a.dim, r.dim_v
+    q, b, t, rho, mu, d = r.tables()
+
+    def on_v(col: Scaled, s: int = 1) -> Scaled:   # s times a column of V, in g (+) V
+        return [(m + l, s * x) for l, x in col]
+
+    binary, ternary = {}, {}   # every other constant vanishes
+    for p, p2 in wedge_basis(m):
+        binary[(p, p2)] = b[p][p2]
+        for k in range(m):
+            ternary[(p, p2, k)] = t[p][p2][k]
+        for c in range(v):
+            ternary[(p, p2, m + c)] = on_v(d[p][p2][c])
+    for p in range(m):
+        for c in range(v):
+            binary[(p, m + c)] = on_v(rho[p][c])
+            for k in range(m):
+                # <e_p + 0, 0 + u_c, z + w> = mu(0,z)0 - mu(e_p,z)u_c on the V side
+                ternary[(p, m + c, k)] = on_v(mu[p][k][c], -1)
+    # D has weight 2, so the least q of the sum can exceed the representation's
+    return LYAlgebra.__new__(LYAlgebra)._fill(m + v, a.basis_names + _names("u", v), q,
+                                              binary, ternary)
+
+
+def _nijenhuis(a: LYAlgebra, n: Matrix) -> Tuple[AxiomReport, Dict, Dict]:
+    """The report of `nijenhuis_operator_check` and the nonzero deformed
+    constants (i < j), from the t^s coefficients B_s of binary-hom and C_s of
+    ternary-hom for phi_t = Id + tN: [x,y]_N = B_1, <x,y,z>_N = C_2 - N C_1,
+    and the residuals [Nx,Ny] - N[x,y]_N = B_2 - N B_1 and
+    <Nx,Ny,Nz> - N<x,y,z>_N = C_3 - N<x,y,z>_N."""
+    if (n.rows, n.cols) != (a.dim, a.dim):
+        raise ValueError(f"operator must be {a.dim}x{a.dim}")
+    qn, (nc,) = _term_tables((n,))
+    ex = _hom_expansion(a, zero_rep(a, 0), qn, (_unit(a.dim, qn), nc), (), (1, 2, 3),
+                        ("binary-hom", "ternary-hom"))
+    (b1, b2, _), (c1, c2, c3) = (ex[name].values() for name in ("binary-hom", "ternary-hom"))
+    zero = vzero(a.dim)
+
+    def minus_n(x: Dict, y: Dict) -> Dict:   # x - N y where either is nonzero, i < j, in order
+        return {k: vsub(x.get(k, zero), n.apply(y.get(k, zero)))
+                for k in sorted(x.keys() | y.keys()) if k[0] < k[1]}
+
+    ternary = minus_n(c2, c1)
+    report = AxiomReport.from_residuals(itertools.chain(
+        (("nijenhuis-binary", k, res) for k, res in minus_n(b2, b1).items()),
+        (("nijenhuis-ternary", k, res) for k, res in minus_n(c3, ternary).items())))
+    return report, b1, ternary
+
+
+def nijenhuis_operator_check(a: LYAlgebra, n: Matrix) -> AxiomReport:
+    """Check the Nijenhuis conditions for a linear operator N on the algebra:
+
+        [Nx,Ny] = N [x,y]_N        <Nx,Ny,Nz> = N <x,y,z>_N
+
+    with the deformed brackets of `deformed_brackets`.
+    """
+    return _nijenhuis(a, n)[0]
+
+
+def deformed_brackets(a: LYAlgebra, n: Matrix) -> LYAlgebra:
+    """The brackets deformed by a Nijenhuis operator:
+
+        [x,y]_N   = [Nx,y] + [x,Ny] - N[x,y]
+        <x,y,z>_N = <Nx,Ny,z> + <Nx,y,Nz> + <x,Ny,Nz>
+                    - N<Nx,y,z> - N<x,Ny,z> - N<x,y,Nz> + N^2 <x,y,z>
+
+    Raises NotNijenhuis when the operator fails `nijenhuis_operator_check`.
+    The result is again a Lie-Yamaguti algebra, and N is a homomorphism from
+    it to the original (both checked by the tests).
+    """
+    report, binary, ternary = _nijenhuis(a, n)
+    if not report.valid:
+        raise NotNijenhuis(report.violations[0])
+    return LYAlgebra(a.dim, binary=binary, ternary=ternary, basis_names=a.basis_names)

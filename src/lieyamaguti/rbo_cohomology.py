@@ -13,20 +13,13 @@ degree 1 included.
 from __future__ import annotations
 
 from fractions import Fraction
-from typing import List, NamedTuple, Optional
+from typing import List, NamedTuple, Optional, Tuple
 
-from .linalg import Matrix, Rref, Vector, _int_rows, _rank
-from .complexes import (
-    Cochain,
-    CohomologySummary,
-    ComplexContext,
-    cochain_dim,
-    coboundary_matrix,
-    cohomology_dims,
-    wedge_basis,
-)
-from .structures import _comb, _denominator_lcm, _term_tables
-from .rbo import RelRBO, Wedge2, _expansion, _require_verified, induced_rep_on_g
+from .linalg import Matrix, Rref, _int_rows, _rank
+from .complexes import (Cochain, CohomologySummary, ComplexContext, cochain_dim, coboundary_matrix,
+                        cohomology_dims, wedge_basis)
+from .rbo import (RelRBO, Scaled, Wedge2, _compose, _expansion, _require_verified, _term_tables,
+                  induced_rep_on_g)
 
 __all__ = [
     "RboComplex",
@@ -57,27 +50,16 @@ class RboComplex(NamedTuple):
 def rbo_delta0(o: RelRBO, x: Wedge2) -> Cochain:
     """The degree-0 coboundary of a wedge element, as a 1-cochain V -> g."""
     _require_verified(o)
-    return Cochain(1, tuple(_delta0(o, x)), None)
-
-
-def _delta0(o: RelRBO, x: Wedge2, d: Optional[list] = None) -> List[Vector]:
-    """The columns T( D(X) e_b ) - <X, T e_b> of delta X on the integer tables, over q_T q^2
-    and the LCM of X's denominators; `d` stands in for D's table (see `nijenhuis_element_check`)."""
-    if x.dim != o.algebra.dim:
-        raise ValueError("wedge element and algebra dimensions differ")
-    q, _, t, _, _, dt = o.rep.tables()
-    d = dt if d is None else d
+    s, lx, dx = x._actions(o.rep)   # checks the dimension of X
     qt, (tc,) = _term_tables((o.t_matrix,))
-    qx = _denominator_lcm([[c for _, _, c in x.entries]])
-    cols = []
-    for b, tb in enumerate(tc):
-        acc = [0] * x.dim
-        for i, j, c in x.entries:
-            w = c.numerator * (qx // c.denominator)
-            _comb(acc, w, d[i][j][b], tc)
-            _comb(acc, -w, tb, t[i][j])
-        cols.append(tuple(Fraction(y, qx * qt * q * q) for y in acc))
-    return cols
+    return Cochain(1, tuple(tuple(Fraction(y, qt * s) for y in col)
+                            for col in _compose(o.algebra.dim, *_delta0(tc, lx, dx))), None)
+
+
+def _delta0(tc: List[Scaled], lx: List[Scaled], d: List[Scaled]) -> Tuple[tuple, tuple]:
+    """delta X = T D(X) - <X, .> T as the products `rbo._compose` sums, from the integer columns
+    of T, <X, .> and D(X) (the reduced closing of `nijenhuis_element_check` passes <X, .> again)."""
+    return (1, tc, d), (-1, lx, tc)
 
 
 def rbo_coboundary_matrix(rc: RboComplex, p: int) -> Matrix:
@@ -87,13 +69,20 @@ def rbo_coboundary_matrix(rc: RboComplex, p: int) -> Matrix:
     if p < 0:
         raise ValueError(f"degree must be >= 0, got {p}")
     if p == 0:
-        return Matrix.from_columns(_delta0_columns(rc.operator), rows=cochain_dim(rc.ctx, 1))
+        den, cols = _delta0_columns(rc.operator)
+        return Matrix.from_columns([tuple(Fraction(y, den) for y in col) for col in cols],
+                                   rows=cochain_dim(rc.ctx, 1))
     return coboundary_matrix(rc.ctx, p)
 
 
-def _delta0_columns(o: RelRBO) -> List[Vector]:
-    """delta of each basis wedge, flattened: the columns of the degree-0 coboundary matrix."""
-    return [rbo_delta0(o, Wedge2.basis(o.algebra.dim, *ij)).flatten() for ij in wedge_basis(o.algebra.dim)]
+def _delta0_columns(o: RelRBO) -> Tuple[int, List[List[int]]]:
+    """q_T q^2 and delta of each basis wedge over it, flattened: the columns of the degree-0
+    coboundary matrix. The actions of e_i ^ e_j are the tables' own columns t[i][j] and d[i][j]."""
+    q, _, t, _, _, d = o.rep.tables()
+    qt, (tc,) = _term_tables((o.t_matrix,))
+    m = o.algebra.dim
+    return qt * q * q, [[y for col in _compose(m, *_delta0(tc, t[i][j], d[i][j])) for y in col]
+                        for i, j in wedge_basis(m)]
 
 
 def rbo_cohomology_dims(rc: RboComplex, p: int, top: Optional[Rref] = None) -> CohomologySummary:
@@ -106,7 +95,7 @@ def rbo_cohomology_dims(rc: RboComplex, p: int, top: Optional[Rref] = None) -> C
     if p > 1:
         return summary
     # the columns of delta^0 serve as rows: a matrix and its transpose have one rank
-    dim_b = _rank(_int_rows(_delta0_columns(rc.operator)))
+    dim_b = _rank(_int_rows(_delta0_columns(rc.operator)[1]))
     return summary._replace(dim_coboundaries=dim_b, dim_h=summary.dim_h - dim_b)
 
 

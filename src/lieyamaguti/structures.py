@@ -1,4 +1,4 @@
-"""Lie-Yamaguti algebras, their representations, and operator-level checks.
+"""Lie-Yamaguti algebras, their representations, and their checks.
 
 A Lie-Yamaguti algebra carries a skew binary bracket [.,.] and a ternary
 bracket <.,.,.> skew in its first two slots, tied together by four axioms
@@ -30,11 +30,9 @@ the least q, so equal structures have equal tables. One integer evaluator,
 `rho_of`, `mu_of`, `d_of`, `rbo.Wedge2`'s actions and, cached on first use,
 the views `basis`, `bracket_basis`, `triple_basis`, `rho`, `mu`, `d_basis`.
 
-`_hom_expansion` serves `rbo`, `deformation` and the Nijenhuis operator
-check. What remains in `Fraction` arithmetic, matrix products, yields
-(identity, args, residual) terms to `from_residuals` of `AxiomReport`, the
-counterpart of `_matrix_violations`. `Violation` reads the spaces of its
-arguments and residual from `_SPACES`, one entry per identity.
+Operators, their checks and the constructions they feed, the semidirect sum
+among them, live in `rbo`. `Violation` reads the spaces of its arguments and
+residual from `_SPACES`, one entry per identity, the operator ones included.
 """
 
 from __future__ import annotations
@@ -42,16 +40,9 @@ from __future__ import annotations
 import itertools
 import math
 from fractions import Fraction
-from typing import Dict, Iterable, List, NamedTuple, Optional, Sequence, Tuple, Union
+from typing import Dict, Iterable, List, NamedTuple, Optional, Sequence, Tuple
 
-from .linalg import (
-    Matrix,
-    Vector,
-    is_zero_vector,
-    vsub,
-    vector,
-    vzero,
-)
+from .linalg import Matrix, Vector, is_zero_vector, vector
 
 __all__ = [
     "LYAlgebra",
@@ -61,16 +52,12 @@ __all__ = [
     "InputError",
     "InvalidAlgebra",
     "InvalidRepresentation",
-    "NotNijenhuis",
     "check_lya",
     "lya_from_lie",
     "Representation",
     "check_representation",
     "adjoint_rep",
     "zero_rep",
-    "semidirect",
-    "nijenhuis_operator_check",
-    "deformed_brackets",
     "wedge_basis",
 ]
 
@@ -133,7 +120,7 @@ class Violation(NamedTuple):
 
 
 # (identity, args, residual): a residual of any identity check, zero or not
-Term = Tuple[str, Tuple[int, ...], Union[Vector, Matrix]]
+Term = Tuple[str, Tuple[int, ...], Vector]
 
 
 class AxiomReport(NamedTuple):
@@ -148,16 +135,8 @@ class AxiomReport(NamedTuple):
     @classmethod
     def from_residuals(cls, terms: Iterable[Term]) -> "AxiomReport":
         """The report of (identity, args, residual) terms, in order, dropping
-        zero residuals. A `Matrix` residual gives one violation per nonzero
-        column, with the column index appended to args."""
-        viols: List[Violation] = []
-        for identity, args, res in terms:
-            if isinstance(res, Matrix):
-                viols.extend(Violation(identity, args + (c,), col)
-                             for c, col in enumerate(res.columns()) if not is_zero_vector(col))
-            elif not is_zero_vector(res):
-                viols.append(Violation(identity, args, res))
-        return cls.from_violations(viols)
+        zero residuals."""
+        return cls.from_violations(Violation(*term) for term in terms if not is_zero_vector(term[2]))
 
     def first(self, identity: Optional[str] = None) -> Optional[Violation]:
         for v in self.violations:
@@ -191,15 +170,6 @@ class InvalidAlgebra(InputError):
 
 class InvalidRepresentation(InputError):
     """An operation required a valid representation and got a broken one."""
-
-
-class NotNijenhuis(Exception):
-    """Deformed brackets were requested for a non-Nijenhuis operator."""
-
-    def __init__(self, violation: Violation):
-        self.violation = violation
-        super().__init__(
-            f"operator fails {violation.identity} at basis tuple {violation.args}")
 
 
 def _names(prefix: str, n: int) -> Tuple[str, ...]:
@@ -345,7 +315,13 @@ def _scaled(vec: Sequence[Fraction], s: int) -> Scaled:
 def _evaluate(table: list, den: int, args: Sequence[Vector], n: int, matrix: bool = False):
     """The multilinear extension of an integer table over den to `Fraction` vectors, each
     scaled by the lcm of its denominators. The args fill the first slots; what remains is
-    a sparse vector of length n, or the n sparse columns of an n x n `Matrix`."""
+    a sparse vector of length n, or the n sparse columns of an n x n `Matrix`. An argument
+    whose length is not its slot's dimension raises ValueError."""
+    sub = table
+    for x in args:
+        if len(x) != len(sub):
+            raise ValueError(f"expected a vector of length {len(sub)}, got {len(x)}")
+        sub = sub[0] if sub else sub
     scales = [_denominator_lcm([x]) for x in args]
     acc = [0] * (n * n if matrix else n)
     for pairs in itertools.product(*map(_scaled, args, scales)):
@@ -638,16 +614,18 @@ def _mcomb(acc: List[int], s: int, coeffs: Scaled, mats: Sequence[List[Scaled]])
         _madd(acc, s * cp, mats[p])
 
 
+def _column_violations(identity: str, args: Tuple[int, ...], cols: Iterable[List[int]],
+                       den: int) -> List[Violation]:
+    """A matrix residual, given by its integer columns over den, as one violation per nonzero
+    column c, with c appended to args, so residuals stay vectors."""
+    return [Violation(identity, args + (c,), tuple(Fraction(x, den) for x in col))
+            for c, col in enumerate(cols) if any(col)]
+
+
 def _matrix_violations(viols: List[Violation], identity: str, args: Tuple[int, ...],
                        acc: List[int], v: int, den: int) -> None:
-    # one violation per nonzero column, so residuals stay vectors
-    if not any(acc):
-        return
-    for c in range(v):
-        col = acc[c * v:c * v + v]
-        if any(col):
-            viols.append(Violation(identity, args + (c,),
-                                   tuple(Fraction(x, den) for x in col)))
+    if any(acc):   # acc is column-major and v x v
+        viols += _column_violations(identity, args, (acc[c * v:c * v + v] for c in range(v)), den)
 
 
 def check_representation(r: Representation) -> AxiomReport:
@@ -765,146 +743,3 @@ def zero_rep(a: LYAlgebra, dim_v: int) -> Representation:
     zero = [[]] * dim_v   # the tables are read, never written
     return Representation.__new__(Representation)._fill(a, dim_v, 1, [zero] * a.dim,
                                                          [[zero] * a.dim] * a.dim)
-
-
-def semidirect(a: LYAlgebra, r: Representation) -> LYAlgebra:
-    """Brackets on g (+) V induced by (rho, mu):
-
-        [x+u, y+v]   = [x,y] + rho(x)v - rho(y)u
-        <x+u,y+v,z+w> = <x,y,z> + D(x,y)w + mu(y,z)u - mu(x,z)v
-
-    Built unconditionally; it passes `check_lya` exactly when `r` passes
-    `check_representation`, which makes it an independent validity probe.
-    """
-    if r.algebra is not a and r.algebra != a:
-        raise ValueError("representation belongs to a different algebra")
-    m, v = a.dim, r.dim_v
-    q, b, t, rho, mu, d = r.tables()
-
-    def on_v(col: Scaled, s: int = 1) -> Scaled:   # s times a column of V, in g (+) V
-        return [(m + l, s * x) for l, x in col]
-
-    binary, ternary = {}, {}   # every other constant vanishes
-    for p, p2 in wedge_basis(m):
-        binary[(p, p2)] = b[p][p2]
-        for k in range(m):
-            ternary[(p, p2, k)] = t[p][p2][k]
-        for c in range(v):
-            ternary[(p, p2, m + c)] = on_v(d[p][p2][c])
-    for p in range(m):
-        for c in range(v):
-            binary[(p, m + c)] = on_v(rho[p][c])
-            for k in range(m):
-                # <e_p + 0, 0 + u_c, z + w> = mu(0,z)0 - mu(e_p,z)u_c on the V side
-                ternary[(p, m + c, k)] = on_v(mu[p][k][c], -1)
-    # D has weight 2, so the least q of the sum can exceed the representation's
-    return LYAlgebra.__new__(LYAlgebra)._fill(m + v, a.basis_names + _names("u", v), q,
-                                              binary, ternary)
-
-
-def _term_tables(terms: Sequence[Matrix]) -> Tuple[int, List[List[Scaled]]]:
-    """q_T, the least common multiple of the terms' denominators, and q_T T_s u_c as [s][c]."""
-    qt = _denominator_lcm(row for term in terms for row in term.entries)
-    return qt, [[_scaled(col, qt) for col in term.columns()] for term in terms]
-
-
-def _hom_expansion(a: LYAlgebra, r: Representation, phis: Sequence[Matrix], psis: Sequence[Matrix],
-                   orders: Sequence[int], families: Sequence[str]) -> Dict[str, Dict]:
-    """The t^s coefficients, s in orders, of the homomorphism conditions on
-    phi_t = sum_s t^s phis[s] on g and psi_t = sum_s t^s psis[s] on V,
-
-        binary-hom      [phi_t x, phi_t y] - phi_t [x, y]               (x < y)
-        ternary-hom     <phi_t x, phi_t y, phi_t z> - phi_t <x, y, z>
-        rho-intertwine  rho(phi_t x) psi_t u - psi_t rho(x) u
-        mu-intertwine   mu(phi_t x, phi_t y) psi_t u - psi_t mu(x, y) u
-        d-intertwine    D(phi_t x, phi_t y) psi_t u - psi_t D(x, y) u
-
-    for basis vectors x, y, z of g and u of V, in integers on `r.tables()`:
-    {family: {s: {args: residual}}}, nonzero residuals only, args in
-    lexicographic order. With all maps scaled by one q_phi, a left side holds
-    them k = 2 or 3 times and a table of weight k - 1, a right side once,
-    times q_phi^(k-1); so Fraction(R, q_phi^k q^(k-1)) is the residual."""
-    q, b, t, rho, mu, d = r.tables()
-    qp, scaled = _term_tables(tuple(phis) + tuple(psis))
-    f, g = scaled[:len(phis)], scaled[len(phis):]
-    # each family's table, of weight n - 1, and its n slots' maps; the last maps the value too
-    spec = {"binary-hom": (b, (f, f)), "ternary-hom": (t, (f, f, f)), "rho-intertwine": (rho, (f, g)),
-            "mu-intertwine": (mu, (f, f, g)), "d-intertwine": (d, (f, f, g))}
-    out = {}
-    for name in families:
-        table, maps = spec[name]
-        n, value = len(maps), maps[-1]
-        den, rhs = qp ** n * q ** (n - 1), -qp ** (n - 1)
-        # per order, each split's maps of the head slots and of the last one
-        splits = {s: [([mp[si] for mp, si in zip(maps[:-1], ss)], value[ss[-1]])
-                      for ss in itertools.product(*(range(len(mp)) for mp in maps)) if sum(ss) == s]
-                  for s in orders}
-        out[name] = residuals = {s: {} for s in orders}
-        tuples = wedge_basis(a.dim) if name == "binary-hom" else \
-            itertools.product(*(range(len(mp[0])) for mp in maps))
-        for args in tuples:
-            for s in orders:
-                acc = [0] * len(value[0])
-                for heads, last in splits[s]:
-                    for pairs in itertools.product(*map(list.__getitem__, heads, args)):
-                        sub, c = table, 1
-                        for p, x in pairs:
-                            sub, c = sub[p], c * x
-                        _comb(acc, c, last[args[-1]], sub)
-                if s < len(value):
-                    entry = table[args[0]][args[1]] if n == 2 else table[args[0]][args[1]][args[2]]
-                    _comb(acc, rhs, entry, value[s])
-                if any(acc):
-                    residuals[s][args] = tuple(Fraction(x, den) for x in acc)
-    return out
-
-
-def _nijenhuis(a: LYAlgebra, n: Matrix) -> Tuple[AxiomReport, Dict, Dict]:
-    """The report of `nijenhuis_operator_check` and the nonzero deformed
-    constants (i < j), from the t^s coefficients B_s of binary-hom and C_s of
-    ternary-hom for phi_t = Id + tN: [x,y]_N = B_1, <x,y,z>_N = C_2 - N C_1,
-    and the residuals [Nx,Ny] - N[x,y]_N = B_2 - N B_1 and
-    <Nx,Ny,Nz> - N<x,y,z>_N = C_3 - N<x,y,z>_N."""
-    if (n.rows, n.cols) != (a.dim, a.dim):
-        raise ValueError(f"operator must be {a.dim}x{a.dim}")
-    ex = _hom_expansion(a, zero_rep(a, 0), (Matrix.identity(a.dim), n), (), (1, 2, 3),
-                        ("binary-hom", "ternary-hom"))
-    (b1, b2, _), (c1, c2, c3) = (ex[name].values() for name in ("binary-hom", "ternary-hom"))
-    zero = vzero(a.dim)
-
-    def minus_n(x: Dict, y: Dict) -> Dict:   # x - N y where either is nonzero, i < j, in order
-        return {k: vsub(x.get(k, zero), n.apply(y.get(k, zero)))
-                for k in sorted(x.keys() | y.keys()) if k[0] < k[1]}
-
-    ternary = minus_n(c2, c1)
-    report = AxiomReport.from_residuals(itertools.chain(
-        (("nijenhuis-binary", k, res) for k, res in minus_n(b2, b1).items()),
-        (("nijenhuis-ternary", k, res) for k, res in minus_n(c3, ternary).items())))
-    return report, b1, ternary
-
-
-def nijenhuis_operator_check(a: LYAlgebra, n: Matrix) -> AxiomReport:
-    """Check the Nijenhuis conditions for a linear operator N on the algebra:
-
-        [Nx,Ny] = N [x,y]_N        <Nx,Ny,Nz> = N <x,y,z>_N
-
-    with the deformed brackets of `deformed_brackets`.
-    """
-    return _nijenhuis(a, n)[0]
-
-
-def deformed_brackets(a: LYAlgebra, n: Matrix) -> LYAlgebra:
-    """The brackets deformed by a Nijenhuis operator:
-
-        [x,y]_N   = [Nx,y] + [x,Ny] - N[x,y]
-        <x,y,z>_N = <Nx,Ny,z> + <Nx,y,Nz> + <x,Ny,Nz>
-                    - N<Nx,y,z> - N<x,Ny,z> - N<x,y,Nz> + N^2 <x,y,z>
-
-    Raises NotNijenhuis when the operator fails `nijenhuis_operator_check`.
-    The result is again a Lie-Yamaguti algebra, and N is a homomorphism from
-    it to the original (both checked by the tests).
-    """
-    report, binary, ternary = _nijenhuis(a, n)
-    if not report.valid:
-        raise NotNijenhuis(report.violations[0])
-    return LYAlgebra(a.dim, binary=binary, ternary=ternary, basis_names=a.basis_names)

@@ -23,6 +23,7 @@ from lieyamaguti.linalg import Matrix, Vector, inverse, is_zero_vector, vadd, vs
 from lieyamaguti.rbo import (
     NotAutomorphism,
     NotIntertwining,
+    NotNijenhuis,
     RelRBO,
     Wedge2,
     _require_verified,
@@ -31,7 +32,6 @@ from lieyamaguti.rbo_cohomology import rbo_delta0
 from lieyamaguti.structures import (
     AxiomReport,
     LYAlgebra,
-    NotNijenhuis,
     Violation,
 )
 

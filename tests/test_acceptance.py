@@ -462,3 +462,43 @@ def test_only_the_builders_decide_q():
                       if alias.name in reductions | {"_algebra_tables"}]
     assert found == []
     assert calls == builders
+
+
+def test_operators_live_in_rbo_as_integer_columns():
+    # `structures` holds algebras and representations only; the operator code
+    # lives in `rbo`, where a caller's `Matrix` is scaled into integer columns
+    # once, by `_term_tables`, where it enters, and every map the library
+    # derives from the tables (identities, <X, .>, D(X), delta X) stays in
+    # integers: no `Fraction` view of an action is built on the way
+    moved = {"_term_tables", "_hom_expansion", "_nijenhuis", "nijenhuis_operator_check",
+             "deformed_brackets", "NotNijenhuis", "semidirect"}
+    views = {"action_matrix", "d_matrix", "bracket_with", "rho_of", "mu_of", "d_of"}
+    matrices = {"identity", "zero"}   # as attributes of `Matrix`
+    entries = {"_expansion", "induced_rep_on_g", "_pre_ly_expansion", "_homomorphism_violations",
+               "_nijenhuis", "nijenhuis_element_check", "equivalence_check_linear", "rbo_delta0",
+               "_delta0_columns"}
+    package = Path(__file__).resolve().parents[1] / "src" / "lieyamaguti"
+    structures_tree = ast.parse((package / "structures.py").read_text(encoding="utf-8"))
+    defined = {node.name for node in ast.walk(structures_tree)
+               if isinstance(node, (ast.FunctionDef, ast.ClassDef))}
+    assert defined & moved == set()
+
+    def name(call):
+        return getattr(call.func, "id", None) or getattr(call.func, "attr", None)
+
+    found, scalers = [], set()
+    for path, fn in _src_nodes():
+        if not isinstance(fn, ast.FunctionDef):
+            continue
+        for node in ast.walk(fn):
+            if not isinstance(node, ast.Call):
+                continue
+            if name(node) == "_term_tables":
+                scalers.add(fn.name)
+            func = node.func
+            if fn.name not in views and (name(node) in views or (
+                    isinstance(func, ast.Attribute) and func.attr in matrices
+                    and getattr(func.value, "id", None) == "Matrix")):
+                found.append(f"{path.name}:{node.lineno} {fn.name} calls {name(node)}")
+    assert found == []
+    assert scalers == entries

@@ -477,6 +477,17 @@ class TestStructureChecks:
             "message": "representation fails mu-bracket-right at (1, 0, 1, 1)"}
         assert calls == {"check_lya": 2, "check_representation": 1, "adjoint_rep": 1}
 
+    @pytest.mark.parametrize("argv", [("cohomology", None, "--degree", "1"), ("check-rbo", None),
+                                      ("nijenhuis", None, "--all-basis"), ("deform", "check", None)])
+    def test_missing_representation_fails_before_any_check(self, capsys, calls, tmp_path, argv):
+        # the algebra is checked only once there is a representation to use it with
+        path = write_model(tmp_path, "norep.lyat", {k: v for k, v in MINIMAL.items()
+                                                    if k not in ("representation", "operator")})
+        code, payload = run_json(capsys, *(path if a is None else a for a in argv))
+        assert code == 2
+        assert payload["details"] == {"message": f"{path}: file declares no representation"}
+        assert calls == {"check_lya": 0, "check_representation": 0, "adjoint_rep": 0}
+
 
 class TestKernelDump:
     """`cohomology --kernel-dump` reads the kernel basis off the elimination

@@ -8,10 +8,12 @@ from fractions import Fraction
 import pytest
 
 import lieyamaguti as ly
+import reference_deformation as refd
 import reference_identities as ref
+import reference_structures as refs
 from lieyamaguti import structures
 from conftest import (DIM4_P, DIM4_Q, LIE_FAMILIES, Model, fr, random_fraction, random_matrix,
-                      sl2_sum_operator)
+                      sl2_sum_operator, transport)
 
 
 def _sl2_lift(t: ly.Matrix) -> Model:
@@ -379,3 +381,148 @@ def test_every_reported_identity_names_its_spaces(models):
         for _, report in nrep.conditions:
             record(report, n, v)
     assert seen == set(structures._SPACES)
+
+
+def _module_over_3_5_7() -> ly.RelRBO:
+    """The sl2 lift's operator with the module written in a basis over 3, 5 and 7:
+    the algebra keeps q = 1, while the representation's q is 1575."""
+    o = sl2_sum_operator(1)
+    q = ly.Matrix(((fr(1), fr(1, 5), fr(0)), (fr(0), fr(2, 7), fr(0)), (fr(1, 3), fr(0), fr(1))))
+    a, r = transport(o.algebra, o.rep, ly.Matrix.identity(3), q)
+    return ly.RelRBO.build(a, r, o.t_matrix @ q)
+
+
+class TestIntegerColumns:
+    """The operator checks hold every map as integer columns over one scale:
+    T, deformation terms and phi scaled from the caller's matrices, identities
+    as unit columns, <X, .> and D(X) read off the representation's tables.
+    Their reports equal the references exactly, on the fixtures, the sl2^k
+    lifts, seeded wedges with denominators, seeded map pairs, and a
+    representation whose q exceeds its algebra's."""
+
+    @pytest.fixture(scope="class")
+    def operators(self, dim2: Model, dim4: Model, dim4_rational: Model, sl2_standard: Model):
+        ops = [m.op for m in (dim2, dim4, dim4_rational, sl2_standard)]
+        ops += [sl2_sum_operator(k) for k in (1, 2, 3)] + [_module_over_3_5_7()]
+        assert ops[-1].rep.tables().q > ops[-1].algebra._tables[0] == 1
+        assert ops[2].rep.tables().q > ops[2].algebra._tables[0] > 1
+        return ops
+
+    @staticmethod
+    def _wedges(rng, o: ly.RelRBO) -> list:
+        m = o.algebra.dim
+        basis = [ly.Wedge2.basis(m, i, j) for i, j in ly.wedge_basis(m)]
+        seeded = [ly.Wedge2.from_flat(m, [random_fraction(rng, 3, 6) if rng.random() < 0.5 else 0
+                                          for _ in ly.wedge_basis(m)]) for _ in range(2)]
+        return (basis if m <= 4 else rng.sample(basis, 4 if m <= 6 else 2)) + seeded[:1 + (m <= 6)]
+
+    def test_nijenhuis_elements_and_equivalences(self, operators):
+        rng = random.Random(97)
+        denominators = set()
+        for o in operators:
+            m, v = o.algebra.dim, o.rep.dim_v
+            zero = ly.TruncatedDeformation((o.t_matrix, ly.Matrix.zero(m, v)))
+            for x in self._wedges(rng, o):
+                denominators.update(c.denominator for *_, c in x.entries)
+                report = ly.nijenhuis_element_check(o, x)
+                assert report == ref.nijenhuis_element_check(o, x)
+                delta = ly.TruncatedDeformation((o.t_matrix, ly.rbo_delta0(o, x).as_matrix(m)))
+                linear = ly.TruncatedDeformation((o.t_matrix, random_matrix(rng, m, v, 2, 3)))
+                for d1, d2 in ((zero, delta), (linear, zero), (delta, linear))[:3 if m <= 6 else 1]:
+                    got = ly.equivalence_check_linear(o, d1, d2, x)
+                    assert got == ref.equivalence_check_linear(o, d1, d2, x)
+                    _assert_fractions(got)
+        assert denominators - {1}
+
+    def test_homomorphisms_and_conjugation(self, operators):
+        rng = random.Random(101)
+        for o in operators:
+            m, v = o.algebra.dim, o.rep.dim_v
+            other = ly.RelRBO(o.algebra, o.rep, random_matrix(rng, m, v, 2, 3), verified=True)
+            pairs = [(ly.Matrix.identity(m), ly.Matrix.identity(v)),
+                     (_random_invertible(rng, m).scale(fr(1, 3)), _random_invertible(rng, v)),
+                     (ly.Matrix.identity(m), ly.Matrix.identity(v).scale(fr(2, 5)))]
+            for pg, pv in pairs:
+                assert _outcome(ly.conjugate_rbo, o, pg, pv) == _outcome(ref.conjugate_rbo, o, pg, pv)
+                for o2 in (o, other):
+                    report = ly.rbo_homomorphism_check(o, o2, pg, pv)
+                    assert report == ref.rbo_homomorphism_check(o, o2, pg, pv)
+                    _assert_fractions(report)
+
+    def test_pre_ly_products_and_deformation_terms(self, operators):
+        rng = random.Random(103)
+        for o in operators:
+            m, v = o.algebra.dim, o.rep.dim_v
+            assert ly.pre_ly_products(o) == refd.pre_ly_products(o)
+            if m > 6:   # the reference's linear check takes seconds here
+                continue
+            for x in self._wedges(rng, o)[-2:]:
+                frak = ly.rbo_delta0(o, x).as_matrix(m)
+                for direction in (frak, frak.scale(fr(1, 7)), random_matrix(rng, m, v, 2, 3)):
+                    assert _outcome(ly.pre_ly_deformation_terms, o, direction) == \
+                        _outcome(refd.pre_ly_deformation_terms, o, direction)
+
+    def test_semidirect_sums_and_their_nijenhuis_lifts(self, operators):
+        rng = random.Random(107)
+        for o in operators:
+            sd = ly.semidirect(o.algebra, o.rep)
+            assert sd == refs.semidirect(o.algebra, o.rep)
+            if sd.dim > 8:   # the reference takes seconds there
+                continue
+            lift = ly.lift_to_nijenhuis(o)
+            nudge = lift + random_matrix(rng, sd.dim, sd.dim, 1, 2).scale(fr(1, 5))
+            for n in (lift, nudge):
+                assert ly.nijenhuis_operator_check(sd, n) == ref.nijenhuis_operator_check(sd, n)
+                assert _outcome(ly.deformed_brackets, sd, n) == _outcome(ref.deformed_brackets, sd, n)
+
+
+def test_operator_checks_build_no_matrix(dim4_rational: Model, monkeypatch):
+    """The Nijenhuis element, equivalence, homomorphism and pre-Lie-Yamaguti
+    checks construct no `Matrix`: their caller's matrices enter as integer
+    columns, and everything they derive stays in integers."""
+    rng = random.Random(109)
+    calls = []
+    for o in (dim4_rational.op, sl2_sum_operator(2), _module_over_3_5_7()):
+        m, v = o.algebra.dim, o.rep.dim_v
+        x = ly.Wedge2.from_flat(m, [random_fraction(rng, 3, 4) for _ in ly.wedge_basis(m)])
+        zero = ly.TruncatedDeformation((o.t_matrix, ly.Matrix.zero(m, v)))
+        frak = ly.rbo_delta0(o, ly.Wedge2.basis(m, 0, 1)).as_matrix(m)
+        linear = ly.TruncatedDeformation((o.t_matrix, frak))
+        other = ly.RelRBO(o.algebra, o.rep, random_matrix(rng, m, v, 2, 3), verified=True)
+        pg, pv = _random_invertible(rng, m), _random_invertible(rng, v)
+        calls += [(ly.nijenhuis_element_check, o, x), (ly.equivalence_check_linear, o, zero, linear, x),
+                  (ly.rbo_homomorphism_check, o, other, pg, pv), (ly.pre_ly_products, o),
+                  (ly.pre_ly_deformation_terms, o, frak)]
+    built = []
+    init = ly.Matrix.__init__
+
+    def spy(self, *args, **kwargs):
+        built.append(self)
+        init(self, *args, **kwargs)
+
+    monkeypatch.setattr(ly.Matrix, "__init__", spy)
+    for fn, *args in calls:
+        fn(*args)
+    assert built == []
+    ly.Matrix.identity(1)
+    assert len(built) == 1
+
+
+def test_degree_one_scales_the_operator_once(dim4_rational: Model, monkeypatch):
+    """delta^0 of every basis wedge reads one scaling of T: `rbo_cohomology_dims`
+    at degree 1 calls `_term_tables` once, not once per wedge."""
+    from lieyamaguti import rbo_cohomology
+    scaled = []
+    real = rbo_cohomology._term_tables
+
+    def spy(terms):
+        scaled.append(len(terms))
+        return real(terms)
+
+    for o in (dim4_rational.op, sl2_sum_operator(2)):
+        rc = ly.RboComplex.build(o)
+        monkeypatch.setattr(rbo_cohomology, "_term_tables", spy)
+        ly.rbo_cohomology_dims(rc, 1)
+        monkeypatch.undo()
+        assert scaled == [1]
+        scaled.clear()

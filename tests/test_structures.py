@@ -564,6 +564,26 @@ class TestOneEvaluator:
                 assert (m.rows, m.cols) == (v, v)
                 assert all(type(e) is Fraction for row in m.entries for e in row)
 
+    def test_every_evaluation_checks_its_arguments(self, dim4: Model):
+        """The one evaluator rejects an argument whose length is not its slot's
+        dimension, and every action of a wedge element one of another dimension:
+        the first wrong values on either side, each a ValueError."""
+        a, r = dim4.algebra, dim4.rep
+        good = a.basis(0)
+        for n in (a.dim - 1, a.dim + 1):
+            bad = (fr(1),) * n
+            for call in (lambda: a.bracket(bad, good), lambda: a.bracket(good, bad),
+                         lambda: a.triple(good, good, bad), lambda: r.rho_of(bad),
+                         lambda: r.mu_of(good, bad), lambda: r.d_of(bad, good),
+                         lambda: dim4.x.bracket_with(a, bad)):
+                with pytest.raises(ValueError, match=f"length {a.dim}, got {n}"):
+                    call()
+        for x in (ly.Wedge2.basis(a.dim - 1, 0, 1), ly.Wedge2.basis(a.dim + 1, 0, 1)):
+            for call in (lambda: x.bracket_with(a, good), lambda: x.action_matrix(a),
+                         lambda: x.d_matrix(r)):
+                with pytest.raises(ValueError, match="dimensions differ"):
+                    call()
+
     def test_semidirect_sums_equal_the_view_construction(self, representations):
         """The sum built from the representation's tables equals the one built
         from its views by the public constructor: tables, q included, `==`
