@@ -185,7 +185,11 @@ def _coboundary_rows(ctx: ComplexContext, p: int) -> Tuple[int, List[IntRow]]:
     (structure constants, composed wedges)."""
     m, v, w = ctx.m, ctx.v, ctx.w
     q, b, t, rho, mu, dd = ctx.rep.tables()
-    d = [dd[i][j] for (i, j) in ctx.wedge]
+    # a zero matrix becomes (), which `emit` skips without walking its columns
+    # (117 of the 171 rho, mu and D matrices of the adjoint sl2^3 are zero)
+    rho = [cols if any(cols) else () for cols in rho]
+    mu = [[cols if any(cols) else () for cols in row] for row in mu]
+    d = [cols if any(cols) else () for cols in (dd[i][j] for (i, j) in ctx.wedge)]
     rows: List[IntRow] = []
 
     def emit(ops, scals) -> None:
@@ -193,6 +197,8 @@ def _coboundary_rows(ctx: ComplexContext, p: int) -> Tuple[int, List[IntRow]]:
         scals are (coefficient, slot)."""
         acc: List[IntRow] = [{} for _ in range(v)]
         for sign, cols, slot in ops:
+            if not cols:
+                continue
             # column col is read at input index k; empty columns are skipped
             for k, col in itertools.compress(enumerate(cols, slot * v), cols):
                 for i, x in col:

@@ -374,7 +374,6 @@ def _certified(rows: Sequence[IntRow], basis: Rref) -> bool:
     for row in basis.values():
         for f, x in row.items():
             scale[f] = lcm(scale.get(f, 1), x.denominator)
-    rows = [row for row in rows if row]
     top = max(scale.values(), default=0) * max(
         (abs(x.numerator) for row in basis.values() for x in row.values()), default=0)
     w = (top * max((sum(map(abs, row.values())) for row in rows), default=0)).bit_length() + 1
@@ -405,7 +404,9 @@ def _int_rows(rows: Iterable[Sequence[Fraction]]) -> List[IntRow]:
 def _rref(ints: Sequence[IntRow]) -> Rref:
     """Reduced row echelon form of the integer rows `ints`, in the format of
     `_rref_exact`: reduced modulo P and lifted, or, when `_certified` cannot
-    prove the lift exact, computed by `_rref_exact`."""
+    prove the lift exact, computed by `_rref_exact`. Empty rows hold no pivot
+    and constrain no kernel vector, so they are dropped first."""
+    ints = [row for row in ints if row]
     lifted: Rref = {}
     for pc, row in _rref_mod(ints).items():
         lifted[pc] = out = {}

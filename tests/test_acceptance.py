@@ -426,6 +426,32 @@ def test_no_dataclasses_in_src():
     assert found == []
 
 
+def test_the_entry_imports_only_the_standard_library():
+    # `examples`, `--help` and usage errors compile `cli` alone; the model
+    # layer loads on the first command that reads a model. Under `python -m`
+    # `cli` runs as `__main__`, so a module importing `lieyamaguti.cli` would
+    # execute it a second time
+    package = Path(__file__).resolve().parents[1] / "src" / "lieyamaguti"
+    tree = ast.parse((package / "cli.py").read_text(encoding="utf-8"))
+    top = [alias.name if isinstance(node, ast.Import) else "." * node.level + (node.module or "")
+           for node in tree.body if isinstance(node, (ast.Import, ast.ImportFrom))
+           for alias in node.names]
+    assert top and all(name.split(".")[0] in sys.stdlib_module_names for name in top), top
+
+    def imports_cli(node):
+        if isinstance(node, ast.Import):
+            return any(alias.name == "lieyamaguti.cli" for alias in node.names)
+        if not isinstance(node, ast.ImportFrom):
+            return False
+        module = node.module or ""
+        if node.level == 0 and module.startswith("lieyamaguti"):
+            return module == "lieyamaguti.cli" or any(a.name == "cli" for a in node.names)
+        return node.level == 1 and (module == "cli" or not module
+                                    and any(a.name == "cli" for a in node.names))
+    found = [f"{path.name}:{node.lineno}" for path, node in _src_nodes() if imports_cli(node)]
+    assert found == []
+
+
 def test_only_the_builders_decide_q():
     # every construction hands its integers to `LYAlgebra._fill` or
     # `Representation._fill`, which alone reduce them to the least q; `rbo`

@@ -9,7 +9,7 @@ from pathlib import Path
 
 import pytest
 
-from lieyamaguti import cli, structures
+from lieyamaguti import cli, commands, structures
 
 
 def run(capsys, *argv):
@@ -69,9 +69,9 @@ class TestExitCodes:
         assert code == 2
 
     def test_internal_errors_exit_three(self, capsys, monkeypatch):
-        def crash(model):
+        def crash(model, args):
             raise RuntimeError("boom")
-        monkeypatch.setattr(cli, "_cmd_check_algebra", crash)
+        monkeypatch.setattr(commands, "_cmd_check_algebra", crash)
         code, payload = run_json(capsys, "check-algebra", "dim2.lyat")
         assert code == 3
         assert payload == {"command": "check-algebra", "status": "error",
@@ -213,8 +213,10 @@ class TestParseErrors:
                 raise RuntimeError(f"{name} ran")
             return stop
 
-        for module, name in ((structures, "check_lya"), (cli, "check_lya"),
-                             (complexes, "_coboundary_rows")):
+        patched = [(mod, "check_lya") for mod in list(sys.modules.values())
+                   if mod.__name__.startswith("lieyamaguti")
+                   and getattr(mod, "check_lya", None) is structures.check_lya]
+        for module, name in patched + [(complexes, "_coboundary_rows")]:
             monkeypatch.setattr(module, name, spy(name))
         path = write_model(tmp_path, "abelian8.lyat",
                            {"scalar": "rational", "dim": 8, "representation": "adjoint"})
@@ -343,6 +345,14 @@ class TestExamples:
         code, out = run(capsys, "examples", "show")
         assert code == 2
         assert "requires a name" in out
+
+    def test_list_takes_no_name(self, capsys):
+        code, payload = run_json(capsys, "examples", "list", "extra")
+        assert code == 2
+        assert payload == {"command": "examples", "status": "error",
+                           "details": {"message": "examples list takes no name, got 'extra'"}}
+        with pytest.raises(cli.UsageError, match="takes no name"):
+            cli._cmd_examples(argparse.Namespace(action="list", name="extra"))
 
 
 class TestOutputShapes:

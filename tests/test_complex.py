@@ -8,8 +8,9 @@ import pytest
 from hypothesis import given, settings, strategies as st
 
 import lieyamaguti as ly
-from conftest import Model, conjugated_lie_lya, fr, random_valid_pair
-from lieyamaguti.complexes import _coboundary_rows, _delta_rank
+from conftest import Model, conjugated_lie_lya, fr, random_valid_pair, sl2_sum_operator
+from lieyamaguti import linalg
+from lieyamaguti.complexes import _coboundary_rows, _delta_rank, _preimage
 from reference_coboundary import coboundary as replaced_coboundary
 from reference_coboundary import reference_coboundary, reference_coboundary_matrix
 
@@ -239,6 +240,58 @@ class TestIntegerRows:
                 assert dense == ref.entries
         assert sum(1 for q in scales if q > 1) >= 3
         assert time.monotonic() - start < 60.0
+
+    def test_rows_of_the_sl2_lifts_equal_the_reference(self):
+        # on sl2 + sl2 the matrices of one block's elements on the other
+        # block are zero, and the rows skip them
+        for k, degrees in ((1, (1, 2)), (2, (1,))):
+            o = sl2_sum_operator(k)
+            for ctx in (ly.ComplexContext(o.algebra, o.rep), ly.RboComplex.build(o).ctx):
+                _, _, _, rho, mu, d = ctx.rep.tables()
+                mats = rho + [cols for table in (mu, d) for row in table for cols in row]
+                assert k == 1 or any(not any(cols) for cols in mats)
+                for p in degrees:
+                    qq, rows = _coboundary_rows(ctx, p)
+                    ref = reference_coboundary_matrix(ctx, p)
+                    dense = tuple(tuple(Fraction(row.get(col, 0), qq) for col in range(ref.cols))
+                                  for row in rows)
+                    assert dense == ref.entries
+
+    def test_empty_rows_never_reach_the_elimination(self, dim2, dim4, monkeypatch):
+        # most rows of a sparse coboundary are empty; `_rref` drops them, and
+        # ranks, RREFs, kernels and preimages are those of all the rows
+        received = []
+        modular = linalg._rref_mod
+
+        def spy(rows):
+            received.append(rows)
+            return modular(rows)
+
+        monkeypatch.setattr(linalg, "_rref_mod", spy)
+        rng = random.Random(79)
+        contexts = [ly.ComplexContext(dim2.algebra, dim2.rep),
+                    ly.ComplexContext(dim4.algebra, dim4.rep)]
+        for k in (1, 2):
+            o = sl2_sum_operator(k)
+            contexts += [ly.ComplexContext(o.algebra, o.rep), ly.RboComplex.build(o).ctx]
+        empty = 0
+        for ctx in contexts:
+            for p in (1, 2):
+                rows, dim = _coboundary_rows(ctx, p)[1], ly.cochain_dim(ctx, p)
+                empty += sum(1 for row in rows if not row)
+                basis, exact = linalg._rref(rows), linalg._rref_exact(rows)
+                assert basis == exact
+                assert linalg._rank(rows) == len(exact)
+                assert linalg._kernel(basis, dim) == linalg._kernel(exact, dim)
+                x = ly.Cochain.from_flat(ctx, p, tuple(fr(rng.randint(-3, 3)) for _ in range(dim)))
+                c = ly.coboundary(ctx, x)
+                got = _preimage(ctx, c)
+                with monkeypatch.context() as m:
+                    m.setattr(linalg, "_rref", linalg._rref_exact)
+                    assert got == _preimage(ctx, c)
+                assert ly.coboundary(ctx, ly.Cochain.from_flat(ctx, p, got)) == c
+        assert empty and received
+        assert all(row for rows in received for row in rows)
 
     def test_rank_only_path_agrees_with_rank_kernel(self, dim2, dim4, dim4_rational,
                                                     sl2_standard):

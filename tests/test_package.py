@@ -45,11 +45,19 @@ def test_unknown_attribute_raises():
     assert not hasattr(ly, "no_such_name")
 
 
+TRACECLI = Path(__file__).resolve().parents[1] / "perfbench" / "tracecli.py"
+
+
+def _src_env():
+    src = str(Path(__file__).resolve().parents[1] / "src")
+    return {**os.environ, "PYTHONPATH": os.pathsep.join(
+        p for p in (src, os.environ.get("PYTHONPATH")) if p)}
+
+
 def test_every_traced_name_resolves():
     # perfbench's tracer wraps these by name; a rename in the package would
     # leave `--trace` failing with nothing else to catch it
-    path = Path(__file__).resolve().parents[1] / "perfbench" / "tracecli.py"
-    spec = importlib.util.spec_from_file_location("tracecli", path)
+    spec = importlib.util.spec_from_file_location("tracecli", TRACECLI)
     tracecli = importlib.util.module_from_spec(spec)
     spec.loader.exec_module(tracecli)
     assert tracecli.SPANS
@@ -60,34 +68,91 @@ def test_every_traced_name_resolves():
         assert callable(obj), (module, attribute)
 
 
+@pytest.mark.parametrize("argv,checks", [
+    (("check-algebra", "dim2.lyat"), {"structures.check_lya": 1}),
+    (("check-rep", "dim2.lyat"), {"structures.adjoint_rep": 1, "structures.check_lya": 1,
+                                  "structures.check_representation": 1}),
+])
+def test_the_tracer_sees_every_traced_call(tmp_path, argv, checks):
+    # the tracer rebinds a function only in the namespaces of its own module
+    # list, `cli` among them: the parse must go through `cli.parse_model`, and
+    # the commands must look the library functions up when they run
+    out = tmp_path / "trace.json"
+    proc = subprocess.run([sys.executable, str(TRACECLI), str(out), "--", *argv,
+                           "--format", "json"], capture_output=True, text=True, env=_src_env())
+    assert proc.returncode == 0, proc.stderr
+    assert json.loads(out.read_text())["calls"] == {"cli.main": 1, "cli.parse_model": 1, **checks}
+
+
+def test_model_layer_names_resolve_from_cli():
+    from lieyamaguti import cli, commands
+
+    for name in cli._MODEL_NAMES:
+        assert getattr(cli, name) is getattr(commands, name), name
+    for name in cli.__all__:
+        assert hasattr(cli, name), name
+    with pytest.raises(AttributeError, match="no_such_name"):
+        cli.no_such_name
+
+
 _PROBE = """\
-import json, sys
-from lieyamaguti import cli
-code = cli.main(sys.argv[1:])
-loaded = sorted(m for m in sys.modules if m.startswith("lieyamaguti") or m == "dataclasses")
-print(json.dumps({"code": code, "loaded": loaded}), file=sys.stderr)
+import json, runpy, sys
+mode, argv = sys.argv[1], sys.argv[2:]
+try:
+    if mode == "main":
+        from lieyamaguti import cli
+        code = cli.main(argv)
+    else:  # as `python -m lieyamaguti.cli` runs it
+        sys.argv[1:] = argv
+        runpy.run_module("lieyamaguti.cli", run_name="__main__")
+except SystemExit as exc:  # argparse's exits, and `sys.exit` under `__main__`
+    code = exc.code
+print(json.dumps({"code": code, "loaded": sorted(sys.modules)}), file=sys.stderr)
 """
 
 
-def _probe(argv, codes=(0, 1)):
-    src = str(Path(__file__).resolve().parents[1] / "src")
-    env = {**os.environ, "PYTHONPATH": os.pathsep.join(
-        p for p in (src, os.environ.get("PYTHONPATH")) if p)}
-    proc = subprocess.run([sys.executable, "-c", _PROBE, *argv],
-                          capture_output=True, text=True, env=env)
-    probe = json.loads(proc.stderr)
+def _loaded(argv, codes=(0, 1), mode="main"):
+    # `python -S`: without `site`, no third-party start-up hook has loaded
+    # a module before lyat runs, so the probe sees lyat's own imports
+    proc = subprocess.run([sys.executable, "-S", "-c", _PROBE, mode, *argv],
+                          capture_output=True, text=True, env=_src_env())
+    probe = json.loads(proc.stderr.splitlines()[-1])
     assert probe["code"] in codes
     return probe["loaded"]
+
+
+def _probe(argv, codes=(0, 1)):
+    return [m for m in _loaded(argv, codes) if m.startswith("lieyamaguti") or m == "dataclasses"]
+
+
+@pytest.mark.parametrize("argv,code", [
+    (("examples", "list"), 0),
+    (("examples", "show", "dim2.lyat"), 0),
+    (("--help",), 0),
+    (("cohomology", "dim2.lyat"), 2),   # no --degree: argparse's usage error
+])
+def test_commands_without_a_model_load_only_the_entry(argv, code):
+    loaded = _loaded(argv, codes=(code,))
+    assert [m for m in loaded if m.startswith("lieyamaguti")] == ["lieyamaguti", "lieyamaguti.cli"]
+    assert "fractions" not in loaded and "decimal" not in loaded
+
+
+def test_run_as_main_loads_no_second_cli():
+    # under `python -m` the entry is `__main__`; a module importing
+    # `lieyamaguti.cli` would execute it again, with its own `Report`
+    loaded = _loaded(("check-rbo", "dim2.lyat"), codes=(0,), mode="run")
+    assert [m for m in loaded if m.startswith("lieyamaguti")] == [
+        "lieyamaguti", "lieyamaguti.commands", "lieyamaguti.linalg", "lieyamaguti.rbo",
+        "lieyamaguti.structures"]
 
 
 @pytest.mark.parametrize("argv", [
     ("check-algebra", "dim2.lyat"),
     ("check-algebra", "dim2_bad_algebra.lyat"),
     ("check-rep", "dim4.lyat"),
-    ("examples", "list"),
 ])
 def test_light_commands_load_only_linalg_and_structures(argv):
-    assert _probe(argv) == ["lieyamaguti", "lieyamaguti.cli",
+    assert _probe(argv) == ["lieyamaguti", "lieyamaguti.cli", "lieyamaguti.commands",
                             "lieyamaguti.linalg", "lieyamaguti.structures"]
 
 
@@ -103,7 +168,7 @@ def test_unusable_input_loads_only_what_ran(tmp_path, argv):
     path = tmp_path / "dim0.lyat"
     path.write_text(json.dumps({"scalar": "rational", "dim": 0, "binary": [], "ternary": []}))
     argv = tuple(str(path) if a == "dim0.lyat" else a for a in argv)
-    assert _probe(argv, codes=(2,)) == ["lieyamaguti", "lieyamaguti.cli",
+    assert _probe(argv, codes=(2,)) == ["lieyamaguti", "lieyamaguti.cli", "lieyamaguti.commands",
                                         "lieyamaguti.linalg", "lieyamaguti.structures"]
 
 
@@ -113,8 +178,8 @@ def test_unusable_input_loads_only_what_ran(tmp_path, argv):
 ])
 def test_check_rbo_loads_no_complex_or_deformation(argv):
     # the residual engine lives in `rbo`
-    assert _probe(argv) == ["lieyamaguti", "lieyamaguti.cli", "lieyamaguti.linalg",
-                            "lieyamaguti.rbo", "lieyamaguti.structures"]
+    assert _probe(argv) == ["lieyamaguti", "lieyamaguti.cli", "lieyamaguti.commands",
+                            "lieyamaguti.linalg", "lieyamaguti.rbo", "lieyamaguti.structures"]
 
 
 # With bytecode caching off every command compiles the source of each module
@@ -124,8 +189,9 @@ def test_check_rbo_loads_no_complex_or_deformation(argv):
     ("cohomology", "dim4.lyat", "--degree", "2", "--kernel-dump"),
 ])
 def test_bare_cohomology_loads_only_complexes(argv):
-    assert _probe(argv) == ["lieyamaguti", "lieyamaguti.cli", "lieyamaguti.complexes",
-                            "lieyamaguti.linalg", "lieyamaguti.structures"]
+    assert _probe(argv) == ["lieyamaguti", "lieyamaguti.cli", "lieyamaguti.commands",
+                            "lieyamaguti.complexes", "lieyamaguti.linalg",
+                            "lieyamaguti.structures"]
 
 
 @pytest.mark.parametrize("argv", [
@@ -133,8 +199,8 @@ def test_bare_cohomology_loads_only_complexes(argv):
     ("cohomology", "dim4.lyat", "--degree", "2", "--rbo", "--kernel-dump"),
 ])
 def test_operator_cohomology_adds_only_the_operator_modules(argv):
-    assert _probe(argv) == ["lieyamaguti", "lieyamaguti.cli", "lieyamaguti.complexes",
-                            "lieyamaguti.linalg", "lieyamaguti.rbo",
+    assert _probe(argv) == ["lieyamaguti", "lieyamaguti.cli", "lieyamaguti.commands",
+                            "lieyamaguti.complexes", "lieyamaguti.linalg", "lieyamaguti.rbo",
                             "lieyamaguti.rbo_cohomology", "lieyamaguti.structures"]
 
 
