@@ -25,7 +25,7 @@ __all__ = ["ParseError", "InvariantError", "ModelFile", "Report",
            "parse_model", "main"]
 
 _MODEL_NAMES = ("parse_model", "ModelFile", "ParseError", "InvariantError", "UsageError",
-                "MAX_DIM", "MAX_ROWS")
+                "MAX_DIM", "MAX_ROWS", "MAX_ORDER")
 
 
 def _model_layer():
@@ -197,7 +197,7 @@ def _build_parser() -> argparse.ArgumentParser:
     sp.add_argument("action", choices=("check", "obstruction", "extend"))
     sp.add_argument("file")
     sp.add_argument("--max-order", type=int, default=None,
-                    help="extend until this order (default: current order + 1)")
+                    help="extend until this order, at most 32 (default: current order + 1)")
     _add_format(sp)
 
     sp = sub.add_parser("examples", help="list or show bundled model files")

@@ -36,7 +36,7 @@ import re
 from fractions import Fraction
 from typing import Any, Callable, Dict, List, NamedTuple, Optional, Sequence, Tuple
 
-from .linalg import Matrix, Vector, _kernel, _rref, rat_str
+from .linalg import Matrix, Vector, _kernel, rat_str
 from .structures import (
     InputError,
     LYAlgebra,
@@ -70,6 +70,9 @@ MAX_DIM = 64
 # `cohomology` counts the rows of its coboundary from the dimensions before it
 # checks or builds anything; the bundled models need at most 4 320.
 MAX_ROWS = 10 ** 6
+# `deform extend` costs about the cube of its target order; 32 takes 0.6 s on a
+# dim-4 model. A larger --max-order is refused before any check.
+MAX_ORDER = 32
 
 _RAT_RE = re.compile(r"-?\d+(?:/\d+)?")
 
@@ -377,7 +380,7 @@ def _cmd_cohomology(model: ModelFile, args) -> Outcome:
     if degree > 3 and not args.force:
         raise UsageError(f"degree {degree} cochain spaces grow exponentially; "
                          f"pass --force to compute anyway")
-    from .complexes import ComplexContext, _blocks, _coboundary_rows, cochain_dim, cohomology_dims
+    from .complexes import ComplexContext, _blocks, _echelon, cochain_dim, cohomology_dims
 
     if model.rep_kind is not None and not args.force:
         g = model.algebra.dim
@@ -399,13 +402,10 @@ def _cmd_cohomology(model: ModelFile, args) -> Outcome:
     else:
         cplx = ctx = ComplexContext(model.algebra, r, validate=False)
         dims = cohomology_dims
-    # the kernel basis comes from the elimination that gives dim_cocycles
-    top = _rref(_coboundary_rows(ctx, degree)[1]) if args.kernel_dump else None
-    summary = dims(cplx, degree, top)
-    for key in ("dim_cochains", "dim_cocycles", "dim_coboundaries", "dim_h"):
-        details[key] = getattr(summary, key)
-    if top is not None:
-        kernel = _kernel(top, cochain_dim(ctx, degree))
+    details.update(dims(cplx, degree)._asdict())
+    if args.kernel_dump:
+        # the context keeps the elimination that gave dim_cocycles
+        kernel = _kernel(_echelon(ctx, degree), cochain_dim(ctx, degree))
         details["kernel_basis"] = [[rat_str(x) for x in vec] for vec in kernel]
     return "ok", details
 
@@ -441,6 +441,8 @@ def _cmd_nijenhuis(model: ModelFile, args) -> Outcome:
 
 
 def _cmd_deform(model: ModelFile, args) -> Outcome:
+    if args.action == "extend" and args.max_order is not None and args.max_order > MAX_ORDER:
+        raise UsageError(f"--max-order is {args.max_order}; at most {MAX_ORDER} is supported")
     r = _validated_rep(model)
     from .rbo import RelRBO
     o = RelRBO.build(model.algebra, r, model.require_operator())

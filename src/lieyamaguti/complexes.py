@@ -16,11 +16,12 @@ integers, Q = q^2 times the exact ones. Every term reads one of the
 representation's stored `tables()` (see `structures`): [.,.] or rho (weight 1,
 scaled by q) with one more factor q, or <.,.,.>, mu or D (weight 2, scaled by
 q^2), the module maps column by column. Every computation reads these rows in
-integers: `coboundary` applies them to a cochain scaled to integers,
-`_preimage` solves delta(x) = c on them and `cohomology_dims` takes their
-ranks; `coboundary_matrix` densifies them, a view for API users. The tests
-compare the rows against an independent term-by-term evaluation on cochains
-and check that consecutive differentials compose to zero.
+integers, assembled once per context (`_rows`): `coboundary` applies them to
+a cochain scaled to integers, `_preimage` solves delta(x) = c on them and
+`cohomology_dims` takes their ranks from the `_rref` the context keeps
+(`_echelon`); `coboundary_matrix` densifies them, a view for API users. The
+tests compare the rows against an independent term-by-term evaluation on
+cochains and check that consecutive differentials compose to zero.
 """
 
 from __future__ import annotations
@@ -30,7 +31,7 @@ from fractions import Fraction
 from operator import mul
 from typing import Dict, List, NamedTuple, Optional, Sequence, Tuple
 
-from .linalg import IntRow, Matrix, Rref, Vector, _rank, _solve, rat
+from .linalg import IntRow, Matrix, Rref, Vector, _rref, _solve, rat
 from .structures import (
     LYAlgebra,
     Representation,
@@ -61,20 +62,20 @@ class CohomologySummary(NamedTuple):
 
 class ComplexContext:
     """An algebra together with a validated representation and the fixed
-    wedge-basis enumeration used for all cochain indexing."""
+    wedge-basis enumeration used for all cochain indexing, keeping each
+    differential it has assembled (`_rows`) or eliminated (`_echelon`)."""
 
-    __slots__ = ("algebra", "rep", "wedge", "_windex")
+    __slots__ = ("algebra", "rep", "wedge", "_windex", "_kept")
 
     def __init__(self, algebra: LYAlgebra, rep: Representation, validate: bool = True):
         if rep.algebra is not algebra and rep.algebra != algebra:
             raise ValueError("representation belongs to a different algebra")
         if validate:
             _require_representation(rep)
-        object.__setattr__(self, "algebra", algebra)
-        object.__setattr__(self, "rep", rep)
-        object.__setattr__(self, "wedge", wedge_basis(algebra.dim))
-        object.__setattr__(self, "_windex",
-                           {pair: idx for idx, pair in enumerate(wedge_basis(algebra.dim))})
+        wedge = wedge_basis(algebra.dim)
+        for name, value in (("algebra", algebra), ("rep", rep), ("wedge", wedge),
+                            ("_windex", {pair: idx for idx, pair in enumerate(wedge)}), ("_kept", {})):
+            object.__setattr__(self, name, value)
 
     def __setattr__(self, name, value):
         raise AttributeError("ComplexContext is immutable")
@@ -265,6 +266,20 @@ def _coboundary_rows(ctx: ComplexContext, p: int) -> Tuple[int, List[IntRow]]:
     return q * q, rows
 
 
+def _rows(ctx: ComplexContext, p: int) -> Tuple[int, List[IntRow]]:
+    """`_coboundary_rows(ctx, p)`, assembled once per context."""
+    if ("rows", p) not in ctx._kept:
+        ctx._kept["rows", p] = _coboundary_rows(ctx, p)
+    return ctx._kept["rows", p]
+
+
+def _echelon(ctx: ComplexContext, p: int) -> Rref:
+    """The `_rref` of the differential leaving degree p, eliminated once per context."""
+    if ("rref", p) not in ctx._kept:
+        ctx._kept["rref", p] = _rref(_rows(ctx, p)[1])
+    return ctx._kept["rref", p]
+
+
 def coboundary(ctx: ComplexContext, c: Cochain) -> Cochain:
     """Apply the differential, raising the degree by one."""
     p = c.degree
@@ -276,7 +291,7 @@ def coboundary(ctx: ComplexContext, c: Cochain) -> Cochain:
     flat = c.flatten()
     scale = _denominator_lcm((flat,))
     ints = [x.numerator * (scale // x.denominator) for x in flat]
-    qq, rows = _coboundary_rows(ctx, p)
+    qq, rows = _rows(ctx, p)
     den, zero = qq * scale, Fraction(0)
     image = [Fraction(s, den) if (s := sum(map(mul, row.values(), map(ints.__getitem__, row))))
              else zero for row in rows]
@@ -288,7 +303,7 @@ def _preimage(ctx: ComplexContext, c: Cochain) -> Optional[Vector]:
     (of degree p >= 2) is no coboundary. Row i of [delta | c] is scaled by
     Q d_i, for c_i = n_i / d_i: d_i times the integer row, and Q n_i."""
     ncols = cochain_dim(ctx, c.degree - 1)
-    qq, rows = _coboundary_rows(ctx, c.degree - 1)
+    qq, rows = _rows(ctx, c.degree - 1)
     aug: List[IntRow] = []
     for row, x in zip(rows, c.flatten()):
         aug.append({k: x.denominator * co for k, co in row.items()})
@@ -301,7 +316,7 @@ def coboundary_matrix(ctx: ComplexContext, p: int) -> Matrix:
     """Matrix of the degree-p differential over the flat cochain bases:
     cochain_dim(p) columns, cochain_dim(p+1) rows."""
     dim_in = cochain_dim(ctx, p)
-    qq, rows = _coboundary_rows(ctx, p)
+    qq, rows = _rows(ctx, p)
     entries = [[Fraction(0)] * dim_in for _ in rows]  # one shared zero per row
     for dense, row in zip(entries, rows):
         for k, co in row.items():
@@ -309,20 +324,16 @@ def coboundary_matrix(ctx: ComplexContext, p: int) -> Matrix:
     return Matrix(entries, cols=dim_in)
 
 
-def _delta_rank(ctx: ComplexContext, p: int) -> int:
-    """Rank of the degree-p differential, from its integer rows."""
-    return _rank(_coboundary_rows(ctx, p)[1])
-
-
-def cohomology_dims(ctx: ComplexContext, p: int, top: Optional[Rref] = None) -> CohomologySummary:
-    """Cocycle/coboundary/quotient dimensions at degree p.
+def cohomology_dims(ctx: ComplexContext, p: int) -> CohomologySummary:
+    """Cocycle/coboundary/quotient dimensions at degree p, from the ranks of
+    the differentials the context keeps eliminated.
 
     dim_coboundaries counts the rank of the degree-(p-1) differential only
     for p >= 2: the complex here starts at degree 1, so first cohomology is
-    plain cocycles. `top`, when given, is the `_rref` of the degree-p rows.
+    plain cocycles.
     """
     dim_c = cochain_dim(ctx, p)
-    dim_z = dim_c - (_delta_rank(ctx, p) if top is None else len(top))
-    dim_b = _delta_rank(ctx, p - 1) if p >= 2 else 0
+    dim_z = dim_c - len(_echelon(ctx, p))
+    dim_b = len(_echelon(ctx, p - 1)) if p >= 2 else 0
     return CohomologySummary(degree=p, dim_cochains=dim_c, dim_cocycles=dim_z,
                              dim_coboundaries=dim_b, dim_h=dim_z - dim_b)

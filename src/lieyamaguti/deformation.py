@@ -11,12 +11,16 @@ collecting powers of t gives, for each s, a pair of coefficient residuals
                                - mu(T_j u, T_k w) v )
 
 (indices running over the available terms). `check_rbo` is order 0 of (T,),
-and one engine in `rbo` computes every order in one pass. Linear deformations
+and one engine in `rbo` computes every order in one pass, on the terms as
+each check scales them once. A verified operator passes order 0 by
+definition, so the checks here start at order 1. Linear deformations
 need the full expansion to vanish; order-n deformations only need it mod
 t^{n+1}; the residual at t^{n+1} is the obstruction to extending one more
 order, and the one at t^1 is the coboundary of T_1 (`rbo_delta1_expanded`).
 The obstruction is a 2-cocycle by the paper's lemma, which the tests check;
-`obstruction` only seeks its preimage, on the integer rows of delta^1.
+`obstruction` only seeks its preimage, on the integer rows of delta^1 of the
+operator's one complex, assembled once however many orders `deform extend`
+asks for; each order eliminates its own [delta^1 | Ob].
 T_t likewise deforms the pre-Lie-Yamaguti products u * v = rho(T_t u) v and
 {u, v, w} = mu(T_t v, T_t w) u, expanded by the same Cauchy product.
 
@@ -29,7 +33,8 @@ T_1 - T_1' + delta(X), so equivalent deformations have cohomologous
 infinitesimals; a Nijenhuis element zeroes the t^2 and t^3 bracket and mu
 terms. With L = <X, .>, delta(X) = T D(X) - L T; the closing condition is
 the columns of L delta(X), and on the adjoint representation of L (T L - L T).
-All of it runs on integer columns, as `rbo` explains.
+All of it runs on integer columns, as `rbo` explains; T's are those its
+operator keeps.
 """
 
 from __future__ import annotations
@@ -41,7 +46,7 @@ from .structures import AxiomReport, InputError, Violation, _column_violations, 
 from .complexes import Cochain, _preimage
 from .rbo import (_HOM, RelRBO, Wedge2, _compose, _expansion, _hom_expansion, _pre_ly_expansion,
                   _require_verified, _term_tables, _unit, _violations)
-from .rbo_cohomology import RboComplex, _delta0, rbo_cohomology_dims, rbo_delta0
+from .rbo_cohomology import _complex, _delta0, rbo_cohomology_dims, rbo_delta0
 
 __all__ = [
     "NotNijenhuisElement",
@@ -163,7 +168,7 @@ def linear_deformation_check(o: RelRBO, frak_t: Matrix) -> AxiomReport:
             f"deformation direction must be {o.t_matrix.rows}x{o.t_matrix.cols}, got {frak_t.rows}x{frak_t.cols}")
     # the binary coefficient at t^3 has no terms
     orders = (1, 2, 3)
-    residuals, _ = _expansion(o.algebra, o.rep, (o.t_matrix, frak_t), orders)
+    residuals, _ = _expansion(o.algebra, o.rep, _term_tables((o.t_matrix, frak_t)), orders)
     return AxiomReport.from_violations(_violations(residuals, orders, *_LABELS))
 
 
@@ -195,7 +200,7 @@ def nijenhuis_element_check(o: RelRBO, x: Wedge2) -> NijenhuisReport:
     qp, lx, dx = x._actions(r)   # checks the dimension of X
     expansion = _hom_expansion(a, r, qp, (_unit(m, qp), lx), (_unit(r.dim_v, qp), dx),
                                (2, 3), ("binary-hom", "ternary-hom", "mu-intertwine"))
-    qt, (tc,) = _term_tables((o.t_matrix,))
+    qt, (tc,) = o._columns()
 
     def condition(label: str, terms) -> Tuple[str, AxiomReport]:
         return label, AxiomReport.from_residuals((label, args, res) for args, res in terms)
@@ -265,19 +270,19 @@ def equivalence_check_linear(o: RelRBO, d1: TruncatedDeformation,
 
 
 def _order_violations(o: RelRBO, d: TruncatedDeformation, orders: range):
-    """Residuals of d at the orders, and the violations among them up to
-    order n."""
+    """Residuals of d at the orders, and the violations among them at orders
+    1..n; order 0 is `check_rbo` of T, which a verified operator passes."""
     _require_verified(o)
     if d.terms[0] != o.t_matrix:
         raise ValueError("deformation must start at the operator")
-    residuals, _ = _expansion(o.algebra, o.rep, d.terms, orders)
-    return residuals, _violations(residuals, range(d.order + 1), *_LABELS)
+    residuals, _ = _expansion(o.algebra, o.rep, _term_tables(d.terms), orders)
+    return residuals, _violations(residuals, range(1, d.order + 1), *_LABELS)
 
 
 def order_n_check(o: RelRBO, d: TruncatedDeformation) -> AxiomReport:
     """The defining identities for T_t mod t^{n+1}: every coefficient
-    residual at t^0..t^n must vanish."""
-    _, viols = _order_violations(o, d, range(d.order + 1))
+    residual at t^1..t^n must vanish (t^0 does, as T is verified)."""
+    _, viols = _order_violations(o, d, range(1, d.order + 1))
     return AxiomReport.from_violations(viols)
 
 
@@ -288,10 +293,10 @@ def obstruction(o: RelRBO, d: TruncatedDeformation) -> ObstructionResult:
 
     Raises NotOrderN when d itself fails its order-n conditions."""
     n = d.order
-    residuals, viols = _order_violations(o, d, range(n + 2))
+    residuals, viols = _order_violations(o, d, range(1, n + 2))
     if viols:
         raise NotOrderN(viols[0])
-    rc = RboComplex.build(o)
+    rc = _complex(o)
     binary, ternary = residuals[n + 1]
     ob = Cochain(2, tuple(binary.values()), tuple(ternary.values()))
     # a preimage x of Ob gives the witness -x
@@ -323,14 +328,15 @@ def pre_ly_deformation_terms(o: RelRBO, frak_t: Matrix) -> Tuple[tuple, tuple, t
     report = linear_deformation_check(o, frak_t)
     if not report.valid:
         raise NotLinearDeformation(report.violations[0])
-    (phi, omega1), (_, omega2) = _pre_ly_expansion(o.rep, (o.t_matrix, frak_t), (1, 2)).values()
+    (phi, omega1), (_, omega2) = _pre_ly_expansion(o.rep, _term_tables((o.t_matrix, frak_t)),
+                                                   (1, 2)).values()
     return phi, omega1, omega2
 
 
 def rigidity_probe(o: RelRBO) -> RigidityProbe:
     """Dimensions of the degree-1 cocycle space and of the image of wedge
     elements under delta, plus whether the image exhausts the cocycles."""
-    h1 = rbo_cohomology_dims(RboComplex.build(o), 1)
+    h1 = rbo_cohomology_dims(_complex(o), 1)
     # delta^1 o delta^0 = 0 puts the image inside the cocycles, so it
     # exhausts them exactly when the dimensions agree
     return RigidityProbe(dim_z1=h1.dim_cocycles, dim_delta_image=h1.dim_coboundaries,

@@ -11,7 +11,7 @@ Vectors are plain tuples of Fraction.
 to integers by the LCM of its denominators (`_int_rows`), which keeps its
 reduced row echelon form, and share one elimination, `_rref`, of sparse
 integer rows ``{column: nonzero value}``; callers that need only a rank or
-one solution hand their own integer rows to `_rank` or `_solve`, and no
+one solution hand their own integer rows to `_rref` or `_solve`, and no
 dense matrix is built. Rows enter one at a time, each reduced against the
 pivot rows found so far, which are kept fully reduced; a row that vanishes
 is dropped, otherwise its first column becomes a new pivot and is cleared
@@ -418,11 +418,6 @@ def _rref(ints: Sequence[IntRow]) -> Rref:
     if not _certified(ints, lifted):
         return _rref_exact(ints)
     return lifted
-
-
-def _rank(ints: Sequence[IntRow]) -> int:
-    """Rank of the integer rows `ints`, with no dense matrix or kernel."""
-    return len(_rref(ints))
 
 
 def rank_kernel(m: Matrix) -> Tuple[int, List[Vector]]:

@@ -14,7 +14,7 @@ the Nijenhuis operator checks.
 Both identities, and every coefficient of their expansion under a polynomial
 T_t = sum_s t^s T_s (see `deformation`), are evaluated by one engine,
 `_expansion`, in Python integers. It reads the representation's stored
-`tables()`, scaled by q as `structures` explains, and scales the terms T_s
+`tables()`, scaled by q as `structures` explains, and the terms T_s scaled
 by their own q_T, the least common multiple of their denominators. Both
 identities are bi-homogeneous: every summand of the binary one holds T twice
 and a table of weight 1 in q, every summand of the ternary one T three times
@@ -27,10 +27,16 @@ hands rho' and mu' to the representation's, and the builders reduce them to
 the least q (see `structures`). As q_T is separate, the stored tables depend
 only on the representation.
 
-Every other operator-side map is held the same way: a caller's `Matrix` (T, a
-deformation term, N, phi_g, phi_v) is scaled once by `_term_tables`, where
-it enters; identities are unit columns, and `Wedge2._contract` reads <X, .>
-and D(X) off the tables. Products of maps are composed in integers, and a
+Every other operator-side map is held the same way: a caller's `Matrix` is
+scaled once by `_term_tables`, where it enters. T alone enters through its
+`RelRBO`, which keeps q_T and T's columns (`RelRBO._columns`); a list of
+terms (a deformation, T with a direction) or of maps (N, phi_g, phi_v) is
+scaled by the function it is given to. `RelRBO.build` runs order 0 of
+`_expansion` once, and the operator keeps its inner tables, from which
+`induced_lya_on_v` builds the sub-adjacent algebra; `rbo_cohomology` keeps
+the operator's complex and the elimination of delta^0 on it too, so each is
+made once per operator object. Identities are unit columns, and
+`Wedge2._contract` reads <X, .> and D(X) off the tables. Products of maps are composed in integers, and a
 matrix residual reports one violation per nonzero column. Homomorphisms of
 operators are order 0 of `_hom_expansion`, the t^s coefficients of the
 conditions for phi_t = sum_s t^s Phi_s on g and psi_t = sum_s t^s Psi_s on V
@@ -43,7 +49,7 @@ from __future__ import annotations
 
 import itertools
 from fractions import Fraction
-from typing import Dict, Iterable, List, NamedTuple, Sequence, Tuple
+from typing import Any, Callable, Dict, Iterable, List, NamedTuple, Sequence, Tuple
 
 from .linalg import Matrix, Vector, inverse, rat, vneg, vsub, vzero
 from .structures import (AxiomReport, InputError, LYAlgebra, Representation, Scaled, Violation,
@@ -99,10 +105,10 @@ class RelRBO(_RelRBOFields):
 
     `verified` records that `check_rbo` passed, or that a theorem makes T an
     operator (`conjugate_rbo`); constructions that rely on the defining
-    identities gate on it. Use `build` to verify-and-wrap.
+    identities gate on it. Use `build` to verify-and-wrap. The instance
+    dictionary (no `__slots__`) keeps what the operator derives from T
+    (`_derive`); equality and hashing read the fields only.
     """
-
-    __slots__ = ()
 
     def __new__(cls, algebra: LYAlgebra, rep: Representation, t_matrix: Matrix,
                 verified: bool = False) -> "RelRBO":
@@ -114,12 +120,32 @@ class RelRBO(_RelRBOFields):
 
     @classmethod
     def build(cls, algebra: LYAlgebra, rep: Representation, t_matrix: Matrix) -> "RelRBO":
-        report = check_rbo(algebra, rep, t_matrix)
+        o = cls(algebra, rep, t_matrix, verified=True)
+        report = o._check()
         if not report.valid:
             first = report.violations[0]
             raise NotRotaBaxter(
                 f"not a relative Rota-Baxter operator: fails {first.identity} at {first.args}")
-        return cls(algebra, rep, t_matrix, verified=True)
+        return o
+
+    def __setattr__(self, name, value):
+        raise AttributeError("RelRBO is immutable")
+
+    def _derive(self, key: str, make: Callable[["RelRBO"], Any]) -> Any:
+        """What the operator keeps under key, made by make(self) on first use."""
+        if key not in self.__dict__:
+            self.__dict__[key] = make(self)
+        return self.__dict__[key]
+
+    def _columns(self) -> TermTables:
+        """q_T and T's integer columns: where T enters the integer engines, once."""
+        return self._derive("columns", lambda o: _term_tables((o.t_matrix,)))
+
+    def _check(self) -> AxiomReport:
+        """`check_rbo` of T, order 0 of `_expansion`; the operator keeps its inner tables."""
+        residuals, self.__dict__["inner"] = _expansion(self.algebra, self.rep, self._columns(), (0,))
+        return AxiomReport.from_violations(
+            _violations(residuals, (0,), "rota-baxter-binary", "rota-baxter-ternary"))
 
     def column(self, b: int) -> Vector:
         return self.t_matrix.column(b)
@@ -132,20 +158,19 @@ def check_rbo(a: LYAlgebra, r: Representation, t: Matrix) -> AxiomReport:
     """Check the two defining identities on module basis tuples. Both sides
     are skew in (u, v), so pairs are checked for u < v only; witnesses carry
     module basis indices and the residual LHS - RHS in g."""
-    if (t.rows, t.cols) != (a.dim, r.dim_v):
-        raise ValueError(f"operator must be {a.dim}x{r.dim_v}, got {t.rows}x{t.cols}")
-    residuals, _ = _expansion(a, r, (t,), (0,))
-    return AxiomReport.from_violations(
-        _violations(residuals, (0,), "rota-baxter-binary", "rota-baxter-ternary"))
+    return RelRBO(a, r, t)._check()
 
 
 Residuals = Dict[int, Tuple[Dict[Tuple[int, int], Vector], Dict[Tuple[int, int, int], Vector]]]
+# q_T and the integer columns q_T T_s u_c of terms T_s, as [s][c]; see `_term_tables`
+TermTables = Tuple[int, List[List[Scaled]]]
 
 
-def _expansion(a: LYAlgebra, r: Representation, terms: Sequence[Matrix],
+def _expansion(a: LYAlgebra, r: Representation, terms: TermTables,
                orders: Iterable[int]) -> Tuple[Residuals, Tuple[int, Dict, Dict]]:
-    """The t^s coefficients of both identities for T_t = sum_s t^s terms[s],
-    in integers as the module docstring explains:
+    """The t^s coefficients of both identities for T_t = sum_s t^s T_s, the
+    terms given as `_term_tables` scales them, in integers as the module
+    docstring explains:
 
         S_bin(s)(u, v)    = sum_{i+j=s}   [T_i u, T_j v] - T_i [u, v]_{T_j}
         S_ter(s)(u, v, w) = sum_{i+j+k=s} <T_i u, T_j v, T_k w>
@@ -161,10 +186,10 @@ def _expansion(a: LYAlgebra, r: Representation, terms: Sequence[Matrix],
     """
     m, v = a.dim, r.dim_v
     vrng = range(v)
-    top = len(terms) - 1
+    qt, tc = terms
+    top = len(tc) - 1
     orders = tuple(orders)
     q, b, t, rho, mu, d = r.tables()
-    qt, tc = _term_tables(terms)
     qq = qt * q
     pairs = wedge_basis(v)
     triples = [(b1, b2, b3) for b1, b2 in pairs for b3 in vrng]
@@ -233,7 +258,7 @@ def _violations(residuals: Residuals, orders: Iterable[int],
     return viols
 
 
-def _term_tables(terms: Sequence[Matrix]) -> Tuple[int, List[List[Scaled]]]:
+def _term_tables(terms: Sequence[Matrix]) -> TermTables:
     """q_T, the least common multiple of the terms' denominators, and q_T T_s u_c as [s][c]."""
     qt = _denominator_lcm(row for term in terms for row in term.entries)
     return qt, [[_scaled(col, qt) for col in term.columns()] for term in terms]
@@ -320,9 +345,9 @@ def induced_lya_on_v(o: RelRBO) -> LYAlgebra:
     """The sub-adjacent Lie-Yamaguti algebra on the module of a verified
     operator. It satisfies the axioms, and T is an algebra homomorphism from
     it into the original brackets (both checked by the tests). Its tables are
-    the engine's inner tables, over q_T q."""
+    the engine's inner tables, over q_T q, which the operator keeps."""
     _require_verified(o)
-    _, (qq, binary, ternary) = _expansion(o.algebra, o.rep, (o.t_matrix,), ())
+    qq, binary, ternary = o._derive("inner", lambda o: _expansion(o.algebra, o.rep, o._columns(), ())[1])
     v = o.rep.dim_v
     return LYAlgebra.__new__(LYAlgebra)._fill(v, _names("e", v), qq, binary, ternary)
 
@@ -337,12 +362,11 @@ def induced_rep_on_g(o: RelRBO) -> Representation:
         D'(u, v) x = <Tu, Tv, x> - T( mu(Tv, x) u - mu(Tu, x) v )
     (both checked by the tests). Evaluated on the engine's integer tables, as
     rho' over q_T q and mu' over (q_T q)^2."""
-    _require_verified(o)
-    sub = induced_lya_on_v(o)
+    sub = induced_lya_on_v(o)   # checks that o is verified
     a, r = o.algebra, o.rep
     m, v = a.dim, r.dim_v
     q, b, t, rho, mu, d = r.tables()
-    qt, (tc,) = _term_tables((o.t_matrix,))
+    qt, (tc,) = o._columns()
 
     def rho2(u: int, c: int) -> Scaled:
         acc = [0] * m
@@ -374,17 +398,18 @@ def pre_ly_products(o: RelRBO) -> Tuple[Tuple[Tuple[Vector, ...], ...],
 
     The commutator of * is the sub-adjacent bracket (checked by the tests)."""
     _require_verified(o)
-    return _pre_ly_expansion(o.rep, (o.t_matrix,), (0,))[0]
+    return _pre_ly_expansion(o.rep, o._columns(), (0,))[0]
 
 
-def _pre_ly_expansion(r: Representation, terms: Sequence[Matrix],
+def _pre_ly_expansion(r: Representation, terms: TermTables,
                       orders: Iterable[int]) -> Dict[int, Tuple[tuple, tuple]]:
     """The t^s coefficients, s in orders, of the `pre_ly_products` tables of
-    T_t = sum_s t^s terms[s] as {s: (binary, ternary)}: rho(T_s u) v and the
-    sum of mu(T_j v, T_k w) u over j + k = s, on `r.tables()` in integers."""
-    v, top = r.dim_v, len(terms) - 1
+    T_t = sum_s t^s T_s, the terms as `_term_tables` scales them, as {s:
+    (binary, ternary)}: rho(T_s u) v and the sum of mu(T_j v, T_k w) u over
+    j + k = s, on `r.tables()` in integers."""
     q, _, _, rho, mu, _ = r.tables()
-    qt, tc = _term_tables(terms)
+    qt, tc = terms
+    v, top = r.dim_v, len(tc) - 1
     vrng, qq = range(v), qt * q
 
     def rho_col(s: int, u: int, w: int) -> Vector:   # column w of rho(T_s u), over qq

@@ -8,14 +8,21 @@ the second exterior power of g, mapped into 1-cochains by
 
 Cohomology in every positive degree therefore quotients by coboundaries,
 degree 1 included.
+
+A verified operator keeps its complex: `_complex` calls `RboComplex.build`
+once per operator object, which builds the induced representation from the
+sub-adjacent tables `RelRBO.build` kept, and the complex's context keeps the
+rows and the elimination of each differential (see `complexes`). delta^0 is
+composed from T's columns, which the operator keeps, and its elimination is
+kept by the operator as well.
 """
 
 from __future__ import annotations
 
 from fractions import Fraction
-from typing import List, NamedTuple, Optional, Tuple
+from typing import List, NamedTuple, Tuple
 
-from .linalg import Matrix, Rref, _int_rows, _rank
+from .linalg import Matrix, _int_rows, _rref
 from .complexes import (Cochain, CohomologySummary, ComplexContext, cochain_dim, coboundary_matrix,
                         cohomology_dims, wedge_basis)
 from .rbo import (RelRBO, Scaled, Wedge2, _compose, _expansion, _require_verified, _term_tables,
@@ -39,19 +46,23 @@ class RboComplex(NamedTuple):
 
     @classmethod
     def build(cls, o: RelRBO) -> "RboComplex":
-        _require_verified(o)
-        rep = induced_rep_on_g(o)
+        rep = induced_rep_on_g(o)   # checks that o is verified
         # the induced representation of a verified operator is valid (a theorem
         # the tests check on the fixtures), so the context skips its check
         ctx = ComplexContext(rep.algebra, rep, validate=False)
         return cls(o, ctx)
 
 
+def _complex(o: RelRBO) -> RboComplex:
+    """The complex of a verified operator, built by one `RboComplex.build` and kept by it."""
+    return o._derive("complex", RboComplex.build)
+
+
 def rbo_delta0(o: RelRBO, x: Wedge2) -> Cochain:
     """The degree-0 coboundary of a wedge element, as a 1-cochain V -> g."""
     _require_verified(o)
     s, lx, dx = x._actions(o.rep)   # checks the dimension of X
-    qt, (tc,) = _term_tables((o.t_matrix,))
+    qt, (tc,) = o._columns()
     return Cochain(1, tuple(tuple(Fraction(y, qt * s) for y in col)
                             for col in _compose(o.algebra.dim, *_delta0(tc, lx, dx))), None)
 
@@ -79,23 +90,24 @@ def _delta0_columns(o: RelRBO) -> Tuple[int, List[List[int]]]:
     """q_T q^2 and delta of each basis wedge over it, flattened: the columns of the degree-0
     coboundary matrix. The actions of e_i ^ e_j are the tables' own columns t[i][j] and d[i][j]."""
     q, _, t, _, _, d = o.rep.tables()
-    qt, (tc,) = _term_tables((o.t_matrix,))
+    qt, (tc,) = o._columns()
     m = o.algebra.dim
     return qt * q * q, [[y for col in _compose(m, *_delta0(tc, t[i][j], d[i][j])) for y in col]
                         for i, j in wedge_basis(m)]
 
 
-def rbo_cohomology_dims(rc: RboComplex, p: int, top: Optional[Rref] = None) -> CohomologySummary:
+def rbo_cohomology_dims(rc: RboComplex, p: int) -> CohomologySummary:
     """Cocycle / coboundary / quotient dimensions in degree p >= 1. Unlike
     the bare Yamaguti complex, degree 1 already quotients by the image of the
-    wedge elements under delta; `top` is as in `cohomology_dims`."""
+    wedge elements under delta."""
     if p < 1:
         raise ValueError(f"cohomology degree must be >= 1, got {p}")
-    summary = cohomology_dims(rc.ctx, p, top)
+    summary = cohomology_dims(rc.ctx, p)
     if p > 1:
         return summary
-    # the columns of delta^0 serve as rows: a matrix and its transpose have one rank
-    dim_b = _rank(_int_rows(_delta0_columns(rc.operator)[1]))
+    # the operator keeps the elimination of delta^0, whose columns serve as rows: a matrix
+    # and its transpose have one rank
+    dim_b = len(rc.operator._derive("delta0", lambda o: _rref(_int_rows(_delta0_columns(o)[1]))))
     return summary._replace(dim_coboundaries=dim_b, dim_h=summary.dim_h - dim_b)
 
 
@@ -121,6 +133,6 @@ def rbo_delta1_expanded(o: RelRBO, c1: Cochain) -> Cochain:
             or any(len(img) != m for img in c1.f_part):
         raise ValueError("expected a degree-1 cochain of the operator complex")
     f = Matrix.from_columns(c1.f_part, rows=m)
-    residuals, _ = _expansion(a, r, (o.t_matrix, f), (1,))
+    residuals, _ = _expansion(a, r, _term_tables((o.t_matrix, f)), (1,))
     binary, ternary = residuals[1]
     return Cochain(2, tuple(binary.values()), tuple(ternary.values()))

@@ -634,6 +634,12 @@ def check_representation(r: Representation) -> AxiomReport:
     matrix equations per basis tuple, in integers as the module docstring
     explains; a violation is recorded per nonzero residual column, with the
     module index appended to the argument tuple.
+
+    On skew tables, as the builders store them, d-bracket-cyclic is totally
+    skew, d-triple-commutator skew in (i, j) and in (k, l), mu-bracket-right
+    and mu-composition skew in (j, k), and the others skew in (i, j). So one
+    tuple per orbit decides validity, as in `check_lya`; only a
+    representation that fails is enumerated in full, tuple by tuple.
     """
     a = r.algebra
     n, v = a.dim, r.dim_v
@@ -641,71 +647,98 @@ def check_representation(r: Representation) -> AxiomReport:
     vv = v * v
     q, b, t, rho, mu, d = r.tables()
     mu_t = [[mu[p][k] for p in rng] for k in rng]  # mu_t[k][p] = mu(e_p, e_k)
-    w3, w4 = q ** 3, q ** 4
-    viols: List[Violation] = []
 
-    for i, j, k in itertools.product(rng, repeat=3):
-        # mu([x,y],z) = mu(x,z) rho(y) - mu(y,z) rho(x)
+    # mu([x,y],z) = mu(x,z) rho(y) - mu(y,z) rho(x)
+    def mu_bracket_left(i, j, k):
         acc = [0] * vv
         _mcomb(acc, 1, b[i][j], mu_t[k])
         _mmul(acc, -1, mu[i][k], rho[j])
         _mmul(acc, 1, mu[j][k], rho[i])
-        _matrix_violations(viols, "mu-bracket-left", (i, j, k), acc, v, w3)
+        return acc
 
-        # mu(x,[y,z]) = rho(y) mu(x,z) - rho(z) mu(x,y)
+    # mu(x,[y,z]) = rho(y) mu(x,z) - rho(z) mu(x,y)
+    def mu_bracket_right(i, j, k):
         acc = [0] * vv
         _mcomb(acc, 1, b[j][k], mu[i])
         _mmul(acc, -1, rho[j], mu[i][k])
         _mmul(acc, 1, rho[k], mu[i][j])
-        _matrix_violations(viols, "mu-bracket-right", (i, j, k), acc, v, w3)
+        return acc
 
-        # rho(<x,y,z>) = [D(x,y), rho(z)]
+    # rho(<x,y,z>) = [D(x,y), rho(z)]
+    def rho_triple_commutator(i, j, k):
         acc = [0] * vv
         _mcomb(acc, 1, t[i][j][k], rho)
         _mmul(acc, -1, d[i][j], rho[k])
         _mmul(acc, 1, rho[k], d[i][j])
-        _matrix_violations(viols, "rho-triple-commutator", (i, j, k), acc, v, w3)
+        return acc
 
-        # D([x,y],z) + D([y,z],x) + D([z,x],y) = 0   (derived; D is skew)
+    # D([x,y],z) + D([y,z],x) + D([z,x],y) = 0   (derived; D is skew)
+    def d_bracket_cyclic(i, j, k):
         acc = [0] * vv
         _mcomb(acc, -1, b[i][j], d[k])
         _mcomb(acc, -1, b[j][k], d[i])
         _mcomb(acc, -1, b[k][i], d[j])
-        _matrix_violations(viols, "d-bracket-cyclic", (i, j, k), acc, v, w3)
+        return acc
 
-    for i, j, k, l in itertools.product(rng, repeat=4):
-        # mu(z,w) mu(x,y) - mu(y,w) mu(x,z) - mu(x,<y,z,w>) + D(y,z) mu(x,w) = 0
+    # mu(z,w) mu(x,y) - mu(y,w) mu(x,z) - mu(x,<y,z,w>) + D(y,z) mu(x,w) = 0
+    def mu_composition(i, j, k, l):
         acc = [0] * vv
         _mmul(acc, 1, mu[k][l], mu[i][j])
         _mmul(acc, -1, mu[j][l], mu[i][k])
         _mcomb(acc, -1, t[j][k][l], mu[i])
         _mmul(acc, 1, d[j][k], mu[i][l])
-        _matrix_violations(viols, "mu-composition", (i, j, k, l), acc, v, w4)
+        return acc
 
-        # mu(<x,y,z>,w) + mu(z,<x,y,w>) = [D(x,y), mu(z,w)]
+    # mu(<x,y,z>,w) + mu(z,<x,y,w>) = [D(x,y), mu(z,w)]
+    def mu_triple_commutator(i, j, k, l):
         acc = [0] * vv
         _mcomb(acc, 1, t[i][j][k], mu_t[l])
         _mcomb(acc, 1, t[i][j][l], mu[k])
         _mmul(acc, -1, d[i][j], mu[k][l])
         _mmul(acc, 1, mu[k][l], d[i][j])
-        _matrix_violations(viols, "mu-triple-commutator", (i, j, k, l), acc, v, w4)
+        return acc
 
-        # D(<x,y,z>,w) + D(z,<x,y,w>) = [D(x,y), D(z,w)]   (derived)
+    # D(<x,y,z>,w) + D(z,<x,y,w>) = [D(x,y), D(z,w)]   (derived)
+    def d_triple_commutator(i, j, k, l):
         acc = [0] * vv
         _mcomb(acc, -1, t[i][j][k], d[l])
         _mcomb(acc, 1, t[i][j][l], d[k])
         _mmul(acc, -1, d[i][j], d[k][l])
         _mmul(acc, 1, d[k][l], d[i][j])
-        _matrix_violations(viols, "d-triple-commutator", (i, j, k, l), acc, v, w4)
+        return acc
 
-        # mu(<x,y,z>,w) = mu(x,w) mu(z,y) - mu(y,w) mu(z,x) - mu(z,w) D(x,y)   (derived)
+    # mu(<x,y,z>,w) = mu(x,w) mu(z,y) - mu(y,w) mu(z,x) - mu(z,w) D(x,y)   (derived)
+    def mu_triple_expansion(i, j, k, l):
         acc = [0] * vv
         _mcomb(acc, 1, t[i][j][k], mu_t[l])
         _mmul(acc, -1, mu[i][l], mu[k][j])
         _mmul(acc, 1, mu[j][l], mu[k][i])
         _mmul(acc, 1, mu[k][l], d[i][j])
-        _matrix_violations(viols, "mu-triple-expansion", (i, j, k, l), acc, v, w4)
+        return acc
 
+    pairs = wedge_basis(n)
+    ij_k = [(i, j, k) for i, j in pairs for k in rng]
+    ij_kl = [(i, j, k, l) for i, j in pairs for k in rng for l in rng]
+    # (arity, q^weight, and each identity's label, residual and one tuple per orbit)
+    groups = (
+        (3, q ** 3, (("mu-bracket-left", mu_bracket_left, ij_k),
+                     ("mu-bracket-right", mu_bracket_right, [(i, j, k) for i in rng for j, k in pairs]),
+                     ("rho-triple-commutator", rho_triple_commutator, ij_k),
+                     ("d-bracket-cyclic", d_bracket_cyclic, list(itertools.combinations(rng, 3))))),
+        (4, q ** 4, (("mu-composition", mu_composition,
+                      [(i, j, k, l) for i in rng for j, k in pairs for l in rng]),
+                     ("mu-triple-commutator", mu_triple_commutator, ij_kl),
+                     ("d-triple-commutator", d_triple_commutator, [p + s for p in pairs for s in pairs]),
+                     ("mu-triple-expansion", mu_triple_expansion, ij_kl))),
+    )
+    if not any(any(res(*args)) for _, _, identities in groups
+               for _, res, orbits in identities for args in orbits):
+        return AxiomReport.from_violations(())
+    viols: List[Violation] = []
+    for arity, den, identities in groups:
+        for args in itertools.product(rng, repeat=arity):
+            for label, res, _ in identities:
+                _matrix_violations(viols, label, args, res(*args), v, den)
     return AxiomReport.from_violations(viols)
 
 

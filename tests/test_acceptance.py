@@ -493,16 +493,18 @@ def test_only_the_builders_decide_q():
 def test_operators_live_in_rbo_as_integer_columns():
     # `structures` holds algebras and representations only; the operator code
     # lives in `rbo`, where a caller's `Matrix` is scaled into integer columns
-    # once, by `_term_tables`, where it enters, and every map the library
-    # derives from the tables (identities, <X, .>, D(X), delta X) stays in
-    # integers: no `Fraction` view of an action is built on the way
+    # once, by `_term_tables`, where it enters: T alone in `RelRBO._columns`,
+    # which the operator keeps, and a list of terms or maps by the function
+    # it is given to. Every map the library derives from the tables
+    # (identities, <X, .>, D(X), delta X) stays in integers: no `Fraction`
+    # view of an action is built on the way
     moved = {"_term_tables", "_hom_expansion", "_nijenhuis", "nijenhuis_operator_check",
              "deformed_brackets", "NotNijenhuis", "semidirect"}
     views = {"action_matrix", "d_matrix", "bracket_with", "rho_of", "mu_of", "d_of"}
     matrices = {"identity", "zero"}   # as attributes of `Matrix`
-    entries = {"_expansion", "induced_rep_on_g", "_pre_ly_expansion", "_homomorphism_violations",
-               "_nijenhuis", "nijenhuis_element_check", "equivalence_check_linear", "rbo_delta0",
-               "_delta0_columns"}
+    entries = {"_columns", "linear_deformation_check", "_order_violations", "rbo_delta1_expanded",
+               "pre_ly_deformation_terms", "_homomorphism_violations", "_nijenhuis",
+               "equivalence_check_linear"}
     package = Path(__file__).resolve().parents[1] / "src" / "lieyamaguti"
     structures_tree = ast.parse((package / "structures.py").read_text(encoding="utf-8"))
     defined = {node.name for node in ast.walk(structures_tree)

@@ -226,6 +226,24 @@ class TestParseErrors:
         code, _ = run(capsys, "cohomology", path, "--degree", "3", "--force")
         assert code == 3 and ran == ["check_lya"]
 
+    def test_max_order_is_bounded_before_any_check(self, capsys, monkeypatch):
+        """The first rejected target, `MAX_ORDER` + 1, exits 2 before the
+        algebra is checked or an operator is verified."""
+        ran = []
+
+        def stop(*args):
+            ran.append(args)
+            raise RuntimeError("check_lya ran")
+
+        for mod in list(sys.modules.values()):
+            if (mod.__name__.startswith("lieyamaguti")
+                    and getattr(mod, "check_lya", None) is structures.check_lya):
+                monkeypatch.setattr(mod, "check_lya", stop)
+        assert cli.MAX_ORDER == commands.MAX_ORDER == 32
+        code, out = run(capsys, "deform", "extend", "dim2.lyat", "--max-order", "33")
+        assert code == 2 and ran == []
+        assert "--max-order is 33; at most 32 is supported" in out
+
     def test_max_order_must_exceed_the_order(self, capsys):
         code, out = run(capsys, "deform", "extend", "dim2.lyat", "--max-order", "1")
         assert code == 2
@@ -262,7 +280,7 @@ class TestParseErrors:
         def broken(rows):
             raise ValueError("rows out of range")
 
-        monkeypatch.setattr(complexes, "_rank", broken)
+        monkeypatch.setattr(complexes, "_rref", broken)
         for extra in ((), ("--rbo",)):
             code, payload = run_json(capsys, "cohomology", "dim2.lyat", "--degree", "1", *extra)
             assert code == 3
@@ -545,8 +563,9 @@ class TestKernelDump:
 class TestTablesOnce:
     """A structure's integer tables are built once, by its one builder:
     `Representation._fill` for the model's representation and for the induced
-    one of each `RboComplex.build`, `LYAlgebra._fill` for the model's algebra
-    and for the sub-adjacent one of each build."""
+    one of the operator's one `RboComplex.build`, `LYAlgebra._fill` for the
+    model's algebra and for the sub-adjacent one of that build. `deform
+    extend` reads one complex at every order."""
 
     COMMANDS = [("cohomology", "dim4.lyat", "--degree", "2", "--rbo"),
                 ("deform", "extend", None, "--max-order", "3")]
@@ -588,8 +607,8 @@ class TestTablesOnce:
         assert code == 0
         reps, induced = builds["tables"], builds["induced"]
         assert len({id(r) for r in reps}) == len(reps)
-        assert induced and {id(r) for r in induced} <= {id(r) for r in reps}
-        assert len(reps) == 1 + len(induced)
+        assert len(induced) == 1 and {id(r) for r in induced} <= {id(r) for r in reps}
+        assert len(reps) == 2
 
     @pytest.mark.parametrize("argv", COMMANDS)
     def test_once_per_algebra(self, capsys, builds, tmp_path, argv):
@@ -598,8 +617,57 @@ class TestTablesOnce:
         assert code == 0
         algebras, induced = builds["algebras"], builds["induced"]
         assert len({id(a) for a in algebras}) == len(algebras)
-        assert induced and {id(r.algebra) for r in induced} <= {id(a) for a in algebras}
-        assert len(algebras) == 1 + len(induced)
+        assert len(induced) == 1 and {id(r.algebra) for r in induced} <= {id(a) for a in algebras}
+        assert len(algebras) == 2
+
+
+class TestOncePerOperator:
+    """A verified operator enters the integer engines once: `RelRBO.build`
+    runs `_expansion` once and keeps T's columns, and each order check or
+    obstruction runs one more over its own terms. One induced representation,
+    one assembly of delta^1's rows, and one `_rref` per differential or per
+    order's [delta^1 | Ob] follow."""
+
+    KEYS = ("_expansion", "_term_tables", "induced", "delta1", "_rref")
+
+    @pytest.fixture
+    def counts(self, monkeypatch):
+        from lieyamaguti import complexes, deformation, linalg, rbo  # noqa: F401  (loads them all)
+
+        seen = dict.fromkeys(self.KEYS, 0)
+
+        def spy(key, real, counted):
+            def wrapper(*args):
+                seen[key] += counted(args)
+                return real(*args)
+            return wrapper
+
+        def every(args):
+            return True
+
+        for key, real, counted in (
+                ("_expansion", rbo._expansion, every), ("_term_tables", rbo._term_tables, every),
+                ("induced", rbo.induced_rep_on_g, every),
+                ("delta1", complexes._coboundary_rows, lambda args: args[1] == 1),
+                ("_rref", linalg._rref, every)):
+            wrapped = spy(key, real, counted)
+            for mod in list(sys.modules.values()):
+                if mod.__name__.startswith("lieyamaguti"):
+                    for name, value in list(vars(mod).items()):
+                        if value is real:
+                            monkeypatch.setattr(mod, name, wrapped)
+        return seen
+
+    @pytest.mark.parametrize("argv,expected", [
+        (("deform", "extend", "dim2.lyat", "--max-order", "4"), (4, 4, 1, 1, 3)),
+        (("deform", "obstruction", "dim2.lyat"), (2, 2, 1, 1, 1)),
+        (("nijenhuis", "dim4.lyat", "--all-basis"), (1, 1, 0, 0, 0)),
+        (("cohomology", "dim4.lyat", "--degree", "1", "--rbo"), (1, 1, 1, 1, 2)),
+    ])
+    def test_counts(self, capsys, counts, argv, expected):
+        code, _ = run_json(capsys, *argv)
+        assert code in (0, 1)
+        assert tuple(counts[key] for key in self.KEYS) == expected
 
 
 class TestObstructionAssembly:

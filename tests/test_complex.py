@@ -10,7 +10,7 @@ from hypothesis import given, settings, strategies as st
 import lieyamaguti as ly
 from conftest import Model, conjugated_lie_lya, fr, random_valid_pair, sl2_sum_operator
 from lieyamaguti import linalg
-from lieyamaguti.complexes import _coboundary_rows, _delta_rank, _preimage
+from lieyamaguti.complexes import _coboundary_rows, _echelon, _preimage
 from reference_coboundary import coboundary as replaced_coboundary
 from reference_coboundary import reference_coboundary, reference_coboundary_matrix
 
@@ -281,7 +281,6 @@ class TestIntegerRows:
                 empty += sum(1 for row in rows if not row)
                 basis, exact = linalg._rref(rows), linalg._rref_exact(rows)
                 assert basis == exact
-                assert linalg._rank(rows) == len(exact)
                 assert linalg._kernel(basis, dim) == linalg._kernel(exact, dim)
                 x = ly.Cochain.from_flat(ctx, p, tuple(fr(rng.randint(-3, 3)) for _ in range(dim)))
                 c = ly.coboundary(ctx, x)
@@ -301,7 +300,7 @@ class TestIntegerRows:
             ranks = {p: ly.rank_kernel(ly.coboundary_matrix(ctx, p))[0]
                      for p in range(1, top + 1)}
             for p in range(1, top + 1):
-                assert _delta_rank(ctx, p) == ranks[p]
+                assert len(_echelon(ctx, p)) == ranks[p]
                 dim_c = ly.cochain_dim(ctx, p)
                 dim_b = ranks[p - 1] if p >= 2 else 0
                 assert ly.cohomology_dims(ctx, p) == ly.CohomologySummary(

@@ -329,7 +329,7 @@ class TestAgainstReference:
                 _assert_same_report(report, ref.check_rbo(a, r, op))
                 invalid += not report.valid
                 # the inner tables are sparse integer vectors over qq and qq^2, on every tuple
-                _, (qq, binary, ternary) = rbo._expansion(a, r, (op,), ())
+                _, (qq, binary, ternary) = rbo._expansion(a, r, rbo._term_tables((op,)), ())
                 sub = tuple({k: tuple(Fraction(dict(vec).get(l, 0), den) for l in range(r.dim_v))
                              for k, vec in table.items() if vec}
                             for table, den in ((binary, qq), (ternary, qq * qq)))
@@ -345,22 +345,28 @@ class TestAgainstReference:
 
     def test_orders_of_random_terms(self, models):
         # the expansion does not need T_0 to be an operator; `verified` only
-        # opens the gate of the public checks
+        # opens the gate of the public checks, which start at order 1 (order
+        # 0 is `check_rbo`, compared above)
         rng = random.Random(37)
+
+        def reference(o, terms):   # the reference's orders 1..n
+            orders = range(1, len(terms))
+            return ly.AxiomReport.from_violations(ref._coefficient_violations(o, terms, orders, orders))
+
         for a, r, t in models:
             o = ly.RelRBO(a, r, t, verified=True)
             for n in (1, 2, 4):
                 terms = (t,) + tuple(random_matrix(rng, a.dim, r.dim_v, 2, 3)
                                      for _ in range(n))
                 d = ly.TruncatedDeformation(terms)
-                _assert_same_report(ly.order_n_check(o, d), ref.order_n_check(o, terms))
-                residuals, _ = rbo._expansion(a, r, terms, (n + 1,))
+                _assert_same_report(ly.order_n_check(o, d), reference(o, terms))
+                residuals, _ = rbo._expansion(a, r, rbo._term_tables(terms), (n + 1,))
                 binary, ternary = residuals[n + 1]
                 assert (ly.Cochain(2, tuple(binary.values()), tuple(ternary.values()))
                         == ref.obstruction_cochain(o, terms))
             _assert_same_report(ly.linear_deformation_check(o, terms[1]),
                                 ref.linear_deformation_check(o, terms[1]))
-            want = ref.order_n_check(o, terms)
+            want = reference(o, terms)
             if not want.valid:
                 with pytest.raises(ly.NotOrderN) as info:
                     ly.obstruction(o, d)
@@ -536,6 +542,37 @@ class TestObstructionAgainstReference:
         zero = ly.trivial_deformation_from(o, ly.Wedge2.zero(o.algebra.dim))
         assert _same_obstruction(o, zero).trivial
         assert time.monotonic() - start < 60.0
+
+
+class TestOneOperatorObject:
+    """An operator object keeps T's columns, its sub-adjacent tables and its
+    complex across calls. Obstructions and extensions of two deformations of
+    one object, interleaved at orders 1-4, must equal those of the reference,
+    which builds a new complex at every call, so a stale cache fails."""
+
+    def test_two_deformations_of_one_operator(self, dim2: Model, sl2_standard: Model):
+        rng = random.Random(131)
+        file_t1 = ly.Matrix(((fr(0), fr(-1)), (fr(0), fr(0))))   # the deformation in dim2.lyat
+        nonzero = 0
+        for m in (dim2, sl2_standard):
+            o = ly.RelRBO.build(m.algebra, m.rep, m.op.t_matrix)   # a new object keeps nothing yet
+            chains = list(_cocycle_draws(o, rng, 2))
+            if m is dim2:
+                chains[0] = ly.TruncatedDeformation((o.t_matrix, file_t1))
+            assert chains[0].terms[1] != chains[1].terms[1]
+            orders = []
+            for _ in range(4):
+                for k, d in enumerate(chains):
+                    if d is None:   # stopped at a nontrivial class
+                        continue
+                    got = _same_obstruction(o, d)
+                    nonzero += not got.ob.is_zero()
+                    orders.append(d.order)
+                    chains[k] = ly.extend_deformation(o, d)
+                    assert chains[k] == (None if not got.trivial else ly.TruncatedDeformation(
+                        d.terms + (got.witness.as_matrix(m.algebra.dim),)))
+            assert 4 in orders
+        assert nonzero >= 4
 
 
 def _denominators(*matrices: ly.Matrix) -> int:

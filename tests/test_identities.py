@@ -509,20 +509,22 @@ def test_operator_checks_build_no_matrix(dim4_rational: Model, monkeypatch):
 
 
 def test_degree_one_scales_the_operator_once(dim4_rational: Model, monkeypatch):
-    """delta^0 of every basis wedge reads one scaling of T: `rbo_cohomology_dims`
-    at degree 1 calls `_term_tables` once, not once per wedge."""
-    from lieyamaguti import rbo_cohomology
+    """delta^0 of every basis wedge reads the operator's one scaling of T:
+    building the complex and `rbo_cohomology_dims` at degree 1 call
+    `_term_tables` once between them, not once per wedge or per step."""
+    from lieyamaguti import rbo
     scaled = []
-    real = rbo_cohomology._term_tables
+    real = rbo._term_tables
 
     def spy(terms):
         scaled.append(len(terms))
         return real(terms)
 
     for o in (dim4_rational.op, sl2_sum_operator(2)):
-        rc = ly.RboComplex.build(o)
-        monkeypatch.setattr(rbo_cohomology, "_term_tables", spy)
-        ly.rbo_cohomology_dims(rc, 1)
+        # a new operator object keeps nothing yet
+        o = ly.RelRBO(o.algebra, o.rep, o.t_matrix, verified=True)
+        monkeypatch.setattr(rbo, "_term_tables", spy)
+        ly.rbo_cohomology_dims(ly.RboComplex.build(o), 1)
         monkeypatch.undo()
         assert scaled == [1]
         scaled.clear()

@@ -361,6 +361,30 @@ class TestAgainstDenseReference:
             _assert_matches_reference(None, bad)
             _assert_matches_reference(ly.semidirect(a, bad))
 
+    def test_orbit_scan_reports_every_failing_representation(self, dim2: Model, dim4: Model,
+                                                              sl2_standard: Model):
+        # `check_representation` decides validity on one tuple per skew orbit
+        # and enumerates every tuple only once one fails: one-entry corruptions
+        # of valid representations fail on few tuples, and written-out random
+        # ones break every identity; all must report as the reference does
+        rng = random.Random(113)
+        valid = [m.rep for m in (dim2, dim4, sl2_standard)]
+        valid += [ly.induced_rep_on_g(m.op) for m in (dim2, dim4)]
+        seen = set()
+        for r in valid:
+            assert _assert_matches_reference(None, r)[0].valid
+            for _ in range(3):
+                report, = _assert_matches_reference(None, corrupt_rep(rng, r))
+                seen |= {v.identity for v in report.violations}
+        for a in (dim2.algebra, dim4.algebra, sl2_sum_operator(2).algebra):
+            r = ly.Representation(a, 2, [random_matrix(rng, 2, 2, 2, 2) for _ in range(a.dim)],
+                                  [[random_matrix(rng, 2, 2, 2, 1) for _ in range(a.dim)]
+                                   for _ in range(a.dim)])
+            report, = _assert_matches_reference(None, r)
+            seen |= {v.identity for v in report.violations}
+        assert seen == {name for name, (args, _) in structures._SPACES.items()
+                        if args in ("gggv", "ggggv")}
+
     def test_rational_basis_change(self, dim4_rational: Model):
         # non-unimodular rational bases put denominators into every table, so
         # the integer scale is above 1 (the bundled models all have scale 1)
