@@ -28,8 +28,8 @@ _EXPORTS = {
         "induced_lya_on_v", "induced_rep_on_g", "lift_to_nijenhuis", "nijenhuis_operator_check",
         "pre_ly_products", "rbo_homomorphism_check", "semidirect"), "rbo"),
     **dict.fromkeys((
-        "RboComplex", "rbo_coboundary_matrix", "rbo_cohomology_dims", "rbo_delta0",
-        "rbo_delta1_expanded"), "rbo_cohomology"),
+        "RboComplex", "rbo_coboundary_matrix", "rbo_cohomology_dims", "rbo_delta0"),
+        "rbo_cohomology"),
     **dict.fromkeys((
         "NijenhuisReport", "NotLinearDeformation", "NotNijenhuisElement",
         "NotOrderN", "ObstructionResult", "RigidityProbe", "TruncatedDeformation",

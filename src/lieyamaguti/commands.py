@@ -70,8 +70,9 @@ MAX_DIM = 64
 # `cohomology` counts the rows of its coboundary from the dimensions before it
 # checks or builds anything; the bundled models need at most 4 320.
 MAX_ROWS = 10 ** 6
-# `deform extend` costs about the cube of its target order; 32 takes 0.6 s on a
-# dim-4 model. A larger --max-order is refused before any check.
+# `deform extend` expands each order once, at a cost about the square of the
+# order; 32 takes 0.2 s on a dim-4 model, start-up included. A larger
+# --max-order is refused before any check.
 MAX_ORDER = 32
 
 _RAT_RE = re.compile(r"-?\d+(?:/\d+)?")

@@ -80,6 +80,9 @@ class ComplexContext:
     def __setattr__(self, name, value):
         raise AttributeError("ComplexContext is immutable")
 
+    def __reduce__(self):   # rebuilt without what it kept, and without checking rep again
+        return ComplexContext, (self.algebra, self.rep, False)
+
     @property
     def m(self) -> int:
         return self.algebra.dim

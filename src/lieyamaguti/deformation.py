@@ -16,11 +16,16 @@ each check scales them once. A verified operator passes order 0 by
 definition, so the checks here start at order 1. Linear deformations
 need the full expansion to vanish; order-n deformations only need it mod
 t^{n+1}; the residual at t^{n+1} is the obstruction to extending one more
-order, and the one at t^1 is the coboundary of T_1 (`rbo_delta1_expanded`).
+order, and the one at t^1 is the coboundary of T_1.
 The obstruction is a 2-cocycle by the paper's lemma, which the tests check;
 `obstruction` only seeks its preimage, on the integer rows of delta^1 of the
 operator's one complex, assembled once however many orders `deform extend`
-asks for; each order eliminates its own [delta^1 | Ob].
+asks for; each order eliminates its own [delta^1 | Ob]. A preimage of -Ob
+is exactly the term that zeroes the residual at t^{n+1}, so what
+`extend_deformation` returns holds through its order by construction and
+records its operator; `obstruction` trusts that record and expands such a
+deformation at t^{n+1} alone. `order_n_check` ignores it, as the independent
+check of an extension, and a deformation built from terms is verified in full.
 T_t likewise deforms the pre-Lie-Yamaguti products u * v = rho(T_t u) v and
 {u, v, w} = mu(T_t v, T_t w) u, expanded by the same Cauchy product.
 
@@ -99,9 +104,9 @@ class _TruncatedDeformationFields(NamedTuple):
 
 class TruncatedDeformation(_TruncatedDeformationFields):
     """Coefficient matrices (T_0, T_1, ..., T_n) of a polynomial deformation;
-    the order is n."""
-
-    __slots__ = ()
+    the order is n. The instance dictionary (no `__slots__`) keeps, under
+    "holds_for", the operator for which `extend_deformation` built it;
+    equality and hashing read the terms only."""
 
     def __new__(cls, terms) -> "TruncatedDeformation":
         terms = tuple(terms)
@@ -112,6 +117,9 @@ class TruncatedDeformation(_TruncatedDeformationFields):
             if (term.rows, term.cols) != shape:
                 raise ValueError(f"term {k} has shape {term.rows}x{term.cols}, expected {shape[0]}x{shape[1]}")
         return super().__new__(cls, terms)
+
+    def __setattr__(self, name, value):
+        raise AttributeError("TruncatedDeformation is immutable")
 
     @property
     def order(self) -> int:
@@ -270,13 +278,13 @@ def equivalence_check_linear(o: RelRBO, d1: TruncatedDeformation,
 
 
 def _order_violations(o: RelRBO, d: TruncatedDeformation, orders: range):
-    """Residuals of d at the orders, and the violations among them at orders
-    1..n; order 0 is `check_rbo` of T, which a verified operator passes."""
+    """Residuals of d at the orders, and the violations among them at those
+    in 1..n; order 0 is `check_rbo` of T, which a verified operator passes."""
     _require_verified(o)
     if d.terms[0] != o.t_matrix:
         raise ValueError("deformation must start at the operator")
     residuals, _ = _expansion(o.algebra, o.rep, _term_tables(d.terms), orders)
-    return residuals, _violations(residuals, range(1, d.order + 1), *_LABELS)
+    return residuals, _violations(residuals, [s for s in orders if 1 <= s <= d.order], *_LABELS)
 
 
 def order_n_check(o: RelRBO, d: TruncatedDeformation) -> AxiomReport:
@@ -291,9 +299,11 @@ def obstruction(o: RelRBO, d: TruncatedDeformation) -> ObstructionResult:
     operator complex. The deformation extends to order n+1 by a term frak_t
     iff delta(frak_t) = -Ob; the witness is such a preimage when it exists.
 
-    Raises NotOrderN when d itself fails its order-n conditions."""
+    Raises NotOrderN when d itself fails its order-n conditions, which an
+    extension of o holds by construction and is not expanded for."""
     n = d.order
-    residuals, viols = _order_violations(o, d, range(1, n + 2))
+    first = n + 1 if d.__dict__.get("holds_for") is o else 1
+    residuals, viols = _order_violations(o, d, range(first, n + 2))
     if viols:
         raise NotOrderN(viols[0])
     rc = _complex(o)
@@ -307,11 +317,14 @@ def obstruction(o: RelRBO, d: TruncatedDeformation) -> ObstructionResult:
 
 def extend_deformation(o: RelRBO, d: TruncatedDeformation) -> Optional[TruncatedDeformation]:
     """Extend an order-n deformation to order n+1 when its obstruction is
-    trivial; None when it is not."""
+    trivial; None when it is not. The witness zeroes the residual at
+    t^{n+1}, so the result holds through its order, and records o."""
     result = obstruction(o, d)
     if not result.trivial:
         return None
-    return TruncatedDeformation(d.terms + (result.witness.as_matrix(o.algebra.dim),))
+    extended = TruncatedDeformation(d.terms + (result.witness.as_matrix(o.algebra.dim),))
+    extended.__dict__["holds_for"] = o
+    return extended
 
 
 def pre_ly_deformation_terms(o: RelRBO, frak_t: Matrix) -> Tuple[tuple, tuple, tuple]:

@@ -154,6 +154,9 @@ class Matrix:
     def __setattr__(self, name, value):
         raise AttributeError("Matrix is immutable")
 
+    def __reduce__(self):
+        return type(self), (self.entries, self.cols)
+
     @classmethod
     def zero(cls, rows: int, cols: int) -> "Matrix":
         return cls([[0] * cols for _ in range(rows)], cols=cols)

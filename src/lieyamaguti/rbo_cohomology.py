@@ -25,15 +25,13 @@ from typing import List, NamedTuple, Tuple
 from .linalg import Matrix, _int_rows, _rref
 from .complexes import (Cochain, CohomologySummary, ComplexContext, cochain_dim, coboundary_matrix,
                         cohomology_dims, wedge_basis)
-from .rbo import (RelRBO, Scaled, Wedge2, _compose, _expansion, _require_verified, _term_tables,
-                  induced_rep_on_g)
+from .rbo import RelRBO, Scaled, Wedge2, _compose, _require_verified, induced_rep_on_g
 
 __all__ = [
     "RboComplex",
     "rbo_delta0",
     "rbo_coboundary_matrix",
     "rbo_cohomology_dims",
-    "rbo_delta1_expanded",
 ]
 
 
@@ -110,29 +108,3 @@ def rbo_cohomology_dims(rc: RboComplex, p: int) -> CohomologySummary:
     dim_b = len(rc.operator._derive("delta0", lambda o: _rref(_int_rows(_delta0_columns(o)[1]))))
     return summary._replace(dim_coboundaries=dim_b, dim_h=summary.dim_h - dim_b)
 
-
-def rbo_delta1_expanded(o: RelRBO, c1: Cochain) -> Cochain:
-    """Degree-1 coboundary written out in terms of T, the brackets on g, and
-    the representation maps: the t^1 coefficient of both Rota-Baxter
-    identities for T + t f, which reads (D being skew)
-
-        (dI f)(u, v)     = [Tu, f(v)] - [Tv, f(u)]
-                           + T( rho(f(v)) u - rho(f(u)) v ) - f([u, v]_T)
-        (dII f)(u, v, w) = <Tu, Tv, f(w)> + <f(u), Tv, Tw> - <f(v), Tu, Tw>
-                           - f(<u, v, w>_T)
-                           - T( D(f(u), Tv) w - D(f(v), Tu) w
-                                + mu(Tv, f(w)) u - mu(Tu, f(w)) v
-                                - mu(f(u), Tw) v + mu(f(v), Tw) u )
-
-    This is an independent route to the same map as the generic Yamaguti
-    coboundary on the operator complex; the two are compared in tests."""
-    _require_verified(o)
-    a, r = o.algebra, o.rep
-    m, v = a.dim, r.dim_v
-    if c1.degree != 1 or c1.g_part is not None or len(c1.f_part) != v \
-            or any(len(img) != m for img in c1.f_part):
-        raise ValueError("expected a degree-1 cochain of the operator complex")
-    f = Matrix.from_columns(c1.f_part, rows=m)
-    residuals, _ = _expansion(a, r, _term_tables((o.t_matrix, f)), (1,))
-    binary, ternary = residuals[1]
-    return Cochain(2, tuple(binary.values()), tuple(ternary.values()))

@@ -251,6 +251,9 @@ class LYAlgebra:
     def __setattr__(self, name, value):
         raise AttributeError("LYAlgebra is immutable")
 
+    def __reduce__(self):   # pickled as its constants, rebuilt by the constructor
+        return LYAlgebra, (self.dim, self.binary_constants(), self.ternary_constants(), self.basis_names)
+
     @staticmethod
     def _check_pair(i: int, j: int, dim: int) -> None:
         if not (0 <= i < dim and 0 <= j < dim):
@@ -544,6 +547,11 @@ class Representation:
 
     def __setattr__(self, name, value):
         raise AttributeError("Representation is immutable")
+
+    def __reduce__(self):   # pickled as its rho and mu, rebuilt by the constructor
+        rng = range(self.algebra.dim)
+        return Representation, (self.algebra, self.dim_v, [self.rho(i) for i in rng],
+                                [[self.mu(i, j) for j in rng] for i in rng])
 
     def _view(self, key: tuple, cols: List[Scaled], w: int) -> Matrix:
         """The `Fraction` matrix of integer columns of weight w, made on first use."""

@@ -3,7 +3,9 @@ coefficients of their expansion under T_t = sum_s t^s T_s.
 
 These are `check_rbo`, `_sub_adjacent_constants`, the coefficient residuals
 of `order_n_check`, `linear_deformation_check` and `obstruction`, and
-`rbo_delta1_expanded` as the library wrote them before one integer-scaled
+`rbo_delta1_expanded` (the degree-one differential written out, which the
+library no longer has; the tests compare it with the generic coboundary of
+the operator complex) as the library wrote them before one integer-scaled
 residual engine in `lieyamaguti.rbo` replaced all of them, and
 `induced_rep_on_g` as it was before it moved onto the engine's integer
 tables, kept verbatim as an independent reference: every residual builds
@@ -16,10 +18,12 @@ use it.
 library wrote them before both read one expansion of the products in powers
 of t; the second gates on this module's `linear_deformation_check`.
 
-`obstruction` is kept verbatim as the library wrote it before it read the
-witness off the integer rows of delta^1: it solves over the dense
+`obstruction` is kept as the library wrote it before it read the witness
+off the integer rows of delta^1: it solves over the dense
 `rbo_coboundary_matrix` with `solve_linear`, and tests the cocycle condition
-with the `Fraction` coboundary of `reference_coboundary`.
+with the `Fraction` coboundary of `reference_coboundary`. Its order-1..n
+violations and its Ob come from this module's own residuals, so it shares
+no code with the library's expansion.
 """
 
 from __future__ import annotations
@@ -28,13 +32,7 @@ from fractions import Fraction
 from typing import Dict, List, Tuple
 
 from lieyamaguti.complexes import Cochain
-from lieyamaguti.deformation import (
-    NotLinearDeformation,
-    NotOrderN,
-    ObstructionResult,
-    TruncatedDeformation,
-    _order_violations,
-)
+from lieyamaguti.deformation import NotLinearDeformation, NotOrderN, ObstructionResult, TruncatedDeformation
 from lieyamaguti.linalg import Matrix, Vector, is_zero_vector, solve_linear, vadd, vneg, vsub, vzero
 from lieyamaguti.rbo import RelRBO, _require_verified, induced_lya_on_v
 from lieyamaguti.rbo_cohomology import RboComplex, rbo_coboundary_matrix
@@ -358,13 +356,15 @@ def obstruction(o: RelRBO, d: TruncatedDeformation) -> ObstructionResult:
     iff delta(frak_t) = -Ob; the witness is such a preimage when it exists.
 
     Raises NotOrderN when d itself fails its order-n conditions."""
-    n = d.order
-    residuals, viols = _order_violations(o, d, range(n + 2))
+    _require_verified(o)
+    if d.terms[0] != o.t_matrix:
+        raise ValueError("deformation must start at the operator")
+    orders = range(1, d.order + 1)
+    viols = _coefficient_violations(o, d.terms, binary_orders=orders, ternary_orders=orders)
     if viols:
         raise NotOrderN(viols[0])
     rc = RboComplex.build(o)
-    binary, ternary = residuals[n + 1]
-    ob = Cochain(2, tuple(binary.values()), tuple(ternary.values()))
+    ob = obstruction_cochain(o, d.terms)
     sol = solve_linear(rbo_coboundary_matrix(rc, 1), vneg(ob.flatten()))
     witness = None if sol is None else Cochain.from_flat(rc.ctx, 1, sol)
     # a witness makes Ob = -delta(witness) a cocycle, as delta o delta = 0

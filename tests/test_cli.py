@@ -3,6 +3,7 @@
 import argparse
 import json
 import os
+import re
 import subprocess
 import sys
 from pathlib import Path
@@ -243,6 +244,17 @@ class TestParseErrors:
         code, out = run(capsys, "deform", "extend", "dim2.lyat", "--max-order", "33")
         assert code == 2 and ran == []
         assert "--max-order is 33; at most 32 is supported" in out
+
+    def test_help_states_the_limits(self):
+        """`cli` writes the limits of `commands` into its help without
+        importing it, so the help is checked against the constants here."""
+        subparsers = next(action for action in cli._build_parser()._actions
+                          if isinstance(action, argparse._SubParsersAction))
+        helps = {action.dest: action.help for name in ("cohomology", "deform")
+                 for action in subparsers.choices[name]._actions}
+        assert f"at most {commands.MAX_ORDER} " in helps["max_order"]
+        base, exponent = re.search(r"(\d+)\^(\d+) rows", helps["force"]).groups()
+        assert int(base) ** int(exponent) == commands.MAX_ROWS
 
     def test_max_order_must_exceed_the_order(self, capsys):
         code, out = run(capsys, "deform", "extend", "dim2.lyat", "--max-order", "1")

@@ -3,6 +3,7 @@ Nijenhuis elements and obstructions."""
 
 import math
 import random
+import sys
 import time
 from fractions import Fraction
 from importlib import resources
@@ -377,15 +378,15 @@ class TestAgainstReference:
         rng = random.Random(41)
         for m in (dim2, dim4, dim4_rational, sl2_standard):
             o = m.op
+            rc = ly.RboComplex.build(o)
             for _ in range(3):
                 f = random_matrix(rng, m.algebra.dim, m.rep.dim_v, 4, 3)
                 c = ly.Cochain(1, tuple(f.column(b) for b in range(f.cols)), None)
-                assert ly.rbo_delta1_expanded(o, c) == ref.rbo_delta1_expanded(o, c)
+                assert ly.coboundary(rc.ctx, c) == ref.rbo_delta1_expanded(o, c)
             d = ly.trivial_deformation_from(o, ly.Wedge2.zero(m.algebra.dim))
             for _ in range(3):
                 assert ly.obstruction(o, d).ob == ref.obstruction_cochain(o, d.terms)
                 d = ly.extend_deformation(o, d)
-            rc = ly.RboComplex.build(o)
             _, kernel = ly.rank_kernel(ly.rbo_coboundary_matrix(rc, 1))
             for z in kernel:
                 d = ly.TruncatedDeformation((o.t_matrix, ly.Cochain.from_flat(rc.ctx, 1, z).as_matrix()))
@@ -575,6 +576,81 @@ class TestOneOperatorObject:
         assert nonzero >= 4
 
 
+class TestExtensionsHoldByConstruction:
+    """What `extend_deformation` returns holds through its order by
+    construction and records its operator; `obstruction` then expands order
+    n+1 alone, and `order_n_check` and `linear_deformation_check` ignore the
+    record. A trusted extension must have the obstruction of the same terms
+    verified in full."""
+
+    FILE_T1 = ((0, -1), (0, 0))   # the deformation in dim2.lyat
+
+    @pytest.fixture
+    def expanded(self, monkeypatch):
+        from lieyamaguti import deformation  # noqa: F401  (loads the modules it imports from)
+
+        seen, real = [], rbo._expansion
+
+        def spy(a, r, terms, orders):
+            orders = tuple(orders)
+            seen.append(set(orders))
+            return real(a, r, terms, orders)
+
+        for mod in list(sys.modules.values()):
+            if mod.__name__.startswith("lieyamaguti"):
+                for name, value in list(vars(mod).items()):
+                    if value is real:
+                        monkeypatch.setattr(mod, name, spy)
+        return seen
+
+    @staticmethod
+    def _chain(o: ly.RelRBO, d: ly.TruncatedDeformation, order: int):
+        """The extensions of d up to the order, asserted to get there."""
+        chain = []
+        while d.order < order:
+            d = ly.extend_deformation(o, d)
+            assert d is not None
+            chain.append(d)
+        return chain
+
+    def test_deform_extend_expands_each_order_once(self, capsys, expanded):
+        assert cli.main(["deform", "extend", "dim2.lyat", "--max-order", "4", "--format", "json"]) == 0
+        capsys.readouterr()
+        assert expanded == [{0}, {1, 2}, {3}, {4}]   # `RelRBO.build`, then one per order
+
+    def test_checks_expand_every_order(self, dim2: Model, expanded):
+        d = self._chain(dim2.op, ly.TruncatedDeformation(
+            (dim2.op.t_matrix, ly.Matrix(self.FILE_T1))), 4)[-1]
+        del expanded[:]
+        assert ly.order_n_check(dim2.op, d).valid
+        assert ly.linear_deformation_check(dim2.op, d.terms[1]).valid
+        assert expanded == [{1, 2, 3, 4}, {1, 2, 3}]
+
+    def test_order_n_check_ignores_the_record(self, dim4: Model):
+        o = dim4.op
+        d = self._chain(o, next(_cocycle_draws(o, random.Random(3), 1)), 3)[-1]
+        bump = ly.Matrix([[fr(int((i, j) == (1, 0))) for j in range(4)] for i in range(4)])
+        bad = ly.TruncatedDeformation(d.terms[:-1] + (d.terms[-1] + bump,))
+        bad.__dict__["holds_for"] = o   # as if `extend_deformation` had built it
+        report = ly.order_n_check(o, bad)
+        _assert_same_report(report, ref.order_n_check(o, bad.terms))
+        assert report.violations and {v.identity[-4:] for v in report.violations} == {"@t^3"}
+
+    def test_trusted_obstructions_equal_full_ones(self, dim2: Model, dim4: Model,
+                                                  sl2_standard: Model):
+        rng = random.Random(3)
+        starts = [(dim2.op, ly.TruncatedDeformation((dim2.op.t_matrix, ly.Matrix(self.FILE_T1))))]
+        starts += [(m.op, d) for m in (dim4, sl2_standard) for d in _cocycle_draws(m.op, rng, 2)]
+        moved = 0
+        for o, d in starts:
+            for ext in self._chain(o, d, 8):
+                rebuilt = ly.TruncatedDeformation(ext.terms)
+                assert ext.__dict__["holds_for"] is o and "holds_for" not in rebuilt.__dict__
+                assert ly.obstruction(o, ext) == ly.obstruction(o, rebuilt)
+                moved += any(map(any, ext.terms[-1].entries))
+        assert moved >= 7
+
+
 def _denominators(*matrices: ly.Matrix) -> int:
     return math.lcm(*(x.denominator for m in matrices for row in m.entries for x in row))
 
@@ -622,10 +698,10 @@ class TestSplitScaling:
             want = ref.order_n_check(o, terms)
             assert not want.valid
             _assert_same_report(ly.order_n_check(o, ly.TruncatedDeformation(terms)), want)
-            c = ly.Cochain(1, tuple(t1.columns()), None)
-            assert ly.rbo_delta1_expanded(o, c) == ref.rbo_delta1_expanded(o, c)
-            # a 1-cocycle T_1 over 7 makes T + t T_1 an order-1 deformation
             rc = ly.RboComplex.build(o)
+            c = ly.Cochain(1, tuple(t1.columns()), None)
+            assert ly.coboundary(rc.ctx, c) == ref.rbo_delta1_expanded(o, c)
+            # a 1-cocycle T_1 over 7 makes T + t T_1 an order-1 deformation
             _, kernel = ly.rank_kernel(ly.rbo_coboundary_matrix(rc, 1))
             nonzero = 0
             for k in kernel:

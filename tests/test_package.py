@@ -1,10 +1,12 @@
-"""The package's public surface resolves lazily, and a `lyat` command loads
-only the library modules it runs."""
+"""The package's public surface resolves lazily, its core objects pickle,
+and a `lyat` command loads only the library modules it runs."""
 
+import copy
 import importlib
 import importlib.util
 import json
 import os
+import pickle
 import subprocess
 import sys
 from pathlib import Path
@@ -12,6 +14,7 @@ from pathlib import Path
 import pytest
 
 import lieyamaguti as ly
+from conftest import Model
 
 HOMES = ("linalg", "structures", "complexes", "rbo", "rbo_cohomology", "deformation")
 
@@ -43,6 +46,29 @@ def test_unknown_attribute_raises():
     with pytest.raises(AttributeError, match="no_such_name"):
         ly.no_such_name
     assert not hasattr(ly, "no_such_name")
+
+
+@pytest.mark.parametrize("round_trip", [lambda x: pickle.loads(pickle.dumps(x)), copy.deepcopy],
+                         ids=["pickle", "deepcopy"])
+def test_core_objects_round_trip(round_trip, dim4: Model):
+    # each is rebuilt by its constructor or its builder, so it stays immutable
+    o = ly.RelRBO.build(dim4.algebra, dim4.rep, dim4.op.t_matrix)
+    rc = ly.RboComplex.build(o)
+    dims = [ly.rbo_cohomology_dims(rc, p) for p in (1, 2)]   # o keeps its complex and delta^0
+    d = ly.extend_deformation(o, ly.trivial_deformation_from(o, ly.Wedge2.zero(4)))
+    objects = (o.t_matrix, o.algebra, o.rep, o, d)
+    for x in objects:
+        y = round_trip(x)
+        assert type(y) is type(x) and y == x and hash(y) == hash(x)
+    ctx = round_trip(rc.ctx)
+    assert (ctx.algebra, ctx.rep, ctx.wedge) == (rc.ctx.algebra, rc.ctx.rep, rc.ctx.wedge)
+    for x in (*objects, rc.ctx):
+        with pytest.raises(AttributeError, match="immutable"):
+            round_trip(x).dim = 0
+    o2, d2 = round_trip((o, d))
+    assert [ly.rbo_cohomology_dims(ly.RboComplex.build(o2), p) for p in (1, 2)] == dims
+    assert ly.obstruction(o2, d2) == ly.obstruction(o, d)
+    assert ly.obstruction(o2, round_trip(d)) == ly.obstruction(o, d)
 
 
 TRACECLI = Path(__file__).resolve().parents[1] / "perfbench" / "tracecli.py"
