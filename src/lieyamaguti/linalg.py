@@ -3,56 +3,71 @@
 Every verdict this package produces (axiom checks, cohomology dimensions,
 solvability of extension equations) reduces to ranks, kernels and linear
 solves, so all scalars are `fractions.Fraction` and nothing here rounds.
+Matrices act on column vectors: ``apply(x)[r] == sum_c entries[r][c] * x[c]``;
+vectors are plain tuples of Fraction.
 
-Matrices act on column vectors: ``apply(x)[r] == sum_c entries[r][c] * x[c]``.
-Vectors are plain tuples of Fraction.
+`rank_kernel`, `solve_linear` and `inverse` scale each row to integers by
+the LCM of its denominators (`_int_rows`), which keeps the reduced row
+echelon form, and share one elimination, `_rref`, of sparse integer rows
+``{column: nonzero value}``, as do callers that hand their own integer rows
+to `_rref` or `_solve`. Rows enter one at a time, reduced against the fully
+reduced pivot rows found so far; zeros are never touched, which matters for
+the tall, sparse, low-rank coboundary matrices.
 
-`rank_kernel`, `solve_linear` and `inverse` scale each row of their matrix
-to integers by the LCM of its denominators (`_int_rows`), which keeps its
-reduced row echelon form, and share one elimination, `_rref`, of sparse
-integer rows ``{column: nonzero value}``; callers that need only a rank or
-one solution hand their own integer rows to `_rref` or `_solve`, and no
-dense matrix is built. Rows enter one at a time, each reduced against the
-pivot rows found so far, which are kept fully reduced; a row that vanishes
-is dropped, otherwise its first column becomes a new pivot and is cleared
-from the other pivot rows. Zeros are never touched, which matters for the
-tall, sparse, low-rank coboundary matrices.
+The elimination runs modulo a prime (`_rref_mod`), so no entry grows beyond
+61 bits. The first pass, modulo P = 2**61 - 1, skips each row whose weighted
+sum is 0: a free column weighs a fixed pseudo-random integer, and a pivot
+column pc weighs -sum_f weight[f] * basis[pc][f] over the free columns f, so
+the weights combine the free-column kernel vectors. A row in the span sums
+to 0; an independent row does so with probability about 1/P. Each entry is
+lifted to the n/d with |n|, d <= isqrt(M // 2) that it represents modulo
+M = P (rational reconstruction), and the lift is certified over Q: every
+row, skipped or not, has a zero integer dot product with every free-column
+kernel vector of the lifted form, scaled to integers; packed into one
+integer per column, those are one sum per row (`_certified`). Should a lift
+or the certificate fail, passes follow modulo the primes below P (`_primes`),
+skipping rows while each keeps the rows the first kept and no certificate
+has failed, and then taking all rows: as the weights are fixed integers, a
+row that they miss over Q is skipped modulo every prime. `_rref` keeps the
+passes of the best pivot profile (more pivots, then lexicographically
+smaller columns), restarting at a better one, and combines them by the
+Chinese remainder theorem modulo M, the product of their primes, to lift.
 
-The elimination runs modulo the prime P = 2**61 - 1 (`_rref_mod`), so no
-entry grows beyond 61 bits. A row is first tested with one weighted sum: a
-free column weighs a fixed pseudo-random residue, and a pivot column pc
-weighs -sum_f weight[f] * basis[pc][f] over the free columns f, so the
-weights form a combination of the free-column kernel vectors. A row in the
-span sums to 0 and is skipped unreduced; an independent row sums to 0 with
-probability about 1/P, and is then skipped too. Every entry of the result is
-lifted to the rational n/d with |n|, d <= isqrt(P // 2) that it represents
-(rational reconstruction), and the lift is certified over Q: every input
-row, skipped or not, must have a zero integer dot product with every
-free-column kernel vector of the lifted form, scaled to integers. Packed
-into one integer per column, in slots too wide to carry into each other,
-those products are one integer sum per row (`_certified`). If a lift fails
-or a product is nonzero, the same elimination runs in exact `Fraction`
-arithmetic (`_rref_exact`); that is also the only path for inputs whose
-reduced entries exceed the bound.
+A certified result is exact: a pass finds at most the rank over Q of its
+rows, and the certificate shows as many independent rational kernel vectors
+as the lifted form has free columns, so the ranks agree. The lifted rows
+keep the zeros of a reduced row echelon form and annihilate the kernel, so
+span the row space, and that form is unique: every output (rank, kernel
+basis, solution with free variables zero, inverse) is the rational one.
 
-Why a certified result is exact, whatever rows were skipped: the rank
-modulo P of any subset of the rows of an integer matrix is at most its rank
-over Q, and the certificate exhibits as many independent rational kernel
-vectors as the modular form has free columns, so the ranks agree. A lift
-keeps zeros and nonzeros where they are, so the lifted rows are in reduced
-row echelon form; they annihilate the whole kernel, so they span the row
-space, and the reduced row echelon form of a matrix is unique. Every output
-(the rank, the free-column kernel basis, the solution with free variables
-set to zero, the inverse) is therefore exactly the rational one, whichever
-path computed it and in whatever order the rows were eliminated.
+The passes end. Let the rows A have rank r and pivot columns c_1 < ... < c_r
+over Q, and D != 0 the minor of r independent rows on those columns. (a)
+Modulo p the first c columns of any rows of A have at most their rank over
+Q, so no pass beats A's profile. (b) A pass over rows S of A that reaches it
+gives the RREF over Q modulo p: some r rows of S have a minor on c_1..c_r
+that is a unit modulo p, and the RREF is its inverse times them. (c) A pass
+over A reaches it unless p divides D, by (a) and as D's columns c_1..c_i
+keep rank i. (d) By Cramer's rule the RREF's entries are ratios of minors of
+at most r rows, at most the product H of the r largest row norms (Hadamard)
+in numerator and denominator, and the lift returns them once M > 2 H**2 (M
+is odd, so isqrt(M // 2) >= H). All skipping passes but the last reduce the
+rows K the first kept, so by (a)-(d) for K the skipping ends at the latest
+when K's RREF lifts exactly. Over all rows, the first pass modulo a prime
+not dividing D then has A's profile, so from then on every kept pass has it
+and by (b) reduces the true RREF, and the certificate passes once their
+primes' product exceeds 2 H**2. Each prime exceeds 2**60, so with L = log2(H) there are at
+most (3L + 1)/30 + 3 passes. Rows of n entries of b bits have
+L <= r (b + log2(n) / 2), and the more than 10**16 primes between 2**60 and
+P are more passes than any input that fits in memory can need.
 """
 
 from __future__ import annotations
 
 from fractions import Fraction
+from itertools import accumulate
 from math import gcd, isqrt, lcm
 from operator import add, mul, sub
-from typing import Dict, Iterable, List, Optional, Sequence, Tuple
+from typing import Dict, Iterable, Iterator, List, Optional, Sequence, Tuple
 
 Rational = Fraction
 Vector = Tuple[Fraction, ...]
@@ -138,9 +153,8 @@ class Matrix:
         rows = tuple(tuple(rat(x) for x in row) for row in entries)
         if rows:
             ncols = len(rows[0])
-            for r in rows:
-                if len(r) != ncols:
-                    raise ValueError("ragged matrix rows")
+            if any(len(r) != ncols for r in rows):
+                raise ValueError("ragged matrix rows")
             if cols is not None and cols != ncols:
                 raise ValueError(f"cols={cols} disagrees with row length {ncols}")
         else:
@@ -171,9 +185,8 @@ class Matrix:
             nrows = len(columns[0])
             if rows is not None and rows != nrows:
                 raise ValueError(f"rows={rows} disagrees with column length {nrows}")
-            for c in columns:
-                if len(c) != nrows:
-                    raise ValueError("ragged matrix columns")
+            if any(len(c) != nrows for c in columns):
+                raise ValueError("ragged matrix columns")
         else:
             if rows is None:
                 raise ValueError("a 0-column matrix needs an explicit row count")
@@ -192,14 +205,8 @@ class Matrix:
     def apply(self, v: Vector) -> Vector:
         if len(v) != self.cols:
             raise ValueError(f"cannot apply {self.rows}x{self.cols} matrix to length-{len(v)} vector")
-        out = []
-        for row in self.entries:
-            s = Fraction(0)
-            for a, x in zip(row, v):
-                if a and x:
-                    s += a * x
-            out.append(s)
-        return tuple(out)
+        return tuple(sum((a * x for a, x in zip(row, v) if a and x), Fraction(0))
+                     for row in self.entries)
 
     def __matmul__(self, other: "Matrix") -> "Matrix":
         if not isinstance(other, Matrix):
@@ -265,49 +272,19 @@ SparseRow = Dict[int, Fraction]
 Rref = Dict[int, SparseRow]  # {pivot column: the rest of its reduced row}
 IntRow = Dict[int, int]  # nonzero entries only
 
-# The elimination runs modulo this Mersenne prime. A lift recovers n/d only
-# when |n| and d are at most _BOUND, so that 2 * _BOUND**2 < P makes it
-# unique (and larger entries go to the exact elimination).
-P = 2**61 - 1
-_BOUND = isqrt(P // 2)
+P = 2**61 - 1  # the first pass runs modulo this Mersenne prime
 
 
-def _subtract(target: SparseRow, f: Fraction, row: SparseRow) -> None:
-    """target -= f * row, keeping only nonzero entries."""
-    for c, x in row.items():
-        y = target.get(c, 0) - f * x
-        if y:
-            target[c] = y
-        else:
-            del target[c]
-
-
-def _rref_exact(rows: Iterable[IntRow]) -> Rref:
-    """Reduced row echelon form of sparse integer `rows` in `Fraction`
-    arithmetic, built one row at a time.
-
-    Returns {pivot column: reduced row}, where each row keeps only its
-    nonzero entries outside the pivot columns: its pivot entry is an
-    implicit 1 and every other pivot column is 0 in it. Rows that hold no
-    pivot are dropped.
-    """
-    basis: Rref = {}
-    for row in rows:
-        row = dict(row)
-        # the basis is fully reduced, so one pass over the pivot columns this
-        # row holds clears them all without bringing in any other
-        for pc in [c for c in row if c in basis]:
-            _subtract(row, row.pop(pc), basis[pc])
-        if not row:
-            continue
-        pc = min(row)
-        inv = 1 / Fraction(row.pop(pc))
-        row = {c: x * inv for c, x in row.items()}
-        for other in basis.values():
-            if pc in other:
-                _subtract(other, other.pop(pc), row)
-        basis[pc] = row
-    return basis
+def _primes() -> Iterator[int]:
+    """P, then the smaller primes above 37, descending: the strong probable
+    primes to each base 2..37, exact below 3.1 * 10**23 (Sorenson, Webster)."""
+    yield P  # a Mersenne prime
+    for n in range(P - 2, 38, -2):
+        s = ((n - 1) & (1 - n)).bit_length() - 1  # n - 1 = d * 2**s with d odd
+        if all((x := pow(a, n - 1 >> s, n)) == 1
+               or n - 1 in accumulate(range(s - 1), lambda y, _: y * y % n, initial=x)
+               for a in range(2, 38)):
+            yield n
 
 
 class _Weights(dict):
@@ -320,51 +297,61 @@ class _Weights(dict):
         return w
 
 
-def _rref_mod(rows: Iterable[IntRow]) -> Dict[int, Dict[int, int]]:
-    """`_rref_exact` over the integers modulo P, with entries in range(1, P),
-    skipping each row whose weighted sum is 0 (see the module docstring)."""
+def _rref_mod(rows: Iterable[IntRow], p: int,
+              kept: Optional[List[IntRow]] = None) -> Dict[int, Dict[int, int]]:
+    """The RREF of `rows` modulo the prime p, entries in range(1, p); given a
+    list `kept`, it skips each row whose weighted sum is 0 and keeps the rest."""
     basis: Dict[int, Dict[int, int]] = {}
-    weight = _Weights()
+    weight = _Weights()  # fixed integers, whatever p is
     for row in sorted(rows, key=len):  # short rows first keep pivot rows sparse
-        if not sum(map(mul, row.values(), map(weight.__getitem__, row))) % P:
-            continue
+        if kept is not None:
+            if not sum(map(mul, row.values(), map(weight.__getitem__, row))) % p:
+                continue
+            kept.append(row)
         row = dict(row)
         for pc in [c for c in row if c in basis]:
-            f = row.pop(pc) % P
+            f = row.pop(pc) % p
             if f:
                 for c, x in basis[pc].items():
                     row[c] = row.get(c, 0) - f * x
-        # reduced mod P once, after all subtractions; a nonzero weighted sum leaves some
-        row = {c: y for c, x in row.items() if (y := x % P)}
+        # reduced mod p once, after all subtractions
+        row = {c: y for c, x in row.items() if (y := x % p)}
+        if not row:
+            continue
         pc = min(row)
-        inv = pow(row.pop(pc), -1, P)
-        row = {c: x * inv % P for c, x in row.items()}
-        kappa = -sum(map(mul, row.values(), map(weight.__getitem__, row))) % P
+        inv = pow(row.pop(pc), -1, p)
+        row = {c: x * inv % p for c, x in row.items()}
+        kappa = -sum(map(mul, row.values(), map(weight.__getitem__, row))) % p
         shift = weight[pc] - kappa  # a row losing b at pc gains b * shift in weight
         for opc, other in basis.items():
-            f = other.pop(pc, 0) % P
+            f = other.pop(pc, 0) % p
             if f:
-                weight[opc] = (weight[opc] + f * shift) % P
+                weight[opc] = (weight[opc] + f * shift) % p
                 for c, x in row.items():
                     other[c] = other.get(c, 0) - f * x
         weight[pc] = kappa
         basis[pc] = row
-    # back-elimination left entries below rank * P**2, and zeros, in the pivot rows
-    return {pc: {c: y for c, x in row.items() if (y := x % P)} for pc, row in basis.items()}
+    # back-elimination left entries below rank * p**2, and zeros, in the pivot rows
+    return {pc: {c: y for c, x in row.items() if (y := x % p)} for pc, row in basis.items()}
 
 
-def _lift(u: int) -> Optional[Fraction]:
-    """The n/d with |n|, d <= _BOUND and n = u d mod P, or None when there is
-    none: the extended Euclidean algorithm on (P, u), stopped at the first
-    remainder within the bound (Wang's rational reconstruction)."""
-    r0, r1, t0, t1 = P, u, 0, 1
-    while r1 > _BOUND:
-        q = r0 // r1
-        r0, r1 = r1, r0 - q * r1
-        t0, t1 = t1, t0 - q * t1
-    if abs(t1) > _BOUND or gcd(r1, t1) != 1:
-        return None
-    return Fraction(r1, t1)
+def _lift(residues: Dict[int, Dict[int, int]], m: int) -> Optional[Rref]:
+    """Each residue u as the n/d with |n|, d <= isqrt(m // 2) and n = u d mod m,
+    or None if one has none: the extended Euclidean algorithm on (m, u),
+    stopped at the first remainder within the bound (Wang)."""
+    bound, lifted = isqrt(m // 2), {}
+    for pc, row in residues.items():
+        lifted[pc] = out = {}
+        for c, u in row.items():
+            r0, r1, t0, t1 = m, u, 0, 1
+            while r1 > bound:
+                q = r0 // r1
+                r0, r1 = r1, r0 - q * r1
+                t0, t1 = t1, t0 - q * t1
+            if abs(t1) > bound or gcd(r1, t1) != 1:
+                return None
+            out[c] = Fraction(r1, t1)
+    return lifted
 
 
 def _certified(rows: Sequence[IntRow], basis: Rref) -> bool:
@@ -405,22 +392,32 @@ def _int_rows(rows: Iterable[Sequence[Fraction]]) -> List[IntRow]:
 
 
 def _rref(ints: Sequence[IntRow]) -> Rref:
-    """Reduced row echelon form of the integer rows `ints`, in the format of
-    `_rref_exact`: reduced modulo P and lifted, or, when `_certified` cannot
-    prove the lift exact, computed by `_rref_exact`. Empty rows hold no pivot
-    and constrain no kernel vector, so they are dropped first."""
+    """The RREF of the integer rows `ints`, as {pivot column: the nonzero
+    entries of its row outside the pivot columns}, as the module docstring
+    explains; empty rows hold no pivot and constrain no kernel vector."""
     ints = [row for row in ints if row]
-    lifted: Rref = {}
-    for pc, row in _rref_mod(ints).items():
-        lifted[pc] = out = {}
-        for c, u in row.items():
-            x = _lift(u)
-            if x is None:
-                return _rref_exact(ints)
-            out[c] = x
-    if not _certified(ints, lifted):
-        return _rref_exact(ints)
-    return lifted
+    best, skip = None, True
+    for p in _primes():
+        kept = [] if skip else None
+        modular = _rref_mod(ints, p, kept)
+        first = kept if best is None else first
+        skip = kept == first  # until a pass keeps other rows than the first
+        profile = (-len(modular), sorted(modular))  # more pivots, then earlier ones
+        if best is None or profile < best:
+            best, residues, m = profile, modular, p  # any passes before were unlucky
+        elif profile == best:
+            inv = pow(m, -1, p)
+            for pc, row in residues.items():
+                for c in row.keys() | modular[pc].keys():
+                    u = row.get(c, 0)
+                    row[c] = u + m * ((modular[pc].get(c, 0) - u) * inv % p)
+            m *= p
+        else:
+            continue  # an unlucky prime
+        if (lifted := _lift(residues, m)) is not None:
+            if _certified(ints, lifted):
+                return lifted
+            skip = False
 
 
 def rank_kernel(m: Matrix) -> Tuple[int, List[Vector]]:

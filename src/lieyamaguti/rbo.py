@@ -131,6 +131,9 @@ class RelRBO(_RelRBOFields):
     def __setattr__(self, name, value):
         raise AttributeError("RelRBO is immutable")
 
+    def __reduce__(self):   # rebuilt from its fields, without what it derived from T
+        return RelRBO, tuple(self)
+
     def _derive(self, key: str, make: Callable[["RelRBO"], Any]) -> Any:
         """What the operator keeps under key, made by make(self) on first use."""
         if key not in self.__dict__:

@@ -103,6 +103,25 @@ def sl2_standard() -> Model:
 
 
 @pytest.fixture(scope="session")
+def sl2_coadjoint() -> Model:
+    """The sl2 lift on its coadjoint representation, rho*(x) = -rho(x)^T and
+    mu*(x, y) = mu(y, x)^T, built through the public `Representation`, with
+    the operator of the r-matrix e_0 ^ e_1 (T_01 = 1, T_10 = -1). Unlike the
+    adjoint operators of the other fixtures, its delta^2 reads the binary
+    block of a 2-cochain."""
+    a = ly.lya_from_lie(3, {k: tuple(map(fr, v)) for k, v in LIE_FAMILIES["sl2"][1].items()})
+    adj = ly.adjoint_rep(a)
+
+    def transpose(m: ly.Matrix) -> ly.Matrix:
+        return ly.Matrix([m.column(j) for j in range(m.cols)], cols=m.rows)
+
+    r = ly.Representation(a, 3, [-transpose(adj.rho(i)) for i in range(3)],
+                          [[transpose(adj.mu(j, i)) for j in range(3)] for i in range(3)])
+    o = ly.RelRBO.build(a, r, ly.Matrix(((0, 1, 0), (-1, 0, 0), (0, 0, 0))))
+    return Model(a, r, o, ly.Wedge2.basis(3, 0, 2))
+
+
+@pytest.fixture(scope="session")
 def broken_algebra() -> ly.LYAlgebra:
     # <e1,e2,e2> = e2 breaks the derivation identities
     return ly.LYAlgebra(2,

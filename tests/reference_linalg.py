@@ -1,6 +1,8 @@
-"""Dense Gauss-Jordan elimination over the rationals, the modular pass and
-certificate `lieyamaguti.linalg` used before it skipped rows, and its
-modular pass before it deferred the reduction of the back-elimination.
+"""Dense Gauss-Jordan elimination over the rationals, the sparse `Fraction`
+elimination that `lieyamaguti.linalg` ran when one prime could not certify
+its result, the modular pass and certificate it used before it skipped rows,
+and its modular pass before it deferred the reduction of the
+back-elimination.
 
 This is the elimination `lieyamaguti.linalg` used before it switched to a
 sparse incremental reduction, kept verbatim as an independent reference:
@@ -17,7 +19,7 @@ from math import lcm
 from operator import mul
 from typing import Dict, Iterable, List, Optional, Tuple
 
-from lieyamaguti.linalg import IntRow, Matrix, P, SparseRow, Vector, _Weights, rat
+from lieyamaguti.linalg import IntRow, Matrix, P, Rref, SparseRow, Vector, _Weights, rat
 
 
 def _rref(rows: List[List[Fraction]], ncols: int) -> List[int]:
@@ -101,6 +103,48 @@ def inverse(m: Matrix) -> Matrix:
         raise ValueError("matrix is singular")
     # RREF left half is the identity, so the right half is the inverse.
     return Matrix([row[n:] for row in aug], cols=n)
+
+
+# The sparse elimination of `lieyamaguti.linalg` in exact `Fraction`
+# arithmetic, kept verbatim: the package ran it when the lift from one prime
+# was not certified, and its multi-prime lift must return the same form.
+
+def _subtract(target: SparseRow, f: Fraction, row: SparseRow) -> None:
+    """target -= f * row, keeping only nonzero entries."""
+    for c, x in row.items():
+        y = target.get(c, 0) - f * x
+        if y:
+            target[c] = y
+        else:
+            del target[c]
+
+
+def _rref_exact(rows: Iterable[IntRow]) -> Rref:
+    """Reduced row echelon form of sparse integer `rows` in `Fraction`
+    arithmetic, built one row at a time.
+
+    Returns {pivot column: reduced row}, where each row keeps only its
+    nonzero entries outside the pivot columns: its pivot entry is an
+    implicit 1 and every other pivot column is 0 in it. Rows that hold no
+    pivot are dropped.
+    """
+    basis: Rref = {}
+    for row in rows:
+        row = dict(row)
+        # the basis is fully reduced, so one pass over the pivot columns this
+        # row holds clears them all without bringing in any other
+        for pc in [c for c in row if c in basis]:
+            _subtract(row, row.pop(pc), basis[pc])
+        if not row:
+            continue
+        pc = min(row)
+        inv = 1 / Fraction(row.pop(pc))
+        row = {c: x * inv for c, x in row.items()}
+        for other in basis.values():
+            if pc in other:
+                _subtract(other, other.pop(pc), row)
+        basis[pc] = row
+    return basis
 
 
 # The modular pass and the certificate of `lieyamaguti.linalg` before it

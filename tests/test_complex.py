@@ -13,6 +13,7 @@ from lieyamaguti import linalg
 from lieyamaguti.complexes import _coboundary_rows, _echelon, _preimage
 from reference_coboundary import coboundary as replaced_coboundary
 from reference_coboundary import reference_coboundary, reference_coboundary_matrix
+import reference_linalg as ref_linalg
 
 rationals = st.builds(fr, st.integers(-6, 6), st.integers(1, 4))
 
@@ -263,9 +264,9 @@ class TestIntegerRows:
         received = []
         modular = linalg._rref_mod
 
-        def spy(rows):
+        def spy(rows, *args):
             received.append(rows)
-            return modular(rows)
+            return modular(rows, *args)
 
         monkeypatch.setattr(linalg, "_rref_mod", spy)
         rng = random.Random(79)
@@ -279,14 +280,14 @@ class TestIntegerRows:
             for p in (1, 2):
                 rows, dim = _coboundary_rows(ctx, p)[1], ly.cochain_dim(ctx, p)
                 empty += sum(1 for row in rows if not row)
-                basis, exact = linalg._rref(rows), linalg._rref_exact(rows)
+                basis, exact = linalg._rref(rows), ref_linalg._rref_exact(rows)
                 assert basis == exact
                 assert linalg._kernel(basis, dim) == linalg._kernel(exact, dim)
                 x = ly.Cochain.from_flat(ctx, p, tuple(fr(rng.randint(-3, 3)) for _ in range(dim)))
                 c = ly.coboundary(ctx, x)
                 got = _preimage(ctx, c)
                 with monkeypatch.context() as m:
-                    m.setattr(linalg, "_rref", linalg._rref_exact)
+                    m.setattr(linalg, "_rref", ref_linalg._rref_exact)
                     assert got == _preimage(ctx, c)
                 assert ly.coboundary(ctx, ly.Cochain.from_flat(ctx, p, got)) == c
         assert empty and received

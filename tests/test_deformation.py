@@ -14,7 +14,8 @@ import lieyamaguti as ly
 import reference_deformation as ref
 from conftest import (LIE_FAMILIES, Model, assert_same_representation, fr, random_fraction,
                       random_matrix, sl2_sum_operator, transport)
-from lieyamaguti import cli, rbo
+from lieyamaguti import cli, linalg, rbo
+from lieyamaguti.complexes import _coboundary_rows
 
 
 @pytest.fixture(scope="module")
@@ -394,12 +395,34 @@ class TestAgainstReference:
 
 
 class TestObstructionClasses:
-    def test_infinitesimal_cocycles_have_cocycle_obstructions(self, dim2: Model, dim4: Model):
+    def test_the_coadjoint_r_matrix_reads_the_binary_block(self, dim2: Model, dim4: Model,
+                                                           sl2_coadjoint: Model):
+        # delta^2 of the adjoint operators of dim2 and dim4 has rank 0 over
+        # the binary-block columns, so a rescaled binary block of Ob stays a
+        # cocycle there; on the coadjoint r-matrix operator it has rank 6
+        m = sl2_coadjoint
+        assert ly.check_representation(m.rep).valid
+        ly.RelRBO.build(m.algebra, m.rep, ly.Matrix(((0, 0, 1), (0, 0, 0), (-1, 0, 0))))
+        with pytest.raises(ly.NotRotaBaxter):
+            ly.RelRBO.build(m.algebra, m.rep, ly.Matrix(((0, 0, 0), (0, 0, 1), (0, -1, 0))))
+        rc = ly.RboComplex.build(m.op)
+        assert [ly.rbo_cohomology_dims(rc, p).dim_h for p in (1, 2)] == [1, 7]
+        ranks = []
+        for o in (dim2.op, dim4.op, m.op):
+            ctx = ly.RboComplex.build(o).ctx
+            binary = math.comb(ctx.m, 2) * ctx.v   # the first columns of degree 2
+            rows = _coboundary_rows(ctx, 2)[1]
+            ranks.append(len(linalg._rref([{c: x for c, x in row.items() if c < binary}
+                                           for row in rows])))
+        assert ranks == [0, 0, 6]
+
+    def test_infinitesimal_cocycles_have_cocycle_obstructions(self, dim2: Model, dim4: Model,
+                                                              sl2_coadjoint: Model):
         # T_1 in Z^1 makes T + t T_1 an order-1 deformation; its obstruction
         # at t^2 is a 2-cocycle, and a class in H^2 that may be nontrivial
         rng = random.Random(11)
         nontrivial = 0
-        for m in (dim2, dim4):
+        for m in (dim2, dim4, sl2_coadjoint):
             rc = ly.RboComplex.build(m.op)
             m1 = ly.rbo_coboundary_matrix(rc, 1)
             m2 = ly.rbo_coboundary_matrix(rc, 2)
@@ -472,6 +495,23 @@ class TestObstructionIsACocycle:
         ctx = ly.RboComplex.build(o).ctx
         draws = _cocycle_draws(o, random.Random(5), 24)
         assert sum(not self._checked(o, ctx, d).trivial for d in draws) >= 10
+
+    def test_order_two_on_the_coadjoint_r_matrix(self, sl2_coadjoint: Model):
+        # every class here is trivial; at order 1 Ob's binary block lies in
+        # the kernel of delta^2, at order 2 it often does not, so delta^2
+        # reads it and a rescaled binary block is no cocycle
+        o = sl2_coadjoint.op
+        ctx = ly.RboComplex.build(o).ctx
+        rng = random.Random(71)
+        extended = [ly.extend_deformation(o, d) for d in _cocycle_draws(o, rng, 12, share=0.5)]
+        seen = 0
+        for d, shift in zip(extended * 2, _cocycle_draws(o, rng, 24, share=0.5)):
+            d2 = ly.TruncatedDeformation(d.terms[:2] + (d.terms[2] + shift.terms[1],))
+            assert ly.order_n_check(o, d2).valid
+            ob = self._checked(o, ctx, d2).ob
+            binary = ly.Cochain(2, ob.f_part, tuple(ly.vzero(ctx.v) for _ in ob.g_part))
+            seen += not ly.coboundary(ctx, binary).is_zero()
+        assert seen >= 5
 
     def test_order_two_on_sl2_sum(self):
         # a trivial order-1 class extended by its witness T_2, then T_2 moved

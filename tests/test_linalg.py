@@ -1,13 +1,16 @@
 """Exact linear algebra: frozen examples plus algebraic properties."""
 
 import random
+import time
 from fractions import Fraction
+from itertools import islice
+from math import isqrt
 
 import pytest
 from hypothesis import given, settings, strategies as st
 
 import reference_linalg as ref
-from conftest import Model, conjugated_lie_lya, transport
+from conftest import Model, conjugated_lie_lya, random_invertible, sl2_sum_operator, transport
 from lieyamaguti import (
     ComplexContext,
     Matrix,
@@ -43,6 +46,27 @@ rationals = st.builds(Fraction, st.integers(-8, 8), st.integers(1, 6))
 def matrices(rows, cols):
     return st.lists(st.lists(rationals, min_size=cols, max_size=cols),
                     min_size=rows, max_size=rows).map(Matrix)
+
+
+TENTH_PRIME = list(islice(linalg._primes(), 10))[-1]
+
+
+@pytest.fixture(autouse=True)
+def passes(monkeypatch):
+    """The modular passes `_rref` runs, as (rows, prime, skipping, result).
+    In every test here an eleventh pass of one elimination fails the test,
+    so a loop that would not end stops."""
+    calls = []
+    modular = linalg._rref_mod
+
+    def spy(rows, p, kept=None):
+        assert p >= TENTH_PRIME, "more than 10 modular passes"
+        out = modular(rows, p, kept)
+        calls.append((rows, p, kept is not None, {pc: dict(row) for pc, row in out.items()}))
+        return out
+
+    monkeypatch.setattr(linalg, "_rref_mod", spy)
+    return calls
 
 
 class TestRat:
@@ -206,6 +230,8 @@ def _inverse_or_error(inv, m):
 
 
 def _assert_matches_reference(m, rhs=()):
+    ints = linalg._int_rows(m.entries)
+    assert linalg._rref(ints) == ref._rref_exact(ints)
     assert rank_kernel(m) == ref.rank_kernel(m)
     for b in rhs:
         assert solve_linear(m, b) == ref.solve_linear(m, b)
@@ -266,53 +292,105 @@ class TestAgainstDenseReference:
         _assert_matches_reference(n, ((fr(1), fr(1), fr(1)),))
 
 
+def _primes_needed(basis):
+    """How many of the primes P, P', ... the lift of the exact RREF needs."""
+    top = max((max(abs(x.numerator), x.denominator) for row in basis.values()
+               for x in row.values()), default=0)
+    m = 1
+    for k, p in enumerate(linalg._primes(), 1):
+        m *= p
+        if top <= isqrt(m // 2):
+            return k
+
+
 class TestCertifiedModularElimination:
-    """`_rref` falls back to the exact `Fraction` elimination exactly when
-    the modular result is not certified."""
+    """`_rref` takes further passes exactly when the first pass's lift is
+    not certified, and then as many as its entries need."""
 
-    @pytest.fixture
-    def fallbacks(self, monkeypatch):
-        calls = []
-        exact = linalg._rref_exact
+    def test_the_primes_descend_from_p(self):
+        primes = list(islice(linalg._primes(), 40))
+        assert primes[:3] == [P, 2305843009213693921, 2305843009213693907]
+        assert primes[-1] > 2**60
+        for p in primes:
+            assert all(pow(a, p - 1, p) == 1 for a in range(2, 60))
+        # a Fermat witness proves each odd number between them composite
+        for n in range(primes[-1] + 2, P, 2):
+            if n not in primes:
+                assert any(pow(a, n - 1, n) != 1 for a in range(2, 60))
 
-        def spy(rows):
-            calls.append(rows)
-            return exact(rows)
-
-        monkeypatch.setattr(linalg, "_rref_exact", spy)
-        return calls
-
-    def test_unlucky_prime_and_large_entries_fall_back(self, fallbacks):
+    def test_unlucky_prime_and_large_entries_fall_back(self, passes):
         for m in (Matrix(((fr(P), fr(0)), (fr(0), fr(1)))),
                   Matrix(((fr(3), fr(-(2**40 + 1))),))):
-            before = len(fallbacks)
+            before = len(passes)
             rank_kernel(m)
-            assert len(fallbacks) == before + 1
+            assert len(passes) == before + 2
 
-    def test_integer_rows_reach_the_fallback(self, fallbacks):
+    def test_integer_rows_reach_the_fallback(self, passes):
         # the rank-only entry takes integer rows as they come (coboundary rows
         # are Q times the exact ones): a row that vanishes or repeats modulo P
-        # hides rank there, and only the certificate shows it
-        assert len(linalg._rref([{0: P}, {1: 1}])) == 2
-        assert len(fallbacks) == 1
+        # hides rank there, and only the certificate shows it. Here the first
+        # pass finds one pivot, at column 1; the second finds two, a better
+        # profile, and the accumulation restarts from it alone
+        rows = [{0: P}, {1: 1}]
+        assert linalg._rref(rows) == ref._rref_exact(rows) == {0: {}, 1: {}}
+        assert [(len(r), p, skips, out) for r, p, skips, out in passes] == [
+            (2, P, True, {1: {}}), (2, next(islice(linalg._primes(), 1, None)), False, {0: {}, 1: {}})]
         assert len(linalg._rref([{0: 1, 1: 2, 2: 3}, {0: 1, 1: 2 + P, 2: 3}])) == 2
-        assert len(fallbacks) == 2
+        assert len(passes) == 4
         assert len(linalg._rref([{0: 2, 1: -4}, {0: -3, 1: 6}, {1: 5}])) == 2
         assert len(linalg._rref([])) == 0
-        assert len(fallbacks) == 2
+        assert len(passes) == 6
 
-    def test_lift_bound(self, fallbacks):
+    @pytest.mark.parametrize("bits,needed", [(22, 2), (38, 3)])
+    def test_entries_that_need_more_primes(self, passes, bits, needed):
+        # RREF entries of about 2 * bits + 2 bits: too wide for the lift
+        # modulo P, which reaches about 30 bits, wide enough for two primes
+        # (61 bits) or three (91 bits)
+        rng = random.Random(bits)
+        for _ in range(4):
+            rows = [{c: x for c in range(4) if (x := rng.randint(-2**bits, 2**bits))}
+                    for _ in range(2)]
+            rows.append({c: -2 * x for c, x in rows[0].items()})
+            exact = ref._rref_exact(rows)
+            assert _primes_needed(exact) == needed
+            passes.clear()
+            assert linalg._rref(rows) == exact
+            assert [p for _, p, _, _ in passes] == list(islice(linalg._primes(), needed))
+            # the third row is in the span, and the first pass skips it
+            assert passes[0][2] and all(sorted(out) == [0, 1] for _, _, _, out in passes)
+            m = Matrix([[fr(row.get(c, 0)) for c in range(4)] for row in rows])
+            _assert_matches_reference(m, (m.column(0),))
+
+    def test_lift_bound(self, passes):
         # numerators and denominators up to isqrt(P // 2) lift; one more does not
-        bound = linalg._BOUND
+        bound = isqrt(P // 2)
         assert 2 * bound * bound < P <= 2 * (bound + 1) ** 2
         for x in (fr(bound), fr(-1, bound), fr(-bound, bound - 2)):
             assert rank_kernel(Matrix(((fr(1), -x),))) == (1, [(x, fr(1))])
-        assert not fallbacks
+        assert len(passes) == 3
         for x in (fr(bound + 1), fr(1, bound + 1)):
             assert rank_kernel(Matrix(((fr(1), -x),))) == (1, [(x, fr(1))])
-        assert len(fallbacks) == 2
+        assert len(passes) == 7
 
-    def test_dense_coboundary_matrix_is_certified(self, dim4: Model, fallbacks):
+    def test_dense_sl2_sum_takes_few_primes(self, passes):
+        # the sl2 + sl2 lift in a seeded dense basis: delta^2 has 9450 rows of
+        # rank 598, and RREF entries of up to 70 bits, beyond one prime's lift
+        start = time.monotonic()
+        a = sl2_sum_operator(2).algebra
+        p = random_invertible(random.Random(2), 6)
+        b, r = transport(a, adjoint_rep(a), p, p)
+        rows = _coboundary_rows(ComplexContext(b, r), 2)[1]
+        assert len(rows) == 9450
+        passes.clear()
+        basis = linalg._rref(rows)
+        assert len(basis) == 598
+        assert 2 <= len(passes) <= 4
+        assert ref._certified(rows, basis)
+        assert max(max(abs(x.numerator), x.denominator).bit_length()
+                   for row in basis.values() for x in row.values()) > 61
+        assert time.monotonic() - start < 60.0
+
+    def test_dense_coboundary_matrix_is_certified(self, dim4: Model, passes):
         # a dense unimodular change of basis fills the degree-2 matrix with
         # entries of several bits; its RREF stays within the lift bound
         lower = Matrix(((1, 0, 0, 0), (2, 1, 0, 0), (-1, 1, 1, 0), (1, -2, 1, 1)))
@@ -323,8 +401,9 @@ class TestCertifiedModularElimination:
         native = coboundary_matrix(ComplexContext(dim4.algebra, dim4.rep), 2)
         assert sum(1 for row in m.entries for x in row if x) > 10 * sum(
             1 for row in native.entries for x in row if x)
+        passes.clear()
         rank, kernel = rank_kernel(m)
-        assert not fallbacks
+        assert len(passes) == 1
         assert rank == rank_kernel(native)[0]
         assert rank + len(kernel) == m.cols
         for k in kernel:
@@ -360,38 +439,30 @@ class TestSkippedRowsAndPackedCertificate:
     """`_rref_mod` skips a row whose weighted sum vanishes, and `_certified`
     checks every row in one packed integer sum; `_rref` stays exact."""
 
-    @pytest.fixture
-    def fallbacks(self, monkeypatch):
-        calls = []
-        exact = linalg._rref_exact
-
-        def spy(rows):
-            calls.append(rows)
-            return exact(rows)
-
-        monkeypatch.setattr(linalg, "_rref_exact", spy)
-        return calls
-
     def test_tall_low_rank_rows(self):
         rng = random.Random(71)
         for case in range(60):
             ncols = rng.randint(1, 12)
             rows = _low_rank_rows(rng, ncols, rng.randint(1, min(ncols, 5)),
                                   rng.randint(4, 40), big=case % 5 == 4)
-            assert linalg._rref(rows) == linalg._rref_exact(rows)
+            assert linalg._rref(rows) == ref._rref_exact(rows)
             # skipping rows of the span leaves the modular form as it was, and
             # so does reducing the back-elimination only once
-            assert linalg._rref_mod(rows) == ref._rref_mod(rows) == ref._rref_mod_eager(rows)
+            kept = []
+            assert linalg._rref_mod(rows, P, kept) == linalg._rref_mod(rows, P) \
+                == ref._rref_mod(rows) == ref._rref_mod_eager(rows)
+            # every row the pass does not skip becomes a pivot row
+            assert len(kept) == len(ref._rref_mod(rows))
 
-    def test_no_skipped_rows_fall_back_on_coboundary_rows(self, dim4: Model, fallbacks):
+    def test_no_skipped_rows_fall_back_on_coboundary_rows(self, dim4: Model, passes):
         ctx = ComplexContext(dim4.algebra, dim4.rep)
         for p in (1, 2):
             rows = linalg._int_rows(coboundary_matrix(ctx, p).entries)
             basis = linalg._rref(rows)
-            assert not fallbacks
-            assert basis == linalg._rref_exact(rows)
-            assert linalg._rref_mod(rows) == ref._rref_mod_eager(rows)
-            fallbacks.clear()
+            assert len(passes) == 1
+            assert basis == ref._rref_exact(rows)
+            assert linalg._rref_mod(rows, P, []) == ref._rref_mod_eager(rows)
+            passes.clear()
 
     def test_deferred_back_elimination_on_dense_coboundary_rows(self):
         # sl2 in a seeded dense basis: delta^2 has rank 29, so each pivot row
@@ -401,7 +472,7 @@ class TestSkippedRowsAndPackedCertificate:
         ctx = ComplexContext(a, adjoint_rep(a))
         for p in (1, 2):
             rows = _coboundary_rows(ctx, p)[1]
-            modular = linalg._rref_mod(rows)
+            modular = linalg._rref_mod(rows, P, [])
             assert modular == ref._rref_mod_eager(rows)
             assert all(0 < u < P for row in modular.values() for u in row.values())
 
@@ -415,16 +486,21 @@ class TestSkippedRowsAndPackedCertificate:
         ([{0: 1, 2: 1, 3: 1}, {1: 1, 2: 1, 3: 1}, {0: 1, 1: -1, 2: 1, 3: -1}],
          {0: {3: fr(2)}, 1: {3: fr(2)}, 2: {3: fr(-1)}}),
     ])
-    def test_a_false_skip_is_caught(self, monkeypatch, fallbacks, rows, pivots):
+    def test_a_false_skip_is_caught(self, monkeypatch, passes, rows, pivots):
+        # the weights are the same integers modulo every prime, so a pass
+        # that skipped rows would skip this one again: the passes after a
+        # failed certificate take every row
         monkeypatch.setattr(linalg._Weights, "__missing__", lambda w, c: w.setdefault(c, 1))
-        skipped = linalg._rref_mod(rows)
+        skipped = linalg._rref_mod(rows, P, [])
         assert len(skipped) == len(pivots) - 1
         lifted = {pc: {c: fr(u) if u <= P // 2 else fr(u - P) for c, u in row.items()}
                   for pc, row in skipped.items()}
         assert not linalg._certified(rows, lifted)
         assert not ref._certified(rows, lifted)
-        assert linalg._rref(rows) == pivots
-        assert len(fallbacks) == 1
+        passes.clear()
+        assert linalg._rref(rows) == pivots == ref._rref_exact(rows)
+        assert [(len(r), skips, len(out)) for r, _, skips, out in passes] == [
+            (len(rows), True, len(pivots) - 1), (len(rows), False, len(pivots))]
 
     def test_packed_certificate_agrees_with_the_reference(self):
         rng = random.Random(72)
@@ -432,7 +508,7 @@ class TestSkippedRowsAndPackedCertificate:
         for _ in range(40):
             ncols = rng.randint(2, 10)
             rows = _low_rank_rows(rng, ncols, rng.randint(1, min(ncols, 4)), rng.randint(3, 25))
-            basis = linalg._rref_exact(rows)
+            basis = ref._rref_exact(rows)
             assert linalg._certified(rows, basis) and ref._certified(rows, basis)
             entries = [(pc, c) for pc, row in basis.items() for c in row]
             if not entries:

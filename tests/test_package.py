@@ -71,6 +71,23 @@ def test_core_objects_round_trip(round_trip, dim4: Model):
     assert ly.obstruction(o2, round_trip(d)) == ly.obstruction(o, d)
 
 
+def test_a_pickled_operator_carries_only_its_fields(dim4: Model):
+    # what a verified operator derives from T (its integer columns, inner
+    # tables, delta^0 and complex) is made again on use, and not pickled
+    o = ly.RelRBO.build(dim4.algebra, dim4.rep, dim4.op.t_matrix)
+    size = len(pickle.dumps(o))
+    rc = ly.RboComplex.build(o)
+    dims = [ly.rbo_cohomology_dims(rc, p) for p in (1, 2)]
+    ly.obstruction(o, ly.trivial_deformation_from(o, ly.Wedge2.zero(4)))
+    assert {"columns", "inner", "delta0"} <= set(o.__dict__)
+    assert len(pickle.dumps(o)) == size
+    y = pickle.loads(pickle.dumps(o))
+    assert type(y) is ly.RelRBO and y == o and y.verified and not y.__dict__
+    with pytest.raises(AttributeError, match="immutable"):
+        y.verified = False
+    assert [ly.rbo_cohomology_dims(ly.RboComplex.build(y), p) for p in (1, 2)] == dims
+
+
 TRACECLI = Path(__file__).resolve().parents[1] / "perfbench" / "tracecli.py"
 
 
